@@ -42,7 +42,8 @@ from .scaling import scale
 from .simulator import KIND_NAMES, OUTCOME_ABANDONED, OUTCOME_IN_SERVICE, \
     OUTCOME_SERVED, OUTCOME_WAITING, SystemConfig, simulate
 from .streams import make_rng
-from .validation import GAP_NAMES, compare_abandonment, convergence_sweep
+from .validation import GAP_NAMES, compare_abandonment, convergence_sweep, \
+    resolve_checkpoints, verdict_names
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -117,6 +118,8 @@ def _workers(args) -> int:
             return max(1, int(env))
         except ValueError:
             raise CliError(f"HTTQ_WORKERS must be an integer, got {env!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -403,31 +406,46 @@ def _cmd_renewal(args) -> int:
 # sweep
 
 
-def _eval_thresholds(report, thr: dict) -> list[str]:
+def _check_thresholds(thr, n_values, checkpoints) -> None:
+    """Reject thresholds naming a statistic, n or checkpoint the sweep lacks."""
+    if not isinstance(thr, dict):
+        raise CliError("thresholds must be an object")
     _require_keys(thr, {"decreasing", "ks_max", "ratio_max"}, "thresholds")
+    known = verdict_names(checkpoints)
+    for name in thr.get("decreasing", []):
+        if name not in known:
+            raise CliError(f"thresholds reference unknown statistic {name!r}; "
+                           f"known: {sorted(known)}")
+    for item in thr.get("ks_max", []):
+        _require_keys(item, {"n", "checkpoint", "max"}, "ks_max entry")
+        n = int(_need(item, "n", "ks_max entry"))
+        t = float(_need(item, "checkpoint", "ks_max entry"))
+        float(_need(item, "max", "ks_max entry"))  # present and numeric
+        if n not in n_values:
+            raise CliError(f"ks_max references n={n} not in the sweep {n_values}")
+        if not any(math.isclose(c, t) for c in checkpoints):
+            raise CliError(f"ks_max references checkpoint {t} not in {list(checkpoints)}")
+    for item in thr.get("ratio_max", []):
+        _require_keys(item, {"statistic", "max"}, "ratio_max entry")
+        float(_need(item, "max", "ratio_max entry"))  # present and numeric
+        if _need(item, "statistic", "ratio_max entry") not in GAP_NAMES:
+            raise CliError(f"ratio_max references unknown statistic {item['statistic']!r}")
+
+
+def _eval_thresholds(report, thr: dict) -> list[str]:
+    """Threshold failures of a sweep; `thr` has passed `_check_thresholds`."""
     failures = []
     for name in thr.get("decreasing", []):
-        verdict = report.verdicts.get(name)
-        if verdict is None:
-            raise CliError(f"thresholds reference unknown statistic {name!r}; "
-                           f"known: {sorted(report.verdicts)}")
+        verdict = report.verdicts[name]
         if verdict != "decreasing":
             failures.append(f"{name}: verdict {verdict!r}, required decreasing")
     for item in thr.get("ks_max", []):
-        _require_keys(item, {"n", "checkpoint", "max"}, "ks_max entry")
         n, t, mx = int(item["n"]), float(item["checkpoint"]), float(item["max"])
-        if n not in report.ks:
-            raise CliError(f"ks_max references n={n} not in the sweep {list(report.ks)}")
-        match = [v for tk, v in report.ks[n].items() if math.isclose(tk, t)]
-        if not match:
-            raise CliError(f"ks_max references checkpoint {t} not in {list(report.ks[n])}")
-        if match[0] > mx:
-            failures.append(f"ks@{t:g} at n={n}: {match[0]:.4f} > {mx}")
+        value = next(v for tk, v in report.ks[n].items() if math.isclose(tk, t))
+        if value > mx:
+            failures.append(f"ks@{t:g} at n={n}: {value:.4f} > {mx}")
     for item in thr.get("ratio_max", []):
-        _require_keys(item, {"statistic", "max"}, "ratio_max entry")
         name, mx = item["statistic"], float(item["max"])
-        if name not in report.summaries:
-            raise CliError(f"ratio_max references unknown statistic {name!r}")
         n_lo, n_hi = min(report.n_values), max(report.n_values)
         lo = report.summaries[name][n_lo]["median"]
         hi = report.summaries[name][n_hi]["median"]
@@ -454,8 +472,7 @@ def _cmd_sweep(args) -> int:
             raise CliError("--grid-step must divide the horizon")
         grid_points = gp
     thresholds = doc.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise CliError("thresholds must be an object")
+    _check_thresholds(thresholds, n_values, resolve_checkpoints(checkpoints, config.horizon))
 
     resolved = {"command": "sweep", "config": config.to_dict(), "n_values": n_values,
                 "replications": reps, "seed": seed, "checkpoints": checkpoints,

@@ -1,19 +1,35 @@
-"""Event-driven simulation of the n-th G/GI/N+GI many-server system.
+"""Event-exact simulation of the n-th G/GI/N+GI many-server system.
 
-The simulator is event-exact: no time discretization anywhere.  A binary
-heap orders events by (time, priority, sequence) with priorities
+Under FCFS a customer's fate depends only on the customers ahead of it, so
+the simulator is one forward pass over customers in queue order: the
+multi-server workload recursion of Kiefer & Wolfowitz (1955), extended to
+impatient customers by Baccelli & Hebuterne (1981).  A heap ``V`` holds the
+N_n epochs at which the servers next fall free (idle servers at -inf, busy
+initial servers at their residual service).  Customer i, arriving at a_i
+with patience g_i and service requirement s_i, is offered the start
 
-    0 service completion, 2 arrival, 3 patience expiry
+    start_i = max(a_i, min V)
 
-and events closer than the 1e-12 tie window are drained together and
-replayed in priority order, so a customer whose patience expires at the
-same instant a server frees up still enters service.  Service starts are
-not scheduled; they happen inline when a server and a waiting customer
-meet, which also makes the system work-conserving by construction.
+and enters service iff start_i <= a_i + g_i + TIE_WINDOW, which replaces
+min V by start_i + s_i; otherwise it abandons at a_i + g_i and touches no
+server.  No time is discretized, and the system is work-conserving by
+construction.
 
-Per-customer service requirements and patience times are drawn at arrival
-from dedicated streams, so runs that differ only in the abandonment flag
-consume identical randomness customer by customer (common random numbers).
+Tie rules, with TIE_WINDOW = 1e-12 in absolute time:
+
+* patience vs service: a server that falls free within TIE_WINDOW after a
+  customer's patience expires still admits that customer;
+* no early starts: a service never starts before its server falls free;
+* horizon: an event is recorded iff its time is <= horizon;
+* log order: events are sorted by time; at equal times completions come
+  before arrivals before abandonments, and each service start directly
+  follows the completion or arrival that triggered it (the k-th start at a
+  completion epoch pairs with the k-th completion there, in id order).
+
+Per-customer service requirements and patience times are drawn in arrival
+order from dedicated streams, so runs that differ only in the abandonment
+flag consume identical randomness customer by customer (common random
+numbers).
 """
 
 from __future__ import annotations
@@ -21,7 +37,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from hashlib import sha256
 
@@ -31,7 +46,7 @@ from .distributions import ArrivalSpec, DistributionSpec
 from .paths import CadlagPath, counting_path, step_path
 from .patience import PatienceSpec
 from .renewal import equilibrium_distribution
-from .streams import BlockSampler, make_rng
+from .streams import BLOCK, draw_blocks, make_rng
 
 TIE_WINDOW = 1e-12
 
@@ -46,12 +61,6 @@ OUTCOME_ABANDONED = 1
 OUTCOME_WAITING = 2
 OUTCOME_IN_SERVICE = 3
 OUTCOME_NAMES = {0: "served", 1: "abandoned", 2: "waiting", 3: "in-service"}
-
-# internal customer states
-_WAITING = 0
-_IN_SERVICE = 1
-_SERVED = 2
-_ABANDONED = 3
 
 
 @dataclass(frozen=True)
@@ -304,6 +313,84 @@ def _assemble_record(config, seed, replication, s0, q0, event_times, event_kinds
     )
 
 
+def _arrival_epochs(rng: np.random.Generator, draw, horizon: float) -> np.ndarray:
+    """Arrival epochs <= horizon: running sums of the interarrival stream."""
+    blocks = []
+    last = 0.0
+    while last <= horizon:
+        gaps = draw(rng, BLOCK)
+        gaps[0] += last
+        blocks.append(np.cumsum(gaps))
+        last = blocks[-1][-1]
+    epochs = np.concatenate(blocks)
+    return epochs[: np.searchsorted(epochs, horizon, side="right")]
+
+
+def _fcfs_starts(free_at: list, arrivals, services, limits) -> np.ndarray:
+    """Offered-wait recursion over customers in FCFS order.
+
+    ``free_at`` is the heap of server-free epochs and is updated in place.
+    Returns each customer's service start, NaN for those who abandon.
+    """
+    replace = heapq.heapreplace
+    nan = math.nan
+    starts = []
+    for a, s, limit in zip(arrivals.tolist(), services.tolist(), limits.tolist()):
+        start = free_at[0]
+        if start < a:
+            start = a
+        if start <= limit:
+            replace(free_at, start + s)
+            starts.append(start)
+        else:
+            starts.append(nan)
+    return np.array(starts)
+
+
+def _until(times: np.ndarray, horizon: float) -> np.ndarray:
+    """The times that fall within the horizon, NaN elsewhere."""
+    return np.where(times <= horizon, times, np.nan)
+
+
+def _rank_among_equal(times: np.ndarray) -> np.ndarray:
+    """Position of each entry among the entries with the same time, in index order."""
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    rank = np.empty(times.size, dtype=np.int64)
+    rank[order] = np.arange(times.size) - np.searchsorted(ordered, ordered, side="left")
+    return rank
+
+
+def _event_log(x0: int, s0: int, arrival_times, entry_times, completion_times,
+               abandon_times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, kinds, ids) of every recorded event, in the documented order."""
+    arr = np.arange(x0, arrival_times.size)
+    started = s0 + np.flatnonzero(np.isfinite(entry_times[s0:]))
+    done = np.flatnonzero(np.isfinite(completion_times))
+    left = np.flatnonzero(np.isfinite(abandon_times))
+    t_start = entry_times[started]
+    # a start at its own arrival epoch follows the arrival; any other start
+    # follows the completion that freed its server
+    on_arrival = (started >= x0) & (t_start == arrival_times[started])
+    start_tie = started.copy()
+    start_tie[~on_arrival] = _rank_among_equal(t_start[~on_arrival])
+
+    times = np.concatenate([arrival_times[arr], t_start, completion_times[done],
+                            abandon_times[left]])
+    kinds = np.concatenate([np.full(arr.size, KIND_ARRIVAL, dtype=np.int8),
+                            np.full(started.size, KIND_START, dtype=np.int8),
+                            np.full(done.size, KIND_COMPLETION, dtype=np.int8),
+                            np.full(left.size, KIND_ABANDONMENT, dtype=np.int8)])
+    ids = np.concatenate([arr, started, done, left])
+    priority = np.concatenate([np.full(arr.size, KIND_ARRIVAL),
+                               np.where(on_arrival, KIND_ARRIVAL, KIND_COMPLETION),
+                               np.full(done.size, KIND_COMPLETION),
+                               np.full(left.size, KIND_ABANDONMENT)])
+    tie = np.concatenate([arr, start_tie, _rank_among_equal(completion_times[done]), left])
+    order = np.lexsort((kinds == KIND_START, tie, priority, times))
+    return times[order], kinds[order], ids[order]
+
+
 def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord:
     """Run one replication on [0, horizon]; same arguments, same record."""
     T = config.horizon
@@ -314,25 +401,6 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
 
     rng_initial = make_rng(seed, replication, "initial")
     eff_service = config.effective_service()
-    arrivals = BlockSampler(make_rng(seed, replication, "arrivals"),
-                            config.arrival.sampler(config.n, config.mu, config.beta))
-    services = BlockSampler(make_rng(seed, replication, "services"),
-                            lambda rng, size: eff_service.sample(rng, size))
-    patience_draw = None
-    if config.abandon:
-        patience_draw = BlockSampler(make_rng(seed, replication, "patience"),
-                                     config.patience.sampler_n(config.n))
-
-    # per-customer storage (ids: 0..s0-1 initial in service, s0..s0+q0-1
-    # initial queued, then arrivals)
-    arr_t = [0.0] * x0
-    pat_t = [math.inf] * x0
-    svc_t: list[float] = [math.nan] * s0
-    ent_t = [0.0] * s0 + [math.nan] * q0
-    comp_t = [math.nan] * x0
-    abn_t = [math.nan] * x0
-    status = [_IN_SERVICE] * s0 + [_WAITING] * q0
-
     if s0 > 0:
         if config.alpha == 1.0:
             remaining = equilibrium_distribution(config.service).sample(rng_initial, s0)
@@ -340,129 +408,48 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
             remaining = rng_initial.exponential(1.0 / config.mu_n, s0)
     else:
         remaining = np.empty(0)
-    if q0 > 0:
-        svc_t.extend(eff_service.sample(rng_initial, q0))
+    queued_service = eff_service.sample(rng_initial, q0) if q0 > 0 else np.empty(0)
 
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for cid in range(s0):
-        heap.append((float(remaining[cid]), KIND_COMPLETION, seq, cid))
-        seq += 1
-    heapq.heapify(heap)
-    first = arrivals.next()
-    if first <= T:
-        heapq.heappush(heap, (first, KIND_ARRIVAL, seq, -1))
-        seq += 1
+    arrivals = _arrival_epochs(make_rng(seed, replication, "arrivals"),
+                               config.arrival.sampler(config.n, config.mu, config.beta), T)
+    k = arrivals.size
+    services = draw_blocks(make_rng(seed, replication, "services"), eff_service.sample, k)
+    if config.abandon:
+        patience = draw_blocks(make_rng(seed, replication, "patience"),
+                               config.patience.sampler_n(config.n), k)
+    else:
+        patience = np.full(k, math.inf)
 
-    queue: deque[int] = deque(range(s0, s0 + q0))
-    free = n_servers - s0
+    # queue-eligible customers, ids s0.. in FCFS order: initial queued
+    # (arrived at 0, never abandon), then arrivals
+    a = np.concatenate([np.zeros(q0), arrivals])
+    s = np.concatenate([queued_service, services])
+    expiry = np.concatenate([np.full(q0, math.inf), arrivals + patience])
+    free_at = [-math.inf] * (n_servers - s0) + remaining.tolist()
+    heapq.heapify(free_at)
+    start = _fcfs_starts(free_at, a, s, expiry + TIE_WINDOW)
 
-    ev_t: list[float] = []
-    ev_k: list[int] = []
-    ev_c: list[int] = []
-    last_log = 0.0
-
-    def log(t: float, kind: int, cid: int) -> None:
-        # tie-window batches replay in priority order, which can step back
-        # in time by <= 1e-12; clamp so the logged clock never decreases
-        nonlocal last_log
-        if t < last_log:
-            t = last_log
-        else:
-            last_log = t
-        ev_t.append(t)
-        ev_k.append(kind)
-        ev_c.append(cid)
-
-    def dump_tail() -> str:
-        tail = [
-            f"{t:.15g} {KIND_NAMES[k]} customer {c}"
-            for t, k, c in zip(ev_t[-20:], ev_k[-20:], ev_c[-20:])
-        ]
-        return "\n".join(tail)
-
-    push = heapq.heappush
-    pop = heapq.heappop
-
-    def start_service(t: float, cid: int) -> None:
-        nonlocal free, seq
-        free -= 1
-        status[cid] = _IN_SERVICE
-        ent_t[cid] = t
-        push(heap, (t + svc_t[cid], KIND_COMPLETION, seq, cid))
-        seq += 1
-        log(t, KIND_START, cid)
-
-    while heap:
-        t0 = heap[0][0]
-        if t0 > T:
-            break
-        batch = [pop(heap)]
-        while heap and heap[0][0] <= t0 + TIE_WINDOW:
-            batch.append(pop(heap))
-        if len(batch) > 1:
-            batch.sort(key=lambda e: (e[1], e[0], e[2]))
-        for t, kind, _, cid in batch:
-            if kind == KIND_ARRIVAL:
-                cid = len(arr_t)
-                arr_t.append(t)
-                svc_t.append(services.next())
-                gamma = patience_draw.next() if patience_draw is not None else math.inf
-                pat_t.append(gamma)
-                comp_t.append(math.nan)
-                abn_t.append(math.nan)
-                ent_t.append(math.nan)
-                status.append(_WAITING)
-                log(t, KIND_ARRIVAL, cid)
-                nxt = t + arrivals.next()
-                if nxt <= T:
-                    push(heap, (nxt, KIND_ARRIVAL, seq, -1))
-                    seq += 1
-                while queue and status[queue[0]] != _WAITING:
-                    queue.popleft()
-                if free > 0 and not queue:
-                    start_service(t, cid)
-                else:
-                    queue.append(cid)
-                    if gamma < math.inf:
-                        push(heap, (t + gamma, KIND_ABANDONMENT, seq, cid))
-                        seq += 1
-            elif kind == KIND_COMPLETION:
-                if status[cid] != _IN_SERVICE:
-                    raise RuntimeError(
-                        f"event-queue corruption: completion at t={t:.15g} for "
-                        f"customer {cid} in state {status[cid]}; last events:\n"
-                        + dump_tail()
-                    )
-                status[cid] = _SERVED
-                comp_t[cid] = t
-                free += 1
-                log(t, KIND_COMPLETION, cid)
-                while queue and status[queue[0]] != _WAITING:
-                    queue.popleft()
-                if queue:
-                    start_service(t, queue.popleft())
-            else:  # patience expiry; ignored unless the customer still waits
-                if status[cid] != _WAITING:
-                    continue
-                status[cid] = _ABANDONED
-                abn_t[cid] = t
-                log(t, KIND_ABANDONMENT, cid)
-
-    outcomes = np.full(len(arr_t), OUTCOME_WAITING, dtype=np.int8)
-    st = np.asarray(status, dtype=np.int8)
-    outcomes[st == _SERVED] = OUTCOME_SERVED
-    outcomes[st == _ABANDONED] = OUTCOME_ABANDONED
-    outcomes[st == _IN_SERVICE] = OUTCOME_IN_SERVICE
+    entry = _until(start, T)
+    arrival_times = np.concatenate([np.zeros(s0), a])
+    entry_times = np.concatenate([np.zeros(s0), entry])
+    completion_times = np.concatenate([_until(remaining, T), _until(entry + s, T)])
+    abandon_times = np.concatenate(
+        [np.full(s0, np.nan), _until(np.where(np.isnan(start), expiry, np.nan), T)])
+    outcomes = np.full(x0 + k, OUTCOME_WAITING, dtype=np.int8)
+    outcomes[np.isfinite(entry_times)] = OUTCOME_IN_SERVICE
+    outcomes[np.isfinite(completion_times)] = OUTCOME_SERVED
+    outcomes[np.isfinite(abandon_times)] = OUTCOME_ABANDONED
+    event_times, event_kinds, event_ids = _event_log(
+        x0, s0, arrival_times, entry_times, completion_times, abandon_times)
 
     return _assemble_record(
         config=config, seed=seed, replication=replication, s0=s0, q0=q0,
-        event_times=np.asarray(ev_t), event_kinds=np.asarray(ev_k, dtype=np.int8),
-        event_ids=np.asarray(ev_c, dtype=np.int64),
-        arrival_times=np.asarray(arr_t), patience_times=np.asarray(pat_t),
-        service_times=np.asarray(svc_t), entry_times=np.asarray(ent_t),
-        completion_times=np.asarray(comp_t), abandon_times=np.asarray(abn_t),
-        outcomes=outcomes,
+        event_times=event_times, event_kinds=event_kinds, event_ids=event_ids,
+        arrival_times=arrival_times,
+        patience_times=np.concatenate([np.full(x0, math.inf), patience]),
+        service_times=np.concatenate([np.full(s0, np.nan), s]),
+        entry_times=entry_times, completion_times=completion_times,
+        abandon_times=abandon_times, outcomes=outcomes,
     )
 
 

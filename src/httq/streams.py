@@ -13,11 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PURPOSES", "RandomStream", "make_rng"]
+__all__ = ["BLOCK", "PURPOSES", "RandomStream", "draw_blocks", "make_rng"]
 
 # Fixed purpose registry; the index is part of the stream address, so the
 # order is frozen.  New purposes append.
 PURPOSES = ("arrivals", "services", "patience", "initial", "gaussian", "scratch")
+
+# Variates per sampler call when a stream is consumed in arrival order.
+BLOCK = 4096
 
 
 def make_rng(seed: int, replication: int = 0, purpose: str = "scratch") -> np.random.Generator:
@@ -45,26 +48,13 @@ class RandomStream:
         return RandomStream(self.seed, self.replication, purpose)
 
 
-class BlockSampler:
-    """Amortized scalar draws from a vectorized sampler.
+def draw_blocks(rng: np.random.Generator, draw, count: int) -> np.ndarray:
+    """The first ``count`` variates of ``draw(rng, BLOCK)`` called repeatedly.
 
-    ``draw(rng, size) -> ndarray`` is called in blocks; ``next()`` pops one
-    variate.  Used by the event loop, where per-customer draws must stay
-    cheap without giving up stream reproducibility (the consumed sequence is
-    identical to calling draw(rng, total) once).
+    The block size is part of the stream's contract: a sampler that makes
+    several generator calls per draw (hyperexponential draws its phases,
+    then its exponentials) yields a different sequence for one bulk call.
     """
-
-    def __init__(self, rng: np.random.Generator, draw, block: int = 4096):
-        self._rng = rng
-        self._draw = draw
-        self._block = int(block)
-        self._buf = draw(rng, self._block)
-        self._i = 0
-
-    def next(self) -> float:
-        if self._i >= self._buf.size:
-            self._buf = self._draw(self._rng, self._block)
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return float(v)
+    if count <= 0:
+        return np.empty(0)
+    return np.concatenate([draw(rng, BLOCK) for _ in range(-(-count // BLOCK))])[:count]

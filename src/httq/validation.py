@@ -46,6 +46,8 @@ __all__ = [
     "compare_abandonment",
     "ks_two_sample",
     "convergence_sweep",
+    "resolve_checkpoints",
+    "verdict_names",
 ]
 
 GAP_NAMES = ("coupling_gap", "little_gap", "neg_part_sup")
@@ -315,6 +317,22 @@ def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int,
     return X[:, idx], case
 
 
+def resolve_checkpoints(checkpoints, horizon: float) -> tuple[float, ...]:
+    """A sweep's checkpoint times: {T/4, T/2, T} by default, each in (0, T]."""
+    if checkpoints is None:
+        checkpoints = (horizon / 4.0, horizon / 2.0, horizon)
+    checkpoints = tuple(float(t) for t in checkpoints)
+    for t in checkpoints:
+        if not 0.0 < t <= horizon + 1e-9:
+            raise ValueError(f"checkpoint {t} outside (0, horizon]")
+    return checkpoints
+
+
+def verdict_names(checkpoints) -> tuple[str, ...]:
+    """The statistics a sweep over these checkpoints gives a trend verdict."""
+    return GAP_NAMES + tuple(f"ks@{t:g}" for t in checkpoints)
+
+
 def convergence_sweep(config: SystemConfig, n_values, replications: int,
                       checkpoints=None, seed: int = 0, grid_points: int = 256,
                       workers: int = 1, limit_tol: float = 1e-10) -> ConvergenceReport:
@@ -337,12 +355,7 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
     if replications < 1:
         raise ValueError("replications must be >= 1")
     T = config.horizon
-    if checkpoints is None:
-        checkpoints = (T / 4.0, T / 2.0, T)
-    checkpoints = tuple(float(t) for t in checkpoints)
-    for t in checkpoints:
-        if not 0.0 < t <= T + 1e-9:
-            raise ValueError(f"checkpoint {t} outside (0, horizon]")
+    checkpoints = resolve_checkpoints(checkpoints, T)
 
     # Rebuilding at each n revalidates the regime pairing up front.
     unique_n = sorted(set(n_values))

@@ -2,13 +2,34 @@
 
 Everything here is deliberately written from first principles (direct
 Monte Carlo, textbook recursions, brute-force ODE/PDE solves) rather than by
-calling the library code under test.
+calling the library code under test.  The one exception is `heap_simulate`,
+the event-heap simulator that the FCFS recursion replaced: it is kept as a
+differential oracle and shares only the stream addresses, the initial-state
+draw and the record assembly with the library.
 """
 
+import heapq
 import math
+from collections import deque
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from httq.renewal import equilibrium_distribution
+from httq.simulator import (
+    KIND_ABANDONMENT,
+    KIND_ARRIVAL,
+    KIND_COMPLETION,
+    KIND_NAMES,
+    KIND_START,
+    OUTCOME_ABANDONED,
+    OUTCOME_IN_SERVICE,
+    OUTCOME_SERVED,
+    OUTCOME_WAITING,
+    TIE_WINDOW,
+    _assemble_record,
+)
+from httq.streams import make_rng
 
 
 def mc_renewal_function(sample_fn, eval_times, n_paths, rng):
@@ -128,3 +149,205 @@ def ks_one_sample(samples, cdf_values_at_sorted_samples):
     i = np.arange(1, n + 1)
     f = np.asarray(cdf_values_at_sorted_samples)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the event-heap simulator
+
+_WAITING = 0
+_IN_SERVICE = 1
+_SERVED = 2
+_ABANDONED = 3
+
+
+class BlockSampler:
+    """Amortized scalar draws from a vectorized sampler.
+
+    ``draw(rng, size) -> ndarray`` is called in blocks of ``block``;
+    ``next()`` pops one variate.
+    """
+
+    def __init__(self, rng: np.random.Generator, draw, block: int = 4096):
+        self._rng = rng
+        self._draw = draw
+        self._block = int(block)
+        self._buf = draw(rng, self._block)
+        self._i = 0
+
+    def next(self) -> float:
+        if self._i >= self._buf.size:
+            self._buf = self._draw(self._rng, self._block)
+            self._i = 0
+        v = self._buf[self._i]
+        self._i += 1
+        return float(v)
+
+
+def heap_simulate(config, seed, replication=0):
+    """The event-heap simulator the FCFS recursion replaced, kept verbatim.
+
+    A binary heap orders events by (time, priority, sequence) with priorities
+    0 service completion, 2 arrival, 3 patience expiry; events within
+    TIE_WINDOW of the earliest are drained as a batch and replayed in
+    priority order, and service starts happen inline.  The record is
+    assembled by the library's own `_assemble_record`, so records of the two
+    simulators compare field by field.
+    """
+    T = config.horizon
+    n_servers = config.servers
+    x0 = config.initial_head_count()
+    s0 = min(x0, n_servers)
+    q0 = x0 - s0
+
+    rng_initial = make_rng(seed, replication, "initial")
+    eff_service = config.effective_service()
+    arrivals = BlockSampler(make_rng(seed, replication, "arrivals"),
+                            config.arrival.sampler(config.n, config.mu, config.beta))
+    services = BlockSampler(make_rng(seed, replication, "services"),
+                            lambda rng, size: eff_service.sample(rng, size))
+    patience_draw = None
+    if config.abandon:
+        patience_draw = BlockSampler(make_rng(seed, replication, "patience"),
+                                     config.patience.sampler_n(config.n))
+
+    # per-customer storage (ids: 0..s0-1 initial in service, s0..s0+q0-1
+    # initial queued, then arrivals)
+    arr_t = [0.0] * x0
+    pat_t = [math.inf] * x0
+    svc_t: list[float] = [math.nan] * s0
+    ent_t = [0.0] * s0 + [math.nan] * q0
+    comp_t = [math.nan] * x0
+    abn_t = [math.nan] * x0
+    status = [_IN_SERVICE] * s0 + [_WAITING] * q0
+
+    if s0 > 0:
+        if config.alpha == 1.0:
+            remaining = equilibrium_distribution(config.service).sample(rng_initial, s0)
+        else:
+            remaining = rng_initial.exponential(1.0 / config.mu_n, s0)
+    else:
+        remaining = np.empty(0)
+    if q0 > 0:
+        svc_t.extend(eff_service.sample(rng_initial, q0))
+
+    heap: list[tuple[float, int, int, int]] = []
+    seq = 0
+    for cid in range(s0):
+        heap.append((float(remaining[cid]), KIND_COMPLETION, seq, cid))
+        seq += 1
+    heapq.heapify(heap)
+    first = arrivals.next()
+    if first <= T:
+        heapq.heappush(heap, (first, KIND_ARRIVAL, seq, -1))
+        seq += 1
+
+    queue: deque[int] = deque(range(s0, s0 + q0))
+    free = n_servers - s0
+
+    ev_t: list[float] = []
+    ev_k: list[int] = []
+    ev_c: list[int] = []
+    last_log = 0.0
+
+    def log(t: float, kind: int, cid: int) -> None:
+        # tie-window batches replay in priority order, which can step back
+        # in time by <= 1e-12; clamp so the logged clock never decreases
+        nonlocal last_log
+        if t < last_log:
+            t = last_log
+        else:
+            last_log = t
+        ev_t.append(t)
+        ev_k.append(kind)
+        ev_c.append(cid)
+
+    def dump_tail() -> str:
+        tail = [
+            f"{t:.15g} {KIND_NAMES[k]} customer {c}"
+            for t, k, c in zip(ev_t[-20:], ev_k[-20:], ev_c[-20:])
+        ]
+        return "\n".join(tail)
+
+    push = heapq.heappush
+    pop = heapq.heappop
+
+    def start_service(t: float, cid: int) -> None:
+        nonlocal free, seq
+        free -= 1
+        status[cid] = _IN_SERVICE
+        ent_t[cid] = t
+        push(heap, (t + svc_t[cid], KIND_COMPLETION, seq, cid))
+        seq += 1
+        log(t, KIND_START, cid)
+
+    while heap:
+        t0 = heap[0][0]
+        if t0 > T:
+            break
+        batch = [pop(heap)]
+        while heap and heap[0][0] <= t0 + TIE_WINDOW:
+            batch.append(pop(heap))
+        if len(batch) > 1:
+            batch.sort(key=lambda e: (e[1], e[0], e[2]))
+        for t, kind, _, cid in batch:
+            if kind == KIND_ARRIVAL:
+                cid = len(arr_t)
+                arr_t.append(t)
+                svc_t.append(services.next())
+                gamma = patience_draw.next() if patience_draw is not None else math.inf
+                pat_t.append(gamma)
+                comp_t.append(math.nan)
+                abn_t.append(math.nan)
+                ent_t.append(math.nan)
+                status.append(_WAITING)
+                log(t, KIND_ARRIVAL, cid)
+                nxt = t + arrivals.next()
+                if nxt <= T:
+                    push(heap, (nxt, KIND_ARRIVAL, seq, -1))
+                    seq += 1
+                while queue and status[queue[0]] != _WAITING:
+                    queue.popleft()
+                if free > 0 and not queue:
+                    start_service(t, cid)
+                else:
+                    queue.append(cid)
+                    if gamma < math.inf:
+                        push(heap, (t + gamma, KIND_ABANDONMENT, seq, cid))
+                        seq += 1
+            elif kind == KIND_COMPLETION:
+                if status[cid] != _IN_SERVICE:
+                    raise RuntimeError(
+                        f"event-queue corruption: completion at t={t:.15g} for "
+                        f"customer {cid} in state {status[cid]}; last events:\n"
+                        + dump_tail()
+                    )
+                status[cid] = _SERVED
+                comp_t[cid] = t
+                free += 1
+                log(t, KIND_COMPLETION, cid)
+                while queue and status[queue[0]] != _WAITING:
+                    queue.popleft()
+                if queue:
+                    start_service(t, queue.popleft())
+            else:  # patience expiry; ignored unless the customer still waits
+                if status[cid] != _WAITING:
+                    continue
+                status[cid] = _ABANDONED
+                abn_t[cid] = t
+                log(t, KIND_ABANDONMENT, cid)
+
+    outcomes = np.full(len(arr_t), OUTCOME_WAITING, dtype=np.int8)
+    st = np.asarray(status, dtype=np.int8)
+    outcomes[st == _SERVED] = OUTCOME_SERVED
+    outcomes[st == _ABANDONED] = OUTCOME_ABANDONED
+    outcomes[st == _IN_SERVICE] = OUTCOME_IN_SERVICE
+
+    return _assemble_record(
+        config=config, seed=seed, replication=replication, s0=s0, q0=q0,
+        event_times=np.asarray(ev_t), event_kinds=np.asarray(ev_k, dtype=np.int8),
+        event_ids=np.asarray(ev_c, dtype=np.int64),
+        arrival_times=np.asarray(arr_t), patience_times=np.asarray(pat_t),
+        service_times=np.asarray(svc_t), entry_times=np.asarray(ent_t),
+        completion_times=np.asarray(comp_t), abandon_times=np.asarray(abn_t),
+        outcomes=outcomes,
+    )

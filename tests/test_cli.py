@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from httq.cli import main
+import httq.cli
+from httq.cli import _workers, main
 
 
 def mmn_dict(n=16, horizon=3.0, alpha=1.0, beta=-1.0, xi=0.0):
@@ -227,6 +228,39 @@ def test_sweep_threshold_validation(tmp_path, sweep_doc, capsys):
     assert main(["sweep", spec, "--out", str(tmp_path / "r2"), "--workers", "1"]) == 2
     err = capsys.readouterr().err
     assert "no_such_statistic" in err and "increasing" in err
+
+
+@pytest.mark.parametrize("thresholds", [
+    {"decreasing": ["coupling_gapp"]},
+    {"decreasing": ["ks@7"]},
+    {"ratio_max": [{"statistic": "ks@2", "max": 1.0}]},
+    {"ks_max": [{"n": 32, "checkpoint": 2.0, "max": 0.5}]},
+    {"ks_max": [{"n": 64, "checkpoint": 1.5, "max": 0.5}]},
+    {"ks_max": [{"n": 64, "max": 0.5}]},
+    {"ratio_max": [{"statistic": "little_gap", "max": 1.0, "min": 0.0}]},
+])
+def test_sweep_thresholds_rejected_before_compute(tmp_path, sweep_doc, monkeypatch,
+                                                  capsys, thresholds):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("convergence_sweep ran before the thresholds were checked")
+
+    monkeypatch.setattr(httq.cli, "convergence_sweep", no_compute)
+    sweep_doc["thresholds"] = thresholds
+    spec = write_spec(tmp_path, "sweep.json", sweep_doc)
+    out = tmp_path / "runs"
+    assert main(["sweep", spec, "--out", str(out), "--workers", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_default_follows_cpu_affinity(monkeypatch):
+    args = httq.cli._build_parser().parse_args(["sweep", "s.json"])
+    monkeypatch.delenv("HTTQ_WORKERS", raising=False)
+    monkeypatch.setattr(httq.cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(httq.cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _workers(args) == 1
+    monkeypatch.delattr(httq.cli.os, "sched_getaffinity")
+    assert _workers(args) == 8
 
 
 def test_sweep_env_workers_match_serial(tmp_path, sweep_doc, monkeypatch):

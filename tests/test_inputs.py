@@ -8,7 +8,7 @@ from scipy import stats
 
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.patience import PatienceSpec, constant_hazard, limit_f, power_limit, ramp_hazard
-from httq.streams import PURPOSES, BlockSampler, RandomStream, make_rng
+from httq.streams import BLOCK, PURPOSES, RandomStream, draw_blocks, make_rng
 
 FAMILIES = [
     DistributionSpec.exponential(2.0),
@@ -166,11 +166,22 @@ def test_streams_pairwise_correlation_small():
 
 
 def test_block_sampler_matches_bulk_draw():
-    spec = DistributionSpec.erlang(2, 1.0)
-    bulk = spec.sample(make_rng(9, 0, "services"), 10_000)
-    bs = BlockSampler(make_rng(9, 0, "services"), spec.sample, block=4096)
-    seq = np.array([bs.next() for _ in range(10_000)])
-    np.testing.assert_array_equal(bulk[: 4096], seq[: 4096])
+    # draw_blocks returns the first `count` variates of repeated BLOCK-sized
+    # calls, over several blocks, for every family
+    assert BLOCK == 4096
+    count = 2 * BLOCK + 123
+    for spec in FAMILIES:
+        got = draw_blocks(make_rng(9, 0, "services"), spec.sample, count)
+        rng = make_rng(9, 0, "services")
+        blocks = np.concatenate([spec.sample(rng, BLOCK) for _ in range(3)])
+        np.testing.assert_array_equal(got, blocks[:count])
+        bulk = spec.sample(make_rng(9, 0, "services"), count)
+        if spec.family == "hyperexponential":
+            # phases then exponentials per call: one bulk call is another stream
+            assert not np.array_equal(got, bulk)
+        else:
+            np.testing.assert_array_equal(got, bulk)
+    assert draw_blocks(make_rng(9, 0, "services"), FAMILIES[0].sample, 0).size == 0
 
 
 # -- patience scaling ---------------------------------------------------------------

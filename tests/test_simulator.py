@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.patience import PatienceSpec
@@ -13,6 +15,7 @@ from httq.simulator import (
     OUTCOME_SERVED,
     OUTCOME_WAITING,
     KIND_START,
+    TIE_WINDOW,
     SimRecord,
     SystemConfig,
     offered_waits,
@@ -21,7 +24,7 @@ from httq.simulator import (
     virtual_wait_path,
 )
 
-from oracles import lindley_waits, mmn_abandonment_ctmc
+from oracles import heap_simulate, lindley_waits, mmn_abandonment_ctmc
 
 
 def dd1_config(service_len: float, horizon: float, patience: PatienceSpec | None = None,
@@ -383,3 +386,139 @@ def test_config_validation():
     with pytest.raises(ValueError, match="unknown config keys"):
         SystemConfig.from_dict({**d, "extra": 1})
     assert len(cfg.hash()) == 12
+
+
+# ---------------------------------------------------------------------------
+# tie rules (stated in the simulator module docstring)
+
+
+def test_tie_patience_expiry_within_window_still_enters():
+    # unit arrivals, service 1.5: customer 1 arrives at 2 and its server
+    # frees at 2.5; patience expiring just before 2.5 decides the outcome
+    def run(gamma):
+        cfg = dd1_config(1.5, horizon=4.0, abandon=True,
+                         patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(gamma)))
+        rec = simulate(cfg, seed=0)
+        free = rec.completion_times[0]
+        return rec, free - (rec.arrival_times[1] + gamma)
+
+    rec, gap = run(0.5 - 5e-13)
+    assert 0.0 < gap <= TIE_WINDOW
+    assert rec.outcomes[1] == OUTCOME_SERVED
+    assert rec.entry_times[1] == rec.completion_times[0]
+    rec, gap = run(0.5 - 5e-12)
+    assert gap > TIE_WINDOW
+    assert rec.outcomes[1] == OUTCOME_ABANDONED
+    assert rec.abandon_times[1] == rec.arrival_times[1] + rec.patience_times[1]
+
+
+def test_tie_no_start_before_server_frees():
+    # service exceeds the unit interarrival by 5e-13 < TIE_WINDOW: each
+    # arrival finds the server busy for a moment longer
+    rec = simulate(dd1_config(1.0 + 5e-13, horizon=6.0), seed=0)
+    served = np.isfinite(rec.completion_times)
+    assert np.count_nonzero(served) >= 4
+    entry, done = rec.entry_times[1:], rec.completion_times[:-1]
+    both = np.isfinite(entry) & np.isfinite(done)
+    assert np.all(entry[both] == done[both])
+    entered = np.isfinite(rec.entry_times)
+    assert np.all(rec.entry_times[entered] >= rec.arrival_times[entered])
+    # the event heap anchored a tie batch at the arrival and started early
+    old = heap_simulate(rec.config, seed=0)
+    assert old.entry_times[1] < old.completion_times[0]
+
+
+def test_tie_horizon_records_only_events_up_to_T():
+    # arrivals every 0.1 on one busy server; the arrival at 4.000000000000002
+    # would abandon at 5.000000000000002, just past T = 5
+    cfg = SystemConfig(
+        n=1, alpha=1.0, mu=0.2, beta=49.0,
+        arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+        service=DistributionSpec.deterministic(5.0),
+        patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(1.0)),
+        horizon=5.0, xi=-1.0, abandon=True,
+    )
+    rec = simulate(cfg, seed=0)
+    late = np.flatnonzero(rec.arrival_times + rec.patience_times > 5.0)
+    assert late.size and rec.arrival_times[late[0]] + 1.0 - 5.0 < TIE_WINDOW
+    assert rec.event_times.max() <= 5.0
+    assert rec.outcomes[late[0]] == OUTCOME_WAITING
+    assert np.isnan(rec.abandon_times[late[0]])
+    assert rec.balance_gap() == 0.0
+    # the event heap pulled that abandonment into a batch anchored before T
+    assert heap_simulate(cfg, seed=0).event_times.max() > 5.0
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the FCFS recursion against the event heap
+
+_FAMILIES = ("exponential", "deterministic", "erlang", "hyperexponential",
+             "lognormal", "uniform")
+_RECORD_ARRAYS = ("event_times", "event_kinds", "event_ids", "arrival_times",
+                  "patience_times", "service_times", "entry_times",
+                  "completion_times", "abandon_times", "outcomes")
+
+
+def _law(family: str, mean: float) -> DistributionSpec:
+    if family == "exponential":
+        return DistributionSpec.exponential(1.0 / mean)
+    if family == "deterministic":
+        return DistributionSpec.deterministic(mean)
+    if family == "erlang":
+        return DistributionSpec.erlang(3, 3.0 / mean)
+    if family == "hyperexponential":
+        return DistributionSpec.hyperexponential([0.25, 0.75], [0.5 / mean, 1.5 / mean])
+    if family == "lognormal":
+        return DistributionSpec.lognormal(math.log(mean) - 0.5 * 0.8**2, 0.8)
+    return DistributionSpec.uniform(0.5 * mean, 1.5 * mean)
+
+
+@st.composite
+def _configs(draw):
+    alpha = draw(st.sampled_from([1.0, 0.75, 0.5]))
+    mu = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    families = st.sampled_from(_FAMILIES)
+    service = _law(draw(families), 1.0 / mu) if alpha == 1.0 else DistributionSpec.exponential(mu)
+    return SystemConfig(
+        n=draw(st.integers(1, 50)), alpha=alpha, mu=mu,
+        beta=draw(st.sampled_from([-0.5, 0.0, 1.0])),
+        arrival=ArrivalSpec(_law(draw(families), 1.0)),
+        service=service,
+        patience=PatienceSpec.no_scaling(
+            _law(draw(families), draw(st.sampled_from([0.25, 1.0, 2.0])))),
+        horizon=draw(st.sampled_from([1.0, 2.5, 6.0])),
+        xi=draw(st.sampled_from([-1.0, -0.5, 0.5, 2.0])),
+        abandon=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_configs(), seed=st.integers(0, 10_000))
+def test_recursion_matches_event_heap(cfg, seed):
+    new = simulate(cfg, seed=seed, replication=1)
+    old = heap_simulate(cfg, seed=seed, replication=1)
+    assert new.balance_gap() == 0.0 and old.balance_gap() == 0.0
+    lattice = "deterministic" in (cfg.arrival.base.family, cfg.effective_service().family)
+    if not lattice:
+        for name in _RECORD_ARRAYS:
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        return
+    # lattice laws tie exactly; the records agree up to the tie window, and
+    # outcomes only differ for customers with an event near the horizon
+    T = cfg.horizon
+    np.testing.assert_array_equal(new.arrival_times, old.arrival_times)
+    near = np.zeros(new.customers, dtype=bool)
+    for rec in (new, old):
+        for t in (rec.entry_times, rec.completion_times, rec.abandon_times,
+                  rec.entry_times + rec.service_times,
+                  rec.arrival_times + rec.patience_times):
+            near |= np.abs(t - T) <= TIE_WINDOW
+    np.testing.assert_array_equal(new.outcomes[~near], old.outcomes[~near])
+    for name in ("entry_times", "completion_times", "abandon_times"):
+        a, b = getattr(new, name)[~near], getattr(old, name)[~near]
+        np.testing.assert_array_equal(np.isnan(a), np.isnan(b), err_msg=name)
+        ok = ~np.isnan(a)
+        assert np.all(np.abs(a[ok] - b[ok]) <= TIE_WINDOW), name
