@@ -44,7 +44,7 @@ from .simulator import (
     virtual_wait,
     virtual_wait_path,
 )
-from .streams import RandomStream, make_rng
+from .streams import make_rng
 from .validation import (
     ComparisonVerdict,
     ConvergenceReport,
@@ -76,7 +76,6 @@ __all__ = [
     "OUTCOME_SERVED",
     "OUTCOME_WAITING",
     "PatienceSpec",
-    "RandomStream",
     "RenewalTable",
     "ScaledBundle",
     "SimRecord",

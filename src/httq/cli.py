@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
 import json
 import math
 import os
@@ -40,7 +39,7 @@ from .patience import PatienceSpec
 from .renewal import compute_renewal_function
 from .scaling import scale
 from .simulator import KIND_NAMES, OUTCOME_ABANDONED, OUTCOME_IN_SERVICE, \
-    OUTCOME_SERVED, OUTCOME_WAITING, SystemConfig, simulate
+    OUTCOME_SERVED, OUTCOME_WAITING, SystemConfig, simulate, spec_hash
 from .streams import make_rng
 from .validation import GAP_NAMES, compare_abandonment, convergence_sweep, \
     resolve_checkpoints, verdict_names
@@ -88,11 +87,6 @@ def _check_command(doc: dict, command: str) -> None:
         raise CliError(
             f"experiment file says command={doc['command']!r}, invoked as {command!r}"
         )
-
-
-def _spec_hash(doc: dict) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _meta(spec_hash: str, seed: int) -> dict:
@@ -214,7 +208,7 @@ def _cmd_simulate(args) -> int:
 
     resolved = {"command": "simulate", "config": config.to_dict(),
                 "replications": reps, "seed": seed, "grid_step": float(grid_step)}
-    h = _spec_hash(resolved)
+    h = spec_hash(resolved)
     meta = _meta(h, seed)
     outdir = _outdir(args, h)
 
@@ -320,7 +314,7 @@ def _cmd_limit(args) -> int:
                 "service": None if service_spec is None else service_spec.to_dict(),
                 "horizon": T, "grid_step": float(grid_step), "reps": reps,
                 "seed": seed, "tol": tol}
-    h = _spec_hash(resolved)
+    h = spec_hash(resolved)
     meta = _meta(h, seed)
     outdir = _outdir(args, h)
 
@@ -381,7 +375,7 @@ def _cmd_renewal(args) -> int:
     table = compute_renewal_function(service, T, step=None if step is None else float(step))
     resolved = {"command": "renewal", "service": service.to_dict(), "horizon": T,
                 "step": table.step, "seed": seed}
-    h = _spec_hash(resolved)
+    h = spec_hash(resolved)
     meta = _meta(h, seed)
     outdir = _outdir(args, h)
 
@@ -477,7 +471,7 @@ def _cmd_sweep(args) -> int:
     resolved = {"command": "sweep", "config": config.to_dict(), "n_values": n_values,
                 "replications": reps, "seed": seed, "checkpoints": checkpoints,
                 "grid_points": grid_points, "thresholds": thresholds}
-    h = _spec_hash(resolved)
+    h = spec_hash(resolved)
     meta = _meta(h, seed)
     outdir = _outdir(args, h)
 
@@ -532,7 +526,7 @@ def _cmd_compare(args) -> int:
 
     resolved = {"command": "compare", "config": config.to_dict(), "seed": base_seed,
                 "seeds": n_seeds, "replications": reps}
-    h = _spec_hash(resolved)
+    h = spec_hash(resolved)
     meta = _meta(h, base_seed)
     outdir = _outdir(args, h)
 
@@ -637,7 +631,7 @@ def _cmd_maps(args) -> int:
                 "tol": float(doc.get("tol", 1e-10)),
                 "g_sign": float(doc.get("g_sign", 1.0)),
                 "initial_guess": doc.get("initial_guess", "y"), "seed": seed}
-    h = _spec_hash(resolved)
+    h = spec_hash(resolved)
     meta = _meta(h, seed)
     outdir = _outdir(args, h)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,32 @@ __all__ = [
 ]
 
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+
+# Entries kept per cache; a covariance model or factor at m = 1024 holds
+# about 8 MB.
+CACHE_SIZE = 8
+
+
+class _LRUCache:
+    """The CACHE_SIZE most recently used entries of a key -> value map."""
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > CACHE_SIZE:
+            self._entries.popitem(last=False)
 
 
 def _check_noise_grid(grid) -> np.ndarray:
@@ -149,7 +176,7 @@ class ServiceCovariance:
         A = _stieltjes_matrix(np.diff(table.values))
         cov = A @ C @ A.T
         self.matrix = 0.5 * (cov + cov.T)
-        self._cholesky_cache: dict = {}
+        self._cholesky_cache = _LRUCache()
 
     def _indices(self, grid) -> np.ndarray:
         return self.table._indices_on(np.asarray(grid, dtype=float))
@@ -178,7 +205,7 @@ class ServiceCovariance:
                 L = scipy.linalg.cholesky(
                     sub + jit * np.eye(sub.shape[0]), lower=True
                 ) if sub.size else sub
-                self._cholesky_cache[key] = (L, jit)
+                self._cholesky_cache.put(key, (L, jit))
                 return L, jit
             except scipy.linalg.LinAlgError as exc:
                 err = exc
@@ -195,7 +222,7 @@ class ServiceCovariance:
         return out
 
 
-_covariance_cache: dict = {}
+_covariance_cache = _LRUCache()
 
 
 def _covariance_model(M: RenewalTable, H: DistributionSpec | None = None) -> ServiceCovariance:
@@ -205,7 +232,7 @@ def _covariance_model(M: RenewalTable, H: DistributionSpec | None = None) -> Ser
     model = _covariance_cache.get(key)
     if model is None:
         model = ServiceCovariance(M)
-        _covariance_cache[key] = model
+        _covariance_cache.put(key, model)
     return model
 
 

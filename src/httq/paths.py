@@ -175,17 +175,6 @@ class CadlagPath:
     def shift_values(self, c: float) -> "CadlagPath":
         return CadlagPath(self.times, self.values + c, self.kind, self.horizon)
 
-    def add(self, other: "CadlagPath") -> "CadlagPath":
-        if self.kind != other.kind:
-            raise ValueError("cannot add paths of different kinds exactly")
-        if abs(self.horizon - other.horizon) > 1e-9:
-            raise ValueError("horizons differ")
-        t = np.union1d(self.times, other.times)
-        return CadlagPath(t, self(t) + other(t), self.kind, self.horizon)
-
-    def sub(self, other: "CadlagPath") -> "CadlagPath":
-        return self.add(other.scale(-1.0))
-
     def sampled(self, grid: np.ndarray) -> np.ndarray:
         return np.asarray(self(np.asarray(grid, dtype=float)))
 

@@ -50,7 +50,7 @@ class ScaledBundle:
     X, Q, G and the compensator live on the event breakpoints of the
     record (horizon = record horizon); E, S and G_hat live on `grid`.
     `omega` is an array of scaled virtual waits on `grid`, NaN where the
-    replay ran past the horizon; `omega_truncated` counts those.
+    wait ends beyond the horizon; `omega_truncated` counts those.
     """
 
     n: int

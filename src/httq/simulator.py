@@ -13,7 +13,8 @@ with patience g_i and service requirement s_i, is offered the start
 and enters service iff start_i <= a_i + g_i + TIE_WINDOW, which replaces
 min V by start_i + s_i; otherwise it abandons at a_i + g_i and touches no
 server.  No time is discretized, and the system is work-conserving by
-construction.
+construction.  The record keeps min V as each customer saw it, so offered
+and virtual waits are read off the recursion itself.
 
 Tie rules, with TIE_WINDOW = 1e-12 in absolute time:
 
@@ -61,6 +62,12 @@ OUTCOME_ABANDONED = 1
 OUTCOME_WAITING = 2
 OUTCOME_IN_SERVICE = 3
 OUTCOME_NAMES = {0: "served", 1: "abandoned", 2: "waiting", 3: "in-service"}
+
+
+def spec_hash(doc: dict) -> str:
+    """12-hex digest of a JSON document, independent of key order."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -180,8 +187,7 @@ class SystemConfig:
         )
 
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True)
-        return sha256(blob.encode()).hexdigest()[:12]
+        return spec_hash(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,10 @@ class SimRecord:
     Customer ids are assigned in FCFS position order: initial in-service
     customers first, then initial queued, then arrivals in arrival order.
     Per-customer times are NaN where the corresponding event never happened
-    within the horizon.
+    within the horizon.  ``server_free[i]`` is the earliest epoch at which a
+    server falls free as seen by queue-eligible customer ``n_initial_service
+    + i`` (-inf while a server idles); its last entry is the one a customer
+    behind the last would see.  Offered and virtual waits are read off it.
     """
 
     config: SystemConfig
@@ -209,6 +218,7 @@ class SimRecord:
     completion_times: np.ndarray
     abandon_times: np.ndarray
     outcomes: np.ndarray
+    server_free: np.ndarray
     X: CadlagPath
     E: CadlagPath
     S: CadlagPath
@@ -249,6 +259,7 @@ class SimRecord:
             completion_times=self.completion_times,
             abandon_times=self.abandon_times,
             outcomes=self.outcomes,
+            server_free=self.server_free,
         )
 
     @staticmethod
@@ -271,20 +282,14 @@ class SimRecord:
                 completion_times=z["completion_times"],
                 abandon_times=z["abandon_times"],
                 outcomes=z["outcomes"],
+                server_free=z["server_free"],
             )
-
-    def events_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# config={self.config.hash()} seed={self.seed} "
-                     f"replication={self.replication}\n")
-            fh.write("time,kind,customer\n")
-            for t, k, c in zip(self.event_times, self.event_kinds, self.event_ids):
-                fh.write(f"{t:.12g},{KIND_NAMES[int(k)]},{int(c)}\n")
 
 
 def _assemble_record(config, seed, replication, s0, q0, event_times, event_kinds,
                      event_ids, arrival_times, patience_times, service_times,
-                     entry_times, completion_times, abandon_times, outcomes) -> SimRecord:
+                     entry_times, completion_times, abandon_times, outcomes,
+                     server_free) -> SimRecord:
     """Rebuild the path fields from the event log (shared by simulate/from_npz)."""
     T = config.horizon
     x0 = s0 + q0
@@ -309,7 +314,7 @@ def _assemble_record(config, seed, replication, s0, q0, event_times, event_kinds
         arrival_times=arrival_times, patience_times=patience_times,
         service_times=service_times, entry_times=entry_times,
         completion_times=completion_times, abandon_times=abandon_times,
-        outcomes=outcomes, X=X, E=E, S=S, G=G, K=K,
+        outcomes=outcomes, server_free=server_free, X=X, E=E, S=S, G=G, K=K,
     )
 
 
@@ -326,25 +331,26 @@ def _arrival_epochs(rng: np.random.Generator, draw, horizon: float) -> np.ndarra
     return epochs[: np.searchsorted(epochs, horizon, side="right")]
 
 
-def _fcfs_starts(free_at: list, arrivals, services, limits) -> np.ndarray:
+def _fcfs_starts(free_at: list, arrivals, services, limits) -> tuple[np.ndarray, np.ndarray]:
     """Offered-wait recursion over customers in FCFS order.
 
     ``free_at`` is the heap of server-free epochs and is updated in place.
-    Returns each customer's service start, NaN for those who abandon.
+    Returns ``(start, server_free)``: each customer's service start, NaN
+    for those who abandon, and the earliest server-free epoch each customer
+    sees, with one more entry for a customer behind the last.
     """
     replace = heapq.heapreplace
-    nan = math.nan
-    starts = []
+    seen = []
     for a, s, limit in zip(arrivals.tolist(), services.tolist(), limits.tolist()):
-        start = free_at[0]
-        if start < a:
-            start = a
+        free = free_at[0]
+        seen.append(free)
+        start = a if free < a else free
         if start <= limit:
             replace(free_at, start + s)
-            starts.append(start)
-        else:
-            starts.append(nan)
-    return np.array(starts)
+    seen.append(free_at[0])
+    server_free = np.array(seen)
+    offered = np.maximum(arrivals, server_free[:-1])
+    return np.where(offered <= limits, offered, np.nan), server_free
 
 
 def _until(times: np.ndarray, horizon: float) -> np.ndarray:
@@ -427,7 +433,7 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
     expiry = np.concatenate([np.full(q0, math.inf), arrivals + patience])
     free_at = [-math.inf] * (n_servers - s0) + remaining.tolist()
     heapq.heapify(free_at)
-    start = _fcfs_starts(free_at, a, s, expiry + TIE_WINDOW)
+    start, server_free = _fcfs_starts(free_at, a, s, expiry + TIE_WINDOW)
 
     entry = _until(start, T)
     arrival_times = np.concatenate([np.zeros(s0), a])
@@ -449,38 +455,21 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
         patience_times=np.concatenate([np.full(x0, math.inf), patience]),
         service_times=np.concatenate([np.full(s0, np.nan), s]),
         entry_times=entry_times, completion_times=completion_times,
-        abandon_times=abandon_times, outcomes=outcomes,
+        abandon_times=abandon_times, outcomes=outcomes, server_free=server_free,
     )
 
 
 # ---------------------------------------------------------------------------
-# waiting-time replays
-
-
-def _entry_arrays(record: SimRecord) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, entry times) of queue members who entered service, FCFS order."""
-    s0 = record.n_initial_service
-    mask = (record.event_kinds == KIND_START) & (record.event_ids >= s0)
-    return record.event_ids[mask], record.event_times[mask]
-
-
-def _next_idle_times(record: SimRecord) -> tuple[np.ndarray, np.ndarray]:
-    """For each X breakpoint, the first time >= it at which X < N_n."""
-    tx = record.X.times
-    below = record.X.values < record.config.servers
-    cand = np.where(below, tx, np.inf)
-    nxt = np.minimum.accumulate(cand[::-1])[::-1]
-    return tx, nxt
+# waiting times read off the recorded server-free epochs
 
 
 def virtual_wait(record: SimRecord, t: float) -> float | None:
     """Wait of a hypothetical infinitely patient arrival at time t.
 
-    The hypothetical customer never occupies a server; it would enter
-    service at the earlier of (a) the first epoch >= t with an idle server
-    and (b) the first recorded service entry of a customer who arrived
-    after t (whose slot the hypothetical would have taken under FCFS).
-    Returns None when the horizon ends before either happens.
+    The hypothetical customer queues behind every customer who arrived by
+    t and enters service at the first server-free epoch it sees, or at t
+    when a server is free.  Returns None when that entry lies beyond the
+    horizon.
     """
     vals = virtual_wait_path(record, np.asarray([float(t)]))[0]
     return None if math.isnan(vals[0]) else float(vals[0])
@@ -492,49 +481,23 @@ def virtual_wait_path(record: SimRecord, grid) -> tuple[np.ndarray, int]:
     Returns (values, truncated_count).
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size and (grid.min() < 0 or grid.max() > record.config.horizon):
+    T = record.config.horizon
+    if grid.size and (grid.min() < 0 or grid.max() > T):
         raise ValueError("grid must lie within [0, horizon]")
-    tx, nxt = _next_idle_times(record)
-    idx = np.searchsorted(tx, grid, side="right") - 1
-    idle_at = nxt[np.maximum(idx, 0)]
-
-    ids, entries = _entry_arrays(record)
-    ent_pad = np.append(entries, np.inf)
-    pos = np.searchsorted(record.arrival_times[ids], grid, side="right")
-    slot_at = ent_pad[pos]
-
-    # idle_at below grid time means X < N_n on the segment containing t:
-    # the hypothetical customer enters immediately
-    enter = np.maximum(np.minimum(idle_at, slot_at), grid)
-    waits = enter - grid
-    truncated = ~np.isfinite(enter)
-    waits[truncated] = np.nan
-    return waits, int(np.count_nonzero(truncated))
+    ahead = np.searchsorted(record.arrival_times[record.n_initial_service:], grid, side="right")
+    waits = _until(np.maximum(record.server_free[ahead], grid), T) - grid
+    return waits, int(np.count_nonzero(np.isnan(waits)))
 
 
 def offered_waits(record: SimRecord) -> tuple[np.ndarray, int]:
     """Offered wait per queue-eligible customer (initial queued + arrivals).
 
-    Served customers: recorded wait.  Abandoned customers: the wait they
-    would have faced had they stayed, replayed against the others' recorded
-    behavior: the earlier of the next idle-server epoch and the recorded
-    entry of the next customer behind them.  NaN marks horizon truncation;
-    the truncated count is returned alongside.
+    The wait from arrival to the first server-free epoch the customer sees:
+    the recorded wait for those who entered service, and the wait they
+    would have faced had they stayed for those who abandoned.  NaN marks
+    waits ending beyond the horizon; the truncated count is returned
+    alongside.
     """
-    s0 = record.n_initial_service
-    cids = np.arange(s0, record.customers)
-    waits = record.entry_times[cids] - record.arrival_times[cids]
-
-    ids, entries = _entry_arrays(record)
-    tx, nxt = _next_idle_times(record)
-
-    abandoned = np.flatnonzero(record.outcomes[cids] == OUTCOME_ABANDONED)
-    if abandoned.size:
-        ab_ids = cids[abandoned]
-        a = record.arrival_times[ab_ids]
-        ent_pad = np.append(entries, np.inf)
-        slot = ent_pad[np.searchsorted(ids, ab_ids, side="right")]
-        idle = nxt[np.maximum(np.searchsorted(tx, a, side="right") - 1, 0)]
-        enter = np.minimum(slot, idle)
-        waits[abandoned] = np.where(np.isfinite(enter), enter - a, np.nan)
+    a = record.arrival_times[record.n_initial_service:]
+    waits = _until(np.maximum(a, record.server_free[:-1]), record.config.horizon) - a
     return waits, int(np.count_nonzero(np.isnan(waits)))

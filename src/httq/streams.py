@@ -9,11 +9,9 @@ variate sequence on any platform, regardless of how work is scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["BLOCK", "PURPOSES", "RandomStream", "draw_blocks", "make_rng"]
+__all__ = ["BLOCK", "PURPOSES", "draw_blocks", "make_rng"]
 
 # Fixed purpose registry; the index is part of the stream address, so the
 # order is frozen.  New purposes append.
@@ -31,21 +29,6 @@ def make_rng(seed: int, replication: int = 0, purpose: str = "scratch") -> np.ra
         raise ValueError("replication index must be nonnegative")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replication), PURPOSES.index(purpose)))
     return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass(frozen=True)
-class RandomStream:
-    """Address of an independent random stream."""
-
-    seed: int
-    replication: int = 0
-    purpose: str = "scratch"
-
-    def generator(self) -> np.random.Generator:
-        return make_rng(self.seed, self.replication, self.purpose)
-
-    def sibling(self, purpose: str) -> "RandomStream":
-        return RandomStream(self.seed, self.replication, purpose)
 
 
 def draw_blocks(rng: np.random.Generator, draw, count: int) -> np.ndarray:

@@ -60,7 +60,7 @@ class GapStatistic:
     """One nonnegative sup-statistic from one scaled replication.
 
     `excluded` counts grid points dropped from the sup (virtual waits
-    whose replay ran past the horizon); it is zero for the other names.
+    that end beyond the horizon); it is zero for the other names.
     """
 
     name: str

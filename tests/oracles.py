@@ -2,10 +2,13 @@
 
 Everything here is deliberately written from first principles (direct
 Monte Carlo, textbook recursions, brute-force ODE/PDE solves) rather than by
-calling the library code under test.  The one exception is `heap_simulate`,
-the event-heap simulator that the FCFS recursion replaced: it is kept as a
-differential oracle and shares only the stream addresses, the initial-state
-draw and the record assembly with the library.
+calling the library code under test.  The exceptions are differential
+oracles for code that an exact reformulation replaced: `heap_simulate`, the
+event-heap simulator that the FCFS recursion replaced, which shares only the
+stream addresses, the initial-state draw and the record assembly with the
+library; and `replay_virtual_wait_path` / `replay_offered_waits`, which
+rebuild the waits from a record's event log and head-count path instead of
+its recorded server-free epochs.
 """
 
 import heapq
@@ -191,7 +194,8 @@ def heap_simulate(config, seed, replication=0):
     TIE_WINDOW of the earliest are drained as a batch and replayed in
     priority order, and service starts happen inline.  The record is
     assembled by the library's own `_assemble_record`, so records of the two
-    simulators compare field by field.
+    simulators compare field by field.  The heap does not see server-free
+    epochs per customer, so its record's `server_free` is all NaN.
     """
     T = config.horizon
     n_servers = config.servers
@@ -349,5 +353,82 @@ def heap_simulate(config, seed, replication=0):
         arrival_times=np.asarray(arr_t), patience_times=np.asarray(pat_t),
         service_times=np.asarray(svc_t), entry_times=np.asarray(ent_t),
         completion_times=np.asarray(comp_t), abandon_times=np.asarray(abn_t),
-        outcomes=outcomes,
+        outcomes=outcomes, server_free=np.full(len(arr_t) - s0 + 1, np.nan),
     )
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: waiting times replayed from the event log
+
+
+def _entry_arrays(record):
+    """(ids, entry times) of queue members who entered service, FCFS order."""
+    s0 = record.n_initial_service
+    mask = (record.event_kinds == KIND_START) & (record.event_ids >= s0)
+    return record.event_ids[mask], record.event_times[mask]
+
+
+def _next_idle_times(record):
+    """For each X breakpoint, the first time >= it at which X < N_n."""
+    tx = record.X.times
+    below = record.X.values < record.config.servers
+    cand = np.where(below, tx, np.inf)
+    nxt = np.minimum.accumulate(cand[::-1])[::-1]
+    return tx, nxt
+
+
+def replay_virtual_wait_path(record, grid):
+    """Virtual waits on a grid replayed from the log; NaN marks truncated queries.
+
+    The hypothetical infinitely patient arrival at t enters service at the
+    earlier of (a) the first epoch >= t with an idle server and (b) the
+    first recorded service entry of a customer who arrived after t (whose
+    slot it would have taken under FCFS).  Returns (values, truncated_count).
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.size and (grid.min() < 0 or grid.max() > record.config.horizon):
+        raise ValueError("grid must lie within [0, horizon]")
+    tx, nxt = _next_idle_times(record)
+    idx = np.searchsorted(tx, grid, side="right") - 1
+    idle_at = nxt[np.maximum(idx, 0)]
+
+    ids, entries = _entry_arrays(record)
+    ent_pad = np.append(entries, np.inf)
+    pos = np.searchsorted(record.arrival_times[ids], grid, side="right")
+    slot_at = ent_pad[pos]
+
+    # idle_at below grid time means X < N_n on the segment containing t:
+    # the hypothetical customer enters immediately
+    enter = np.maximum(np.minimum(idle_at, slot_at), grid)
+    waits = enter - grid
+    truncated = ~np.isfinite(enter)
+    waits[truncated] = np.nan
+    return waits, int(np.count_nonzero(truncated))
+
+
+def replay_offered_waits(record):
+    """Offered wait per queue-eligible customer, replayed from the log.
+
+    Served customers: recorded wait.  Abandoned customers: the wait they
+    would have faced had they stayed, replayed against the others' recorded
+    behavior: the earlier of the next idle-server epoch and the recorded
+    entry of the next customer behind them.  NaN marks horizon truncation;
+    the truncated count is returned alongside.
+    """
+    s0 = record.n_initial_service
+    cids = np.arange(s0, record.customers)
+    waits = record.entry_times[cids] - record.arrival_times[cids]
+
+    ids, entries = _entry_arrays(record)
+    tx, nxt = _next_idle_times(record)
+
+    abandoned = np.flatnonzero(record.outcomes[cids] == OUTCOME_ABANDONED)
+    if abandoned.size:
+        ab_ids = cids[abandoned]
+        a = record.arrival_times[ab_ids]
+        ent_pad = np.append(entries, np.inf)
+        slot = ent_pad[np.searchsorted(ids, ab_ids, side="right")]
+        idle = nxt[np.maximum(np.searchsorted(tx, a, side="right") - 1, 0)]
+        enter = np.minimum(slot, idle)
+        waits[abandoned] = np.where(np.isfinite(enter), enter - a, np.nan)
+    return waits, int(np.count_nonzero(np.isnan(waits)))

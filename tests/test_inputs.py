@@ -8,7 +8,7 @@ from scipy import stats
 
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.patience import PatienceSpec, constant_hazard, limit_f, power_limit, ramp_hazard
-from httq.streams import BLOCK, PURPOSES, RandomStream, draw_blocks, make_rng
+from httq.streams import BLOCK, PURPOSES, draw_blocks, make_rng
 
 FAMILIES = [
     DistributionSpec.exponential(2.0),
@@ -146,8 +146,6 @@ def test_streams_reproducible_and_distinct():
 def test_stream_purpose_registry():
     with pytest.raises(ValueError):
         make_rng(1, 0, "nonsense")
-    s = RandomStream(5, 3, "patience")
-    assert s.sibling("arrivals") == RandomStream(5, 3, "arrivals")
     assert "patience" in PURPOSES
 
 

@@ -17,6 +17,8 @@ from httq.limits import (
     sample_service_noise_finite_n,
     solve_limit_case_i,
     solve_limit_case_ii,
+    CACHE_SIZE,
+    _covariance_cache,
     _covariance_model,
 )
 from httq.paths import linear_path, uniform_grid
@@ -131,6 +133,19 @@ def test_covariance_psd_and_jitter(exp_table):
     np.testing.assert_allclose(sub, sub.T, atol=0)
     eig = np.linalg.eigvalsh(sub)
     assert eig.min() >= -1e-8
+
+
+def test_covariance_caches_are_bounded():
+    H = DistributionSpec.exponential(1.0)
+    models = [_covariance_model(compute_renewal_function(H, horizon=0.1 * (k + 1)))
+              for k in range(CACHE_SIZE + 3)]
+    assert len(_covariance_cache) <= CACHE_SIZE
+    last = models[-1]
+    assert _covariance_model(last.table) is last
+    grids = [uniform_grid(0.01 * (k + 1), 0.01) for k in range(CACHE_SIZE + 3)]
+    factors = [last.cholesky(g) for g in grids]
+    assert len(last._cholesky_cache) <= CACHE_SIZE
+    assert last.cholesky(grids[-1])[0] is factors[-1][0]
 
 
 def test_covariance_rejects_mismatched_service_law(exp_table):

@@ -43,16 +43,6 @@ def test_linear_eval_and_integral():
     assert p.left_limit(1.0) == p(1.0)
 
 
-def test_add_merges_breakpoints():
-    a = step_path([0.0, 1.0], [1.0, 2.0], horizon=3.0)
-    b = step_path([0.0, 2.0], [10.0, 20.0], horizon=3.0)
-    c = a.add(b)
-    np.testing.assert_allclose(c.times, [0.0, 1.0, 2.0])
-    np.testing.assert_allclose(c.values, [11.0, 12.0, 22.0])
-    with pytest.raises(ValueError):
-        a.add(linear_path([0.0, 3.0], [0.0, 1.0], horizon=3.0))
-
-
 def test_pos_neg_parts_and_scale():
     p = step_path([0.0, 1.0], [-2.0, 3.0], horizon=2.0)
     assert p.pos_part().values.tolist() == [0.0, 3.0]

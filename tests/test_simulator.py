@@ -24,7 +24,13 @@ from httq.simulator import (
     virtual_wait_path,
 )
 
-from oracles import heap_simulate, lindley_waits, mmn_abandonment_ctmc
+from oracles import (
+    heap_simulate,
+    lindley_waits,
+    mmn_abandonment_ctmc,
+    replay_offered_waits,
+    replay_virtual_wait_path,
+)
 
 
 def dd1_config(service_len: float, horizon: float, patience: PatienceSpec | None = None,
@@ -285,7 +291,7 @@ def test_mm3m_abandonment_against_ctmc():
 
 
 # ---------------------------------------------------------------------------
-# waiting-time replays
+# virtual waits
 
 
 def test_virtual_wait_free_server_zero():
@@ -347,11 +353,11 @@ def test_npz_round_trip(tmp_path):
     np.testing.assert_array_equal(back.outcomes, rec.outcomes)
     np.testing.assert_array_equal(back.X.values, rec.X.values)
     assert back.config == rec.config
-    csv = tmp_path / "events.csv"
-    rec.events_to_csv(csv)
-    lines = csv.read_text().splitlines()
-    assert lines[1] == "time,kind,customer"
-    assert len(lines) == 2 + rec.event_times.size
+    grid = np.linspace(0.0, 5.0, 65)
+    for got, want in ((offered_waits(back), offered_waits(rec)),
+                      (virtual_wait_path(back, grid), virtual_wait_path(rec, grid))):
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
 
 
 def test_config_validation():
@@ -499,6 +505,12 @@ def test_recursion_matches_event_heap(cfg, seed):
     new = simulate(cfg, seed=seed, replication=1)
     old = heap_simulate(cfg, seed=seed, replication=1)
     assert new.balance_gap() == 0.0 and old.balance_gap() == 0.0
+    # waits read off the recursion equal the event-log replays, NaNs included
+    grid = np.linspace(0.0, cfg.horizon, 65)
+    for got, want in ((offered_waits(new), replay_offered_waits(new)),
+                      (virtual_wait_path(new, grid), replay_virtual_wait_path(new, grid))):
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
     lattice = "deterministic" in (cfg.arrival.base.family, cfg.effective_service().family)
     if not lattice:
         for name in _RECORD_ARRAYS:
