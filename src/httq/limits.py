@@ -44,6 +44,7 @@ from .maps import (
     MappingSolution,
     _phi_mg_picard,
     _skorokhod_euler,
+    _stieltjes_matrix,
     _vectorize_g,
     solve_phi_Mg,
     solve_skorokhod_g,
@@ -129,12 +130,6 @@ def sample_brownian(variance_rate: float, grid, stream: np.random.Generator) -> 
 
 # ---------------------------------------------------------------------------
 # the Gaussian service noise at the critical scale
-
-
-def _stieltjes_matrix(w: np.ndarray) -> np.ndarray:
-    """A = I + lower Toeplitz of dM: (A z)_k = z_k + sum_{j>=1} w_j z_{k-j}."""
-    col = np.concatenate(([1.0], w))
-    return scipy.linalg.toeplitz(col, np.zeros_like(col))
 
 
 def _table_key(table: RenewalTable) -> tuple:
@@ -441,6 +436,6 @@ def sample_case_ii_paths(xi: float, beta: float, mu: float, ca2: float, f,
          + xi_neg * (mu * grid - M.values_on(grid)))
     w = M.increments_on(grid)
     X, _, _, _ = _phi_mg_picard(
-        Y, w, _vectorize_g(_drift_g(f, mu)), h, -1.0, tol, "y"
+        Y, w, _vectorize_g(_drift_g(f, mu)), h, -1.0, tol, "forward"
     )
     return X

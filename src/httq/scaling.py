@@ -73,7 +73,8 @@ def scale(record: SimRecord, config: SystemConfig | None = None,
     """Scale a simulation record onto diffusion coordinates.
 
     `config` defaults to the record's own; `grid` defaults to 200 uniform
-    steps over the record horizon and must not extend beyond it.
+    steps over the record horizon and must lie within [0, horizon], the
+    rule `virtual_wait_path` applies.
     """
     if config is None:
         config = record.config
@@ -81,8 +82,8 @@ def scale(record: SimRecord, config: SystemConfig | None = None,
     if grid is None:
         grid = uniform_grid(horizon, horizon / 200.0)
     grid = np.asarray(grid, dtype=float)
-    if grid[-1] > horizon + 1e-12:
-        raise ValueError("grid extends beyond the record horizon")
+    if grid.size and (grid.min() < 0 or grid.max() > horizon):
+        raise ValueError("grid extends beyond the record's [0, horizon]")
 
     n = config.n
     sqn = math.sqrt(n)

@@ -190,6 +190,13 @@ class SystemConfig:
         return spec_hash(self.to_dict())
 
 
+# npz archive contents: the scalars, then the SimRecord arrays by field name
+_NPZ_SCALARS = ("config", "seed", "replication", "n_initial_service", "n_initial_queued")
+_NPZ_ARRAYS = ("event_times", "event_kinds", "event_ids", "arrival_times",
+               "patience_times", "service_times", "entry_times", "completion_times",
+               "abandon_times", "outcomes", "server_free")
+
+
 @dataclass(frozen=True)
 class SimRecord:
     """Complete output of one replication.
@@ -249,22 +256,18 @@ class SimRecord:
             replication=self.replication,
             n_initial_service=self.n_initial_service,
             n_initial_queued=self.n_initial_queued,
-            event_times=self.event_times,
-            event_kinds=self.event_kinds,
-            event_ids=self.event_ids,
-            arrival_times=self.arrival_times,
-            patience_times=self.patience_times,
-            service_times=self.service_times,
-            entry_times=self.entry_times,
-            completion_times=self.completion_times,
-            abandon_times=self.abandon_times,
-            outcomes=self.outcomes,
-            server_free=self.server_free,
+            **{name: getattr(self, name) for name in _NPZ_ARRAYS},
         )
 
     @staticmethod
     def from_npz(path) -> "SimRecord":
         with np.load(path, allow_pickle=False) as z:
+            missing = [name for name in _NPZ_SCALARS + _NPZ_ARRAYS if name not in z.files]
+            if missing:
+                raise ValueError(
+                    f"{path} is not a SimRecord archive of this version: "
+                    f"missing arrays {', '.join(missing)}"
+                )
             config = SystemConfig.from_dict(json.loads(str(z["config"])))
             return _assemble_record(
                 config=config,
@@ -272,17 +275,7 @@ class SimRecord:
                 replication=int(z["replication"]),
                 s0=int(z["n_initial_service"]),
                 q0=int(z["n_initial_queued"]),
-                event_times=z["event_times"],
-                event_kinds=z["event_kinds"],
-                event_ids=z["event_ids"],
-                arrival_times=z["arrival_times"],
-                patience_times=z["patience_times"],
-                service_times=z["service_times"],
-                entry_times=z["entry_times"],
-                completion_times=z["completion_times"],
-                abandon_times=z["abandon_times"],
-                outcomes=z["outcomes"],
-                server_free=z["server_free"],
+                **{name: z[name] for name in _NPZ_ARRAYS},
             )
 
 

@@ -6,6 +6,8 @@ import pytest
 from httq.distributions import DistributionSpec
 from httq.maps import (
     MappingProblem,
+    _phi_m_solve,
+    _phi_mg_forward,
     _phi_mg_picard,
     _vectorize_g,
     solve_phi_M,
@@ -14,6 +16,7 @@ from httq.maps import (
     solve_skorokhod_g,
 )
 from httq.paths import step_path, uniform_grid
+from httq.patience import PatienceSpec, ramp_hazard
 from httq.renewal import compute_renewal_function
 
 
@@ -332,6 +335,106 @@ def test_phi_mg_non_convergence_error_carries_diagnostics():
     gv = _vectorize_g(lambda x: 40.0 * x)
     with pytest.raises(RuntimeError, match="did not converge"):
         _phi_mg_picard(Y, w, gv, h, 1.0, 1e-10, "y", max_iter=15)
+
+
+def _brownian_rows(rng, grid, rows, drift=0.0, start=0.0):
+    steps = rng.normal(0.0, np.sqrt(grid[1]), (rows, grid.size - 1))
+    Y = np.zeros((rows, grid.size))
+    Y[:, 1:] = np.cumsum(steps, axis=1)
+    return start + Y + drift * grid
+
+
+# f(x) = 0.15 x^2, tabulated from the hazard h(t) = 0.3 t
+_RAMP_F = PatienceSpec.hazard_rate(ramp_hazard(0.3)).limit_function()
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize(
+    "g",
+    [lambda x: 0.6 * x, _RAMP_F, None],
+    ids=["linear", "hazard_ramp", "none"],
+)
+def test_phi_mg_forward_matches_picard(sign, g):
+    # the one-pass solve and Picard from either start reach the same discrete
+    # fixed point; Picard's own sweeps still decay geometrically
+    T, h, tol = 3.0, 1e-2, 1e-10
+    grid = _grid(T, h)
+    M = _exp_table(1.0, T)
+    w = M.increments_on(grid)
+    gv = _vectorize_g(g)
+    rng = np.random.default_rng(41)
+    for drift, start in ((-0.4, 0.1), (0.3, -0.2), (0.0, 0.5)):
+        Y = _brownian_rows(rng, grid, 1, drift, start)
+        U = _phi_mg_forward(Y, w, gv, h, sign, tol)
+        X = _phi_m_solve(U, w)
+        for init in ("y", "zero"):
+            Xp, Up, iters, changes = _phi_mg_picard(Y, w, gv, h, sign, tol, init)
+            assert np.max(np.abs(U - Up)) <= 10 * tol
+            assert np.max(np.abs(X - Xp)) <= 10 * tol
+            ch = np.asarray(changes)
+            if init == "y" and g is not None and ch[0] > 0:
+                assert iters > 1
+                assert np.all(ch[1:] / ch[:-1] < 1.0)
+        # started from the forward answer, the certificate takes one sweep
+        Xf, Uf, iters, changes = _phi_mg_picard(Y, w, gv, h, sign, tol, "forward")
+        assert iters == 1
+        assert changes[0] < tol
+        assert np.max(np.abs(Xf - X)) <= 10 * tol
+
+
+def test_phi_mg_forward_batch_matches_rows():
+    T, h, tol = 3.0, 1e-2, 1e-10
+    grid = _grid(T, h)
+    M = _exp_table(1.0, T)
+    w = M.increments_on(grid)
+    gv = _vectorize_g(lambda x: 0.9 * x)
+    Y = _brownian_rows(np.random.default_rng(43), grid, 6, -0.2, 0.2)
+    batch = _phi_mg_forward(Y, w, gv, h, -1.0, tol)
+    for r in range(Y.shape[0]):
+        row = _phi_mg_forward(Y[r:r + 1], w, gv, h, -1.0, tol)
+        assert np.max(np.abs(batch[r] - row[0])) <= 10 * tol
+        Xp, _, _, _ = _phi_mg_picard(Y[r:r + 1], w, gv, h, -1.0, tol, "y")
+        assert np.max(np.abs(_phi_m_solve(batch[r:r + 1], w) - Xp)) <= 10 * tol
+
+
+def test_phi_mg_forward_own_step_non_contraction_raises():
+    # h/2 * lambda_g = 0.05 * 40 = 2 with g_sign = +1: the own-step map expands
+    T, h = 5.0, 0.1
+    g = _grid(T, h)
+    M = _exp_table(1.0, T)
+    w = M.increments_on(g)
+    Y = np.full((1, g.size), 0.5)
+    gv = _vectorize_g(lambda x: 40.0 * x)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _phi_mg_forward(Y, w, gv, h, 1.0, 1e-10)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve_phi_Mg(Y[0], M, lambda x: 40.0 * x, g, g_sign=1.0)
+
+
+def test_phi_mg_forward_large_values_stop_at_rounding():
+    # at |x| ~ 1e3..1e4 the own-step update can stall at float spacing
+    # (1e-13..2e-12), above 1e-3 * tol; that stall is convergence, not a
+    # failure to contract
+    T, h = 2.0, 1e-2
+    g = _grid(T, h)
+    M = _exp_table(1.0, T)
+    for seed in range(4):
+        for level in (1e3, 1e4):
+            y = level + np.cumsum(np.random.default_rng(seed).normal(0.0, 1.0, g.size))
+            sol = solve_phi_Mg(y, M, lambda x: 0.7 * x, g, g_sign=-1.0)
+            assert sol.iterations == 1
+            assert sol.residual < 1e-9
+
+
+def test_phi_mg_initial_guess_does_not_change_the_result():
+    T, h = 2.0, 1e-2
+    g = _grid(T, h)
+    M = _exp_table(1.0, T)
+    y = _brownian_rows(np.random.default_rng(47), g, 1, 0.1, 0.2)[0]
+    a = solve_phi_Mg(y, M, lambda x: 0.6 * x, g, initial_guess="y")
+    b = solve_phi_Mg(y, M, lambda x: 0.6 * x, g, initial_guess="zero")
+    np.testing.assert_array_equal(a.x.sampled(g), b.x.sampled(g))
+    assert a.iterations == b.iterations == 1
 
 
 def test_phi_mg_input_validation():

@@ -23,6 +23,15 @@ def overloaded_config(n: int = 25, horizon: float = 10.0) -> SystemConfig:
     )
 
 
+def test_grid_past_horizon_is_scales_own_error():
+    rec = simulate(overloaded_config(horizon=5.0), seed=2)
+    for bad in ([0.0, 2.5, 5.0 + 5e-13], [-1e-13, 2.5, 5.0]):
+        with pytest.raises(ValueError, match="record's \\[0, horizon\\]"):
+            scale(rec, grid=np.array(bad))
+    b = scale(rec, grid=np.array([0.0, 2.5, 5.0]))
+    assert b.omega.size == 3
+
+
 def test_empty_record_scales_to_drift_only():
     cfg = SystemConfig(
         n=4, alpha=1.0, mu=1.0, beta=0.0,

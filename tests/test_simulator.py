@@ -360,6 +360,18 @@ def test_npz_round_trip(tmp_path):
         assert got[1] == want[1]
 
 
+def test_npz_without_server_free_is_a_format_error(tmp_path):
+    # an archive written before server_free existed
+    rec = simulate(mmn_config(10, horizon=5.0), seed=3)
+    f = tmp_path / "rec.npz"
+    rec.to_npz(f)
+    with np.load(f) as z:
+        old = {k: z[k] for k in z.files if k != "server_free"}
+    np.savez_compressed(f, **old)
+    with pytest.raises(ValueError, match="missing arrays server_free"):
+        SimRecord.from_npz(f)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="exponential service"):
         SystemConfig(n=4, alpha=0.5, mu=1.0, beta=0.0,
