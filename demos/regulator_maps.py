@@ -43,15 +43,13 @@ print(f"phi_M       : x(2) = {float(sol.x(2.0)):+.4f}  x(4) = {float(sol.x(4.0))
       f"residual {sol.residual:.1e}")
 
 # phi_Mg adds the drain back. One forward pass solves it step by step (only
-# the trapezoid's own-step drift term needs a short inner iteration); Picard
-# iteration started from that answer certifies it: a fixed point closes the
-# discrete equation after one sweep.
+# the trapezoid's own-step drift term needs a short inner iteration); one
+# independent phi_M solve of the answer certifies it: the discrete equation
+# must close below tol, or the solve raises.
 sol = solve_phi_Mg(y, table, g, grid, g_sign=-1.0)
 d = sol.diagnostics
 print(f"phi_Mg      : x(2) = {float(sol.x(2.0)):+.4f}  x(4) = {float(sol.x(4.0)):+.4f}  "
-      f"closure {sol.residual:.1e}")
-print(f"  certificate: {sol.iterations} Picard sweep(s) from the forward answer, "
-      f"sup-change {np.array2string(d['sup_changes'], precision=2)}")
+      f"closure {sol.residual:.1e} < tol 1e-10")
 print(f"  kernel gain {d['lambda_M']:.3f}, drift Lipschitz {d['lambda_g']:.3f}, "
       f"guaranteed-contraction window {d['delta_window']:.4f}")
 

@@ -41,8 +41,8 @@ from .scaling import scale
 from .simulator import KIND_NAMES, OUTCOME_ABANDONED, OUTCOME_IN_SERVICE, \
     OUTCOME_SERVED, OUTCOME_WAITING, SystemConfig, simulate, spec_hash
 from .streams import make_rng
-from .validation import GAP_NAMES, compare_abandonment, convergence_sweep, \
-    resolve_checkpoints, verdict_names
+from .validation import GAP_NAMES, check_sweep_sizes, compare_abandonment, \
+    convergence_sweep, resolve_checkpoints, verdict_names
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -465,6 +465,7 @@ def _cmd_sweep(args) -> int:
         if abs(gp * args.grid_step - config.horizon) > 1e-9 * max(1.0, config.horizon):
             raise CliError("--grid-step must divide the horizon")
         grid_points = gp
+    check_sweep_sizes(n_values, reps, grid_points)
     thresholds = doc.get("thresholds", {})
     _check_thresholds(thresholds, n_values, resolve_checkpoints(checkpoints, config.horizon))
 
@@ -595,7 +596,7 @@ def _cmd_maps(args) -> int:
     doc = _load_doc(args.spec)
     _check_command(doc, "maps")
     _require_keys(doc, {"command", "map", "y", "g", "mu_n", "service", "horizon",
-                        "grid_step", "tol", "g_sign", "initial_guess", "seed"},
+                        "grid_step", "tol", "g_sign", "seed"},
                   "maps spec")
     variant = _need(doc, "map", "maps spec")
     if variant not in _MAP_NAMES:
@@ -629,8 +630,7 @@ def _cmd_maps(args) -> int:
                 "service": None if service_spec is None else service_spec.to_dict(),
                 "horizon": T, "grid_step": float(grid_step),
                 "tol": float(doc.get("tol", 1e-10)),
-                "g_sign": float(doc.get("g_sign", 1.0)),
-                "initial_guess": doc.get("initial_guess", "y"), "seed": seed}
+                "g_sign": float(doc.get("g_sign", 1.0)), "seed": seed}
     h = spec_hash(resolved)
     meta = _meta(h, seed)
     outdir = _outdir(args, h)
@@ -640,7 +640,6 @@ def _cmd_maps(args) -> int:
         variant=variant, y=y, grid=grid, g=g,
         mu_n=None if doc.get("mu_n") is None else float(doc["mu_n"]),
         M=table, g_sign=resolved["g_sign"], tol=resolved["tol"],
-        initial_guess=resolved["initial_guess"],
     )
     sol = problem.solve()
     sol.to_csv(outdir / "solution.csv", header=_meta_line(meta))

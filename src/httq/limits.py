@@ -41,8 +41,8 @@ import scipy.linalg
 
 from .distributions import DistributionSpec
 from .maps import (
-    MappingSolution,
-    _phi_mg_picard,
+    _check_grid,
+    _phi_mg_solve,
     _skorokhod_euler,
     _stieltjes_matrix,
     _vectorize_g,
@@ -315,22 +315,23 @@ def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
 
     E is Brownian with variance rate mu * ca2 in both cases.  S is a
     standard Brownian motion for case "i" and the renewal-coupled
-    Gaussian service noise for case "ii" (which needs M and H).  The two
-    use separate derived streams, so they are independent.
+    Gaussian service noise for case "ii" (which needs M and H).  Both come
+    from the one stream (seed, replication, "limit"), E first and then S,
+    so they are independent of each other and of every simulation stream.
+    The batch samplers draw in the same order.
     """
     grid = _check_noise_grid(grid)
-    rng_e = make_rng(seed, replication, "arrivals")
-    rng_s = make_rng(seed, replication, "gaussian")
-    e_path = sample_brownian(mu * ca2, grid, rng_e)
+    rng = make_rng(seed, replication, "limit")
+    e_path = sample_brownian(mu * ca2, grid, rng)
     if case == "i":
-        s_path = sample_brownian(1.0, grid, rng_s)
+        s_path = sample_brownian(1.0, grid, rng)
         return NoiseSample(e_path, s_path, seed=seed, covariance_source="brownian")
     if case == "ii":
         if M is None:
             raise ValueError("case 'ii' needs the renewal table M")
         model = _covariance_model(M, H)
         _, jitter = model.cholesky(grid)
-        vals = model.sample_batch(grid, rng_s, 1)[0]
+        vals = model.sample_batch(grid, rng, 1)[0]
         s_path = linear_path(grid, vals, float(grid[-1]))
         return NoiseSample(e_path, s_path, seed=seed,
                            covariance_source="renewal-gaussian", jitter=jitter)
@@ -405,15 +406,11 @@ def sample_case_i_paths(xi: float, beta: float, mu: float, ca2: float, f,
     """(reps, len(grid)) array of reflected-limit sample paths."""
     if xi < 0:
         raise ValueError("xi must be nonnegative in the reflected regime")
-    grid = _check_noise_grid(grid)
-    h = float(grid[1] - grid[0])
-    if np.any(np.abs(np.diff(grid) - h) > 1e-9 * max(1.0, h)):
-        raise ValueError("batch solving needs a uniform grid")
-    rng_e = make_rng(seed, replication, "arrivals")
-    rng_s = make_rng(seed, replication, "gaussian")
-    Y = (xi + _brownian_batch(rng_e, mu * ca2, grid, reps)
-         - math.sqrt(mu) * _brownian_batch(rng_s, 1.0, grid, reps)
-         + beta * mu * grid)
+    grid, h = _check_grid(grid)
+    rng = make_rng(seed, replication, "limit")
+    E = _brownian_batch(rng, mu * ca2, grid, reps)
+    S = _brownian_batch(rng, 1.0, grid, reps)  # after E, as in sample_noise
+    Y = xi + E - math.sqrt(mu) * S + beta * mu * grid
     X, _ = _skorokhod_euler(Y, _vectorize_g(_drift_g(f, mu)), h)
     return X
 
@@ -422,20 +419,13 @@ def sample_case_ii_paths(xi: float, beta: float, mu: float, ca2: float, f,
                          M: RenewalTable, grid, seed: int, reps: int,
                          replication: int = 0, tol: float = 1e-10) -> np.ndarray:
     """(reps, len(grid)) array of critical-scale limit sample paths."""
-    grid = _check_noise_grid(grid)
-    h = float(grid[1] - grid[0])
-    if np.any(np.abs(np.diff(grid) - h) > 1e-9 * max(1.0, h)):
-        raise ValueError("batch solving needs a uniform grid")
-    rng_e = make_rng(seed, replication, "arrivals")
-    rng_s = make_rng(seed, replication, "gaussian")
+    grid, h = _check_grid(grid)
+    rng = make_rng(seed, replication, "limit")
     model = _covariance_model(M)
     xi_neg = max(-xi, 0.0)
-    Y = (xi + _brownian_batch(rng_e, mu * ca2, grid, reps)
-         - model.sample_batch(grid, rng_s, reps)
-         + beta * mu * grid
-         + xi_neg * (mu * grid - M.values_on(grid)))
+    E = _brownian_batch(rng, mu * ca2, grid, reps)
+    S = model.sample_batch(grid, rng, reps)  # after E, as in sample_noise
+    Y = xi + E - S + beta * mu * grid + xi_neg * (mu * grid - M.values_on(grid))
     w = M.increments_on(grid)
-    X, _, _, _ = _phi_mg_picard(
-        Y, w, _vectorize_g(_drift_g(f, mu)), h, -1.0, tol, "forward"
-    )
+    X, _, _ = _phi_mg_solve(Y, w, _vectorize_g(_drift_g(f, mu)), h, -1.0, tol)
     return X

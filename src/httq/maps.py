@@ -11,14 +11,15 @@ Four variants, all driven by a cadlag input path y:
 All four are forward schemes.  The discrete ``phi_Mg`` equation is
 explicit except for the trapezoid's own-step term x_k -/+ h/2 g(x_k^+),
 which one forward pass settles by a short per-step fixed-point
-iteration.  The paper's Picard iteration on u = y +/- int g((phi_M(u))^+)
-ds then runs from that answer as its certificate: a fixed point stops it
-after one sweep, and its closure residual certifies the discrete
-equation.  The causal dM convolution is one lower-triangular Toeplitz
-operator (``_stieltjes_matrix``), shared with the service-noise
-covariance.  The batched engines (arrays shaped (batch, grid)) are shared
-with the limit samplers so that large replication sweeps pay one Python
-loop over time, not one per sample.
+iteration.  One independent ``phi_M`` solve of the answer then checks
+that it closes the discrete equation: the closure is one sweep of the
+paper's Picard map u -> y +/- int g((phi_M(u))^+) ds, so a value below
+tol certifies the fixed point the contraction argument guarantees.  The
+causal dM convolution is one lower-triangular Toeplitz operator
+(``_stieltjes_matrix``), shared with the service-noise covariance.  The
+batched engines (arrays shaped (batch, grid)) are shared with the limit
+samplers so that large replication sweeps pay one Python loop over time,
+not one per sample.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import scipy.linalg
 from .paths import CadlagPath, linear_path
 from .renewal import RenewalTable
 
-PICARD_MAX_ITER = 10_000
+OWN_STEP_MAX_ITER = 10_000
 _PROBE_POINTS = 512
-_INITIAL_GUESSES = ("y", "zero")
 # an own-step update that stalls within this many ulps of the iterate is
 # rounding, not a failure to contract
 _ULPS = 8.0 * np.finfo(float).eps
@@ -194,14 +194,14 @@ def _phi_mg_forward(
     h: float,
     sign: float,
     tol: float,
-    max_iter: int = PICARD_MAX_ITER,
+    max_iter: int = OWN_STEP_MAX_ITER,
 ) -> np.ndarray:
     """One forward pass through the discrete phi_Mg equation; returns U.
 
-    The fixed point of `_phi_mg_picard` satisfies x_k = R_k + sign * h/2 *
-    g(x_k^+), where R_k holds y_k, the right-endpoint dM convolution of
-    x^- at t_0..t_{k-1} and the trapezoid sum of g(x^+) through t_{k-1}:
-    all known at step k.  The own-step equation is solved for every row at
+    The discrete fixed point satisfies x_k = R_k + sign * h/2 * g(x_k^+),
+    where R_k holds y_k, the right-endpoint dM convolution of x^- at
+    t_0..t_{k-1} and the trapezoid sum of g(x^+) through t_{k-1}: all
+    known at step k.  The own-step equation is solved for every row at
     once by fixed-point iteration, a contraction with factor h/2 * lambda_g,
     until the update is below 1e-3 * tol.  An update that fails to shrink
     means the map does not contract, and raises.  The result is
@@ -247,48 +247,30 @@ def _phi_mg_forward(
     return Y + sign * _cumtrapz(G, h)
 
 
-def _phi_mg_picard(
+def _phi_mg_solve(
     Y: np.ndarray,
     w: np.ndarray,
     gv: Callable,
     h: float,
     sign: float,
     tol: float,
-    init: str,
-    max_iter: int = PICARD_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
-    """Picard iteration u <- y + sign * int g((phi_M(u))^+) ds from ``init``.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The discrete phi_Mg fixed point with its certificate; returns (X, U, closure).
 
-    ``init`` is "forward" (the `_phi_mg_forward` answer, which a fixed point
-    certifies in one sweep), "y" or "zero".  Returns (X, U, sweeps, the
-    sup-norm change of each sweep).
+    U comes from `_phi_mg_forward` and X = phi_M(U) from an independent
+    `_phi_m_solve`.  The closure sup |U - y - sign * int g(X^+) ds| is one
+    sweep of the Picard map u -> y + sign * int g((phi_M(u))^+) ds from U;
+    anything but closure < tol raises.
     """
-    if init == "forward":
-        U = _phi_mg_forward(Y, w, gv, h, sign, tol, max_iter)
-    elif init == "y":
-        U = Y.copy()
-    elif init == "zero":
-        U = np.zeros_like(Y)
-    else:
-        raise ValueError(f"unknown initial guess {init!r}; use 'forward', 'y' or 'zero'")
-    changes: list[float] = []
-    for it in range(1, max_iter + 1):
-        X = _phi_m_solve(U, w)
-        U_new = Y + sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
-        change = float(np.max(np.abs(U_new - U)))
-        changes.append(change)
-        U = U_new
-        if change < tol:
-            X = _phi_m_solve(U, w)
-            closure = X - Y - (X - U) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
-            if float(np.max(np.abs(closure))) < 10.0 * tol:
-                return X, U, it, changes
-    tail = changes[-5:]
-    ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1) if tail[i] > 0]
-    raise RuntimeError(
-        f"Picard iteration did not converge within {max_iter} iterations: "
-        f"last sup-change {changes[-1]:.3e}, recent decay ratios {ratios}"
-    )
+    U = _phi_mg_forward(Y, w, gv, h, sign, tol)
+    X = _phi_m_solve(U, w)
+    closure = float(np.max(np.abs(U - Y - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h))))
+    if not closure < tol:
+        raise RuntimeError(
+            f"phi_Mg closure {closure:.3e} is not below tol {tol:.3e}: "
+            "the forward answer is not the discrete fixed point"
+        )
+    return X, U, closure
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +314,6 @@ class MappingProblem:
     M: RenewalTable | None = None
     g_sign: float = 1.0
     tol: float = 1e-10
-    initial_guess: str = "y"
 
     def solve(self) -> MappingSolution:
         if self.variant == "phi_n_g":
@@ -348,10 +329,8 @@ class MappingProblem:
         if self.variant == "phi_Mg":
             if self.M is None:
                 raise ValueError("phi_Mg requires a RenewalTable")
-            return solve_phi_Mg(
-                self.y, self.M, self.g, self.grid,
-                tol=self.tol, g_sign=self.g_sign, initial_guess=self.initial_guess,
-            )
+            return solve_phi_Mg(self.y, self.M, self.g, self.grid,
+                                tol=self.tol, g_sign=self.g_sign)
         raise ValueError(f"unknown variant {self.variant!r}")
 
     def to_csv(self, path) -> None:
@@ -452,29 +431,21 @@ def solve_phi_Mg(
     grid,
     tol: float = 1e-10,
     g_sign: float = 1.0,
-    initial_guess: str = "y",
 ) -> MappingSolution:
     """Solve x = y + int (x(t-s))^- dM(s) + g_sign * int g(x^+) ds.
 
     One forward pass (`_phi_mg_forward`) solves the discrete equation step
-    by step.  Picard iteration then runs from that answer as the paper's
-    contraction certificate: it stops once the sup-norm iterate change is
-    below ``tol`` and the discrete equation closes within ``10 * tol``, so
-    an exact forward answer takes one sweep (``iterations == 1``) and a
-    wrong one keeps iterating.  The residual field reports that closure;
-    ``sup_changes`` and ``decay_ratios`` are the certificate's sweeps.  The
+    by step, and one independent phi_M solve checks it: the residual field
+    reports the closure sup |u - y - g_sign * int g(x^+) ds|, which must be
+    below ``tol`` or the solve raises.  ``iterations`` is always 1.  The
     trapezoid-rule defect of the convolution term is recorded separately in
-    the diagnostics.  ``initial_guess`` ("y" or "zero") is validated but no
-    longer changes the result: the certificate always starts from the
-    forward answer.
+    the diagnostics.
     """
     t, h = _check_grid(grid)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if g_sign not in (-1.0, 1.0, -1, 1):
         raise ValueError("g_sign must be +1 or -1")
-    if initial_guess not in _INITIAL_GUESSES:
-        raise ValueError(f"unknown initial guess {initial_guess!r}; use 'y' or 'zero'")
     w = M.increments_on(t)
     A = _stieltjes_matrix(w)
     Y = _sample_input(y, t)[None, :]
@@ -482,26 +453,21 @@ def solve_phi_Mg(
     lam_m = _phi_m_gain(A)
     probe_hi = 2.0 * (1.0 + float(np.max(np.abs(Y))))
     lam_g = _validate_g(gv, probe_hi) if g is not None else 0.0
-    X, U, iters, changes = _phi_mg_picard(Y, w, gv, h, float(g_sign), tol, "forward")
+    X, _, closure = _phi_mg_solve(Y, w, gv, h, float(g_sign), tol)
     visited = float(np.max(np.maximum(X, 0.0)))
     if g is not None and visited > probe_hi:
         lam_g = _validate_g(gv, visited)
-    closure = X - Y - (X - U) - float(g_sign) * _cumtrapz(gv(np.maximum(X, 0.0)), h)
     right, left = _phi_m_convolutions(X, A)
     quad_defect = X - Y - 0.5 * (right + left) \
         - float(g_sign) * _cumtrapz(gv(np.maximum(X, 0.0)), h)
-    ch = np.asarray(changes)
-    ratios = ch[1:][ch[:-1] > 0] / ch[:-1][ch[:-1] > 0]
     return MappingSolution(
         variant="phi_Mg",
         x=linear_path(t, X[0], horizon=t[-1]),
         ell=None,
-        residual=float(np.max(np.abs(closure))),
-        iterations=iters,
+        residual=closure,
+        iterations=1,
         grid=t,
         diagnostics={
-            "sup_changes": ch,
-            "decay_ratios": ratios,
             "lambda_M": lam_m,
             "lambda_g": lam_g,
             "delta_window": (np.inf if lam_g * lam_m == 0 else 2.0 / (3.0 * lam_m * lam_g)),

@@ -15,7 +15,7 @@ __all__ = ["BLOCK", "PURPOSES", "draw_blocks", "make_rng"]
 
 # Fixed purpose registry; the index is part of the stream address, so the
 # order is frozen.  New purposes append.
-PURPOSES = ("arrivals", "services", "patience", "initial", "gaussian", "scratch")
+PURPOSES = ("arrivals", "services", "patience", "initial", "gaussian", "scratch", "limit")
 
 # Variates per sampler call when a stream is consumed in arrival order.
 BLOCK = 4096

@@ -328,6 +328,18 @@ def resolve_checkpoints(checkpoints, horizon: float) -> tuple[float, ...]:
     return checkpoints
 
 
+def check_sweep_sizes(n_values, replications: int, grid_points: int) -> tuple[int, ...]:
+    """A sweep's n values as a tuple; raises unless every size is positive."""
+    n_values = tuple(int(n) for n in n_values)
+    if not n_values or min(n_values) < 1:
+        raise ValueError("n values must be positive integers")
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    if grid_points < 1:
+        raise ValueError("grid_points must be >= 1")
+    return n_values
+
+
 def verdict_names(checkpoints) -> tuple[str, ...]:
     """The statistics a sweep over these checkpoints gives a trend verdict."""
     return GAP_NAMES + tuple(f"ks@{t:g}" for t in checkpoints)
@@ -349,11 +361,7 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
     Replications are independent jobs (set `workers` > 1 to fan them out
     over processes); aggregation is deterministic in replication order.
     """
-    n_values = tuple(int(n) for n in n_values)
-    if not n_values or min(n_values) < 1:
-        raise ValueError("n values must be positive integers")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    n_values = check_sweep_sizes(n_values, replications, grid_points)
     T = config.horizon
     checkpoints = resolve_checkpoints(checkpoints, T)
 

@@ -6,9 +6,11 @@ calling the library code under test.  The exceptions are differential
 oracles for code that an exact reformulation replaced: `heap_simulate`, the
 event-heap simulator that the FCFS recursion replaced, which shares only the
 stream addresses, the initial-state draw and the record assembly with the
-library; and `replay_virtual_wait_path` / `replay_offered_waits`, which
+library; `replay_virtual_wait_path` / `replay_offered_waits`, which
 rebuild the waits from a record's event log and head-count path instead of
-its recorded server-free epochs.
+its recorded server-free epochs; and `picard_phi_mg`, the paper's Picard
+iteration that the forward phi_Mg solve replaced, which shares only the
+phi_M solve and the trapezoid sum with the library.
 """
 
 import heapq
@@ -18,6 +20,7 @@ from collections import deque
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from httq.maps import _cumtrapz, _phi_m_solve
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
     KIND_ABANDONMENT,
@@ -432,3 +435,36 @@ def replay_offered_waits(record):
         enter = np.minimum(slot, idle)
         waits[abandoned] = np.where(np.isfinite(enter), enter - a, np.nan)
     return waits, int(np.count_nonzero(np.isnan(waits)))
+
+
+def picard_phi_mg(Y, w, gv, h, sign, tol, init, max_iter=10_000):
+    """Picard iteration u <- y + sign * int g((phi_M(u))^+) ds from ``init``.
+
+    ``init`` is "y" or "zero".  Returns (X, U, sweeps, the sup-norm change
+    of each sweep); stops once a sweep changes U by less than tol and the
+    discrete equation closes within 10 * tol.
+    """
+    if init == "y":
+        U = Y.copy()
+    elif init == "zero":
+        U = np.zeros_like(Y)
+    else:
+        raise ValueError(f"unknown initial guess {init!r}; use 'y' or 'zero'")
+    changes = []
+    for it in range(1, max_iter + 1):
+        X = _phi_m_solve(U, w)
+        U_new = Y + sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
+        change = float(np.max(np.abs(U_new - U)))
+        changes.append(change)
+        U = U_new
+        if change < tol:
+            X = _phi_m_solve(U, w)
+            closure = X - Y - (X - U) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
+            if float(np.max(np.abs(closure))) < 10.0 * tol:
+                return X, U, it, changes
+    tail = changes[-5:]
+    ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1) if tail[i] > 0]
+    raise RuntimeError(
+        f"Picard iteration did not converge within {max_iter} iterations: "
+        f"last sup-change {changes[-1]:.3e}, recent decay ratios {ratios}"
+    )

@@ -253,6 +253,21 @@ def test_sweep_thresholds_rejected_before_compute(tmp_path, sweep_doc, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid_points", [0, -4])
+def test_sweep_grid_points_rejected_before_compute(tmp_path, sweep_doc, monkeypatch,
+                                                  capsys, grid_points):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("convergence_sweep ran before grid_points was checked")
+
+    monkeypatch.setattr(httq.cli, "convergence_sweep", no_compute)
+    sweep_doc["grid_points"] = grid_points
+    spec = write_spec(tmp_path, "sweep.json", sweep_doc)
+    out = tmp_path / "runs"
+    assert main(["sweep", spec, "--out", str(out), "--workers", "1"]) == 2
+    assert "grid_points must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_default_follows_cpu_affinity(monkeypatch):
     args = httq.cli._build_parser().parse_args(["sweep", "s.json"])
     monkeypatch.delenv("HTTQ_WORKERS", raising=False)
@@ -406,6 +421,16 @@ def test_maps_phi_mg_brownian_input(tmp_path):
     summary = json.loads((rundir / "solution_summary.json").read_text())
     assert summary["residual"] < 1e-8
     assert summary["iterations"] >= 1
+
+
+def test_maps_rejects_initial_guess(tmp_path, capsys):
+    spec = write_spec(tmp_path, "maps.json", {
+        "command": "maps", "map": "phi_Mg", "y": {"brownian": {"variance_rate": 2.0}},
+        "g": {"slope": 0.5}, "service": {"family": "exponential", "rate": 1.0},
+        "horizon": 2.0, "initial_guess": "zero",
+    })
+    assert main(["maps", spec, "--out", str(tmp_path / "runs")]) == 2
+    assert "unknown keys in maps spec: initial_guess" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

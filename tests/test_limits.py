@@ -358,6 +358,14 @@ def test_batch_rejects_nonuniform_grid():
                             np.array([0.0, 0.1, 0.3]), seed=1, reps=2)
 
 
+def test_batch_rejects_one_point_grid(exp_table):
+    one = np.array([0.0])
+    with pytest.raises(ValueError, match="at least two points"):
+        sample_case_i_paths(0.0, 0.0, 1.0, 1.0, None, one, seed=1, reps=2)
+    with pytest.raises(ValueError, match="at least two points"):
+        sample_case_ii_paths(0.0, 0.0, 1.0, 1.0, None, exp_table, one, seed=1, reps=2)
+
+
 def test_case_i_reflected_ou_stationary_law():
     # f(x) = theta x turns case (i) into an OU reflected at zero
     beta, mu, theta, ca2 = 0.5, 1.0, 1.0, 1.0

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+import httq.maps
 from httq.distributions import DistributionSpec
 from httq.maps import (
     MappingProblem,
     _phi_m_solve,
     _phi_mg_forward,
-    _phi_mg_picard,
+    _phi_mg_solve,
     _vectorize_g,
     solve_phi_M,
     solve_phi_Mg,
@@ -18,6 +19,8 @@ from httq.maps import (
 from httq.paths import step_path, uniform_grid
 from httq.patience import PatienceSpec, ramp_hazard
 from httq.renewal import compute_renewal_function
+
+from oracles import picard_phi_mg
 
 
 def _grid(T, h):
@@ -275,25 +278,33 @@ def test_phi_mg_geometric_decay_and_residual():
     y = -0.5 + 0.3 * g
     sol = solve_phi_Mg(y, M, lambda x: 0.4 * x, g, tol=1e-10)
     assert sol.residual < 1e-9
-    changes = sol.diagnostics["sup_changes"]
-    assert changes[-1] < 1e-10
-    # geometric decay after the first sweep
-    ratios = sol.diagnostics["decay_ratios"]
-    assert np.all(ratios[1:] < 1.0)
-    assert sol.iterations < 100
     assert np.isfinite(sol.diagnostics["delta_window"])
+    # the paper's Picard iteration reaches the same point with geometric decay
+    gv = _vectorize_g(lambda x: 0.4 * x)
+    X, _, iters, changes = picard_phi_mg(y[None, :], M.increments_on(g), gv, h,
+                                         1.0, 1e-10, "y")
+    assert changes[-1] < 1e-10
+    ratios = np.asarray(changes[1:]) / np.asarray(changes[:-1])
+    assert ratios.size >= 2
+    assert np.all(ratios[1:] < 1.0)
+    assert iters < 100
+    assert np.max(np.abs(X[0] - sol.x.sampled(g))) <= 1e-9
 
 
 def test_phi_mg_initial_guesses_agree():
-    T, h = 2.0, 1e-2
+    T, h, tol = 2.0, 1e-2, 1e-10
     g = _grid(T, h)
     M = _exp_table(1.0, T)
+    w = M.increments_on(g)
+    gv = _vectorize_g(lambda x: 0.6 * x)
     rng = np.random.default_rng(17)
     for _ in range(5):
         y = np.cumsum(rng.normal(0, 0.08, g.size)) + 0.3 * np.sin(2 * g)
-        a = solve_phi_Mg(y, M, lambda x: 0.6 * x, g, tol=1e-10, initial_guess="y")
-        b = solve_phi_Mg(y, M, lambda x: 0.6 * x, g, tol=1e-10, initial_guess="zero")
-        assert np.max(np.abs(a.x.sampled(g) - b.x.sampled(g))) <= 2e-10
+        a, _, _, _ = picard_phi_mg(y[None, :], w, gv, h, 1.0, tol, "y")
+        b, _, _, _ = picard_phi_mg(y[None, :], w, gv, h, 1.0, tol, "zero")
+        sol = solve_phi_Mg(y, M, lambda x: 0.6 * x, g, tol=tol)
+        assert np.max(np.abs(a - b)) <= 2e-10
+        assert np.max(np.abs(a[0] - sol.x.sampled(g))) <= 2e-10
 
 
 def test_phi_mg_positive_decay_closed_form():
@@ -324,17 +335,6 @@ def test_phi_mg_negative_constant_matches_renewal_drain():
                        tol=1e-11, g_sign=-1.0)
     assert sol.iterations == 1
     np.testing.assert_allclose(sol.x.sampled(g), -np.exp(-mu * g), atol=2e-2)
-
-
-def test_phi_mg_non_convergence_error_carries_diagnostics():
-    T, h = 5.0, 0.1
-    g = _grid(T, h)
-    M = _exp_table(1.0, T)
-    w = M.increments_on(g)
-    Y = np.full((1, g.size), 0.5)
-    gv = _vectorize_g(lambda x: 40.0 * x)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        _phi_mg_picard(Y, w, gv, h, 1.0, 1e-10, "y", max_iter=15)
 
 
 def _brownian_rows(rng, grid, rows, drift=0.0, start=0.0):
@@ -368,18 +368,18 @@ def test_phi_mg_forward_matches_picard(sign, g):
         U = _phi_mg_forward(Y, w, gv, h, sign, tol)
         X = _phi_m_solve(U, w)
         for init in ("y", "zero"):
-            Xp, Up, iters, changes = _phi_mg_picard(Y, w, gv, h, sign, tol, init)
+            Xp, Up, iters, changes = picard_phi_mg(Y, w, gv, h, sign, tol, init)
             assert np.max(np.abs(U - Up)) <= 10 * tol
             assert np.max(np.abs(X - Xp)) <= 10 * tol
             ch = np.asarray(changes)
             if init == "y" and g is not None and ch[0] > 0:
                 assert iters > 1
                 assert np.all(ch[1:] / ch[:-1] < 1.0)
-        # started from the forward answer, the certificate takes one sweep
-        Xf, Uf, iters, changes = _phi_mg_picard(Y, w, gv, h, sign, tol, "forward")
-        assert iters == 1
-        assert changes[0] < tol
-        assert np.max(np.abs(Xf - X)) <= 10 * tol
+        # the certificate closes the forward answer within one Picard sweep
+        Xs, Us, closure = _phi_mg_solve(Y, w, gv, h, sign, tol)
+        assert closure < tol
+        np.testing.assert_array_equal(Us, U)
+        np.testing.assert_array_equal(Xs, X)
 
 
 def test_phi_mg_forward_batch_matches_rows():
@@ -393,7 +393,7 @@ def test_phi_mg_forward_batch_matches_rows():
     for r in range(Y.shape[0]):
         row = _phi_mg_forward(Y[r:r + 1], w, gv, h, -1.0, tol)
         assert np.max(np.abs(batch[r] - row[0])) <= 10 * tol
-        Xp, _, _, _ = _phi_mg_picard(Y[r:r + 1], w, gv, h, -1.0, tol, "y")
+        Xp, _, _, _ = picard_phi_mg(Y[r:r + 1], w, gv, h, -1.0, tol, "y")
         assert np.max(np.abs(_phi_m_solve(batch[r:r + 1], w) - Xp)) <= 10 * tol
 
 
@@ -426,15 +426,15 @@ def test_phi_mg_forward_large_values_stop_at_rounding():
             assert sol.residual < 1e-9
 
 
-def test_phi_mg_initial_guess_does_not_change_the_result():
+def test_phi_mg_certificate_rejects_a_wrong_forward_answer(monkeypatch):
     T, h = 2.0, 1e-2
     g = _grid(T, h)
     M = _exp_table(1.0, T)
     y = _brownian_rows(np.random.default_rng(47), g, 1, 0.1, 0.2)[0]
-    a = solve_phi_Mg(y, M, lambda x: 0.6 * x, g, initial_guess="y")
-    b = solve_phi_Mg(y, M, lambda x: 0.6 * x, g, initial_guess="zero")
-    np.testing.assert_array_equal(a.x.sampled(g), b.x.sampled(g))
-    assert a.iterations == b.iterations == 1
+    forward = httq.maps._phi_mg_forward
+    monkeypatch.setattr(httq.maps, "_phi_mg_forward", lambda *a, **k: forward(*a, **k) + 1e-6)
+    with pytest.raises(RuntimeError, match="closure"):
+        solve_phi_Mg(y, M, lambda x: 0.6 * x, g)
 
 
 def test_phi_mg_input_validation():
@@ -446,8 +446,6 @@ def test_phi_mg_input_validation():
         solve_phi_Mg(y, M, None, g, tol=0.0)
     with pytest.raises(ValueError, match="g_sign"):
         solve_phi_Mg(y, M, None, g, g_sign=2.0)
-    with pytest.raises(ValueError, match="initial guess"):
-        solve_phi_Mg(y, M, None, g, initial_guess="warm")
     with pytest.raises(ValueError, match="nondecreasing"):
         solve_phi_Mg(y, M, lambda x: -x, g)
     with pytest.raises(ValueError, match=r"g\(0\) must be 0"):

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import httq.limits
+import httq.simulator
+
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.patience import PatienceSpec
 from httq.paths import linear_path, step_path, uniform_grid
@@ -289,6 +292,29 @@ def test_sweep_input_validation():
         convergence_sweep(cfg, [25], replications=2, checkpoints=[6.0])
     with pytest.raises(ValueError, match="limit grid"):
         convergence_sweep(cfg, [25], replications=2, checkpoints=[5.0 / 3.0])
+    for grid_points in (0, -4):
+        with pytest.raises(ValueError, match="grid_points must be >= 1"):
+            convergence_sweep(cfg, [25], replications=2, grid_points=grid_points)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_sweep_limit_streams_are_disjoint_from_simulation(monkeypatch, alpha):
+    # the KS statistic compares the simulated and the limit marginals as
+    # independent samples, so no stream address may feed both
+    used = {}
+    for module in (httq.simulator, httq.limits):
+        seen = used[module.__name__] = set()
+
+        def recording(seed, replication=0, purpose="scratch", _seen=seen,
+                      _make=module.make_rng):
+            _seen.add((seed, replication, purpose))
+            return _make(seed, replication, purpose)
+
+        monkeypatch.setattr(module, "make_rng", recording)
+    convergence_sweep(mmn_config(4, alpha=alpha, horizon=1.0), [4], replications=2, seed=9)
+    sim, lim = used["httq.simulator"], used["httq.limits"]
+    assert sim and lim
+    assert not sim & lim
 
 
 def test_sweep_rejects_nds_with_nonexponential_service():
