@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import DistributionSpec
-from .limits import sample_brownian, sample_noise, solve_limit_case_i, solve_limit_case_ii
+from .limits import _solve_limit, sample_brownian, sample_noise
 from .maps import MappingProblem
 from .paths import CadlagPath, uniform_grid
 from .patience import PatienceSpec
@@ -298,15 +298,13 @@ def _cmd_limit(args) -> int:
         grid_step = T / 512.0
     grid = uniform_grid(T, float(grid_step))
 
-    service = doc.get("service")
+    service_spec = table = None
     if case == "ii":
         service_spec = DistributionSpec.from_dict(
             _need(doc, "service", "limit spec (case 'ii')"))
         table = compute_renewal_function(service_spec, T, step=float(grid_step))
-    else:
-        if service is not None:
-            raise CliError("case 'i' does not use a service renewal table")
-        service_spec = table = None
+    elif doc.get("service") is not None:
+        raise CliError("case 'i' does not use a service renewal table")
     f = _limit_f_from(doc.get("patience"))
 
     resolved = {"command": "limit", "case": case, "xi": xi, "beta": beta, "mu": mu,
@@ -318,28 +316,28 @@ def _cmd_limit(args) -> int:
     meta = _meta(h, seed)
     outdir = _outdir(args, h)
 
-    paths, summary = [], []
-    for r in range(reps):
-        noise = sample_noise(case, mu, ca2, grid, seed, replication=r,
-                             M=table, H=service_spec)
-        if case == "i":
-            sol = solve_limit_case_i(xi, noise.E, noise.S, beta, mu, f, grid,
-                                     inputs=noise)
-        else:
-            sol = solve_limit_case_ii(xi, noise.E, noise.S, beta, mu, f, table,
-                                      grid, tol=tol, inputs=noise)
-        paths.append(sol.x.sampled(grid))
-        summary.append({"replication": r, "residual": float(sol.residual),
-                        "jitter": float(noise.jitter)})
-    _write_csv(outdir / "limit.csv", meta,
-               ("t", *(f"x_r{r}" for r in range(reps))),
-               zip(grid, *paths))
+    noise = [sample_noise(case, mu, ca2, grid, seed, replication=r, M=table,
+                          H=service_spec) for r in range(reps)]
+    E = np.array([ns.E.sampled(grid) for ns in noise])
+    S = np.array([ns.S.sampled(grid) for ns in noise])
+    X, _, diag = _solve_limit(case, xi, beta, mu, f, E, S, grid, table, tol, defects=True)
+    closure = diag.get("closure")
+    summary = [{"replication": r, "residual": float(diag["residual"][r]),
+                "closure": None if closure is None else float(closure[r]),
+                "jitter": float(ns.jitter)} for r, ns in enumerate(noise)]
+    _write_csv(outdir / "limit.csv", meta, ("t", *(f"x_r{r}" for r in range(reps))),
+               zip(grid, *X))
     _write_json(outdir / "limit_summary.json", meta,
                 {"spec": resolved, "per_replication": summary})
     _write_schema(outdir, meta, {
         "limit.csv": {
             "t": "grid time",
             "x_r<k>": "solved limit path for replication k",
+        },
+        "limit_summary.json": {
+            "per_replication[].residual": "sup defect of the discrete limit equation",
+            "per_replication[].closure": "phi_Mg closure, below tol (null in case i)",
+            "per_replication[].jitter": "diagonal shift of the service-noise Cholesky factor",
         },
     })
     print(f"limit case ({case}): {reps} solve(s), artifacts in {outdir}")
@@ -719,10 +717,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as err:
+    except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -27,6 +27,10 @@ on the renewal table's lattice (a^b = min, avb = max).  The same
 discrete convolution operator A is reused by the finite-n replica
 construction, so comparisons between the two are free of quadrature
 bias.
+
+Both equations have one solver route, `_solve_limit`, batched over
+replications: the single-path solvers are its one-row case, and the batch
+samplers and `httq limit` pass all replications at once.
 """
 
 from __future__ import annotations
@@ -40,14 +44,13 @@ import numpy as np
 import scipy.linalg
 
 from .distributions import DistributionSpec
-from .maps import (
+from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this name)
     _check_grid,
-    _phi_mg_solve,
-    _skorokhod_euler,
+    _phi_mg_rows,
+    _skorokhod_rows,
+    _solution,
     _stieltjes_matrix,
-    _vectorize_g,
     solve_phi_Mg,
-    solve_skorokhod_g,
 )
 from .paths import CadlagPath, linear_path
 from .renewal import RenewalTable, equilibrium_distribution
@@ -308,6 +311,26 @@ class NoiseSample:
             raise ValueError("noise paths must start at 0")
 
 
+def _draw_noise(case: str, mu: float, ca2: float, grid: np.ndarray, rng, reps: int,
+                M: RenewalTable | None = None, H: DistributionSpec | None = None):
+    """(E, S, jitter): reps rows of the driving pair from one stream, E first.
+
+    The covariance model, whose first build is the memory peak, is fetched
+    before any row is drawn.
+    """
+    if mu * ca2 < 0:
+        raise ValueError("variance rate must be nonnegative")
+    if case not in ("i", "ii"):
+        raise ValueError(f"unknown case {case!r}; use 'i' or 'ii'")
+    if case == "ii" and M is None:
+        raise ValueError("case 'ii' needs the renewal table M")
+    model = _covariance_model(M, H) if case == "ii" else None
+    E = _brownian_batch(rng, mu * ca2, grid, reps)
+    if model is None:
+        return E, _brownian_batch(rng, 1.0, grid, reps), 0.0
+    return E, model.sample_batch(grid, rng, reps), model.cholesky(grid)[1]
+
+
 def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
                  replication: int = 0, M: RenewalTable | None = None,
                  H: DistributionSpec | None = None) -> NoiseSample:
@@ -321,21 +344,12 @@ def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
     The batch samplers draw in the same order.
     """
     grid = _check_noise_grid(grid)
-    rng = make_rng(seed, replication, "limit")
-    e_path = sample_brownian(mu * ca2, grid, rng)
-    if case == "i":
-        s_path = sample_brownian(1.0, grid, rng)
-        return NoiseSample(e_path, s_path, seed=seed, covariance_source="brownian")
-    if case == "ii":
-        if M is None:
-            raise ValueError("case 'ii' needs the renewal table M")
-        model = _covariance_model(M, H)
-        _, jitter = model.cholesky(grid)
-        vals = model.sample_batch(grid, rng, 1)[0]
-        s_path = linear_path(grid, vals, float(grid[-1]))
-        return NoiseSample(e_path, s_path, seed=seed,
-                           covariance_source="renewal-gaussian", jitter=jitter)
-    raise ValueError(f"unknown case {case!r}; use 'i' or 'ii'")
+    E, S, jitter = _draw_noise(case, mu, ca2, grid, make_rng(seed, replication, "limit"),
+                               1, M, H)
+    return NoiseSample(linear_path(grid, E[0], float(grid[-1])),
+                       linear_path(grid, S[0], float(grid[-1])), seed=seed,
+                       covariance_source="brownian" if case == "i" else "renewal-gaussian",
+                       jitter=jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -365,67 +379,81 @@ def _drift_g(f, mu: float):
     return g
 
 
+def _solve_limit(case: str, xi: float, beta: float, mu: float, f, E: np.ndarray,
+                 S: np.ndarray, grid, M: RenewalTable | None = None,
+                 tol: float = 1e-10, defects: bool = False):
+    """Solve the limit equation for every noise row (E, S); returns (X, L, diag).
+
+    Every check applies to every row.  L is the regulator (None in case "ii");
+    diag holds per-row arrays (the case-"ii" closure; with ``defects`` the
+    residual) beside scalars.
+    """
+    if case == "i" and xi < 0:
+        raise ValueError("xi must be nonnegative in the reflected regime")
+    grid, h = _check_grid(grid)
+    g = _drift_g(f, mu)
+    if case == "i":
+        Y = xi + E - math.sqrt(mu) * S + beta * mu * grid
+        return _skorokhod_rows(Y, g, h, defects)
+    xi_neg = max(-xi, 0.0)
+    Y = xi + E - S + beta * mu * grid + xi_neg * (mu * grid - M.values_on(grid))
+    X, diag = _phi_mg_rows(Y, M.increments_on(grid), g, h, -1.0, tol, defects)
+    if defects:
+        diag["residual"] = diag["quadrature_defect"]
+    return X, None, diag
+
+
+def _limit_solution(case, xi, e_path, s_path, beta, mu, f, grid, M=None, tol=1e-10,
+                    inputs=None) -> LimitSolution:
+    grid = np.asarray(grid, dtype=float)
+    X, L, diag = _solve_limit(case, xi, beta, mu, f, e_path.sampled(grid)[None, :],
+                              s_path.sampled(grid)[None, :], grid, M, tol, defects=True)
+    if case == "ii":
+        diag["closure_residual"] = diag.pop("closure")
+    sol = _solution(case, grid, X, L, diag, "residual")
+    return LimitSolution(case, sol.x, sol.ell, sol.residual, grid, sol.diagnostics, inputs)
+
+
 def solve_limit_case_i(xi: float, e_path: CadlagPath, s_path: CadlagPath,
                        beta: float, mu: float, f, grid,
                        inputs: NoiseSample | None = None) -> LimitSolution:
     """Reflected limit equation for the sub-critical regimes."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative in the reflected regime")
-    grid = np.asarray(grid, dtype=float)
-    y = (xi + e_path.sampled(grid) - math.sqrt(mu) * s_path.sampled(grid)
-         + beta * mu * grid)
-    sol = solve_skorokhod_g(y, _drift_g(f, mu), grid)
-    return LimitSolution(case="i", x=sol.x, ell=sol.ell, residual=sol.residual,
-                         grid=grid, diagnostics=dict(sol.diagnostics), inputs=inputs)
+    return _limit_solution("i", xi, e_path, s_path, beta, mu, f, grid, inputs=inputs)
 
 
 def solve_limit_case_ii(xi: float, e_path: CadlagPath, s_path: CadlagPath,
                         beta: float, mu: float, f, M: RenewalTable, grid,
                         tol: float = 1e-10,
                         inputs: NoiseSample | None = None) -> LimitSolution:
-    """Critical-scale limit equation; residual is the quadrature defect."""
-    grid = np.asarray(grid, dtype=float)
-    xi_neg = max(-xi, 0.0)
-    y = (xi + e_path.sampled(grid) - s_path.sampled(grid) + beta * mu * grid
-         + xi_neg * (mu * grid - M.values_on(grid)))
-    sol = solve_phi_Mg(y, M, _drift_g(f, mu), grid, tol=tol, g_sign=-1.0)
-    diag = dict(sol.diagnostics)
-    diag["closure_residual"] = sol.residual
-    return LimitSolution(case="ii", x=sol.x, ell=None,
-                         residual=diag["quadrature_defect"],
-                         grid=grid, diagnostics=diag, inputs=inputs)
+    """Critical-scale limit equation; residual is the quadrature defect.
+
+    The one-row case of the batched route.  ``diagnostics["closure_residual"]``
+    is the phi_Mg closure, below ``tol`` or the solve raises.
+    """
+    return _limit_solution("ii", xi, e_path, s_path, beta, mu, f, grid, M, tol, inputs)
 
 
 # ---------------------------------------------------------------------------
 # batch marginal samplers for convergence sweeps
 
 
+def _sample_paths(case, xi, beta, mu, ca2, f, grid, seed, reps, replication,
+                  M=None, tol=1e-10) -> np.ndarray:
+    grid, _ = _check_grid(grid)
+    E, S, _ = _draw_noise(case, mu, ca2, grid, make_rng(seed, replication, "limit"),
+                          reps, M)
+    return _solve_limit(case, xi, beta, mu, f, E, S, grid, M, tol)[0]
+
+
 def sample_case_i_paths(xi: float, beta: float, mu: float, ca2: float, f,
                         grid, seed: int, reps: int,
                         replication: int = 0) -> np.ndarray:
     """(reps, len(grid)) array of reflected-limit sample paths."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative in the reflected regime")
-    grid, h = _check_grid(grid)
-    rng = make_rng(seed, replication, "limit")
-    E = _brownian_batch(rng, mu * ca2, grid, reps)
-    S = _brownian_batch(rng, 1.0, grid, reps)  # after E, as in sample_noise
-    Y = xi + E - math.sqrt(mu) * S + beta * mu * grid
-    X, _ = _skorokhod_euler(Y, _vectorize_g(_drift_g(f, mu)), h)
-    return X
+    return _sample_paths("i", xi, beta, mu, ca2, f, grid, seed, reps, replication)
 
 
 def sample_case_ii_paths(xi: float, beta: float, mu: float, ca2: float, f,
                          M: RenewalTable, grid, seed: int, reps: int,
                          replication: int = 0, tol: float = 1e-10) -> np.ndarray:
     """(reps, len(grid)) array of critical-scale limit sample paths."""
-    grid, h = _check_grid(grid)
-    rng = make_rng(seed, replication, "limit")
-    model = _covariance_model(M)
-    xi_neg = max(-xi, 0.0)
-    E = _brownian_batch(rng, mu * ca2, grid, reps)
-    S = model.sample_batch(grid, rng, reps)  # after E, as in sample_noise
-    Y = xi + E - S + beta * mu * grid + xi_neg * (mu * grid - M.values_on(grid))
-    w = M.increments_on(grid)
-    X, _, _ = _phi_mg_solve(Y, w, _vectorize_g(_drift_g(f, mu)), h, -1.0, tol)
-    return X
+    return _sample_paths("ii", xi, beta, mu, ca2, f, grid, seed, reps, replication, M, tol)

@@ -17,9 +17,9 @@ paper's Picard map u -> y +/- int g((phi_M(u))^+) ds, so a value below
 tol certifies the fixed point the contraction argument guarantees.  The
 causal dM convolution is one lower-triangular Toeplitz operator
 (``_stieltjes_matrix``), shared with the service-noise covariance.  The
-batched engines (arrays shaped (batch, grid)) are shared with the limit
-samplers so that large replication sweeps pay one Python loop over time,
-not one per sample.
+public solvers are the one-row case of batched routes (arrays shaped
+(rows, grid)) that the limit solvers share, so a batch of replications
+pays one Python loop over time, not one per sample.
 """
 
 from __future__ import annotations
@@ -96,6 +96,19 @@ def _validate_g(gv: Callable, hi: float, label: str = "g") -> float:
     return float(np.max(drops) / (xs[1] - xs[0]))
 
 
+def _checked_g(g: Callable | None, Y: np.ndarray) -> tuple[Callable, float, float]:
+    """Vectorized g, validated on [0, 2(1 + sup|y|)]: (gv, lambda_g, probe_hi)."""
+    gv = _vectorize_g(g)
+    hi = 2.0 * (1.0 + max(float(Y.max()), -float(Y.min())))  # sup|y|, no |Y| copy
+    return gv, (_validate_g(gv, hi) if g is not None else 0.0), hi
+
+
+def _rechecked_g(g, gv: Callable, lam_g: float, hi: float, X: np.ndarray) -> float:
+    """lambda_g, re-probed over the range X visited when that left [0, hi]."""
+    visited = max(float(X.max()), 0.0)
+    return _validate_g(gv, visited) if g is not None and visited > hi else lam_g
+
+
 def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
     mids = 0.5 * (values[..., 1:] + values[..., :-1]) * h
     out = np.zeros_like(values)
@@ -110,8 +123,7 @@ def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
 def _phi_n_g_euler(Y: np.ndarray, gv: Callable, mu_n: float, h: float) -> np.ndarray:
     X = np.empty_like(Y)
     X[:, 0] = Y[:, 0]
-    m = Y.shape[1] - 1
-    for k in range(m):
+    for k in range(Y.shape[1] - 1):
         xk = X[:, k]
         drift = mu_n * np.maximum(-xk, 0.0) - gv(np.maximum(xk, 0.0))
         X[:, k + 1] = xk + (Y[:, k + 1] - Y[:, k]) + h * drift
@@ -122,8 +134,7 @@ def _skorokhod_euler(Y: np.ndarray, gv: Callable, h: float) -> tuple[np.ndarray,
     X = np.empty_like(Y)
     L = np.zeros_like(Y)
     X[:, 0] = Y[:, 0]
-    m = Y.shape[1] - 1
-    for k in range(m):
+    for k in range(Y.shape[1] - 1):
         tent = X[:, k] + (Y[:, k + 1] - Y[:, k]) - h * gv(np.maximum(X[:, k], 0.0))
         push = np.maximum(-tent, 0.0)
         X[:, k + 1] = tent + push
@@ -144,8 +155,7 @@ def _phi_m_solve(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     neg[:, 0] = np.maximum(-Y[:, 0], 0.0)
     wrev = w[::-1]
     for k in range(1, m + 1):
-        conv = neg[:, :k] @ wrev[m - k:]
-        X[:, k] = Y[:, k] + conv
+        X[:, k] = Y[:, k] + neg[:, :k] @ wrev[m - k:]
         neg[:, k] = np.maximum(-X[:, k], 0.0)
     return X
 
@@ -181,21 +191,13 @@ def _phi_m_gain(A: np.ndarray) -> float:
     perturbation of y grows by at most d_m through the forward solve.  In
     matrix form (2I - A) d = 1, one unit-diagonal triangular solve.
     """
-    d = scipy.linalg.solve_triangular(
-        -A, np.ones(A.shape[0]), lower=True, unit_diagonal=True, check_finite=False
-    )
+    d = scipy.linalg.solve_triangular(-A, np.ones(A.shape[0]), lower=True,
+                                      unit_diagonal=True, check_finite=False)
     return float(d[-1])
 
 
-def _phi_mg_forward(
-    Y: np.ndarray,
-    w: np.ndarray,
-    gv: Callable,
-    h: float,
-    sign: float,
-    tol: float,
-    max_iter: int = OWN_STEP_MAX_ITER,
-) -> np.ndarray:
+def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float,
+                    tol: float, max_iter: int = OWN_STEP_MAX_ITER) -> np.ndarray:
     """One forward pass through the discrete phi_Mg equation; returns U.
 
     The discrete fixed point satisfies x_k = R_k + sign * h/2 * g(x_k^+),
@@ -247,30 +249,67 @@ def _phi_mg_forward(
     return Y + sign * _cumtrapz(G, h)
 
 
-def _phi_mg_solve(
-    Y: np.ndarray,
-    w: np.ndarray,
-    gv: Callable,
-    h: float,
-    sign: float,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _phi_mg_solve(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float,
+                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The discrete phi_Mg fixed point with its certificate; returns (X, U, closure).
 
     U comes from `_phi_mg_forward` and X = phi_M(U) from an independent
-    `_phi_m_solve`.  The closure sup |U - y - sign * int g(X^+) ds| is one
-    sweep of the Picard map u -> y + sign * int g((phi_M(u))^+) ds from U;
-    anything but closure < tol raises.
+    `_phi_m_solve`.  The closure sup_t |U - y - sign * int g(X^+) ds|, one
+    per row, is one sweep of the Picard map u -> y + sign * int g((phi_M(u))^+) ds
+    from U; a row whose closure is not below tol raises, naming the row.
     """
     U = _phi_mg_forward(Y, w, gv, h, sign, tol)
     X = _phi_m_solve(U, w)
-    closure = float(np.max(np.abs(U - Y - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h))))
-    if not closure < tol:
+    closure = np.max(np.abs(U - Y - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)), axis=1)
+    bad = np.flatnonzero(~(closure < tol))
+    if bad.size:
         raise RuntimeError(
-            f"phi_Mg closure {closure:.3e} is not below tol {tol:.3e}: "
-            "the forward answer is not the discrete fixed point"
-        )
+            f"phi_Mg closure {closure[bad[0]]:.3e} in row {bad[0]} ({bad.size} of "
+            f"{closure.size} rows) is not below tol {tol:.3e}: the forward answer is not "
+            "the discrete fixed point")
     return X, U, closure
+
+
+def _skorokhod_rows(Y: np.ndarray, g: Callable | None, h: float,
+                    defects: bool = True) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Reflected map of every row with its checks; returns (X, L, diagnostics).
+
+    ``defects`` adds the per-row sup defect (``residual``) and sum x dL.
+    """
+    if np.any(Y[:, 0] < 0):
+        raise ValueError(f"y(0) must be nonnegative, got {Y[:, 0].min():.4g}")
+    gv, lam_g, probe_hi = _checked_g(g, Y)
+    X, L = _skorokhod_euler(Y, gv, h)
+    diag = {"lambda_g": _rechecked_g(g, gv, lam_g, probe_hi, X)}
+    if defects:
+        defect = X - Y + _cumtrapz(gv(np.maximum(X, 0.0)), h) - L
+        diag["residual"] = np.max(np.abs(defect), axis=1)
+        diag["complementarity"] = np.sum(X[:, 1:] * np.diff(L, axis=1), axis=1)
+    return X, L, diag
+
+
+def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
+                 sign: float, tol: float, defects: bool = True) -> tuple[np.ndarray, dict]:
+    """phi_Mg of every row with its checks; returns (X, diagnostics).
+
+    The diagnostics hold lambda_g and the per-row ``closure``.  ``defects``
+    adds the per-row trapezoid-rule ``quadrature_defect`` of the convolution
+    term, lambda_M and the contraction window, at the cost of the dM operator.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    gv, lam_g, probe_hi = _checked_g(g, Y)
+    X, _, closure = _phi_mg_solve(Y, w, gv, h, sign, tol)
+    lam_g = _rechecked_g(g, gv, lam_g, probe_hi, X)
+    diag = {"lambda_g": lam_g, "closure": closure}
+    if defects:
+        A = _stieltjes_matrix(w)
+        lam_m = _phi_m_gain(A)
+        right, left = _phi_m_convolutions(X, A)
+        quad = X - Y - 0.5 * (right + left) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
+        diag.update(lambda_M=lam_m, quadrature_defect=np.max(np.abs(quad), axis=1),
+                    delta_window=np.inf if lam_g * lam_m == 0 else 2.0 / (3.0 * lam_m * lam_g))
+    return X, diag
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +372,18 @@ class MappingProblem:
                                 tol=self.tol, g_sign=self.g_sign)
         raise ValueError(f"unknown variant {self.variant!r}")
 
-    def to_csv(self, path) -> None:
-        self.y.to_csv(path, header=f"variant={self.variant} input path y")
-
 
 # ---------------------------------------------------------------------------
 # public solvers
+
+
+def _solution(variant: str, t: np.ndarray, X: np.ndarray, L: np.ndarray | None,
+              diag: dict, residual: str, iterations: int | None = None) -> MappingSolution:
+    """Row 0 of a batched solve; the diagnostic named ``residual`` becomes its residual."""
+    diag = {k: float(v[0]) if isinstance(v, np.ndarray) else v for k, v in diag.items()}
+    return MappingSolution(variant, linear_path(t, X[0], horizon=t[-1]),
+                           None if L is None else linear_path(t, L[0], horizon=t[-1]),
+                           diag.pop(residual), iterations, t, diag)
 
 
 def solve_phi_n_g(y, g: Callable | None, mu_n: float, grid) -> MappingSolution:
@@ -347,56 +392,26 @@ def solve_phi_n_g(y, g: Callable | None, mu_n: float, grid) -> MappingSolution:
     if mu_n <= 0:
         raise ValueError("mu_n must be positive")
     if h > 0.1 / mu_n + 1e-15:
-        raise ValueError(
-            f"grid step {h:.4g} too large for mu_n={mu_n:.4g}; "
-            f"use step <= {0.1 / mu_n:.4g}"
-        )
+        raise ValueError(f"grid step {h:.4g} too large for mu_n={mu_n:.4g}; "
+                         f"use step <= {0.1 / mu_n:.4g}")
     Y = _sample_input(y, t)[None, :]
-    gv = _vectorize_g(g)
-    probe_hi = 2.0 * (1.0 + float(np.max(np.abs(Y))))
-    lam_g = _validate_g(gv, probe_hi) if g is not None else 0.0
+    gv, lam_g, probe_hi = _checked_g(g, Y)
     X = _phi_n_g_euler(Y, gv, mu_n, h)
-    if g is not None and float(np.max(X)) > probe_hi:
-        lam_g = _validate_g(gv, float(np.max(X)))
+    lam_g = _rechecked_g(g, gv, lam_g, probe_hi, X)
     defect = X - Y - mu_n * _cumtrapz(np.maximum(-X, 0.0), h) \
         + _cumtrapz(gv(np.maximum(X, 0.0)), h)
-    return MappingSolution(
-        variant="phi_n_g",
-        x=linear_path(t, X[0], horizon=t[-1]),
-        ell=None,
-        residual=float(np.max(np.abs(defect))),
-        iterations=None,
-        grid=t,
-        diagnostics={
-            "neg_part_sup": float(np.max(np.maximum(-X, 0.0))),
-            "lambda_g": lam_g,
-        },
-    )
+    return _solution("phi_n_g", t, X, None, {
+        "residual": float(np.max(np.abs(defect))),
+        "neg_part_sup": float(np.max(np.maximum(-X, 0.0))),
+        "lambda_g": lam_g,
+    }, "residual")
 
 
 def solve_skorokhod_g(y, g: Callable | None, grid) -> MappingSolution:
     """One-sided reflection with drift -g(x): x >= 0, ell pushes at zero."""
     t, h = _check_grid(grid)
-    Y = _sample_input(y, t)[None, :]
-    if Y[0, 0] < 0:
-        raise ValueError(f"y(0) must be nonnegative, got {Y[0, 0]:.4g}")
-    gv = _vectorize_g(g)
-    probe_hi = 2.0 * (1.0 + float(np.max(np.abs(Y))))
-    lam_g = _validate_g(gv, probe_hi) if g is not None else 0.0
-    X, L = _skorokhod_euler(Y, gv, h)
-    if g is not None and float(np.max(X)) > probe_hi:
-        lam_g = _validate_g(gv, float(np.max(X)))
-    defect = X - Y + _cumtrapz(gv(np.maximum(X, 0.0)), h) - L
-    comp = float(np.sum(X[0, 1:] * np.diff(L[0])))
-    return MappingSolution(
-        variant="skorokhod_g",
-        x=linear_path(t, X[0], horizon=t[-1]),
-        ell=linear_path(t, L[0], horizon=t[-1]),
-        residual=float(np.max(np.abs(defect))),
-        iterations=None,
-        grid=t,
-        diagnostics={"complementarity": comp, "lambda_g": lam_g},
-    )
+    X, L, diag = _skorokhod_rows(_sample_input(y, t)[None, :], g, h)
+    return _solution("skorokhod_g", t, X, L, diag, "residual")
 
 
 def solve_phi_M(y, M: RenewalTable, grid) -> MappingSolution:
@@ -413,25 +428,12 @@ def solve_phi_M(y, M: RenewalTable, grid) -> MappingSolution:
     A = _stieltjes_matrix(w)
     right, left = _phi_m_convolutions(X, A)
     defect = X - Y - 0.5 * (right + left)
-    return MappingSolution(
-        variant="phi_M",
-        x=linear_path(t, X[0], horizon=t[-1]),
-        ell=None,
-        residual=float(np.max(np.abs(defect))),
-        iterations=None,
-        grid=t,
-        diagnostics={"lambda_M": _phi_m_gain(A)},
-    )
+    return _solution("phi_M", t, X, None, {"residual": float(np.max(np.abs(defect))),
+                                           "lambda_M": _phi_m_gain(A)}, "residual")
 
 
-def solve_phi_Mg(
-    y,
-    M: RenewalTable,
-    g: Callable | None,
-    grid,
-    tol: float = 1e-10,
-    g_sign: float = 1.0,
-) -> MappingSolution:
+def solve_phi_Mg(y, M: RenewalTable, g: Callable | None, grid, tol: float = 1e-10,
+                 g_sign: float = 1.0) -> MappingSolution:
     """Solve x = y + int (x(t-s))^- dM(s) + g_sign * int g(x^+) ds.
 
     One forward pass (`_phi_mg_forward`) solves the discrete equation step
@@ -439,38 +441,12 @@ def solve_phi_Mg(
     reports the closure sup |u - y - g_sign * int g(x^+) ds|, which must be
     below ``tol`` or the solve raises.  ``iterations`` is always 1.  The
     trapezoid-rule defect of the convolution term is recorded separately in
-    the diagnostics.
+    the diagnostics.  This is the one-row case of `_phi_mg_rows`, which the
+    limit solvers share.
     """
     t, h = _check_grid(grid)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if g_sign not in (-1.0, 1.0, -1, 1):
         raise ValueError("g_sign must be +1 or -1")
-    w = M.increments_on(t)
-    A = _stieltjes_matrix(w)
     Y = _sample_input(y, t)[None, :]
-    gv = _vectorize_g(g)
-    lam_m = _phi_m_gain(A)
-    probe_hi = 2.0 * (1.0 + float(np.max(np.abs(Y))))
-    lam_g = _validate_g(gv, probe_hi) if g is not None else 0.0
-    X, _, closure = _phi_mg_solve(Y, w, gv, h, float(g_sign), tol)
-    visited = float(np.max(np.maximum(X, 0.0)))
-    if g is not None and visited > probe_hi:
-        lam_g = _validate_g(gv, visited)
-    right, left = _phi_m_convolutions(X, A)
-    quad_defect = X - Y - 0.5 * (right + left) \
-        - float(g_sign) * _cumtrapz(gv(np.maximum(X, 0.0)), h)
-    return MappingSolution(
-        variant="phi_Mg",
-        x=linear_path(t, X[0], horizon=t[-1]),
-        ell=None,
-        residual=closure,
-        iterations=1,
-        grid=t,
-        diagnostics={
-            "lambda_M": lam_m,
-            "lambda_g": lam_g,
-            "delta_window": (np.inf if lam_g * lam_m == 0 else 2.0 / (3.0 * lam_m * lam_g)),
-            "quadrature_defect": float(np.max(np.abs(quad_defect))),
-        },
-    )
+    X, diag = _phi_mg_rows(Y, M.increments_on(t), g, h, float(g_sign), tol)
+    return _solution("phi_Mg", t, X, None, diag, "closure", iterations=1)

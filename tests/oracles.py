@@ -8,9 +8,12 @@ event-heap simulator that the FCFS recursion replaced, which shares only the
 stream addresses, the initial-state draw and the record assembly with the
 library; `replay_virtual_wait_path` / `replay_offered_waits`, which
 rebuild the waits from a record's event log and head-count path instead of
-its recorded server-free epochs; and `picard_phi_mg`, the paper's Picard
+its recorded server-free epochs; `picard_phi_mg`, the paper's Picard
 iteration that the forward phi_Mg solve replaced, which shares only the
-phi_M solve and the trapezoid sum with the library.
+phi_M solve and the trapezoid sum with the library; and
+`per_replication_limit`, the loop `httq limit` ran before it solved all
+replications in one batch, which solves each replication on its own through
+the single-path solvers.
 """
 
 import heapq
@@ -20,6 +23,7 @@ from collections import deque
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from httq.limits import sample_noise, solve_limit_case_i, solve_limit_case_ii
 from httq.maps import _cumtrapz, _phi_m_solve
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
@@ -468,3 +472,26 @@ def picard_phi_mg(Y, w, gv, h, sign, tol, init, max_iter=10_000):
         f"Picard iteration did not converge within {max_iter} iterations: "
         f"last sup-change {changes[-1]:.3e}, recent decay ratios {ratios}"
     )
+
+
+def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table,
+                          service_spec, tol):
+    """`httq limit`'s replications solved one by one: (paths, summary).
+
+    One `sample_noise` draw and one single-path solve per replication; the
+    summary holds each replication's residual and jitter.
+    """
+    paths, summary = [], []
+    for r in range(reps):
+        noise = sample_noise(case, mu, ca2, grid, seed, replication=r,
+                             M=table, H=service_spec)
+        if case == "i":
+            sol = solve_limit_case_i(xi, noise.E, noise.S, beta, mu, f, grid,
+                                     inputs=noise)
+        else:
+            sol = solve_limit_case_ii(xi, noise.E, noise.S, beta, mu, f, table,
+                                      grid, tol=tol, inputs=noise)
+        paths.append(sol.x.sampled(grid))
+        summary.append({"replication": r, "residual": float(sol.residual),
+                        "jitter": float(noise.jitter)})
+    return paths, summary

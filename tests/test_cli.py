@@ -4,10 +4,16 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import httq.cli
-from httq.cli import _workers, main
+from httq.cli import _limit_f_from, _workers, main
+from httq.distributions import DistributionSpec
+from httq.paths import uniform_grid
+from httq.renewal import compute_renewal_function
+
+from oracles import per_replication_limit
 
 
 def mmn_dict(n=16, horizon=3.0, alpha=1.0, beta=-1.0, xi=0.0):
@@ -341,6 +347,52 @@ def test_limit_case_ii(tmp_path):
     summary = json.loads((rundir / "limit_summary.json").read_text())
     for rep in summary["per_replication"]:
         assert rep["residual"] <= 0.1  # 10 x grid step
+
+
+_LINEAR_PATIENCE = {"mode": "no_scaling",
+                    "distribution": {"family": "exponential", "rate": 0.7}}
+
+
+@pytest.mark.parametrize("case,xi", [("i", 0.0), ("i", 0.5), ("ii", -0.5),
+                                     ("ii", 0.0), ("ii", 0.5)])
+@pytest.mark.parametrize("patience", [_LINEAR_PATIENCE, None], ids=["linear", "none"])
+def test_limit_batch_matches_per_replication_loop(tmp_path, case, xi, patience):
+    # one batched solve over all replications against one solve per replication
+    T, step, tol, reps, seed = 4.0, 0.01, 1e-10, 3, 11
+    service = {"family": "exponential", "rate": 1.0} if case == "ii" else None
+    spec = write_spec(tmp_path, "limit.json", {
+        "command": "limit", "case": case, "xi": xi, "beta": -0.4, "mu": 1.0,
+        "ca2": 1.0, "patience": patience, "service": service, "horizon": T,
+        "grid_step": step, "reps": reps, "seed": seed, "tol": tol,
+    })
+    out = tmp_path / "runs"
+    assert main(["limit", spec, "--out", str(out), "--workers", "1"]) == 0
+    (rundir,) = run_dirs(out)
+    got = np.loadtxt(rundir / "limit.csv", delimiter=",", skiprows=2)
+    summary = json.loads((rundir / "limit_summary.json").read_text())["per_replication"]
+
+    grid = uniform_grid(T, step)
+    H = None if service is None else DistributionSpec.from_dict(service)
+    table = None if H is None else compute_renewal_function(H, T, step=step)
+    paths, expected = per_replication_limit(case, xi, -0.4, 1.0, 1.0,
+                                            _limit_f_from(patience), grid, seed,
+                                            reps, table, H, tol)
+    np.testing.assert_array_equal(got[:, 0], grid)
+    assert np.max(np.abs(got[:, 1:] - np.array(paths).T)) <= 10 * tol
+    assert [rep["replication"] for rep in summary] == list(range(reps))
+    for rep, ref in zip(summary, expected):
+        assert abs(rep["residual"] - ref["residual"]) <= 10 * tol
+        assert rep["jitter"] == ref["jitter"]
+        if case == "ii":
+            assert 0.0 <= rep["closure"] < tol
+        else:
+            assert rep["closure"] is None
+    # each residual is its own row's, not one maximum over the batch
+    ref_residuals = [ref["residual"] for ref in expected]
+    if max(ref_residuals) - min(ref_residuals) > 100 * tol:
+        assert len({rep["residual"] for rep in summary}) == reps
+    schema = json.loads((rundir / "schema.json").read_text())
+    assert "per_replication[].closure" in schema["files"]["limit_summary.json"]
 
 
 def test_limit_case_i_rejects_service_table(tmp_path, capsys):

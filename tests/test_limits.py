@@ -269,6 +269,15 @@ def test_case_i_rejects_negative_xi():
         solve_limit_case_i(-0.5, zero_path(1.0), zero_path(1.0), 0.0, 1.0, None, grid)
 
 
+def test_case_i_rejects_negative_xi_and_negative_start_in_every_route():
+    grid = uniform_grid(1.0, 0.01)
+    with pytest.raises(ValueError, match="xi must be nonnegative"):
+        sample_case_i_paths(-0.5, 0.0, 1.0, 1.0, None, grid, seed=1, reps=3)
+    low = linear_path(grid, np.full(grid.size, -0.2), 1.0)
+    with pytest.raises(ValueError, match=r"y\(0\) must be nonnegative"):
+        solve_limit_case_i(0.1, low, zero_path(1.0), 0.0, 1.0, None, grid)
+
+
 def test_case_i_complementarity_on_noisy_samples():
     grid = uniform_grid(5.0, 0.01)
     f = lambda x: np.asarray(x)

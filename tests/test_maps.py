@@ -437,6 +437,39 @@ def test_phi_mg_certificate_rejects_a_wrong_forward_answer(monkeypatch):
         solve_phi_Mg(y, M, lambda x: 0.6 * x, g)
 
 
+def test_phi_mg_certificate_names_the_failing_row(monkeypatch):
+    # a wrong forward answer in one row of a batch fails that row's closure
+    T, h, tol = 2.0, 1e-2, 1e-10
+    g = _grid(T, h)
+    M = _exp_table(1.0, T)
+    w = M.increments_on(g)
+    gv = _vectorize_g(lambda x: 0.6 * x)
+    Y = _brownian_rows(np.random.default_rng(53), g, 3, 0.1, 0.2)
+    _, _, closure = _phi_mg_solve(Y, w, gv, h, -1.0, tol)
+    assert closure.shape == (3,) and np.all(closure < tol)
+    forward = httq.maps._phi_mg_forward
+
+    def wrong_row_1(*a, **k):
+        U = forward(*a, **k)
+        U[1] += 1e-6
+        return U
+
+    monkeypatch.setattr(httq.maps, "_phi_mg_forward", wrong_row_1)
+    with pytest.raises(RuntimeError, match=r"closure .* in row 1 \(1 of 3 rows\)"):
+        _phi_mg_solve(Y, w, gv, h, -1.0, tol)
+
+
+def test_phi_mg_reprobes_g_over_the_visited_range():
+    # g is nondecreasing on the first probe, [0, 2(1 + sup|y|)] = [0, 4], and
+    # turns down past 10; the solution grows past 10, so the re-probe rejects g
+    T, h = 5.0, 1e-2
+    g = _grid(T, h)
+    M = _exp_table(1.0, T)
+    kink = lambda x: np.where(np.asarray(x) <= 10.0, x, 20.0 - np.asarray(x))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        solve_phi_Mg(np.ones(g.size), M, kink, g, g_sign=1.0)
+
+
 def test_phi_mg_input_validation():
     T, h = 1.0, 1e-2
     g = _grid(T, h)
