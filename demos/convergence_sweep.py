@@ -5,6 +5,9 @@
 # the Kolmogorov-Smirnov distance between the simulated terminal marginal
 # and draws from the corresponding limit process.
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from httq import (
@@ -51,10 +54,10 @@ print("\ntrend verdicts (smallest n vs largest):")
 for name, verdict in report.verdicts.items():
     print(f"  {name:12s} {verdict}")
 
-# Reports serialize for post-processing.
-report.to_json("/tmp/sweep_report.json")
-report.to_csv("/tmp/sweep_gaps.csv")
-print("\nwrote /tmp/sweep_report.json and /tmp/sweep_gaps.csv")
+# Reports are plain dicts for post-processing; `httq sweep` writes the same
+# report as report.json, plus report.csv, beside a schema.json.
+Path("/tmp/sweep_report.json").write_text(json.dumps(report.as_dict(), indent=2))
+print("\nwrote /tmp/sweep_report.json")
 
 # The same harness checks the pathwise ordering behind the approximation:
 # under common random numbers, switching abandonment off can only lengthen

@@ -43,7 +43,3 @@ he_det = equilibrium_distribution(DistributionSpec.deterministic(2.0))
 xs = np.array([0.25, 0.5, 1.0])
 print(f"\nH_e for exp(2) at {xs}:  {np.round(he_exp.cdf(xs), 4)} (= 1 - e^-2x)")
 print(f"H_e for det(2) at {xs}:  {np.round(he_det.cdf(xs), 4)} (= x/2 up to 2)")
-
-# Tables export as two-column CSV for plotting.
-erl_tab.to_csv("/tmp/renewal_erlang2.csv", header="erlang(2,2) renewal function")
-print("\nwrote /tmp/renewal_erlang2.csv")

@@ -105,13 +105,18 @@ def _outdir(args, spec_hash: str) -> Path:
 
 def _workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
+        if args.workers < 1:
+            raise CliError(f"--workers must be >= 1, got {args.workers}")
+        return args.workers
     env = os.environ.get("HTTQ_WORKERS")
     if env is not None:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise CliError(f"HTTQ_WORKERS must be an integer, got {env!r}")
+        if workers < 1:
+            raise CliError(f"HTTQ_WORKERS must be >= 1, got {workers}")
+        return workers
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -210,10 +215,10 @@ def _cmd_simulate(args) -> int:
                 "replications": reps, "seed": seed, "grid_step": float(grid_step)}
     h = spec_hash(resolved)
     meta = _meta(h, seed)
+    workers = _workers(args)
     outdir = _outdir(args, h)
 
     jobs = [(config, seed, r) for r in range(reps)]
-    workers = _workers(args)
     if workers > 1 and reps > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             records = list(ex.map(_simulate_job, jobs))
@@ -447,6 +452,17 @@ def _eval_thresholds(report, thr: dict) -> list[str]:
     return failures
 
 
+def _report_rows(report):
+    """report.csv rows: one per (n, gap statistic, replication), then one per
+    KS checkpoint with an empty replication cell, as KS aggregates over them."""
+    for n in report.n_values:
+        for name in GAP_NAMES:
+            for r, v in enumerate(report.gaps[name][n]):
+                yield n, name, r, v
+        for t, v in report.ks[n].items():
+            yield n, f"ks@{t:g}", "", v
+
+
 def _cmd_sweep(args) -> int:
     doc = _load_doc(args.spec)
     _check_command(doc, "sweep")
@@ -472,13 +488,14 @@ def _cmd_sweep(args) -> int:
                 "grid_points": grid_points, "thresholds": thresholds}
     h = spec_hash(resolved)
     meta = _meta(h, seed)
+    workers = _workers(args)
     outdir = _outdir(args, h)
 
     report = convergence_sweep(config, n_values, reps, checkpoints=checkpoints,
-                               seed=seed, grid_points=grid_points,
-                               workers=_workers(args))
-    report.to_json(outdir / "report.json", meta=meta)
-    report.to_csv(outdir / "report.csv", meta="# " + _meta_line(meta))
+                               seed=seed, grid_points=grid_points, workers=workers)
+    _write_json(outdir / "report.json", meta, report.as_dict())
+    _write_csv(outdir / "report.csv", meta, ("n", "statistic", "replication", "value"),
+               _report_rows(report))
     _write_schema(outdir, meta, {
         "report.csv": {
             "n": "system size",
@@ -640,7 +657,10 @@ def _cmd_maps(args) -> int:
         M=table, g_sign=resolved["g_sign"], tol=resolved["tol"],
     )
     sol = problem.solve()
-    sol.to_csv(outdir / "solution.csv", header=_meta_line(meta))
+    columns = {"t": sol.grid, "x": sol.x.sampled(sol.grid)}
+    if sol.ell is not None:
+        columns["ell"] = sol.ell.sampled(sol.grid)
+    _write_csv(outdir / "solution.csv", meta, columns, zip(*columns.values()))
     _write_json(outdir / "solution_summary.json", meta, {
         "spec": resolved,
         "variant": sol.variant,

@@ -326,20 +326,6 @@ class MappingSolution:
     grid: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def to_csv(self, path, header: str | None = None) -> None:
-        cols = [self.grid, self.x.sampled(self.grid)]
-        names = "t,x"
-        if self.ell is not None:
-            cols.append(self.ell.sampled(self.grid))
-            names += ",ell"
-        lines = [] if header is None else [f"# {header}"]
-        lines.append(f"# variant={self.variant} residual={self.residual:.6e}")
-        lines.append(names)
-        for row in zip(*cols):
-            lines.append(",".join(f"{v:.12g}" for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 @dataclass(frozen=True)
 class MappingProblem:

@@ -8,14 +8,14 @@ Two interpolation kinds cover everything the library produces:
 * ``"linear"`` -- continuous piecewise-linear paths (integrals,
   compensators, Brownian samples tabulated on a grid).
 
-Evaluation, left limits, sup-norms, and integrals are exact for the stored
+Evaluation, left limits and sup-norms are exact for the stored
 representation; there is no hidden resampling.  Arithmetic requires matching
 kinds and merges breakpoints exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,29 +114,6 @@ class CadlagPath:
         cand = inner.max() if inner.size else 0.0
         return float(max(cand, abs(self(a)), abs(self(b))))
 
-    def min_value(self, a: float = 0.0, b: float | None = None) -> float:
-        a, b = self._window(a, b)
-        lo = np.searchsorted(self.times, a, side="right")
-        hi = np.searchsorted(self.times, b, side="right")
-        inner = self.values[lo:hi]
-        cand = inner.min() if inner.size else np.inf
-        return float(min(cand, self(a), self(b)))
-
-    def integral(self, a: float = 0.0, b: float | None = None) -> float:
-        """int_a^b x(s) ds, exact."""
-        a, b = self._window(a, b)
-        if b <= a:
-            return 0.0
-        # Breakpoints interior to (a, b), plus the endpoints.
-        lo = np.searchsorted(self.times, a, side="right")
-        hi = np.searchsorted(self.times, b, side="left")
-        knots = np.concatenate(([a], self.times[lo:hi], [b]))
-        if self.kind == "step":
-            vals = self(knots[:-1])
-            return float(np.sum(np.atleast_1d(vals) * np.diff(knots)))
-        vals = self(knots)
-        return float(np.trapezoid(vals, knots))
-
     def cumulative_integral(self) -> "CadlagPath":
         """t -> int_0^t x(s) ds as a linear path on the same breakpoints."""
         t = self.times
@@ -177,20 +154,6 @@ class CadlagPath:
 
     def sampled(self, grid: np.ndarray) -> np.ndarray:
         return np.asarray(self(np.asarray(grid, dtype=float)))
-
-    def to_csv(self, path, header: str | None = None, step: float | None = None) -> None:
-        """Write (t, value) rows; `step` densifies onto a uniform grid."""
-        if step is None:
-            t, v = self.times, self.values
-        else:
-            t = uniform_grid(self.horizon, step)
-            v = self.sampled(t)
-        with open(path, "w") as fh:
-            if header:
-                fh.write(header if header.endswith("\n") else header + "\n")
-            fh.write("t,value\n")
-            for ti, vi in zip(t, v):
-                fh.write(f"{float(ti)!r},{float(vi)!r}\n")
 
 
 def step_path(times, values, horizon: float) -> CadlagPath:

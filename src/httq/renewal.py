@@ -84,14 +84,6 @@ class RenewalTable:
             r = max(r, abs(self.values[k] - Hg[k] - conv))
         return float(r)
 
-    def to_csv(self, path, header: str | None = None) -> None:
-        with open(path, "w") as fh:
-            if header:
-                fh.write(header if header.endswith("\n") else header + "\n")
-            fh.write("t,M\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
-
 
 def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | None = None) -> RenewalTable:
     """Solve M = H + H * dM on [0, horizon].

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -245,32 +244,6 @@ class ConvergenceReport:
             "verdicts": dict(self.verdicts),
             "excluded": {str(n): v for n, v in self.excluded.items()},
         }
-
-    def to_json(self, path, meta: dict | None = None) -> None:
-        doc = self.as_dict()
-        if meta is not None:
-            doc["meta"] = dict(meta)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def to_csv(self, path, meta: str | None = None) -> None:
-        """Flat view: one row per (n, statistic, replication).
-
-        KS statistics are aggregates over replications, so their rows
-        leave the replication column empty.  `meta` adds a leading
-        comment line.
-        """
-        with open(path, "w") as fh:
-            if meta:
-                fh.write(meta if meta.endswith("\n") else meta + "\n")
-            fh.write("n,statistic,replication,value\n")
-            for n in self.n_values:
-                for name in GAP_NAMES:
-                    for r, v in enumerate(self.gaps[name][n]):
-                        fh.write(f"{n},{name},{r},{float(v)!r}\n")
-                for t, v in self.ks[n].items():
-                    fh.write(f"{n},ks@{t:g},,{float(v)!r}\n")
 
 
 def _trend(value_smallest: float, value_largest: float) -> str:

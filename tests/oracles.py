@@ -13,7 +13,8 @@ iteration that the forward phi_Mg solve replaced, which shares only the
 phi_M solve and the trapezoid sum with the library; and
 `per_replication_limit`, the loop `httq limit` ran before it solved all
 replications in one batch, which solves each replication on its own through
-the single-path solvers.
+the single-path solvers.  `path_min_value` and `path_integral` are exact
+functionals of a stored `CadlagPath` that only the tests need.
 """
 
 import heapq
@@ -191,6 +192,31 @@ class BlockSampler:
         v = self._buf[self._i]
         self._i += 1
         return float(v)
+
+
+def path_min_value(path, a=0.0, b=None):
+    """min over [a, b] of a CadlagPath, exact for its stored representation."""
+    a, b = path._window(a, b)
+    lo = np.searchsorted(path.times, a, side="right")
+    hi = np.searchsorted(path.times, b, side="right")
+    inner = path.values[lo:hi]
+    cand = inner.min() if inner.size else np.inf
+    return float(min(cand, path(a), path(b)))
+
+
+def path_integral(path, a=0.0, b=None):
+    """int_a^b x(s) ds of a CadlagPath, exact for its stored representation."""
+    a, b = path._window(a, b)
+    if b <= a:
+        return 0.0
+    # Breakpoints interior to (a, b), plus the endpoints.
+    lo = np.searchsorted(path.times, a, side="right")
+    hi = np.searchsorted(path.times, b, side="left")
+    knots = np.concatenate(([a], path.times[lo:hi], [b]))
+    if path.kind == "step":
+        vals = path(knots[:-1])
+        return float(np.sum(np.atleast_1d(vals) * np.diff(knots)))
+    return float(np.trapezoid(path(knots), knots))
 
 
 def heap_simulate(config, seed, replication=0):

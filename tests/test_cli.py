@@ -1,6 +1,7 @@
 """CLI contract: spec files, hashes, headers, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -94,22 +95,6 @@ def test_bad_distribution_flag(tmp_path):
 
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def test_simulate_rerun_is_byte_identical(tmp_path):
-    spec = write_spec(tmp_path, "sim.json", {
-        "command": "simulate", "config": mmn_dict(), "replications": 2,
-        "seed": 4, "grid_step": 0.25,
-    })
-    out = tmp_path / "runs"
-    assert main(["simulate", spec, "--out", str(out), "--workers", "1"]) == 0
-    (rundir,) = run_dirs(out)
-    first = {p.name: p.read_bytes() for p in sorted(rundir.iterdir())}
-    assert set(first) == {"events_r0.csv", "events_r1.csv", "scaled_r0.csv",
-                          "scaled_r1.csv", "summary.json", "schema.json"}
-    assert main(["simulate", spec, "--out", str(out), "--workers", "1"]) == 0
-    second = {p.name: p.read_bytes() for p in sorted(rundir.iterdir())}
-    assert first == second
 
 
 def test_simulate_artifacts_content(tmp_path):
@@ -214,6 +199,9 @@ def test_sweep_artifacts_and_check_pass(tmp_path, sweep_doc):
     lines = (rundir / "report.csv").read_text().splitlines()
     assert lines[0].startswith("# httq v")
     assert lines[1] == "n,statistic,replication,value"
+    # per n: 3 gap statistics x 6 replications, plus 3 default KS checkpoints
+    assert len(lines) == 2 + 2 * (3 * 6 + 3)
+    assert all(float(line.split(",")[-1]) >= 0.0 for line in lines[2:])
 
 
 def test_sweep_check_failure_exits_3(tmp_path, sweep_doc, capsys):
@@ -302,6 +290,25 @@ def test_bad_workers_env(tmp_path, sweep_doc, monkeypatch):
     spec = write_spec(tmp_path, "sweep.json", sweep_doc)
     monkeypatch.setenv("HTTQ_WORKERS", "many")
     assert main(["sweep", spec, "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("flag,env", [(["--workers", "0"], None), ([], "0")],
+                         ids=["flag", "env"])
+def test_workers_below_one_rejected_before_compute(tmp_path, sweep_doc, monkeypatch,
+                                                   capsys, flag, env):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("convergence_sweep ran before the worker count was checked")
+
+    monkeypatch.setattr(httq.cli, "convergence_sweep", no_compute)
+    if env is None:
+        monkeypatch.delenv("HTTQ_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("HTTQ_WORKERS", env)
+    spec = write_spec(tmp_path, "sweep.json", sweep_doc)
+    out = tmp_path / "runs"
+    assert main(["sweep", spec, "--out", str(out), *flag]) == 2
+    assert "must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +442,9 @@ def test_maps_skorokhod(tmp_path):
     (rundir,) = run_dirs(out)
     lines = (rundir / "solution.csv").read_text().splitlines()
     assert lines[0].startswith("# httq v")
-    assert lines[2] == "t,x,ell"
-    xs = [float(r.split(",")[1]) for r in lines[3:]]
-    ells = [float(r.split(",")[2]) for r in lines[3:]]
+    assert lines[1] == "t,x,ell"
+    xs = [float(r.split(",")[1]) for r in lines[2:]]
+    ells = [float(r.split(",")[2]) for r in lines[2:]]
     assert min(xs) >= 0.0
     assert ells == sorted(ells) and ells[-1] > 0.9
     summary = json.loads((rundir / "solution_summary.json").read_text())
@@ -483,6 +490,64 @@ def test_maps_rejects_initial_guess(tmp_path, capsys):
     })
     assert main(["maps", spec, "--out", str(tmp_path / "runs")]) == 2
     assert "unknown keys in maps spec: initial_guess" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# reruns and schemas, every subcommand
+
+
+_RERUN_SPECS = {
+    "simulate": ({"config": mmn_dict(), "replications": 2, "seed": 4, "grid_step": 0.25},
+                 {"events_r0.csv", "events_r1.csv", "scaled_r0.csv", "scaled_r1.csv",
+                  "summary.json", "schema.json"}),
+    "limit": ({"case": "ii", "xi": -0.5, "beta": -1.0, "mu": 1.0,
+               "service": {"family": "exponential", "rate": 1.0},
+               "horizon": 2.0, "grid_step": 0.01, "reps": 2, "seed": 5},
+              {"limit.csv", "limit_summary.json", "schema.json"}),
+    "renewal": ({"service": {"family": "erlang", "shape": 2, "rate": 2.0},
+                 "horizon": 3.0, "step": 0.01},
+                {"renewal.csv", "summary.json", "schema.json"}),
+    "sweep": ({"config": mmn_dict(n=4, horizon=1.5, alpha=0.5, xi=0.5),
+               "n_values": [4, 16], "replications": 4, "seed": 3},
+              {"report.csv", "report.json", "schema.json"}),
+    "compare": ({"config": mmn_dict(n=5, horizon=2.0), "seeds": 2, "replications": 1},
+                {"compare.json"}),
+    "maps": ({"map": "skorokhod_g",
+              "y": {"times": [0.0, 1.0, 2.0], "values": [0.0, -1.0, 0.5], "kind": "linear"},
+              "horizon": 2.0, "grid_step": 0.01},
+             {"solution.csv", "solution_summary.json", "schema.json"}),
+}
+
+
+def schema_entry(entries: dict, name: str):
+    """The entry whose key matches `name`, reading `<k>` as an integer."""
+    for key, entry in entries.items():
+        if re.fullmatch(re.escape(key).replace("<k>", r"\d+"), name):
+            return entry
+    return None
+
+
+@pytest.mark.parametrize("command", list(_RERUN_SPECS))
+def test_rerun_is_byte_identical(tmp_path, command):
+    doc, files = _RERUN_SPECS[command]
+    spec = write_spec(tmp_path, f"{command}.json", {"command": command, **doc})
+    argv = [command, spec, "--out", str(tmp_path / "runs"), "--workers", "1"]
+    assert main(argv) == 0
+    (rundir,) = run_dirs(tmp_path / "runs")
+    first = {p.name: p.read_bytes() for p in sorted(rundir.iterdir())}
+    assert set(first) == files
+    assert main(argv) == 0
+    second = {p.name: p.read_bytes() for p in sorted(rundir.iterdir())}
+    assert first == second
+    # every CSV column is documented in the run's own schema.json
+    csvs = [name for name in first if name.endswith(".csv")]
+    schema = json.loads(first["schema.json"])["files"] if csvs else {}
+    for name in csvs:
+        entry = schema_entry(schema, name)
+        assert entry is not None, f"{name} has no schema.json entry"
+        for column in first[name].decode().splitlines()[1].split(","):
+            assert schema_entry(entry, column) is not None, \
+                f"{name} column {column!r} is not in schema.json"
 
 
 # ---------------------------------------------------------------------------

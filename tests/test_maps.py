@@ -489,7 +489,7 @@ def test_phi_mg_input_validation():
 # problem container and serialization
 
 
-def test_mapping_problem_dispatch(tmp_path):
+def test_mapping_problem_dispatch():
     T, h = 1.0, 1e-2
     g = _grid(T, h)
     M = _exp_table(1.0, T)
@@ -504,13 +504,6 @@ def test_mapping_problem_dispatch(tmp_path):
     prob_sk = MappingProblem(variant="skorokhod_g", y=y, grid=g, g=None)
     sol = prob_sk.solve()
     assert sol.ell is not None
-
-    out = tmp_path / "sol.csv"
-    sol.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("# variant=skorokhod_g")
-    assert lines[1] == "t,x,ell"
-    assert len(lines) == 2 + g.size
 
     with pytest.raises(ValueError, match="unknown variant"):
         MappingProblem(variant="newton", y=y, grid=g).solve()

@@ -135,13 +135,3 @@ def test_equilibrium_sampler_matches_cdf(H):
     emp = np.arange(1, xs.size + 1) / xs.size
     d = np.max(np.abs(np.asarray(he.cdf(xs)) - emp))
     assert d <= 0.01
-
-
-def test_renewal_csv(tmp_path):
-    tab = compute_renewal_function(DistributionSpec.exponential(1.0), horizon=1.0)
-    out = tmp_path / "renewal.csv"
-    tab.to_csv(out, header="# test artifact")
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# test artifact"
-    assert lines[1] == "t,M"
-    assert len(lines) == 2 + tab.times.size

@@ -146,17 +146,3 @@ def test_grid_beyond_horizon_rejected():
     rec = simulate(overloaded_config(horizon=5.0), seed=1)
     with pytest.raises(ValueError, match="beyond"):
         scale(rec, grid=np.linspace(0.0, 6.0, 10))
-
-
-def test_to_csv_densified(tmp_path):
-    rec = simulate(overloaded_config(horizon=5.0), seed=1)
-    b = scale(rec)
-    out = tmp_path / "x.csv"
-    b.X.to_csv(out, header="# scaled head count", step=1.25)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# scaled head count"
-    assert lines[1] == "t,value"
-    assert len(lines) == 2 + 5
-    t2, v2 = lines[3].split(",")
-    assert float(t2) == 1.25
-    assert float(v2) == b.X(1.25)

@@ -28,6 +28,8 @@ from oracles import (
     heap_simulate,
     lindley_waits,
     mmn_abandonment_ctmc,
+    path_integral,
+    path_min_value,
     replay_offered_waits,
     replay_virtual_wait_path,
 )
@@ -182,7 +184,7 @@ def test_work_conservation():
     for cid in np.flatnonzero(waited):
         a, e = rec.arrival_times[cid], rec.entry_times[cid]
         if e - a > 1e-9:
-            assert rec.X.min_value(a, e) >= servers
+            assert path_min_value(rec.X, a, e) >= servers
             checked += 1
     assert checked > 20
 
@@ -333,7 +335,7 @@ def test_virtual_wait_little_law_mm1():
     ok = ~np.isnan(vals)
     assert truncated < 20
     mean_wait = vals[ok].mean()
-    mean_q = rec.Q.integral(100.0, 19900.0) / 19800.0
+    mean_q = path_integral(rec.Q, 100.0, 19900.0) / 19800.0
     lam = cfg.lambda_n
     # lambda E[V] = E[(X-1)^+] = rho^2/(1-rho) = 3.2 at rho = 0.8
     assert abs(lam * mean_wait - mean_q) <= 0.10 * mean_q

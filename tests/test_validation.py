@@ -247,23 +247,15 @@ def test_sweep_degenerate_is_flat():
     assert report.replications == 8 and report.seed == 1
 
 
-def test_sweep_report_serialization(tmp_path):
+def test_sweep_report_serialization():
     cfg = mmn_config(64, alpha=0.5, horizon=2.0, xi=0.5)
     report = convergence_sweep(cfg, [16, 64], replications=6, seed=2)
-    jpath, cpath = tmp_path / "report.json", tmp_path / "report.csv"
-    report.to_json(jpath)
-    report.to_csv(cpath)
-    doc = json.loads(jpath.read_text())
+    doc = json.loads(json.dumps(report.as_dict()))
     assert doc["n_values"] == [16, 64]
     assert doc["replications"] == 6
     assert doc["seed"] == 2
     assert "coupling_gap" in doc["summaries"]
     assert set(doc["ks"]) == {"16", "64"}
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0] == "n,statistic,replication,value"
-    assert len(lines) == 1 + 2 * (3 * 6 + 3)
-    values = [float(line.split(",")[-1]) for line in lines[1:]]
-    assert all(v >= 0.0 for v in values)
 
 
 def test_sweep_gap_trends_mmn():
