@@ -105,8 +105,6 @@ def _outdir(args, spec_hash: str) -> Path:
 
 def _workers(args) -> int:
     if args.workers is not None:
-        if args.workers < 1:
-            raise CliError(f"--workers must be >= 1, got {args.workers}")
         return args.workers
     env = os.environ.get("HTTQ_WORKERS")
     if env is not None:
@@ -248,7 +246,6 @@ def _cmd_simulate(args) -> int:
             "abandoned": int(np.count_nonzero(out == OUTCOME_ABANDONED)),
             "waiting_at_horizon": int(np.count_nonzero(out == OUTCOME_WAITING)),
             "in_service_at_horizon": int(np.count_nonzero(out == OUTCOME_IN_SERVICE)),
-            "truncated_virtual_waits": int(bundle.omega_truncated),
             "balance_gap": float(record.balance_gap()),
             "final_head_count": int(record.X(T)),
         })
@@ -268,7 +265,7 @@ def _cmd_simulate(args) -> int:
             "S": "centered scaled service completions",
             "G": "abandonments/sqrt(n)",
             "G_hat": "G minus the abandonment compensator",
-            "omega": "sqrt(n) * virtual wait (nan = ran past horizon)",
+            "omega": "sqrt(n) * virtual wait",
         },
     })
     print(f"simulate: {reps} replication(s), artifacts in {outdir}")
@@ -669,13 +666,9 @@ def _cmd_maps(args) -> int:
         "diagnostics": {k: float(v) for k, v in sol.diagnostics.items()
                         if np.isscalar(v)},
     })
-    _write_schema(outdir, meta, {
-        "solution.csv": {
-            "t": "grid time",
-            "x": "constrained path",
-            "ell": "regulator (only for maps that produce one)",
-        },
-    })
+    described = {"t": "grid time", "x": "constrained path",
+                 "ell": "regulator (only for maps that produce one)"}
+    _write_schema(outdir, meta, {"solution.csv": {c: described[c] for c in columns}})
     print(f"maps: {variant} solved, residual {sol.residual:.3e}, artifacts in {outdir}")
     return EXIT_OK
 
@@ -736,6 +729,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers is not None and args.workers < 1:
+            raise CliError(f"--workers must be >= 1, got {args.workers}")
         return _COMMANDS[args.command](args)
     except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -7,7 +7,7 @@ With N_n servers, arrival rate lambda_n and service rate mu_n:
     Et(t) = (E(t) - lambda_n t) / sqrt(n)   centered arrivals
     St(t) = (S(t) - mu_n int_0^t (X ^ N_n) ds) / sqrt(n)
     Gt(t) = G(t) / sqrt(n)                  scaled abandonment count
-    wt(t) = sqrt(n) w(t)                    scaled virtual wait
+    wt(t) = sqrt(n) w(t)                    scaled virtual wait (exact past T)
     Gh(t) = Gt(t) - mu int_0^t f(Qt(s)/mu) ds
 
 Xt, Qt and Gt are exact step paths on the event breakpoints.  Et, St and
@@ -49,8 +49,8 @@ class ScaledBundle:
 
     X, Q, G and the compensator live on the event breakpoints of the
     record (horizon = record horizon); E, S and G_hat live on `grid`.
-    `omega` is an array of scaled virtual waits on `grid`, NaN where the
-    wait ends beyond the horizon; `omega_truncated` counts those.
+    `omega` is an array of scaled virtual waits on `grid`, exact even where
+    the wait ends beyond the horizon.
     """
 
     n: int
@@ -64,7 +64,6 @@ class ScaledBundle:
     G_hat: CadlagPath
     compensator: CadlagPath
     omega: np.ndarray
-    omega_truncated: int
     replication: int = 0
 
 
@@ -108,10 +107,9 @@ def scale(record: SimRecord, config: SystemConfig | None = None,
     gh_vals = g_t.sampled(grid) - comp.sampled(grid)
     g_hat = linear_path(grid, gh_vals, float(grid[-1]))
 
-    waits, truncated = virtual_wait_path(record, grid)
     return ScaledBundle(
         n=n, mu=config.mu, grid=grid,
         X=x_t, Q=q_t, E=e_t, S=s_t, G=g_t, G_hat=g_hat,
-        compensator=comp, omega=sqn * waits, omega_truncated=truncated,
+        compensator=comp, omega=sqn * virtual_wait_path(record, grid),
         replication=record.replication,
     )

@@ -14,7 +14,8 @@ and enters service iff start_i <= a_i + g_i + TIE_WINDOW, which replaces
 min V by start_i + s_i; otherwise it abandons at a_i + g_i and touches no
 server.  No time is discretized, and the system is work-conserving by
 construction.  The record keeps min V as each customer saw it, so offered
-and virtual waits are read off the recursion itself.
+and virtual waits are read off the recursion itself, exactly, even where
+they end after the horizon.
 
 Tie rules, with TIE_WINDOW = 1e-12 in absolute time:
 
@@ -206,8 +207,9 @@ class SimRecord:
     Per-customer times are NaN where the corresponding event never happened
     within the horizon.  ``server_free[i]`` is the earliest epoch at which a
     server falls free as seen by queue-eligible customer ``n_initial_service
-    + i`` (-inf while a server idles); its last entry is the one a customer
-    behind the last would see.  Offered and virtual waits are read off it.
+    + i`` (-inf while a server idles), exact even when it lies beyond the
+    horizon; its last entry is the one a customer behind the last would see.
+    Offered and virtual waits are read off it.
     """
 
     config: SystemConfig
@@ -456,41 +458,33 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
 # waiting times read off the recorded server-free epochs
 
 
-def virtual_wait(record: SimRecord, t: float) -> float | None:
+def virtual_wait(record: SimRecord, t: float) -> float:
     """Wait of a hypothetical infinitely patient arrival at time t.
 
     The hypothetical customer queues behind every customer who arrived by
     t and enters service at the first server-free epoch it sees, or at t
-    when a server is free.  Returns None when that entry lies beyond the
-    horizon.
+    when a server is free.  That epoch is exact even when it lies beyond
+    the horizon.
     """
-    vals = virtual_wait_path(record, np.asarray([float(t)]))[0]
-    return None if math.isnan(vals[0]) else float(vals[0])
+    return float(virtual_wait_path(record, np.asarray([float(t)]))[0])
 
 
-def virtual_wait_path(record: SimRecord, grid) -> tuple[np.ndarray, int]:
-    """Vectorized virtual waits on a grid; NaN marks truncated queries.
-
-    Returns (values, truncated_count).
-    """
+def virtual_wait_path(record: SimRecord, grid) -> np.ndarray:
+    """Vectorized virtual waits on a grid within [0, horizon]."""
     grid = np.asarray(grid, dtype=float)
-    T = record.config.horizon
-    if grid.size and (grid.min() < 0 or grid.max() > T):
+    if grid.size and (grid.min() < 0 or grid.max() > record.config.horizon):
         raise ValueError("grid must lie within [0, horizon]")
     ahead = np.searchsorted(record.arrival_times[record.n_initial_service:], grid, side="right")
-    waits = _until(np.maximum(record.server_free[ahead], grid), T) - grid
-    return waits, int(np.count_nonzero(np.isnan(waits)))
+    return np.maximum(record.server_free[ahead], grid) - grid
 
 
-def offered_waits(record: SimRecord) -> tuple[np.ndarray, int]:
+def offered_waits(record: SimRecord) -> np.ndarray:
     """Offered wait per queue-eligible customer (initial queued + arrivals).
 
     The wait from arrival to the first server-free epoch the customer sees:
     the recorded wait for those who entered service, and the wait they
-    would have faced had they stayed for those who abandoned.  NaN marks
-    waits ending beyond the horizon; the truncated count is returned
-    alongside.
+    would have faced had they stayed for those who abandoned.  Waits that
+    end beyond the horizon are exact too.
     """
     a = record.arrival_times[record.n_initial_service:]
-    waits = _until(np.maximum(a, record.server_free[:-1]), record.config.horizon) - a
-    return waits, int(np.count_nonzero(np.isnan(waits)))
+    return np.maximum(a, record.server_free[:-1]) - a

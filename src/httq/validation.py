@@ -6,6 +6,9 @@ Three nonnegative path statistics are tracked per replication:
     little_gap    sup_t |mu wt(t) - Qt(t)|      (over the sampling grid)
     neg_part_sup  sup_t (Xt(t))^-
 
+Each reads only the scaled bundle.  The virtual waits are exact even where
+they end beyond the horizon, so little_gap takes every grid point.
+
 All three should shrink as n grows whenever the modeling assumptions
 hold; `convergence_sweep` runs the n-sweep that turns "vanishes in the
 limit" into a measurable decreasing trend, and compares the simulated
@@ -30,7 +33,7 @@ import numpy as np
 from .limits import sample_case_i_paths, sample_case_ii_paths
 from .paths import uniform_grid
 from .renewal import compute_renewal_function
-from .scaling import ScaledBundle, abandonment_compensator, scale
+from .scaling import ScaledBundle, scale
 from .simulator import SystemConfig, simulate
 
 __all__ = [
@@ -51,23 +54,16 @@ __all__ = [
 
 GAP_NAMES = ("coupling_gap", "little_gap", "neg_part_sup")
 
-_USE_BUNDLE = object()
-
 
 @dataclass(frozen=True)
 class GapStatistic:
-    """One nonnegative sup-statistic from one scaled replication.
-
-    `excluded` counts grid points dropped from the sup (virtual waits
-    that end beyond the horizon); it is zero for the other names.
-    """
+    """One nonnegative sup-statistic from one scaled replication."""
 
     name: str
     value: float
     n: int
     horizon: float
     replication: int
-    excluded: int = 0
 
     def __post_init__(self):
         if self.name not in GAP_NAMES:
@@ -76,19 +72,14 @@ class GapStatistic:
             raise ValueError(f"{self.name} must be finite and >= 0, got {self.value}")
 
 
-def coupling_gap(bundle: ScaledBundle, f=_USE_BUNDLE, mu: float | None = None) -> GapStatistic:
+def coupling_gap(bundle: ScaledBundle) -> GapStatistic:
     """Exact sup of |Gt - compensator| over the union of breakpoints.
 
-    By default the bundle's own compensator is reused; pass `f` (a limit
-    abandonment-rate function, or None for f = 0) to recompute it.  Gt is
-    a step path and the compensator is piecewise linear, so the sup over
-    each segment is attained at a breakpoint or a pre-jump left limit.
+    Gt is a step path and the bundle's compensator is piecewise linear, so
+    the sup over each segment is attained at a breakpoint or a pre-jump
+    left limit.
     """
-    mu = bundle.mu if mu is None else float(mu)
-    if f is _USE_BUNDLE:
-        comp = bundle.compensator
-    else:
-        comp = abandonment_compensator(bundle.Q, f, mu)
+    comp = bundle.compensator
     g = bundle.G
     ts = np.union1d(g.times, comp.times)
     c = comp.sampled(ts)
@@ -98,20 +89,14 @@ def coupling_gap(bundle: ScaledBundle, f=_USE_BUNDLE, mu: float | None = None) -
     return GapStatistic("coupling_gap", value, bundle.n, g.horizon, bundle.replication)
 
 
-def little_gap(bundle: ScaledBundle, mu: float | None = None) -> GapStatistic:
+def little_gap(bundle: ScaledBundle) -> GapStatistic:
     """sup over the sampling grid of |mu wt - Qt|.
 
-    Grid-sup, hence a lower bound on the true sup.  Truncated virtual
-    waits (NaN entries) are excluded and counted in `excluded`.
+    Grid-sup, hence a lower bound on the true sup.
     """
-    mu = bundle.mu if mu is None else float(mu)
-    q = bundle.Q.sampled(bundle.grid)
-    w = bundle.omega
-    mask = np.isfinite(w)
-    excluded = int(np.count_nonzero(~mask))
-    value = float(np.max(np.abs(mu * w[mask] - q[mask]))) if mask.any() else 0.0
-    return GapStatistic("little_gap", value, bundle.n, bundle.X.horizon,
-                        bundle.replication, excluded=excluded)
+    gap = np.abs(bundle.mu * bundle.omega - bundle.Q.sampled(bundle.grid))
+    return GapStatistic("little_gap", float(gap.max()), bundle.n, bundle.X.horizon,
+                        bundle.replication)
 
 
 def neg_part_sup(bundle: ScaledBundle) -> GapStatistic:
@@ -223,7 +208,6 @@ class ConvergenceReport:
     summaries: dict
     ks: dict
     verdicts: dict
-    excluded: dict
 
     def as_dict(self) -> dict:
         return {
@@ -242,7 +226,6 @@ class ConvergenceReport:
                 for n, per_t in self.ks.items()
             },
             "verdicts": dict(self.verdicts),
-            "excluded": {str(n): v for n, v in self.excluded.items()},
         }
 
 
@@ -261,7 +244,7 @@ def _replication_job(args):
     l = little_gap(bundle)
     g = neg_part_sup(bundle)
     marg = np.atleast_1d(bundle.X.sampled(np.asarray(checkpoints, dtype=float)))
-    return c.value, l.value, l.excluded, g.value, marg
+    return c.value, l.value, g.value, marg
 
 
 def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int,
@@ -354,7 +337,6 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
         out = [_replication_job(j) for j in jobs]
 
     gaps = {name: {} for name in GAP_NAMES}
-    excluded = {}
     ks = {}
     pos = 0
     for n in unique_n:
@@ -362,9 +344,8 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
         pos += replications
         gaps["coupling_gap"][n] = np.array([r[0] for r in rows])
         gaps["little_gap"][n] = np.array([r[1] for r in rows])
-        excluded[n] = int(sum(r[2] for r in rows))
-        gaps["neg_part_sup"][n] = np.array([r[3] for r in rows])
-        marg = np.vstack([r[4] for r in rows])
+        gaps["neg_part_sup"][n] = np.array([r[2] for r in rows])
+        marg = np.vstack([r[3] for r in rows])
         ks[n] = {t: ks_two_sample(marg[:, k], lim_marg[:, k])
                  for k, t in enumerate(checkpoints)}
 
@@ -396,5 +377,4 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
         n_values=n_values, replications=replications, seed=seed,
         checkpoints=checkpoints, config=cfg_doc, limit_case=case,
         gaps=gaps, summaries=summaries, ks=ks, verdicts=verdicts,
-        excluded=excluded,
     )

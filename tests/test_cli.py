@@ -480,6 +480,11 @@ def test_maps_phi_mg_brownian_input(tmp_path):
     summary = json.loads((rundir / "solution_summary.json").read_text())
     assert summary["residual"] < 1e-8
     assert summary["iterations"] >= 1
+    # phi_Mg has no regulator, so neither the header nor the schema has ell
+    schema = json.loads((rundir / "schema.json").read_text())
+    header = (rundir / "solution.csv").read_text().splitlines()[1]
+    assert header == "t,x"
+    assert sorted(schema["files"]["solution.csv"]) == ["t", "x"]
 
 
 def test_maps_rejects_initial_guess(tmp_path, capsys):
@@ -519,12 +524,14 @@ _RERUN_SPECS = {
 }
 
 
+def key_matches(key: str, name: str) -> bool:
+    """Whether a schema key names `name`, reading `<k>` as an integer."""
+    return re.fullmatch(re.escape(key).replace("<k>", r"\d+"), name) is not None
+
+
 def schema_entry(entries: dict, name: str):
-    """The entry whose key matches `name`, reading `<k>` as an integer."""
-    for key, entry in entries.items():
-        if re.fullmatch(re.escape(key).replace("<k>", r"\d+"), name):
-            return entry
-    return None
+    """The entry whose key matches `name`."""
+    return next((entry for key, entry in entries.items() if key_matches(key, name)), None)
 
 
 @pytest.mark.parametrize("command", list(_RERUN_SPECS))
@@ -539,15 +546,30 @@ def test_rerun_is_byte_identical(tmp_path, command):
     assert main(argv) == 0
     second = {p.name: p.read_bytes() for p in sorted(rundir.iterdir())}
     assert first == second
-    # every CSV column is documented in the run's own schema.json
+    # every CSV column is documented in the run's own schema.json, and every
+    # column the schema documents for a written CSV is in its header
     csvs = [name for name in first if name.endswith(".csv")]
     schema = json.loads(first["schema.json"])["files"] if csvs else {}
     for name in csvs:
         entry = schema_entry(schema, name)
         assert entry is not None, f"{name} has no schema.json entry"
-        for column in first[name].decode().splitlines()[1].split(","):
+        header = first[name].decode().splitlines()[1].split(",")
+        for column in header:
             assert schema_entry(entry, column) is not None, \
                 f"{name} column {column!r} is not in schema.json"
+        for key in entry:
+            assert any(key_matches(key, column) for column in header), \
+                f"schema.json documents {key!r}, which is not a {name} column"
+
+
+@pytest.mark.parametrize("command", ["limit", "renewal", "compare", "maps"])
+def test_workers_below_one_rejected_everywhere(tmp_path, capsys, command):
+    doc, _ = _RERUN_SPECS[command]
+    spec = write_spec(tmp_path, f"{command}.json", {"command": command, **doc})
+    out = tmp_path / "runs"
+    assert main([command, spec, "--out", str(out), "--workers", "0"]) == 2
+    assert "must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

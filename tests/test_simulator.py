@@ -1,5 +1,6 @@
 """Event-simulator checks: hand oracles, identities, and coupling contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -79,9 +80,7 @@ def test_empty_system_stays_empty():
 
 def test_dd1_underloaded_no_waits():
     rec = simulate(dd1_config(0.6, horizon=10.5), seed=3)
-    waits, truncated = offered_waits(rec)
-    assert truncated == 0
-    np.testing.assert_allclose(waits, 0.0, atol=1e-9)
+    np.testing.assert_allclose(offered_waits(rec), 0.0, atol=1e-9)
     served = np.isin(rec.outcomes, [OUTCOME_SERVED, OUTCOME_IN_SERVICE])
     assert np.all(served)
     assert rec.G(10.5) == 0
@@ -89,12 +88,11 @@ def test_dd1_underloaded_no_waits():
 
 def test_dd1_overloaded_matches_lindley():
     rec = simulate(dd1_config(1.4, horizon=20.0), seed=3)
-    waits, _ = offered_waits(rec)
+    waits = offered_waits(rec)
     k = rec.customers
-    oracle = lindley_waits(np.ones(k), np.full(k, 1.4))
-    got = waits[~np.isnan(waits)]
-    np.testing.assert_allclose(got, oracle[: got.size], atol=1e-9)
-    np.testing.assert_allclose(got, 0.4 * np.arange(got.size), atol=1e-9)
+    assert waits.size == k
+    np.testing.assert_allclose(waits, lindley_waits(np.ones(k), np.full(k, 1.4)), atol=1e-9)
+    np.testing.assert_allclose(waits, 0.4 * np.arange(k), atol=1e-9)
 
 
 def test_dd1_abandonment_hand_oracle():
@@ -103,10 +101,10 @@ def test_dd1_abandonment_hand_oracle():
                      patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(1.2)),
                      abandon=True)
     rec = simulate(cfg, seed=9)
-    waits, truncated = offered_waits(rec)
-    expected = [0.0, 2.5, 1.5, 0.5, 3.0, 2.0, 1.0, np.nan, np.nan, np.nan]
-    np.testing.assert_allclose(waits, expected, atol=1e-9, equal_nan=True)
-    assert truncated == 3
+    # customers 7, 8 and 9 queue behind customer 6, whose service ends at
+    # 11.5, past the horizon; their waits are exact all the same
+    expected = [0.0, 2.5, 1.5, 0.5, 3.0, 2.0, 1.0, 3.5, 2.5, 1.5]
+    np.testing.assert_allclose(offered_waits(rec), expected, atol=1e-9)
     out = rec.outcomes
     # customer 6 enters at t=8 (winning the exact tie against arrival 7)
     # and its 3.5 service runs past the horizon
@@ -130,8 +128,7 @@ def test_service_entry_wins_exact_tie():
                      abandon=True)
     rec = simulate(cfg, seed=4)
     assert rec.G(50.0) == 0
-    waits, _ = offered_waits(rec)
-    np.testing.assert_allclose(waits[~np.isnan(waits)], 0.0, atol=1e-9)
+    np.testing.assert_allclose(offered_waits(rec), 0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +309,49 @@ def test_virtual_wait_free_server_zero():
     assert virtual_wait(rec, 4.6) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_virtual_wait_truncation_flagged():
+def test_virtual_wait_exact_past_horizon():
+    # at t = 5.9 the wait ends after the horizon 6; the longer run sees the
+    # same customers ahead and so the same wait
     rec = simulate(dd1_config(1.4, horizon=6.0), seed=2)
-    assert virtual_wait(rec, 5.9) is None
-    vals, truncated = virtual_wait_path(rec, np.linspace(0, 6, 13))
-    assert truncated >= 1
-    assert np.isnan(vals[-1])
+    longer = simulate(dd1_config(1.4, horizon=12.0), seed=2)
+    assert 5.9 + virtual_wait(rec, 5.9) > 6.0
+    assert virtual_wait(rec, 5.9) == virtual_wait(longer, 5.9)
     with pytest.raises(ValueError, match="within"):
         virtual_wait_path(rec, np.array([7.0]))
+
+
+_PREFIX_CONFIGS = {
+    "dd1-overloaded": dd1_config(1.4, horizon=6.0),
+    "dd1-abandonment": dd1_config(
+        3.5, horizon=10.5,
+        patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(1.2)), abandon=True),
+    "mmn-queued-start": mmn_config(16, beta=1.0, horizon=3.0, xi=1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_PREFIX_CONFIGS))
+def test_waits_match_a_longer_run(name):
+    # arrival, service and patience draws are prefix-stable, so doubling the
+    # horizon keeps every customer who arrives by T and what each one sees
+    cfg = _PREFIX_CONFIGS[name]
+    T = cfg.horizon
+    rec = simulate(cfg, seed=2)
+    longer = simulate(dataclasses.replace(cfg, horizon=2 * T), seed=2)
+    grid = np.linspace(0.0, T, 97)
+    waits = virtual_wait_path(rec, grid)
+    offered = offered_waits(rec)
+    queued = rec.arrival_times[rec.n_initial_service:]
+    assert np.all(np.isfinite(waits)) and np.all(np.isfinite(offered))
+    np.testing.assert_array_equal(waits, virtual_wait_path(longer, grid))
+    np.testing.assert_array_equal(offered, offered_waits(longer)[: offered.size])
+    # the event-log replays of the longer record agree wherever they end by
+    # 2T, and some of those waits end after T
+    for got, start, (want, _) in ((waits, grid, replay_virtual_wait_path(longer, grid)),
+                                  (offered, queued, replay_offered_waits(longer))):
+        want = want[: got.size]
+        ok = np.isfinite(want)
+        assert np.any(ok & (start + got > T))
+        np.testing.assert_array_equal(got[ok], want[ok])
 
 
 def test_virtual_wait_little_law_mm1():
@@ -331,10 +363,9 @@ def test_virtual_wait_little_law_mm1():
     )
     rec = simulate(cfg, seed=40)
     grid = np.linspace(100.0, 19900.0, 4000)
-    vals, truncated = virtual_wait_path(rec, grid)
-    ok = ~np.isnan(vals)
-    assert truncated < 20
-    mean_wait = vals[ok].mean()
+    vals = virtual_wait_path(rec, grid)
+    assert np.all(np.isfinite(vals))
+    mean_wait = vals.mean()
     mean_q = path_integral(rec.Q, 100.0, 19900.0) / 19800.0
     lam = cfg.lambda_n
     # lambda E[V] = E[(X-1)^+] = rho^2/(1-rho) = 3.2 at rho = 0.8
@@ -356,10 +387,8 @@ def test_npz_round_trip(tmp_path):
     np.testing.assert_array_equal(back.X.values, rec.X.values)
     assert back.config == rec.config
     grid = np.linspace(0.0, 5.0, 65)
-    for got, want in ((offered_waits(back), offered_waits(rec)),
-                      (virtual_wait_path(back, grid), virtual_wait_path(rec, grid))):
-        np.testing.assert_array_equal(got[0], want[0])
-        assert got[1] == want[1]
+    np.testing.assert_array_equal(offered_waits(back), offered_waits(rec))
+    np.testing.assert_array_equal(virtual_wait_path(back, grid), virtual_wait_path(rec, grid))
 
 
 def test_npz_without_server_free_is_a_format_error(tmp_path):
@@ -519,12 +548,14 @@ def test_recursion_matches_event_heap(cfg, seed):
     new = simulate(cfg, seed=seed, replication=1)
     old = heap_simulate(cfg, seed=seed, replication=1)
     assert new.balance_gap() == 0.0 and old.balance_gap() == 0.0
-    # waits read off the recursion equal the event-log replays, NaNs included
+    # waits read off the recursion are finite, and equal the event-log
+    # replays wherever a replay ends within the horizon
     grid = np.linspace(0.0, cfg.horizon, 65)
-    for got, want in ((offered_waits(new), replay_offered_waits(new)),
-                      (virtual_wait_path(new, grid), replay_virtual_wait_path(new, grid))):
-        np.testing.assert_array_equal(got[0], want[0])
-        assert got[1] == want[1]
+    for got, (want, _) in ((offered_waits(new), replay_offered_waits(new)),
+                           (virtual_wait_path(new, grid), replay_virtual_wait_path(new, grid))):
+        assert np.all(np.isfinite(got))
+        ok = np.isfinite(want)
+        np.testing.assert_array_equal(got[ok], want[ok])
     lattice = "deterministic" in (cfg.arrival.base.family, cfg.effective_service().family)
     if not lattice:
         for name in _RECORD_ARRAYS:

@@ -82,7 +82,7 @@ def test_coupling_gap_single_jump_synthetic_bundle():
     bundle = ScaledBundle(
         n=4, mu=1.0, grid=grid, X=zero_step, Q=zero_step, E=zero_lin,
         S=zero_lin, G=step_path([0.0, 2.5], [0.0, 0.5], T), G_hat=zero_lin,
-        compensator=zero_lin, omega=np.zeros(grid.size), omega_truncated=0,
+        compensator=zero_lin, omega=np.zeros(grid.size),
         replication=7,
     )
     stat = coupling_gap(bundle)
@@ -108,7 +108,6 @@ def test_little_gap_empty_system():
     bundle = scale(simulate(cfg, seed=1))
     stat = little_gap(bundle)
     assert stat.value == 0.0
-    assert stat.excluded == 0
 
 
 def test_little_gap_underloaded_dd1_idle_grid():
@@ -120,14 +119,17 @@ def test_little_gap_underloaded_dd1_idle_grid():
     assert little_gap(bundle).value == 0.0
 
 
-def test_little_gap_counts_truncated_points():
-    # overloaded deterministic queue: near the horizon the virtual-wait
-    # replay runs off the record and the point is excluded, not used
+def test_little_gap_overloaded_uses_every_point():
+    # overloaded deterministic queue: near the horizon the virtual waits end
+    # beyond it, and they still enter the sup as exact values
     cfg = dd1_config(1.4, horizon=12.0)
     bundle = scale(simulate(cfg, seed=3))
+    assert np.all(np.isfinite(bundle.omega))
+    assert np.any(bundle.grid + bundle.omega > 12.0)
     stat = little_gap(bundle)
-    assert stat.excluded == bundle.omega_truncated > 0
-    assert math.isfinite(stat.value) and stat.value >= 0.0
+    q = bundle.Q.sampled(bundle.grid)
+    assert stat.value == np.max(np.abs(bundle.mu * bundle.omega - q))
+    assert math.isfinite(stat.value) and stat.value > 0.0
 
 
 def test_neg_part_sup_tracks_negative_start():
@@ -271,7 +273,6 @@ def test_sweep_gap_trends_mmn():
             vals = report.gaps[name][n]
             assert vals.shape == (50,)
             assert np.all(vals >= 0.0) and np.all(np.isfinite(vals))
-    assert report.excluded[25] >= 0
 
 
 def test_sweep_input_validation():
