@@ -125,6 +125,8 @@ def _workers(args) -> int:
 
 
 def _cell(v) -> str:
+    if type(v) is float:
+        return repr(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):
@@ -328,7 +330,7 @@ def _cmd_limit(args) -> int:
                 "closure": None if closure is None else float(closure[r]),
                 "jitter": float(ns.jitter)} for r, ns in enumerate(noise)]
     _write_csv(outdir / "limit.csv", meta, ("t", *(f"x_r{r}" for r in range(reps))),
-               zip(grid, *X))
+               np.column_stack([grid, *X]).tolist())
     _write_json(outdir / "limit_summary.json", meta,
                 {"spec": resolved, "per_replication": summary})
     _write_schema(outdir, meta, {

@@ -41,7 +41,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .distributions import DistributionSpec
 from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this name)
@@ -200,12 +199,10 @@ class ServiceCovariance:
         err = None
         for jit in JITTERS:
             try:
-                L = scipy.linalg.cholesky(
-                    sub + jit * np.eye(sub.shape[0]), lower=True
-                ) if sub.size else sub
+                L = np.linalg.cholesky(sub + jit * np.eye(sub.shape[0])) if sub.size else sub
                 self._cholesky_cache.put(key, (L, jit))
                 return L, jit
-            except scipy.linalg.LinAlgError as exc:
+            except np.linalg.LinAlgError as exc:
                 err = exc
         raise RuntimeError(
             f"covariance factorization failed even at jitter {JITTERS[-1]:g}: {err}"

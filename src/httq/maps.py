@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .paths import CadlagPath, linear_path
 from .renewal import RenewalTable
@@ -167,7 +167,8 @@ def _stieltjes_matrix(w: np.ndarray) -> np.ndarray:
     int z(t-s) dM(s) on the grid, with w_j = M(t_j) - M(t_{j-1}).
     """
     col = np.concatenate(([1.0], w))
-    return scipy.linalg.toeplitz(col, np.zeros_like(col))
+    # window k of [0]*m + col is row k reversed: (col_k, ..., col_0) after m - k zeros
+    return sliding_window_view(np.concatenate((np.zeros(w.size), col)), col.size)[:, ::-1].copy()
 
 
 def _phi_m_convolutions(X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,15 +185,18 @@ def _phi_m_convolutions(X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.nd
     return right, left
 
 
-def _phi_m_gain(A: np.ndarray) -> float:
+def _phi_m_gain(w: np.ndarray) -> float:
     """Worst-case amplification of the discrete phi_M scheme.
 
     d_k = 1 + sum_j w_j d_{k-j} is the discrete renewal series; a sup-norm
-    perturbation of y grows by at most d_m through the forward solve.  In
-    matrix form (2I - A) d = 1, one unit-diagonal triangular solve.
+    perturbation of y grows by at most d_m through the forward solve.  The
+    recursion is the forward substitution of (2I - A) d = 1.
     """
-    d = scipy.linalg.solve_triangular(-A, np.ones(A.shape[0]), lower=True,
-                                      unit_diagonal=True, check_finite=False)
+    m = w.size
+    wrev = w[::-1].copy()  # contiguous, so each dot takes numpy's fast path
+    d = np.ones(m + 1)
+    for k in range(1, m + 1):
+        d[k] = 1.0 + wrev[m - k:].dot(d[:k])
     return float(d[-1])
 
 
@@ -304,7 +308,7 @@ def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
     diag = {"lambda_g": lam_g, "closure": closure}
     if defects:
         A = _stieltjes_matrix(w)
-        lam_m = _phi_m_gain(A)
+        lam_m = _phi_m_gain(w)
         right, left = _phi_m_convolutions(X, A)
         quad = X - Y - 0.5 * (right + left) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
         diag.update(lambda_M=lam_m, quadrature_defect=np.max(np.abs(quad), axis=1),
@@ -415,7 +419,7 @@ def solve_phi_M(y, M: RenewalTable, grid) -> MappingSolution:
     right, left = _phi_m_convolutions(X, A)
     defect = X - Y - 0.5 * (right + left)
     return _solution("phi_M", t, X, None, {"residual": float(np.max(np.abs(defect))),
-                                           "lambda_M": _phi_m_gain(A)}, "residual")
+                                           "lambda_M": _phi_m_gain(w)}, "residual")
 
 
 def solve_phi_Mg(y, M: RenewalTable, g: Callable | None, grid, tol: float = 1e-10,

@@ -72,8 +72,10 @@ def scale(record: SimRecord, config: SystemConfig | None = None,
     """Scale a simulation record onto diffusion coordinates.
 
     `config` defaults to the record's own; `grid` defaults to 200 uniform
-    steps over the record horizon and must lie within [0, horizon], the
-    rule `virtual_wait_path` applies.
+    steps over the record horizon.  A grid must be a non-empty 1-d array
+    within [0, horizon] (the rule `virtual_wait_path` applies) that starts
+    at 0 and strictly increases; any other grid is rejected before any
+    path is built.
     """
     if config is None:
         config = record.config
@@ -81,8 +83,12 @@ def scale(record: SimRecord, config: SystemConfig | None = None,
     if grid is None:
         grid = uniform_grid(horizon, horizon / 200.0)
     grid = np.asarray(grid, dtype=float)
-    if grid.size and (grid.min() < 0 or grid.max() > horizon):
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"grid must be a non-empty 1-d array, got shape {grid.shape}")
+    if grid.min() < 0 or grid.max() > horizon:
         raise ValueError("grid extends beyond the record's [0, horizon]")
+    if grid[0] != 0.0 or not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must start at 0 and strictly increase")
 
     n = config.n
     sqn = math.sqrt(n)

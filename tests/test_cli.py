@@ -1,15 +1,17 @@
 """CLI contract: spec files, hashes, headers, determinism, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import httq.cli
-from httq.cli import _limit_f_from, _workers, main
+from httq.cli import _limit_f_from, _workers, _write_csv, main
 from httq.distributions import DistributionSpec
 from httq.paths import uniform_grid
 from httq.renewal import compute_renewal_function
@@ -573,7 +575,27 @@ def test_workers_below_one_rejected_everywhere(tmp_path, capsys, command):
 
 
 # ---------------------------------------------------------------------------
-# process-level smoke test
+# artifact writer
+
+
+def test_write_csv_cell_text(tmp_path):
+    meta = {"version": "0", "spec_hash": "abc", "seed": 1}
+    row = ["s", 3, np.int64(-7), np.float64(0.1), 1.0 / 3.0, float("nan"),
+           float("inf"), -float("inf"), -0.0, np.float64(-0.0), 1e-300]
+    _write_csv(tmp_path / "a.csv", meta, [f"c{k}" for k in range(len(row))], [row])
+    assert (tmp_path / "a.csv").read_text().splitlines()[2] == \
+        "s,3,-7,0.1,0.3333333333333333,nan,inf,-inf,-0.0,-0.0,1e-300"
+    # httq limit passes plain-float rows; they write the bytes numpy scalars do
+    grid = uniform_grid(1.0, 0.125)
+    X = np.random.default_rng(0).standard_normal((3, grid.size))
+    X[0, 1], X[1, 2], X[2, 3] = -0.0, np.inf, np.nan
+    _write_csv(tmp_path / "b.csv", meta, "tabcd", zip(grid, *X))
+    _write_csv(tmp_path / "c.csv", meta, "tabcd", np.column_stack([grid, *X]).tolist())
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# process-level smoke tests
 
 
 def test_module_entry_point(tmp_path):
@@ -584,3 +606,40 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "artifacts in" in proc.stdout
+
+
+_SCIPY_GUARD = """
+import json, sys
+import httq, httq.cli
+specs, out = json.loads(sys.argv[1]), sys.argv[2]
+for k, (command, doc) in enumerate(specs):
+    path = f"{out}/spec{k}.json"
+    with open(path, "w") as fh:
+        json.dump({"command": command, **doc}, fh)
+    assert httq.cli.main([command, path, "--out", f"{out}/runs{k}", "--workers", "1"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    """httq runs on numpy and the standard library: importing it and running
+    the limit, sweep (both regimes) and renewal subcommands loads no scipy
+    module, in a fresh interpreter."""
+    specs = [
+        ("limit", {"case": "ii", "xi": -0.5, "beta": -1.0, "mu": 1.0, "patience": _LINEAR_PATIENCE,
+                   "service": {"family": "erlang", "shape": 2, "rate": 2.0},
+                   "horizon": 2.0, "grid_step": 0.01, "reps": 2, "seed": 5}),
+        ("sweep", {"config": mmn_dict(n=4, horizon=1.5, alpha=1.0), "n_values": [4, 16],
+                   "replications": 2, "seed": 3}),
+        ("sweep", {"config": mmn_dict(n=4, horizon=1.5, alpha=0.5, xi=0.5),
+                   "n_values": [4, 16], "replications": 2, "seed": 3}),
+        ("renewal", {"service": {"family": "lognormal", "mu": -0.32, "sigma": 0.8},
+                     "horizon": 2.0, "step": 0.01}),
+    ]
+    src = str(Path(httq.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, json.dumps(specs), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import httq.scaling
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.paths import step_path, uniform_grid
 from httq.patience import PatienceSpec
@@ -144,3 +145,23 @@ def test_grid_beyond_horizon_rejected():
     rec = simulate(overloaded_config(horizon=5.0), seed=1)
     with pytest.raises(ValueError, match="beyond"):
         scale(rec, grid=np.linspace(0.0, 6.0, 10))
+
+
+@pytest.mark.parametrize("bad,match", [
+    ([], "non-empty 1-d"),
+    ([[0.0, 1.0]], "non-empty 1-d"),
+    ([0.5, 1.0], "start at 0"),
+    ([0.0, 2.0, 1.0], "strictly increase"),
+    ([0.0, 1.0, 1.0], "strictly increase"),
+    ([0.0, np.nan], "strictly increase"),
+])
+def test_bad_grid_rejected_before_any_path(monkeypatch, bad, match):
+    rec = simulate(overloaded_config(horizon=5.0), seed=1)
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was built before the grid was checked")
+
+    monkeypatch.setattr(httq.scaling, "linear_path", no_paths)
+    monkeypatch.setattr(httq.scaling, "virtual_wait_path", no_paths)
+    with pytest.raises(ValueError, match=match):
+        scale(rec, grid=np.array(bad))
