@@ -29,15 +29,16 @@ __all__ = ["DistributionSpec", "ArrivalSpec"]
 _FAMILIES = ("exponential", "deterministic", "erlang", "hyperexponential", "lognormal", "uniform")
 
 
-def _erlang_cdf(k: int, y: np.ndarray) -> np.ndarray:
+def _erlang_cdf(k: int, y) -> np.ndarray:
     """P(Gamma(k, 1) <= y) = 1 - sum_{i<k} e^-y y^i / i!, the Poisson tail.
 
     The terms follow the ratio recurrence from e^-y, which keeps the sum
     within k ulps.  Where e^-y leaves the normal range (y > 700; only shapes
     of several hundred still have mass there) each term is taken from its
-    logarithm instead.
+    logarithm instead.  The result has the shape of `y`.
     """
-    y = np.minimum(y, 1e300)  # +inf would meet 0 * inf
+    shape = np.shape(y)
+    y = np.minimum(np.atleast_1d(y), 1e300)  # +inf would meet 0 * inf
     term = np.exp(-y)
     head = term.copy()
     for i in range(1, k):
@@ -47,7 +48,68 @@ def _erlang_cdf(k: int, y: np.ndarray) -> np.ndarray:
     if np.any(far):
         yf = y[far]
         head[far] = sum(np.exp(i * np.log(yf) - yf - math.lgamma(i + 1.0)) for i in range(k))
-    return np.clip(1.0 - head, 0.0, 1.0)
+    return np.clip(1.0 - head, 0.0, 1.0).reshape(shape)
+
+
+# W. J. Cody's rational Chebyshev approximations to the normal cdf (ACM TOMS
+# 715, 1993; the algorithm behind R's pnorm): |z| <= 0.674, |z| <= sqrt(32)
+# and the far tails, each good to a few ulps.
+_NORMAL_NEAR = ((2.2352520354606839287, 161.02823106855587881, 1067.6894854603709582,
+                 18154.981253343561249, 0.065682337918207449113),
+                (47.20258190468824187, 976.09855173777669322, 10260.932208618978205,
+                 45507.789335026729956))
+_NORMAL_MID = ((0.39894151208813466764, 8.8831497943883759412, 93.506656132177855979,
+                597.27027639480026226, 2494.5375852903726711, 6848.1904505362823326,
+                11602.651437647350124, 9842.7148383839780218, 1.0765576773720192317e-8),
+               (22.266688044328115691, 235.38790178262499861, 1519.377599407554805,
+                6485.558298266760755, 18615.571640885098091, 34900.952721145977266,
+                38912.003286093271411, 19685.429676859990727))
+_NORMAL_FAR = ((0.21589853405795699, 0.1274011611602473639, 0.022235277870649807,
+                0.001421619193227893466, 2.9112874951168792e-5, 0.02307344176494017303),
+               (1.28426009614491121, 0.468238212480865118, 0.0659881378689285515,
+                0.00378239633202758244, 7.29751555083966205e-5))
+
+
+def _cody_ratio(t: np.ndarray, coeffs) -> np.ndarray:
+    """(p[-1] t^k + p[0] t^(k-1) + ... + p[-2]) / (t^k + q[0] t^(k-1) + ... + q[-1]),
+    the form of each of Cody's approximations, by Horner's rule."""
+    p, q = coeffs
+    num = p[-1] * t
+    den = t.copy()
+    for a, b in zip(p[:-2], q[:-1]):
+        num += a
+        num *= t
+        den += b
+        den *= t
+    return (num + p[-2]) / (den + q[-1])
+
+
+def _normal_tail(y: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """exp(-y^2 / 2) * ratio, with y^2 split at a multiple of 1/16 so that the
+    leading part of the exponent rounds exactly."""
+    ysq = np.trunc(16.0 * y) / 16.0
+    return np.exp(-0.5 * ysq * ysq) * np.exp(-0.5 * (y - ysq) * (y + ysq)) * ratio
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal cdf of a 1-d array, vectorized."""
+    y = np.abs(z)
+    out = np.zeros_like(z)  # Phi(-38) is below the smallest double
+    near = y <= 0.67448975
+    zn = z[near]
+    out[near] = 0.5 + zn * _cody_ratio(zn * zn, _NORMAL_NEAR)
+    # beyond it, the approximations give the lower tail Phi(-y)
+    mid = ~near & (y <= math.sqrt(32.0))
+    ym = y[mid]
+    out[mid] = _normal_tail(ym, _cody_ratio(ym, _NORMAL_MID))
+    far = ~near & ~mid & (y < 38.0)
+    yf = y[far]
+    s = 1.0 / (yf * yf)
+    ratio = (1.0 / math.sqrt(2.0 * math.pi) - s * _cody_ratio(s, _NORMAL_FAR)) / yf
+    out[far] = _normal_tail(yf, ratio)
+    upper = ~near & (z > 0)
+    out[upper] = 1.0 - out[upper]
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,8 +233,7 @@ class DistributionSpec:
         elif f == "lognormal":
             out = np.zeros_like(x)
             pos = x > 0
-            z = (np.log(x[pos]) - self["mu"]) / self["sigma"]
-            out[pos] = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()]
+            out[pos] = _normal_cdf((np.log(x[pos]) - self["mu"]) / self["sigma"])
         else:
             out = np.clip((x - self["lo"]) / (self["hi"] - self["lo"]), 0.0, 1.0)
         out = np.where(x < 0, 0.0, out)

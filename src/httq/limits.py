@@ -199,7 +199,9 @@ class ServiceCovariance:
         err = None
         for jit in JITTERS:
             try:
-                L = np.linalg.cholesky(sub + jit * np.eye(sub.shape[0])) if sub.size else sub
+                # Fortran order, so the draws' `@ L.T` reads a C-ordered operand
+                L = np.asfortranarray(np.linalg.cholesky(sub + jit * np.eye(sub.shape[0]))
+                                      if sub.size else sub)
                 self._cholesky_cache.put(key, (L, jit))
                 return L, jit
             except np.linalg.LinAlgError as exc:

@@ -163,7 +163,18 @@ class EquilibriumDistribution:
         return x_lo + frac * (x_hi - x_lo)
 
 
+_equilibrium_cache: dict = {}
+
+
 def equilibrium_distribution(H: DistributionSpec) -> EquilibriumDistribution:
+    """The equilibrium law of H, built once per law and then shared."""
+    eq = _equilibrium_cache.get(H)
+    if eq is None:
+        eq = _equilibrium_cache[H] = _build_equilibrium(H)
+    return eq
+
+
+def _build_equilibrium(H: DistributionSpec) -> EquilibriumDistribution:
     if H.family == "exponential":
         return EquilibriumDistribution(H, "exponential")
     if H.family == "deterministic":
@@ -182,4 +193,5 @@ def equilibrium_distribution(H: DistributionSpec) -> EquilibriumDistribution:
             break
         hi *= 2.0
     cs = np.minimum(cs, 1.0)
+    xs.flags.writeable = cs.flags.writeable = False  # the table is shared
     return EquilibriumDistribution(H, "table", xs, cs)

@@ -123,6 +123,14 @@ def test_equilibrium_table_matches_quadrature_oracle(H):
     np.testing.assert_allclose(he.cdf(xs), oracle, atol=1e-6)
 
 
+def test_equilibrium_table_is_built_once_per_law():
+    he = equilibrium_distribution(DistributionSpec.lognormal(-0.3, 0.7))
+    assert equilibrium_distribution(DistributionSpec.lognormal(-0.3, 0.7)) is he
+    assert equilibrium_distribution(DistributionSpec.lognormal(-0.3, 0.8)) is not he
+    # shared between callers, so nobody may write into it
+    assert not he.xs.flags.writeable and not he.cs.flags.writeable
+
+
 @pytest.mark.parametrize(
     "H",
     [DistributionSpec.erlang(2, 2.0), DistributionSpec.lognormal(-0.3, 0.7)],

@@ -4,12 +4,14 @@ The library runs on numpy and the standard library alone; scipy is a test
 dependency, and here it is the reference each replacement must reproduce.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy import special
 
-from httq.distributions import DistributionSpec
+from httq.distributions import DistributionSpec, _normal_cdf
 from httq.limits import JITTERS, ServiceCovariance
 from httq.maps import _phi_m_gain, _stieltjes_matrix
 from httq.paths import uniform_grid
@@ -75,6 +77,56 @@ def test_lognormal_cdf_matches_erf(mu, sigma):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+def test_normal_cdf_matches_ndtr():
+    # every range of Cody's approximation, its edges from both sides, and the
+    # underflow past |z| = 38
+    edges = np.array([0.67448975, math.sqrt(32.0), 38.0])
+    edges = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)))
+    z = np.concatenate((np.linspace(-40.0, 40.0, 80_001), edges, -edges, [0.0, np.inf, -np.inf]))
+    np.testing.assert_allclose(_normal_cdf(z), special.ndtr(z), rtol=0,
+                               atol=2.0 * np.finfo(float).eps)
+
+
+# Phi(z) at these doubles z, computed to 50 digits with mpmath and rounded.
+# ndtr cannot be the reference for the lower tail's relative error: it takes
+# erfc(-z / sqrt(2)), and rounding z / sqrt(2) costs it about z^2 ulps.
+NORMAL_LOWER_TAIL = [
+    (-0.5, 0.3085375387259869), (-0.7, 0.24196365222307303), (-1.0, 0.15865525393145705),
+    (-2.5, 0.006209665325776135), (-5.0, 2.866515718791939e-07),
+    (-5.7, 5.990371401063528e-09), (-7.25, 2.0838581586720695e-13),
+    (-10.1, 2.762109471764517e-24), (-15.3, 3.82283156207345e-53),
+    (-20.7, 1.7318518790197378e-95), (-26.9, 1.0981069565111319e-159),
+    (-33.3, 1.93050550592784e-243),
+]
+
+
+def test_normal_cdf_lower_tail_to_two_ulps():
+    z, want = np.array(NORMAL_LOWER_TAIL).T
+    np.testing.assert_allclose(_normal_cdf(z), want, rtol=2.0 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("spec,x", [
+    (DistributionSpec.erlang(2, 1.0), 800.0),  # the Poisson tail's far branch
+    (DistributionSpec.erlang(2, 1.0), np.inf),
+    (DistributionSpec.erlang(2, 1.0), 0.5),
+    (DistributionSpec.erlang(2, 1.0), -1.0),
+    (DistributionSpec.lognormal(-0.32, 0.8), np.inf),
+    (DistributionSpec.lognormal(-0.32, 0.8), 1.0),
+    (DistributionSpec.lognormal(-0.32, 0.8), 0.0),
+], ids=lambda v: v.family if isinstance(v, DistributionSpec) else repr(v))
+def test_scalar_cdf_is_a_float_and_matches_scipy(spec, x):
+    got = spec.cdf(x)
+    assert type(got) is float
+    if x <= 0:
+        want = 0.0
+    elif spec.family == "erlang":
+        want = special.gammainc(spec["shape"], spec["rate"] * x)
+    else:
+        want = 0.5 * (1.0 + special.erf((math.log(x) - spec["mu"]) / spec["sigma"] / math.sqrt(2.0)))
+    assert got == pytest.approx(want, rel=0, abs=1e-15)
+    np.testing.assert_array_equal(spec.cdf(np.array([x])), [got])
+
+
 def _scipy_factor(sub):
     """scipy's factor on the library's jitter ladder: (L, jitter)."""
     for jitter in JITTERS:
@@ -105,6 +157,7 @@ def test_cholesky_factor_matches_scipy(table):
     for grid in (uniform_grid(10.0, 10.0 / 1024), uniform_grid(10.0, 10.0 / 64)):
         L, ref = _check_factor(model, grid)
         np.testing.assert_allclose(L, ref, rtol=0, atol=1e-12)
+        assert L.flags.f_contiguous  # scipy's layout, so `@ L.T` reads C order
 
 
 @pytest.mark.parametrize("H", [DistributionSpec.deterministic(1.0),
