@@ -24,6 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Entries kept per cache of tables built from a law (equilibrium laws,
+# integrated hazards, covariance models and their factors); a covariance
+# model or factor at m = 1024 holds about 8 MB.
+CACHE_SIZE = 8
+
 __all__ = ["DistributionSpec", "ArrivalSpec"]
 
 _FAMILIES = ("exponential", "deterministic", "erlang", "hyperexponential", "lognormal", "uniform")

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .distributions import DistributionSpec
+from .distributions import CACHE_SIZE, DistributionSpec
 from .paths import CadlagPath, linear_path
 
 __all__ = ["PatienceSpec", "limit_f", "constant_hazard", "ramp_hazard", "power_limit"]
@@ -90,19 +90,22 @@ class _CumHazard:
     def _extend_to(self, z_hi: float) -> None:
         if z_hi <= self._z[-1]:
             return
+        last = self._z.size - 1
         npts = round((z_hi - self._z[-1]) / _HAZARD_STEP)
-        if self._z.size + npts > _MAX_TABLE:
+        if last + 1 + npts > _MAX_TABLE:
             raise RuntimeError(
                 f"integrated hazard table would exceed {_MAX_TABLE} points; "
                 "hazard decays too slowly to invert this far out"
             )
-        z_new = self._z[-1] + _HAZARD_STEP * np.arange(1, npts + 1)
-        h_new = np.asarray(self._h(np.concatenate(([self._z[-1]], z_new))), dtype=float)
+        # grid points are step * absolute index and the sum runs on from the
+        # last value in one pass, so no entry depends on how the table grew
+        z_new = _HAZARD_STEP * np.arange(last, last + npts + 1)
+        h_new = np.asarray(self._h(z_new), dtype=float)
         if np.any(h_new < 0) or not np.all(np.isfinite(h_new)):
             raise ValueError("hazard must be finite and nonnegative")
         inc = 0.5 * (h_new[1:] + h_new[:-1]) * _HAZARD_STEP
-        self._z = np.concatenate((self._z, z_new))
-        self._c = np.concatenate((self._c, self._c[-1] + np.cumsum(inc)))
+        self._z = np.concatenate((self._z, z_new[1:]))
+        self._c = np.concatenate((self._c, np.cumsum(np.concatenate((self._c[-1:], inc)))[1:]))
 
     def value(self, z):
         """Integrated hazard at z (vectorized)."""
@@ -140,15 +143,9 @@ class _CumHazard:
         return np.where(unreachable, np.inf, out)
 
 
-_cum_hazard_cache: dict = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def _cum_hazard(spec: "PatienceSpec") -> _CumHazard:
-    tab = _cum_hazard_cache.get(spec)
-    if tab is None:
-        tab = _CumHazard(spec.hazard)
-        _cum_hazard_cache[spec] = tab
-    return tab
+    return _CumHazard(spec.hazard)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .distributions import DistributionSpec
+from .distributions import CACHE_SIZE, DistributionSpec
 
 __all__ = ["RenewalTable", "compute_renewal_function", "EquilibriumDistribution", "equilibrium_distribution"]
 
@@ -163,18 +164,9 @@ class EquilibriumDistribution:
         return x_lo + frac * (x_hi - x_lo)
 
 
-_equilibrium_cache: dict = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def equilibrium_distribution(H: DistributionSpec) -> EquilibriumDistribution:
     """The equilibrium law of H, built once per law and then shared."""
-    eq = _equilibrium_cache.get(H)
-    if eq is None:
-        eq = _equilibrium_cache[H] = _build_equilibrium(H)
-    return eq
-
-
-def _build_equilibrium(H: DistributionSpec) -> EquilibriumDistribution:
     if H.family == "exponential":
         return EquilibriumDistribution(H, "exponential")
     if H.family == "deterministic":

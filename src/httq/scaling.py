@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import CadlagPath, linear_path, uniform_grid
-from .simulator import SimRecord, SystemConfig, virtual_wait_path
+from .simulator import SimRecord, virtual_wait_path
 
 __all__ = ["ScaledBundle", "abandonment_compensator", "scale"]
 
@@ -67,19 +67,16 @@ class ScaledBundle:
     replication: int = 0
 
 
-def scale(record: SimRecord, config: SystemConfig | None = None,
-          grid: np.ndarray | None = None) -> ScaledBundle:
-    """Scale a simulation record onto diffusion coordinates.
+def scale(record: SimRecord, grid: np.ndarray | None = None) -> ScaledBundle:
+    """Scale a simulation record onto diffusion coordinates, under its own config.
 
-    `config` defaults to the record's own; `grid` defaults to 200 uniform
-    steps over the record horizon.  A grid must be a non-empty 1-d array
-    within [0, horizon] (the rule `virtual_wait_path` applies) that starts
-    at 0 and strictly increases; any other grid is rejected before any
-    path is built.
+    `grid` defaults to 200 uniform steps over the record horizon.  A grid
+    must be a non-empty 1-d array within [0, horizon] (the rule
+    `virtual_wait_path` applies) that starts at 0 and strictly increases;
+    any other grid is rejected before any path is built.
     """
-    if config is None:
-        config = record.config
-    horizon = record.config.horizon
+    config = record.config
+    horizon = config.horizon
     if grid is None:
         grid = uniform_grid(horizon, horizon / 200.0)
     grid = np.asarray(grid, dtype=float)

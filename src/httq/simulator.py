@@ -13,7 +13,9 @@ with patience g_i and service requirement s_i, is offered the start
 and enters service iff start_i <= a_i + g_i + TIE_WINDOW, which replaces
 min V by start_i + s_i; otherwise it abandons at a_i + g_i and touches no
 server.  No time is discretized, and the system is work-conserving by
-construction.  The record keeps min V as each customer saw it, so offered
+construction.  The record holds the per-customer times the recursion
+computes; the counting paths are built from them, and so is the event log,
+on first read.  It also keeps min V as each customer saw it, so offered
 and virtual waits are read off the recursion itself, exactly, even where
 they end after the horizon.
 
@@ -40,6 +42,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import sha256
 
 import numpy as np
@@ -62,7 +65,6 @@ OUTCOME_SERVED = 0
 OUTCOME_ABANDONED = 1
 OUTCOME_WAITING = 2
 OUTCOME_IN_SERVICE = 3
-OUTCOME_NAMES = {0: "served", 1: "abandoned", 2: "waiting", 3: "in-service"}
 
 
 def spec_hash(doc: dict) -> str:
@@ -191,16 +193,9 @@ class SystemConfig:
         return spec_hash(self.to_dict())
 
 
-# npz archive contents: the scalars, then the SimRecord arrays by field name
-_NPZ_SCALARS = ("config", "seed", "replication", "n_initial_service", "n_initial_queued")
-_NPZ_ARRAYS = ("event_times", "event_kinds", "event_ids", "arrival_times",
-               "patience_times", "service_times", "entry_times", "completion_times",
-               "abandon_times", "outcomes", "server_free")
-
-
 @dataclass(frozen=True)
 class SimRecord:
-    """Complete output of one replication.
+    """Complete output of one replication: what the FCFS recursion computes.
 
     Customer ids are assigned in FCFS position order: initial in-service
     customers first, then initial queued, then arrivals in arrival order.
@@ -209,7 +204,10 @@ class SimRecord:
     server falls free as seen by queue-eligible customer ``n_initial_service
     + i`` (-inf while a server idles), exact even when it lies beyond the
     horizon; its last entry is the one a customer behind the last would see.
-    Offered and virtual waits are read off it.
+    Offered and virtual waits are read off it.  The counting paths E, S, G
+    and the head count X are built from the per-customer times; the event
+    log (``event_times``, ``event_kinds``, ``event_ids``) is built from them
+    on first read.
     """
 
     config: SystemConfig
@@ -217,9 +215,6 @@ class SimRecord:
     replication: int
     n_initial_service: int
     n_initial_queued: int
-    event_times: np.ndarray
-    event_kinds: np.ndarray
-    event_ids: np.ndarray
     arrival_times: np.ndarray
     patience_times: np.ndarray
     service_times: np.ndarray
@@ -232,7 +227,6 @@ class SimRecord:
     E: CadlagPath
     S: CadlagPath
     G: CadlagPath
-    K: CadlagPath
 
     @property
     def customers(self) -> int:
@@ -243,6 +237,22 @@ class SimRecord:
         servers = self.config.servers
         return self.X.map_values(lambda x: np.maximum(x - servers, 0.0))
 
+    @cached_property
+    def _log(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _event_log(self)
+
+    @property
+    def event_times(self) -> np.ndarray:
+        return self._log[0]
+
+    @property
+    def event_kinds(self) -> np.ndarray:
+        return self._log[1]
+
+    @property
+    def event_ids(self) -> np.ndarray:
+        return self._log[2]
+
     def balance_gap(self) -> float:
         """max over X breakpoints of |X - X(0) - E + S + G| (0 when consistent)."""
         t = self.X.times
@@ -250,67 +260,22 @@ class SimRecord:
         recon = x0 + self.E.sampled(t) - self.S.sampled(t) - self.G.sampled(t)
         return float(np.max(np.abs(self.X.values - recon)))
 
-    def to_npz(self, path) -> None:
-        np.savez_compressed(
-            path,
-            config=json.dumps(self.config.to_dict()),
-            seed=self.seed,
-            replication=self.replication,
-            n_initial_service=self.n_initial_service,
-            n_initial_queued=self.n_initial_queued,
-            **{name: getattr(self, name) for name in _NPZ_ARRAYS},
-        )
 
-    @staticmethod
-    def from_npz(path) -> "SimRecord":
-        with np.load(path, allow_pickle=False) as z:
-            missing = [name for name in _NPZ_SCALARS + _NPZ_ARRAYS if name not in z.files]
-            if missing:
-                raise ValueError(
-                    f"{path} is not a SimRecord archive of this version: "
-                    f"missing arrays {', '.join(missing)}"
-                )
-            config = SystemConfig.from_dict(json.loads(str(z["config"])))
-            return _assemble_record(
-                config=config,
-                seed=int(z["seed"]),
-                replication=int(z["replication"]),
-                s0=int(z["n_initial_service"]),
-                q0=int(z["n_initial_queued"]),
-                **{name: z[name] for name in _NPZ_ARRAYS},
-            )
+def _assemble_record(config, seed, replication, s0, q0, **customers) -> SimRecord:
+    """Build the paths from the per-customer times (shared with the heap oracle).
 
-
-def _assemble_record(config, seed, replication, s0, q0, event_times, event_kinds,
-                     event_ids, arrival_times, patience_times, service_times,
-                     entry_times, completion_times, abandon_times, outcomes,
-                     server_free) -> SimRecord:
-    """Rebuild the path fields from the event log (shared by simulate/from_npz)."""
+    X is x0 + E - S - G on the union of the breakpoints of E, S and G.
+    """
     T = config.horizon
     x0 = s0 + q0
-    is_arrival = event_kinds == KIND_ARRIVAL
-    is_completion = event_kinds == KIND_COMPLETION
-    is_abandon = event_kinds == KIND_ABANDONMENT
-    is_entry = (event_kinds == KIND_START) & (event_ids >= s0)
-    E = counting_path(event_times[is_arrival], horizon=T)
-    S = counting_path(event_times[is_completion], horizon=T)
-    G = counting_path(event_times[is_abandon], horizon=T)
-    K = counting_path(event_times[is_entry], horizon=T)
-    delta = np.where(is_arrival, 1, 0) - np.where(is_completion | is_abandon, 1, 0)
-    moves = delta != 0
-    tx = np.concatenate([[0.0], event_times[moves]])
-    vx = x0 + np.concatenate([[0], np.cumsum(delta[moves])])
-    keep = np.concatenate([np.diff(tx) > 0, [True]])
-    X = step_path(tx[keep], vx[keep].astype(float), horizon=T)
-    return SimRecord(
-        config=config, seed=seed, replication=replication,
-        n_initial_service=s0, n_initial_queued=q0,
-        event_times=event_times, event_kinds=event_kinds, event_ids=event_ids,
-        arrival_times=arrival_times, patience_times=patience_times,
-        service_times=service_times, entry_times=entry_times,
-        completion_times=completion_times, abandon_times=abandon_times,
-        outcomes=outcomes, server_free=server_free, X=X, E=E, S=S, G=G, K=K,
-    )
+    E = counting_path(customers["arrival_times"][x0:], horizon=T)
+    S, G = (counting_path(times[np.isfinite(times)], horizon=T)
+            for times in (customers["completion_times"], customers["abandon_times"]))
+    t = np.unique(np.concatenate([E.times, S.times, G.times]))
+    X = step_path(t, x0 + E.sampled(t) - S.sampled(t) - G.sampled(t), horizon=T)
+    return SimRecord(config=config, seed=seed, replication=replication,
+                     n_initial_service=s0, n_initial_queued=q0, X=X, E=E, S=S, G=G,
+                     **customers)
 
 
 def _arrival_epochs(rng: np.random.Generator, draw, horizon: float) -> np.ndarray:
@@ -362,9 +327,12 @@ def _rank_among_equal(times: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _event_log(x0: int, s0: int, arrival_times, entry_times, completion_times,
-               abandon_times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _event_log(rec: SimRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(times, kinds, ids) of every recorded event, in the documented order."""
+    s0 = rec.n_initial_service
+    x0 = s0 + rec.n_initial_queued
+    arrival_times, entry_times = rec.arrival_times, rec.entry_times
+    completion_times, abandon_times = rec.completion_times, rec.abandon_times
     arr = np.arange(x0, arrival_times.size)
     started = s0 + np.flatnonzero(np.isfinite(entry_times[s0:]))
     done = np.flatnonzero(np.isfinite(completion_times))
@@ -440,12 +408,9 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
     outcomes[np.isfinite(entry_times)] = OUTCOME_IN_SERVICE
     outcomes[np.isfinite(completion_times)] = OUTCOME_SERVED
     outcomes[np.isfinite(abandon_times)] = OUTCOME_ABANDONED
-    event_times, event_kinds, event_ids = _event_log(
-        x0, s0, arrival_times, entry_times, completion_times, abandon_times)
 
     return _assemble_record(
         config=config, seed=seed, replication=replication, s0=s0, q0=q0,
-        event_times=event_times, event_kinds=event_kinds, event_ids=event_ids,
         arrival_times=arrival_times,
         patience_times=np.concatenate([np.full(x0, math.inf), patience]),
         service_times=np.concatenate([np.full(s0, np.nan), s]),

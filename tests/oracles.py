@@ -5,7 +5,7 @@ Monte Carlo, textbook recursions, brute-force ODE/PDE solves) rather than by
 calling the library code under test.  The exceptions are differential
 oracles for code that an exact reformulation replaced: `heap_simulate`, the
 event-heap simulator that the FCFS recursion replaced, which shares only the
-stream addresses, the initial-state draw and the record assembly with the
+stream addresses, the initial-state draw and the path assembly with the
 library; `replay_virtual_wait_path` / `replay_offered_waits`, which
 rebuild the waits from a record's event log and head-count path instead of
 its recorded server-free epochs; `picard_phi_mg`, the paper's Picard
@@ -225,9 +225,12 @@ def heap_simulate(config, seed, replication=0):
     A binary heap orders events by (time, priority, sequence) with priorities
     0 service completion, 2 arrival, 3 patience expiry; events within
     TIE_WINDOW of the earliest are drained as a batch and replayed in
-    priority order, and service starts happen inline.  The record is
-    assembled by the library's own `_assemble_record`, so records of the two
-    simulators compare field by field.  The heap does not see server-free
+    priority order, and service starts happen inline.  The record's paths
+    are built from the heap's per-customer times by the library's own
+    `_assemble_record`, so records of the two simulators compare field by
+    field; its event log is the one the heap wrote as it ran, stored in the
+    record's cache, so the log comparison is against the heap and not
+    against the library's rebuild.  The heap does not see server-free
     epochs per customer, so its record's `server_free` is all NaN.
     """
     T = config.horizon
@@ -379,15 +382,35 @@ def heap_simulate(config, seed, replication=0):
     outcomes[st == _ABANDONED] = OUTCOME_ABANDONED
     outcomes[st == _IN_SERVICE] = OUTCOME_IN_SERVICE
 
-    return _assemble_record(
+    record = _assemble_record(
         config=config, seed=seed, replication=replication, s0=s0, q0=q0,
-        event_times=np.asarray(ev_t), event_kinds=np.asarray(ev_k, dtype=np.int8),
-        event_ids=np.asarray(ev_c, dtype=np.int64),
         arrival_times=np.asarray(arr_t), patience_times=np.asarray(pat_t),
         service_times=np.asarray(svc_t), entry_times=np.asarray(ent_t),
         completion_times=np.asarray(comp_t), abandon_times=np.asarray(abn_t),
         outcomes=outcomes, server_free=np.full(len(arr_t) - s0 + 1, np.nan),
     )
+    # the record's event log is the heap's own, not one rebuilt from the
+    # per-customer times
+    vars(record)["_log"] = (np.asarray(ev_t), np.asarray(ev_k, dtype=np.int8),
+                            np.asarray(ev_c, dtype=np.int64))
+    return record
+
+
+def head_count_from_log(record):
+    """(times, values) of X replayed from the record's event log.
+
+    x0 plus a running sum of +1 per arrival and -1 per completion or
+    abandonment, keeping the last value at each event time.
+    """
+    kinds = record.event_kinds
+    delta = (kinds == KIND_ARRIVAL).astype(int) - np.isin(kinds, (KIND_COMPLETION,
+                                                                 KIND_ABANDONMENT))
+    moves = delta != 0
+    tx = np.concatenate([[0.0], record.event_times[moves]])
+    x0 = record.n_initial_service + record.n_initial_queued
+    vx = x0 + np.concatenate([[0], np.cumsum(delta[moves])])
+    keep = np.concatenate([np.diff(tx) > 0, [True]])
+    return tx[keep], vx[keep].astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,14 @@ import pytest
 from scipy import stats
 
 from httq.distributions import ArrivalSpec, DistributionSpec
-from httq.patience import PatienceSpec, constant_hazard, limit_f, power_limit, ramp_hazard
+from httq.patience import (
+    PatienceSpec,
+    _CumHazard,
+    constant_hazard,
+    limit_f,
+    power_limit,
+    ramp_hazard,
+)
 from httq.streams import BLOCK, PURPOSES, draw_blocks, make_rng
 
 FAMILIES = [
@@ -220,6 +227,23 @@ def test_hazard_mode_limit_and_cdf():
     n = 49
     cdf = spec.cdf_n(n)
     np.testing.assert_allclose(cdf(xs), 1.0 - np.exp(-theta * xs), atol=1e-8)
+
+
+@pytest.mark.parametrize("hazard", [constant_hazard(1.3), ramp_hazard(0.7)],
+                         ids=["constant", "ramp"])
+def test_hazard_table_is_independent_of_its_query_history(hazard):
+    staged, direct = _CumHazard(hazard), _CumHazard(hazard)
+    for z in (30.0, 90.0, 300.0):
+        staged.value(np.array([z]))
+    direct.value(np.array([300.0]))
+    k = min(staged._z.size, direct._z.size)
+    assert k > 300_000
+    np.testing.assert_array_equal(staged._z[:k], direct._z[:k])
+    np.testing.assert_array_equal(staged._c[:k], direct._c[:k])
+    z = np.linspace(0.0, 300.0, 1001)
+    c = direct.value(z)
+    np.testing.assert_array_equal(staged.value(z), c)
+    np.testing.assert_array_equal(staged.inverse(c), direct.inverse(c))
 
 
 def test_ramp_hazard_quadratic_limit():

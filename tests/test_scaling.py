@@ -92,7 +92,7 @@ def test_scaling_is_linear_in_counts():
     n4 = 4 * rec.config.n
     np.testing.assert_allclose(
         rec.G.values / math.sqrt(n4),
-        scale(rec, config=dataclasses.replace(rec.config, n=n4)).G.values,
+        scale(dataclasses.replace(rec, config=dataclasses.replace(rec.config, n=n4))).G.values,
         atol=0,
     )
 

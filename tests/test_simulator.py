@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from httq import simulator
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.patience import PatienceSpec
 from httq.simulator import (
@@ -17,15 +18,16 @@ from httq.simulator import (
     OUTCOME_WAITING,
     KIND_START,
     TIE_WINDOW,
-    SimRecord,
     SystemConfig,
     offered_waits,
     simulate,
     virtual_wait,
     virtual_wait_path,
 )
+from httq.validation import _replication_job
 
 from oracles import (
+    head_count_from_log,
     heap_simulate,
     lindley_waits,
     mmn_abandonment_ctmc,
@@ -138,7 +140,7 @@ def test_service_entry_wins_exact_tie():
 def test_balance_and_counting_invariants():
     rec = simulate(mmn_config(25), seed=11)
     assert rec.balance_gap() == 0.0
-    for path in (rec.E, rec.S, rec.G, rec.K):
+    for path in (rec.E, rec.S, rec.G):
         assert np.all(np.diff(path.values) > 0)
         assert np.all(path.values == np.round(path.values))
     # Q = (X - N)^+ pointwise
@@ -146,12 +148,12 @@ def test_balance_and_counting_invariants():
     np.testing.assert_allclose(
         q.values, np.maximum(rec.X.values - rec.config.servers, 0.0), atol=0
     )
-    # K entries and completions reconcile with S
+    # entries and completions reconcile with S
     s0 = rec.n_initial_service
     comp_initial = np.count_nonzero(np.isfinite(rec.completion_times[:s0]))
     comp_entrants = np.count_nonzero(np.isfinite(rec.completion_times[s0:]))
     assert rec.S(rec.config.horizon) == comp_initial + comp_entrants
-    assert rec.K(rec.config.horizon) >= comp_entrants
+    assert np.count_nonzero(np.isfinite(rec.entry_times[s0:])) >= comp_entrants
 
 
 def test_abandoned_waited_exactly_patience():
@@ -195,6 +197,24 @@ def test_determinism_and_replication_split():
     c = simulate(mmn_config(25), seed=21, replication=4)
     assert c.event_times.shape != a.event_times.shape or \
         not np.array_equal(c.event_times, a.event_times)
+
+
+def test_event_log_is_built_only_when_read(monkeypatch):
+    built = []
+
+    def counting_log(rec):
+        built.append(rec)
+        return real_log(rec)
+
+    real_log = simulator._event_log
+    monkeypatch.setattr(simulator, "_event_log", counting_log)
+    cfg = mmn_config(25)
+    rec = simulate(cfg, seed=21)
+    _replication_job((cfg, 21, 0, 50, (cfg.horizon,)))
+    assert built == []
+    times, kinds, ids = rec.event_times, rec.event_kinds, rec.event_ids
+    assert len(built) == 1 and built[0] is rec
+    assert times.size == kinds.size == ids.size > 0
 
 
 def test_initial_split_and_infinite_patience():
@@ -374,33 +394,7 @@ def test_virtual_wait_little_law_mm1():
 
 
 # ---------------------------------------------------------------------------
-# serialization and validation
-
-
-def test_npz_round_trip(tmp_path):
-    rec = simulate(mmn_config(10, horizon=5.0), seed=3)
-    f = tmp_path / "rec.npz"
-    rec.to_npz(f)
-    back = SimRecord.from_npz(f)
-    np.testing.assert_array_equal(back.event_times, rec.event_times)
-    np.testing.assert_array_equal(back.outcomes, rec.outcomes)
-    np.testing.assert_array_equal(back.X.values, rec.X.values)
-    assert back.config == rec.config
-    grid = np.linspace(0.0, 5.0, 65)
-    np.testing.assert_array_equal(offered_waits(back), offered_waits(rec))
-    np.testing.assert_array_equal(virtual_wait_path(back, grid), virtual_wait_path(rec, grid))
-
-
-def test_npz_without_server_free_is_a_format_error(tmp_path):
-    # an archive written before server_free existed
-    rec = simulate(mmn_config(10, horizon=5.0), seed=3)
-    f = tmp_path / "rec.npz"
-    rec.to_npz(f)
-    with np.load(f) as z:
-        old = {k: z[k] for k in z.files if k != "server_free"}
-    np.savez_compressed(f, **old)
-    with pytest.raises(ValueError, match="missing arrays server_free"):
-        SimRecord.from_npz(f)
+# config validation
 
 
 def test_config_validation():
@@ -562,6 +556,11 @@ def test_recursion_matches_event_heap(cfg, seed):
             a, b = getattr(new, name), getattr(old, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             np.testing.assert_array_equal(a, b, err_msg=name)
+        # X is built as x0 + E - S - G, so balance_gap cannot see a fault in
+        # that assembly; the heap's own log gives X independently
+        tx, vx = head_count_from_log(old)
+        np.testing.assert_array_equal(new.X.times, tx)
+        np.testing.assert_array_equal(new.X.values, vx)
         return
     # lattice laws tie exactly; the records agree up to the tie window, and
     # outcomes only differ for customers with an event near the horizon
