@@ -246,24 +246,6 @@ def sample_gaussian_S(M: RenewalTable, H: DistributionSpec, grid,
     return linear_path(grid, vals, float(grid[-1]))
 
 
-def _entrant_survival_sums(H: DistributionSpec, t, tau, m_at) -> np.ndarray:
-    """sum over j < m_at[k] of 1 - H(t[k] - tau[j]), for each k.
-
-    The cdf is evaluated once per block of rows of about 2^16 points,
-    small enough for its temporaries to stay in cache; each row is summed
-    over its own contiguous slice, so the sums equal those of one cdf call
-    per row.  `m_at` must be nondecreasing.
-    """
-    out = np.zeros(t.size)
-    rows = max(1, (1 << 16) // max(1, int(m_at[-1])))
-    for lo in range(0, t.size, rows):
-        hi = min(lo + rows, t.size)
-        surv = 1.0 - np.asarray(H.cdf(t[lo:hi, None] - tau[: m_at[hi - 1]]), dtype=float)
-        for k in range(lo, hi):
-            out[k] = np.sum(surv[k - lo, : m_at[k]])
-    return out
-
-
 def sample_service_noise_finite_n(M: RenewalTable, H: DistributionSpec, n: int,
                                   grid, rng: np.random.Generator,
                                   reps: int) -> np.ndarray:
@@ -288,7 +270,9 @@ def sample_service_noise_finite_n(M: RenewalTable, H: DistributionSpec, n: int,
     m_at = np.floor(mu * n * t + 1e-9).astype(int)
     # deterministic centerings, shared by every replication
     w_center = n * np.asarray(eq.survival(t), dtype=float)
-    hc_tail = _entrant_survival_sums(H, t, tau, m_at)
+    hc_tail = np.zeros(t.size)
+    for k in range(t.size):
+        hc_tail[k] = float(np.sum(1.0 - np.asarray(H.cdf(t[k] - tau[: m_at[k]]), dtype=float)))
 
     A = _stieltjes_matrix(np.diff(M.values_on(t)))
     out = np.empty((reps, t.size))

@@ -20,7 +20,6 @@ from httq.limits import (
     CACHE_SIZE,
     _covariance_cache,
     _covariance_model,
-    _entrant_survival_sums,
 )
 from httq.paths import linear_path, uniform_grid
 from httq.patience import PatienceSpec, _cum_hazard, constant_hazard
@@ -198,20 +197,6 @@ def test_finite_n_replica_deterministic_zeros(det_table):
     np.testing.assert_allclose(s[:, 4], 0.0, atol=1e-9)  # t = 2.0
     v = s[:, 1].var(ddof=1)
     assert abs(v - 0.25) <= 0.07
-
-
-@pytest.mark.parametrize("H", [DistributionSpec.exponential(1.0),
-                               DistributionSpec.lognormal(-0.32, 0.8)],
-                         ids=["exponential", "lognormal"])
-def test_entrant_survival_sums_match_the_per_point_loop(H):
-    # 2000 entrants and 1025 rows: 33 blocks of rows
-    n, mu = 400, 1.0
-    t = uniform_grid(5.0, 5.0 / 1024)
-    tau = np.arange(1, int(math.floor(mu * n * t[-1] + 1e-9)) + 1) / (mu * n)
-    m_at = np.floor(mu * n * t + 1e-9).astype(int)
-    want = np.array([float(np.sum(1.0 - np.asarray(H.cdf(t[k] - tau[: m_at[k]]), dtype=float)))
-                     for k in range(t.size)])
-    np.testing.assert_array_equal(_entrant_survival_sums(H, t, tau, m_at), want)
 
 
 def test_finite_n_replica_exponential_variance(exp_table):

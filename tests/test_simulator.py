@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from httq import simulator
@@ -538,6 +538,14 @@ def _configs(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=_configs(), seed=st.integers(0, 10_000))
+# arrivals every 1/16 and services of 1 on 16 servers: 30 epochs where an
+# arrival and a completion tie exactly
+@example(cfg=SystemConfig(
+    n=16, alpha=1.0, mu=1.0, beta=0.0,
+    arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+    service=DistributionSpec.deterministic(1.0),
+    patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(0.25)),
+    horizon=4.0, xi=0.5, abandon=True), seed=0)
 def test_recursion_matches_event_heap(cfg, seed):
     new = simulate(cfg, seed=seed, replication=1)
     old = heap_simulate(cfg, seed=seed, replication=1)
@@ -550,14 +558,19 @@ def test_recursion_matches_event_heap(cfg, seed):
         assert np.all(np.isfinite(got))
         ok = np.isfinite(want)
         np.testing.assert_array_equal(got[ok], want[ok])
+    # X is built as x0 + E - S - G, so balance_gap cannot see a fault in that
+    # assembly; the head count replayed from the event log, a separate path,
+    # checks it, ties included
+    tx, vx = head_count_from_log(new)
+    np.testing.assert_array_equal(new.X.times, tx)
+    np.testing.assert_array_equal(new.X.values, vx)
     lattice = "deterministic" in (cfg.arrival.base.family, cfg.effective_service().family)
     if not lattice:
         for name in _RECORD_ARRAYS:
             a, b = getattr(new, name), getattr(old, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             np.testing.assert_array_equal(a, b, err_msg=name)
-        # X is built as x0 + E - S - G, so balance_gap cannot see a fault in
-        # that assembly; the heap's own log gives X independently
+        # the heap's own log gives X independently of the library's log
         tx, vx = head_count_from_log(old)
         np.testing.assert_array_equal(new.X.times, tx)
         np.testing.assert_array_equal(new.X.values, vx)
