@@ -10,9 +10,7 @@ from .limits import (
     sample_brownian,
     sample_case_i_paths,
     sample_case_ii_paths,
-    sample_gaussian_S,
     sample_noise,
-    sample_service_noise_finite_n,
     solve_limit_case_i,
     solve_limit_case_ii,
 )
@@ -102,9 +100,7 @@ __all__ = [
     "sample_brownian",
     "sample_case_i_paths",
     "sample_case_ii_paths",
-    "sample_gaussian_S",
     "sample_noise",
-    "sample_service_noise_finite_n",
     "scale",
     "simulate",
     "solve_limit_case_i",

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import ctypes
 import json
 import math
 import os
@@ -728,12 +730,62 @@ _COMMANDS = {
 }
 
 
+# thread-count entry points of numpy's (64-bit index) and scipy's OpenBLAS
+# builds, and of a plain OpenBLAS with and without the 64-bit suffix
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(set, get) thread-count functions of each OpenBLAS loaded in this process;
+    none where /proc/self/maps is unreadable or a library lacks them."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({path for path in (line.split()[-1] for line in fh)
+                            if path.startswith("/") and "openblas" in path.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREADS:
+            setter, getter = (getattr(lib, name.format(op), None) for op in ("set", "get"))
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the body with each loaded OpenBLAS on `count` threads, then restore
+    each library's own count, also when the body raises."""
+    controls = _openblas_thread_controls()
+    saved = [get() for _, get in controls]
+    for set_threads, _ in controls:
+        set_threads(count)
+    try:
+        yield
+    finally:
+        for (set_threads, _), n in zip(controls, saved):
+            set_threads(n)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand with each loaded OpenBLAS on one thread; returns the
+    exit code.  An idle OpenBLAS helper would spin on a second core through the
+    solvers' Python-bound loops; a command's parallelism is --workers processes."""
     args = _build_parser().parse_args(argv)
     try:
         if args.workers is not None and args.workers < 1:
             raise CliError(f"--workers must be >= 1, got {args.workers}")
-        return _COMMANDS[args.command](args)
+        with _blas_threads(1):
+            return _COMMANDS[args.command](args)
     except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -61,13 +61,11 @@ __all__ = [
     "ServiceCovariance",
     "covariance_S",
     "sample_brownian",
-    "sample_gaussian_S",
     "sample_noise",
     "solve_limit_case_i",
     "solve_limit_case_ii",
     "sample_case_i_paths",
     "sample_case_ii_paths",
-    "sample_service_noise_finite_n",
 ]
 
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
@@ -236,54 +234,6 @@ def covariance_S(s: float, t: float, M: RenewalTable, H: DistributionSpec) -> fl
     if min(s, t) < 0 or max(s, t) > M.horizon + 1e-9:
         raise ValueError("times must lie within the renewal table horizon")
     return _covariance_model(M, H).covariance(s, t)
-
-
-def sample_gaussian_S(M: RenewalTable, H: DistributionSpec, grid,
-                      stream: np.random.Generator) -> CadlagPath:
-    """One sample path of the critical-scale service noise on the grid."""
-    grid = _check_noise_grid(grid)
-    vals = _covariance_model(M, H).sample_batch(grid, stream, 1)[0]
-    return linear_path(grid, vals, float(grid[-1]))
-
-
-def sample_service_noise_finite_n(M: RenewalTable, H: DistributionSpec, n: int,
-                                  grid, rng: np.random.Generator,
-                                  reps: int) -> np.ndarray:
-    """Direct finite-n replica of the service noise, (reps, len(grid)).
-
-    Each replication builds the two centered indicator fields from n
-    equilibrium residual draws and floor(mu n T) fresh services entering
-    at the fluid pace, then applies the same discrete dM convolution as
-    the covariance model.
-    """
-    if H != M.H:
-        raise ValueError("renewal table was built from a different service law")
-    grid = _check_noise_grid(grid)
-    t = M.times[M.times <= grid[-1] + 1e-12]
-    idx = M._indices_on(grid)
-    mu = M.rate()
-    sqn = math.sqrt(n)
-    eq = equilibrium_distribution(H)
-
-    n_ent = int(math.floor(mu * n * t[-1] + 1e-9))
-    tau = np.arange(1, n_ent + 1) / (mu * n)
-    m_at = np.floor(mu * n * t + 1e-9).astype(int)
-    # deterministic centerings, shared by every replication
-    w_center = n * np.asarray(eq.survival(t), dtype=float)
-    hc_tail = np.zeros(t.size)
-    for k in range(t.size):
-        hc_tail[k] = float(np.sum(1.0 - np.asarray(H.cdf(t[k] - tau[: m_at[k]]), dtype=float)))
-
-    A = _stieltjes_matrix(np.diff(M.values_on(t)))
-    out = np.empty((reps, t.size))
-    for r in range(reps):
-        u = np.sort(eq.sample(rng, n))
-        w_part = (n - np.searchsorted(u, t, side="right")) - w_center
-        d = np.sort(tau + H.sample(rng, n_ent))
-        m_part = (m_at - np.searchsorted(d, t, side="right")) - hc_tail
-        z = (w_part + m_part) / sqn
-        out[r] = -(A @ z)
-    return out[:, idx]
 
 
 # ---------------------------------------------------------------------------

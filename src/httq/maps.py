@@ -153,7 +153,7 @@ def _phi_m_solve(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     neg = np.empty_like(Y)
     X[:, 0] = Y[:, 0]
     neg[:, 0] = np.maximum(-Y[:, 0], 0.0)
-    wrev = w[::-1]
+    wrev = w[::-1].copy()  # contiguous, so each matvec takes numpy's fast path
     for k in range(1, m + 1):
         X[:, k] = Y[:, k] + neg[:, :k] @ wrev[m - k:]
         neg[:, k] = np.maximum(-X[:, k], 0.0)
@@ -214,7 +214,7 @@ def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: 
     U = y + sign * int g(x^+) ds, whose phi_M image is x.
     """
     m = w.size
-    wrev = w[::-1]
+    wrev = w[::-1].copy()  # contiguous, so each matvec takes numpy's fast path
     own = 0.5 * sign * h  # weight of g(x_k^+) in the trapezoid sum at t_k
     stop = 1e-3 * tol
     neg = np.empty_like(Y)

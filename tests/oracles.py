@@ -14,7 +14,13 @@ phi_M solve and the trapezoid sum with the library; and
 `per_replication_limit`, the loop `httq limit` ran before it solved all
 replications in one batch, which solves each replication on its own through
 the single-path solvers.  `path_min_value` and `path_integral` are exact
-functionals of a stored `CadlagPath` that only the tests need.
+functionals of a stored `CadlagPath` that only the tests need, and
+`openblas_mapped` tells, apart from the CLI's own library scan, whether an
+OpenBLAS is loaded into the test process.  Two critical-scale service-noise
+samplers serve the covariance cross-checks: `sample_gaussian_S`, one path
+drawn through the library's covariance model, and
+`sample_service_noise_finite_n`, the direct finite-n replica built from the
+primitive service times, which shares only the dM convolution matrix.
 """
 
 import heapq
@@ -24,8 +30,15 @@ from collections import deque
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from httq.limits import sample_noise, solve_limit_case_i, solve_limit_case_ii
-from httq.maps import _cumtrapz, _phi_m_solve
+from httq.limits import (
+    _check_noise_grid,
+    _covariance_model,
+    sample_noise,
+    solve_limit_case_i,
+    solve_limit_case_ii,
+)
+from httq.maps import _cumtrapz, _phi_m_solve, _stieltjes_matrix
+from httq.paths import linear_path
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
     KIND_ABANDONMENT,
@@ -544,3 +557,61 @@ def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table,
         summary.append({"replication": r, "residual": float(sol.residual),
                         "jitter": float(noise.jitter)})
     return paths, summary
+
+
+# ---------------------------------------------------------------------------
+# critical-scale service noise
+
+
+def sample_gaussian_S(M, H, grid, stream):
+    """One sample path of the critical-scale service noise on the grid."""
+    grid = _check_noise_grid(grid)
+    vals = _covariance_model(M, H).sample_batch(grid, stream, 1)[0]
+    return linear_path(grid, vals, float(grid[-1]))
+
+
+def sample_service_noise_finite_n(M, H, n, grid, rng, reps):
+    """Direct finite-n replica of the service noise, (reps, len(grid)).
+
+    Each replication builds the two centered indicator fields from n
+    equilibrium residual draws and floor(mu n T) fresh services entering
+    at the fluid pace, then applies the same discrete dM convolution as
+    the covariance model.
+    """
+    if H != M.H:
+        raise ValueError("renewal table was built from a different service law")
+    grid = _check_noise_grid(grid)
+    t = M.times[M.times <= grid[-1] + 1e-12]
+    idx = M._indices_on(grid)
+    mu = M.rate()
+    sqn = math.sqrt(n)
+    eq = equilibrium_distribution(H)
+
+    n_ent = int(math.floor(mu * n * t[-1] + 1e-9))
+    tau = np.arange(1, n_ent + 1) / (mu * n)
+    m_at = np.floor(mu * n * t + 1e-9).astype(int)
+    # deterministic centerings, shared by every replication
+    w_center = n * np.asarray(eq.survival(t), dtype=float)
+    hc_tail = np.zeros(t.size)
+    for k in range(t.size):
+        hc_tail[k] = float(np.sum(1.0 - np.asarray(H.cdf(t[k] - tau[: m_at[k]]), dtype=float)))
+
+    A = _stieltjes_matrix(np.diff(M.values_on(t)))
+    out = np.empty((reps, t.size))
+    for r in range(reps):
+        u = np.sort(eq.sample(rng, n))
+        w_part = (n - np.searchsorted(u, t, side="right")) - w_center
+        d = np.sort(tau + H.sample(rng, n_ent))
+        m_part = (m_at - np.searchsorted(d, t, side="right")) - hc_tail
+        z = (w_part + m_part) / sqn
+        out[r] = -(A @ z)
+    return out[:, idx]
+
+
+def openblas_mapped():
+    """Whether /proc/self/maps lists a library named like an OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return any("openblas" in line.lower() for line in fh)
+    except OSError:
+        return False

@@ -23,8 +23,6 @@ from httq import (
     make_rng,
     sample_brownian,
     sample_case_i_paths,
-    sample_gaussian_S,
-    sample_service_noise_finite_n,
     simulate,
     solve_phi_Mg,
     solve_skorokhod_g,
@@ -37,6 +35,8 @@ from oracles import (
     mmn_abandonment_ctmc,
     picard_phi_mg,
     reflected_ou_stationary_cdf,
+    sample_gaussian_S,
+    sample_service_noise_finite_n,
 )
 
 EXP1 = DistributionSpec.exponential(1.0)

@@ -1,5 +1,6 @@
 """CLI contract: spec files, hashes, headers, determinism, exit codes."""
 
+import io
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from httq.distributions import DistributionSpec
 from httq.paths import uniform_grid
 from httq.renewal import compute_renewal_function
 
-from oracles import per_replication_limit
+from oracles import openblas_mapped, per_replication_limit
 
 
 def mmn_dict(n=16, horizon=3.0, alpha=1.0, beta=-1.0, xi=0.0):
@@ -360,6 +361,79 @@ def test_limit_case_ii(tmp_path):
 
 _LINEAR_PATIENCE = {"mode": "no_scaling",
                     "distribution": {"family": "exponential", "rate": 0.7}}
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads: a command runs on one, and the caller's counts come back
+
+
+def blas_thread_counts():
+    return [get() for _, get in httq.cli._openblas_thread_controls()]
+
+
+def small_limit_spec(tmp_path):
+    return write_spec(tmp_path, "limit.json", {
+        "command": "limit", "case": "ii", "xi": -0.5, "beta": -1.0, "mu": 1.0,
+        "patience": _LINEAR_PATIENCE, "service": {"family": "exponential", "rate": 1.0},
+        "horizon": 2.0, "grid_step": 0.01, "reps": 2, "seed": 5,
+    })
+
+
+needs_openblas = pytest.mark.skipif(not openblas_mapped(), reason="no OpenBLAS loaded")
+
+
+@needs_openblas
+def test_main_restores_each_openblas_thread_count(tmp_path, monkeypatch):
+    spec = small_limit_spec(tmp_path)
+    bad = write_spec(tmp_path, "bad.json", {"command": "limit", "case": "iii"})
+    argv = ["limit", spec, "--out", str(tmp_path / "runs"), "--workers", "1"]
+    with httq.cli._blas_threads(2):
+        before = blas_thread_counts()
+        assert before and all(n == 2 for n in before)
+        assert main(argv) == 0
+        assert blas_thread_counts() == before
+        assert main(["limit", bad, "--out", str(tmp_path / "runs")]) == 2
+        assert blas_thread_counts() == before
+
+        def fails(*args, **kwargs):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(httq.cli, "_solve_limit", fails)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            main(argv)
+        assert blas_thread_counts() == before
+
+
+@needs_openblas
+def test_limit_command_runs_on_one_blas_thread(tmp_path, monkeypatch):
+    seen = []
+    solve = httq.cli._solve_limit
+
+    def recording(*args, **kwargs):
+        seen.append(blas_thread_counts())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(httq.cli, "_solve_limit", recording)
+    with httq.cli._blas_threads(2):
+        assert main(["limit", small_limit_spec(tmp_path), "--out", str(tmp_path / "runs"),
+                     "--workers", "1"]) == 0
+    assert len(seen) == 1 and seen[0] and all(n == 1 for n in seen[0])
+
+
+@pytest.mark.parametrize("maps", [None, "7f00-7f01 r-xp 0 0:0 0 /nowhere/libopenblas.so\n"],
+                         ids=["unreadable", "not-loaded"])
+def test_limit_runs_where_the_scan_finds_no_openblas(tmp_path, monkeypatch, maps):
+    def fake_open(path, *args, **kwargs):
+        if path != "/proc/self/maps":
+            return open(path, *args, **kwargs)
+        if maps is None:
+            raise OSError("no /proc here")
+        return io.StringIO(maps)
+
+    monkeypatch.setattr(httq.cli, "open", fake_open, raising=False)
+    assert httq.cli._openblas_thread_controls() == []
+    assert main(["limit", small_limit_spec(tmp_path), "--out", str(tmp_path / "runs"),
+                 "--workers", "1"]) == 0
 
 
 @pytest.mark.parametrize("case,xi", [("i", 0.0), ("i", 0.5), ("ii", -0.5),

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import httq.limits
+from httq.cli import _blas_threads, _openblas_thread_controls
 from httq.distributions import DistributionSpec
 from httq.limits import (
     NoiseSample,
@@ -12,9 +14,7 @@ from httq.limits import (
     sample_brownian,
     sample_case_i_paths,
     sample_case_ii_paths,
-    sample_gaussian_S,
     sample_noise,
-    sample_service_noise_finite_n,
     solve_limit_case_i,
     solve_limit_case_ii,
     CACHE_SIZE,
@@ -26,7 +26,13 @@ from httq.patience import PatienceSpec, _cum_hazard, constant_hazard
 from httq.renewal import compute_renewal_function, equilibrium_distribution
 from httq.streams import make_rng
 
-from oracles import ks_one_sample, reflected_ou_stationary_cdf
+from oracles import (
+    ks_one_sample,
+    openblas_mapped,
+    reflected_ou_stationary_cdf,
+    sample_gaussian_S,
+    sample_service_noise_finite_n,
+)
 
 
 def zero_path(horizon: float):
@@ -368,6 +374,33 @@ def test_batch_case_ii_matches_single_solve(exp_table):
                       M=exp_table, H=exp_table.H)
     sol = solve_limit_case_ii(-0.3, ns.E, ns.S, -1.0, 1.0, f, exp_table, grid)
     np.testing.assert_allclose(X[0], sol.x.sampled(grid), atol=1e-10)
+
+
+@pytest.mark.skipif(not openblas_mapped(), reason="no OpenBLAS loaded")
+def test_sweep_noise_agrees_across_blas_threads(monkeypatch):
+    # The case-(ii) draw of an alpha = 1 sweep (1025-point limit grid, 40 rows)
+    # at one and at two OpenBLAS threads, as `httq sweep` and a library caller
+    # run it.  OpenBLAS splits the products differently, so the bytes differ:
+    # the paths by about 4e-12, the factor by 2e-13 and the covariance by 4e-15.
+    # The paths must stay within 10 * tol, the gate for any limit-path move.
+    T = 10.0
+    grid = uniform_grid(T, T / 1024)
+    table = compute_renewal_function(DistributionSpec.exponential(1.0), horizon=T, step=T / 1024)
+    f = lambda x: np.asarray(x)
+    draws = []
+    for threads in (1, 2):
+        monkeypatch.setattr(httq.limits, "_covariance_cache", httq.limits._LRUCache())
+        with _blas_threads(threads):
+            assert all(get() == threads for _, get in _openblas_thread_controls())
+            X = sample_case_ii_paths(0.0, -1.0, 1.0, 1.0, f, table, grid, seed=7,
+                                     reps=40, tol=1e-10)
+            model = _covariance_model(table)
+            L, _ = model.cholesky(grid)
+        draws.append((model.matrix, L, X))
+    (cov1, L1, X1), (cov2, L2, X2) = draws
+    np.testing.assert_allclose(cov2, cov1, rtol=0, atol=1e-13 * np.abs(cov1).max())
+    np.testing.assert_allclose(L2, L1, rtol=0, atol=1e-10 * np.abs(L1).max())
+    np.testing.assert_allclose(X2, X1, rtol=0, atol=10 * 1e-10)
 
 
 def test_batch_rejects_nonuniform_grid():
