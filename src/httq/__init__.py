@@ -22,7 +22,7 @@ from .maps import (
     solve_skorokhod_g,
 )
 from .paths import CadlagPath, counting_path, linear_path, step_path, uniform_grid
-from .patience import PatienceSpec, constant_hazard, limit_f, power_limit, ramp_hazard
+from .patience import PatienceSpec, constant_hazard, power_limit, ramp_hazard
 from .renewal import (
     EquilibriumDistribution,
     RenewalTable,
@@ -37,9 +37,7 @@ from .simulator import (
     OUTCOME_WAITING,
     SimRecord,
     SystemConfig,
-    offered_waits,
     simulate,
-    virtual_wait,
     virtual_wait_path,
 )
 from .streams import make_rng
@@ -89,12 +87,10 @@ __all__ = [
     "equilibrium_distribution",
     "gap_statistics",
     "ks_two_sample",
-    "limit_f",
     "linear_path",
     "little_gap",
     "make_rng",
     "neg_part_sup",
-    "offered_waits",
     "power_limit",
     "ramp_hazard",
     "sample_brownian",
@@ -111,6 +107,5 @@ __all__ = [
     "solve_skorokhod_g",
     "step_path",
     "uniform_grid",
-    "virtual_wait",
     "virtual_wait_path",
 ]

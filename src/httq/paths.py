@@ -11,6 +11,10 @@ Two interpolation kinds cover everything the library produces:
 Evaluation, left limits and sup-norms are exact for the stored
 representation; there is no hidden resampling.  Arithmetic requires matching
 kinds and merges breakpoints exactly.
+
+The constructors check that the breakpoints strictly increase; a path
+derived from another (``map_values``, ``scale``, ``cumulative_integral``, ...)
+trusts the breakpoints it inherits and checks only its new values' shape.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ class CadlagPath:
             tail = self.values[-1] * (self.horizon - t[-1])
             t = np.concatenate((t, [self.horizon]))
             cum = np.concatenate((cum, [cum[-1] + tail]))
-        return CadlagPath(t, cum, "linear", self.horizon)
+        return self._derived(cum, "linear", t)
 
     # -- algebra --------------------------------------------------------------
 
@@ -138,7 +142,7 @@ class CadlagPath:
         Exact for step paths and any fn; for linear paths this interpolates
         fn(x) between knots (exact only when fn is affine between knot values).
         """
-        return CadlagPath(self.times, fn(self.values), self.kind, self.horizon)
+        return self._derived(fn(self.values))
 
     def pos_part(self) -> "CadlagPath":
         return self.map_values(lambda v: np.maximum(v, 0.0))
@@ -147,10 +151,20 @@ class CadlagPath:
         return self.map_values(lambda v: np.maximum(-v, 0.0))
 
     def scale(self, c: float) -> "CadlagPath":
-        return CadlagPath(self.times, c * self.values, self.kind, self.horizon)
+        return self._derived(c * self.values)
 
     def shift_values(self, c: float) -> "CadlagPath":
-        return CadlagPath(self.times, self.values + c, self.kind, self.horizon)
+        return self._derived(self.values + c)
+
+    def _derived(self, values, kind: str | None = None, times=None) -> "CadlagPath":
+        """New values on these validated breakpoints (or them plus the horizon)."""
+        t = self.times if times is None else times
+        v = np.asarray(values, dtype=float)
+        if v.shape != t.shape:
+            raise ValueError("times and values must be 1-d arrays of equal length")
+        path = object.__new__(CadlagPath)
+        vars(path).update(times=t, values=v, kind=kind or self.kind, horizon=self.horizon)
+        return path
 
     def sampled(self, grid: np.ndarray) -> np.ndarray:
         return np.asarray(self(np.asarray(grid, dtype=float)))

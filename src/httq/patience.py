@@ -33,9 +33,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .distributions import CACHE_SIZE, DistributionSpec
-from .paths import CadlagPath, linear_path
 
-__all__ = ["PatienceSpec", "limit_f", "constant_hazard", "ramp_hazard", "power_limit"]
+__all__ = ["PatienceSpec", "constant_hazard", "ramp_hazard", "power_limit"]
 
 _HAZARD_STEP = 1e-3
 _PROBE_HI = 8.0
@@ -323,10 +322,3 @@ def _invert_f(f, targets: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     out = 0.5 * (lo + hi)
     out = np.where(targets <= 0, 0.0, out)
     return np.where(unreachable, np.inf, out)
-
-
-def limit_f(spec: PatienceSpec, grid: np.ndarray) -> CadlagPath:
-    """Tabulate the scaling limit f on a grid as a linear path."""
-    grid = np.asarray(grid, dtype=float)
-    f = spec.limit_function()
-    return linear_path(grid, np.asarray(f(grid), dtype=float), horizon=float(grid[-1]))

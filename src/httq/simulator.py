@@ -264,15 +264,26 @@ class SimRecord:
 def _assemble_record(config, seed, replication, s0, q0, **customers) -> SimRecord:
     """Build the paths from the per-customer times (shared with the heap oracle).
 
-    X is x0 + E - S - G on the union of the breakpoints of E, S and G.
+    X = x0 + E - S - G comes from one merge of the breakpoints of E, S and G,
+    each carrying its path's signed jump: a stable sort (timsort merges the
+    three sorted runs), a running sum, and the last entry at each distinct
+    time, so that simultaneous events coalesce into one net-jump breakpoint.
     """
     T = config.horizon
     x0 = s0 + q0
     E = counting_path(customers["arrival_times"][x0:], horizon=T)
     S, G = (counting_path(times[np.isfinite(times)], horizon=T)
             for times in (customers["completion_times"], customers["abandon_times"]))
-    t = np.unique(np.concatenate([E.times, S.times, G.times]))
-    X = step_path(t, x0 + E.sampled(t) - S.sampled(t) - G.sampled(t), horizon=T)
+    times = np.concatenate([E.times, S.times, G.times])
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    jumps = np.concatenate([np.diff(p.values, prepend=0.0) for p in (E, S, G)])
+    jumps[E.times.size:] *= -1.0
+    jumps = jumps[order]
+    last = np.append(times[1:] != times[:-1], True)
+    values = np.cumsum(jumps, out=jumps)[last]
+    values += x0
+    X = step_path(times[last], values, horizon=T)
     return SimRecord(config=config, seed=seed, replication=replication,
                      n_initial_service=s0, n_initial_queued=q0, X=X, E=E, S=S, G=G,
                      **customers)
@@ -304,9 +315,11 @@ def _fcfs_starts(free_at: list, arrivals, services, limits) -> tuple[np.ndarray,
     for a, s, limit in zip(arrivals.tolist(), services.tolist(), limits.tolist()):
         free = free_at[0]
         seen.append(free)
-        start = a if free < a else free
-        if start <= limit:
-            replace(free_at, start + s)
+        # an idle server takes the customer at once: a <= limit always
+        if free < a:
+            replace(free_at, a + s)
+        elif free <= limit:
+            replace(free_at, free + s)
     seen.append(free_at[0])
     server_free = np.array(seen)
     offered = np.maximum(arrivals, server_free[:-1])
@@ -423,17 +436,6 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
 # waiting times read off the recorded server-free epochs
 
 
-def virtual_wait(record: SimRecord, t: float) -> float:
-    """Wait of a hypothetical infinitely patient arrival at time t.
-
-    The hypothetical customer queues behind every customer who arrived by
-    t and enters service at the first server-free epoch it sees, or at t
-    when a server is free.  That epoch is exact even when it lies beyond
-    the horizon.
-    """
-    return float(virtual_wait_path(record, np.asarray([float(t)]))[0])
-
-
 def virtual_wait_path(record: SimRecord, grid) -> np.ndarray:
     """Vectorized virtual waits on a grid within [0, horizon]."""
     grid = np.asarray(grid, dtype=float)
@@ -441,15 +443,3 @@ def virtual_wait_path(record: SimRecord, grid) -> np.ndarray:
         raise ValueError("grid must lie within [0, horizon]")
     ahead = np.searchsorted(record.arrival_times[record.n_initial_service:], grid, side="right")
     return np.maximum(record.server_free[ahead], grid) - grid
-
-
-def offered_waits(record: SimRecord) -> np.ndarray:
-    """Offered wait per queue-eligible customer (initial queued + arrivals).
-
-    The wait from arrival to the first server-free epoch the customer sees:
-    the recorded wait for those who entered service, and the wait they
-    would have faced had they stayed for those who abandoned.  Waits that
-    end beyond the horizon are exact too.
-    """
-    a = record.arrival_times[record.n_initial_service:]
-    return np.maximum(a, record.server_free[:-1]) - a

@@ -77,15 +77,22 @@ def coupling_gap(bundle: ScaledBundle) -> GapStatistic:
 
     Gt is a step path and the bundle's compensator is piecewise linear, so
     the sup over each segment is attained at a breakpoint or a pre-jump
-    left limit.
+    left limit.  That sup is the larger of the sups over the compensator's
+    knots and over Gt's breakpoints, so no union is built.  Gt jumps only at
+    its breakpoints, so its left limits are needed there alone, where the
+    compensator is interpolated; at the knots, Gt is read through the ranks
+    of its few breakpoints among them.
     """
     comp = bundle.compensator
     g = bundle.G
-    ts = np.union1d(g.times, comp.times)
-    c = comp.sampled(ts)
-    post = np.abs(g.sampled(ts) - c)
-    pre = np.abs(np.asarray(g.left_limit(ts)) - c)
-    value = float(max(post.max(), pre.max()))
+    knots, c = comp.times, comp.values
+    # Gt's index at each knot: the number of its breakpoints <= the knot, less one
+    at = np.cumsum(np.bincount(np.searchsorted(knots, g.times),
+                               minlength=knots.size + 1)[:-1]) - 1
+    g_left = np.append(g.values[:1], g.values[:-1])
+    c_g = comp.sampled(g.times)
+    value = float(max(np.abs(g.values[at] - c).max(), np.abs(g.values - c_g).max(),
+                      np.abs(g_left - c_g).max()))
     return GapStatistic("coupling_gap", value, bundle.n, g.horizon, bundle.replication)
 
 

@@ -13,10 +13,16 @@ iteration that the forward phi_Mg solve replaced, which shares only the
 phi_M solve and the trapezoid sum with the library; and
 `per_replication_limit`, the loop `httq limit` ran before it solved all
 replications in one batch, which solves each replication on its own through
-the single-path solvers.  `path_min_value` and `path_integral` are exact
+the single-path solvers; `union_paths`, the head count sampled on the union
+of the counting paths' breakpoints that the one-merge build replaced; and
+`union_coupling_gap`, the coupling gap evaluated on the union of both
+paths' breakpoints.  `path_min_value` and `path_integral` are exact
 functionals of a stored `CadlagPath` that only the tests need, and
 `openblas_mapped` tells, apart from the CLI's own library scan, whether an
-OpenBLAS is loaded into the test process.  Two critical-scale service-noise
+OpenBLAS is loaded into the test process.  `virtual_wait`, `offered_waits`
+and `limit_f` are instruments only the tests read: one virtual wait and the
+offered waits read off a record's server-free epochs, and a patience law's
+scaling limit tabulated as a path.  Two critical-scale service-noise
 samplers serve the covariance cross-checks: `sample_gaussian_S`, one path
 drawn through the library's covariance model, and
 `sample_service_noise_finite_n`, the direct finite-n replica built from the
@@ -38,7 +44,7 @@ from httq.limits import (
     solve_limit_case_ii,
 )
 from httq.maps import _cumtrapz, _phi_m_solve, _stieltjes_matrix
-from httq.paths import linear_path
+from httq.paths import counting_path, linear_path, step_path
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
     KIND_ABANDONMENT,
@@ -52,6 +58,7 @@ from httq.simulator import (
     OUTCOME_WAITING,
     TIE_WINDOW,
     _assemble_record,
+    virtual_wait_path,
 )
 from httq.streams import make_rng
 
@@ -426,6 +433,37 @@ def head_count_from_log(record):
     return tx[keep], vx[keep].astype(float)
 
 
+def union_paths(record):
+    """(X, E, S, G) assembled as the library did before its one-merge build.
+
+    E, S and G count the record's arrivals and its finite completions and
+    abandonments, and X is x0 + E - S - G sampled on the sorted union of
+    their breakpoints.
+    """
+    T = record.config.horizon
+    x0 = record.n_initial_service + record.n_initial_queued
+    E = counting_path(record.arrival_times[x0:], horizon=T)
+    S, G = (counting_path(times[np.isfinite(times)], horizon=T)
+            for times in (record.completion_times, record.abandon_times))
+    t = np.unique(np.concatenate([E.times, S.times, G.times]))
+    X = step_path(t, x0 + E.sampled(t) - S.sampled(t) - G.sampled(t), horizon=T)
+    return X, E, S, G
+
+
+def union_coupling_gap(bundle):
+    """sup |Gt - compensator| evaluated on the sorted union of both paths' breakpoints.
+
+    The form `validation.coupling_gap` took before it split the sup into
+    one over the compensator's knots and one over Gt's breakpoints.
+    """
+    comp, g = bundle.compensator, bundle.G
+    ts = np.union1d(g.times, comp.times)
+    c = comp.sampled(ts)
+    post = np.abs(g.sampled(ts) - c)
+    pre = np.abs(np.asarray(g.left_limit(ts)) - c)
+    return float(max(post.max(), pre.max()))
+
+
 # ---------------------------------------------------------------------------
 # differential oracle: waiting times replayed from the event log
 
@@ -501,6 +539,29 @@ def replay_offered_waits(record):
         enter = np.minimum(slot, idle)
         waits[abandoned] = np.where(np.isfinite(enter), enter - a, np.nan)
     return waits, int(np.count_nonzero(np.isnan(waits)))
+
+
+def virtual_wait(record, t):
+    """Wait of a hypothetical infinitely patient arrival at time t.
+
+    The hypothetical customer queues behind every customer who arrived by
+    t and enters service at the first server-free epoch it sees, or at t
+    when a server is free.  That epoch is exact even when it lies beyond
+    the horizon.
+    """
+    return float(virtual_wait_path(record, np.asarray([float(t)]))[0])
+
+
+def offered_waits(record):
+    """Offered wait per queue-eligible customer (initial queued + arrivals).
+
+    The wait from arrival to the first server-free epoch the customer sees:
+    the recorded wait for those who entered service, and the wait they
+    would have faced had they stayed for those who abandoned.  Waits that
+    end beyond the horizon are exact too.
+    """
+    a = record.arrival_times[record.n_initial_service:]
+    return np.maximum(a, record.server_free[:-1]) - a
 
 
 def picard_phi_mg(Y, w, gv, h, sign, tol, init, max_iter=10_000):
@@ -615,3 +676,10 @@ def openblas_mapped():
             return any("openblas" in line.lower() for line in fh)
     except OSError:
         return False
+
+
+def limit_f(spec, grid):
+    """Tabulate a patience spec's scaling limit f on a grid as a linear path."""
+    grid = np.asarray(grid, dtype=float)
+    f = spec.limit_function()
+    return linear_path(grid, np.asarray(f(grid), dtype=float), horizon=float(grid[-1]))

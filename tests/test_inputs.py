@@ -11,11 +11,12 @@ from httq.patience import (
     PatienceSpec,
     _CumHazard,
     constant_hazard,
-    limit_f,
     power_limit,
     ramp_hazard,
 )
 from httq.streams import BLOCK, PURPOSES, draw_blocks, make_rng
+
+from oracles import limit_f
 
 FAMILIES = [
     DistributionSpec.exponential(2.0),

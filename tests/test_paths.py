@@ -80,6 +80,47 @@ def test_validation_errors():
         p(2.5)
 
 
+def test_derived_paths_still_check_their_values():
+    # derived paths trust the inherited breakpoints, not the new values
+    for p in (step_path([0.0, 1.0, 1.5], [1.0, -2.0, 3.0], horizon=2.0),
+              linear_path([0.0, 1.0, 1.5], [1.0, -2.0, 3.0], horizon=2.0)):
+        for fn in (lambda v: v[:-1], lambda v: np.append(v, 0.0),
+                   lambda v: v.reshape(1, -1), lambda v: 7.0):
+            with pytest.raises(ValueError, match="equal length"):
+                p.map_values(fn)
+        for q in (p.map_values(np.abs), p.scale(2.0), p.shift_values(1.0),
+                  p.pos_part(), p.neg_part()):
+            assert q.times is p.times and q.kind == p.kind and q.horizon == p.horizon
+            assert q.values.dtype == float and q.values.shape == p.times.shape
+        integral = p.cumulative_integral()
+        assert integral.kind == "linear"
+        np.testing.assert_array_equal(integral.times, [0.0, 1.0, 1.5, 2.0])
+        assert p.map_values(lambda v: np.ones(3, dtype=int)).values.dtype == float
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan]])
+def test_public_constructors_reject_non_increasing_times(times):
+    values = np.zeros(len(times))
+    for build in (lambda: CadlagPath(np.array(times), values, "step", 3.0),
+                  lambda: CadlagPath(np.array(times), values, "linear", 3.0),
+                  lambda: step_path(times, values, horizon=3.0),
+                  lambda: linear_path(times, values, horizon=3.0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build()
+
+
+def test_counting_path_breakpoints_strictly_increase():
+    # counting_path sorts and coalesces its events, so its breakpoints always
+    # pass the constructor's check; events it cannot order are rejected
+    p = counting_path([2.0, 0.5, 1.0, 0.5, 2.0, 0.0], horizon=3.0)
+    np.testing.assert_array_equal(p.times, [0.0, 0.5, 1.0, 2.0])
+    np.testing.assert_array_equal(p.values, [1.0, 3.0, 4.0, 6.0])
+    with pytest.raises(ValueError):
+        counting_path([0.0, np.nan], horizon=3.0)
+    with pytest.raises(ValueError):
+        counting_path([-1.0, 1.0], horizon=3.0)
+
+
 def test_random_step_paths_integral_matches_dense_riemann():
     rng = np.random.default_rng(42)
     for _ in range(20):

@@ -19,22 +19,25 @@ from httq.simulator import (
     KIND_START,
     TIE_WINDOW,
     SystemConfig,
-    offered_waits,
     simulate,
-    virtual_wait,
     virtual_wait_path,
 )
-from httq.validation import _replication_job
+from httq.scaling import scale
+from httq.validation import _replication_job, coupling_gap
 
 from oracles import (
     head_count_from_log,
     heap_simulate,
     lindley_waits,
     mmn_abandonment_ctmc,
+    offered_waits,
     path_integral,
     path_min_value,
     replay_offered_waits,
     replay_virtual_wait_path,
+    union_coupling_gap,
+    union_paths,
+    virtual_wait,
 )
 
 
@@ -535,17 +538,22 @@ def _configs(draw):
     )
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=_configs(), seed=st.integers(0, 10_000))
-# arrivals every 1/16 and services of 1 on 16 servers: 30 epochs where an
-# arrival and a completion tie exactly
-@example(cfg=SystemConfig(
-    n=16, alpha=1.0, mu=1.0, beta=0.0,
-    arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
-    service=DistributionSpec.deterministic(1.0),
-    patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(0.25)),
-    horizon=4.0, xi=0.5, abandon=True), seed=0)
+def _over_generated_configs(test):
+    """Run a test over 120 generated configs and seeds, plus one of lattice ties."""
+    # arrivals every 1/16 and services of 1 on 16 servers: 30 epochs where an
+    # arrival and a completion tie exactly
+    test = example(cfg=SystemConfig(
+        n=16, alpha=1.0, mu=1.0, beta=0.0,
+        arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+        service=DistributionSpec.deterministic(1.0),
+        patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(0.25)),
+        horizon=4.0, xi=0.5, abandon=True), seed=0)(test)
+    test = given(cfg=_configs(), seed=st.integers(0, 10_000))(test)
+    return settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])(test)
+
+
+@_over_generated_configs
 def test_recursion_matches_event_heap(cfg, seed):
     new = simulate(cfg, seed=seed, replication=1)
     old = heap_simulate(cfg, seed=seed, replication=1)
@@ -591,3 +599,16 @@ def test_recursion_matches_event_heap(cfg, seed):
         np.testing.assert_array_equal(np.isnan(a), np.isnan(b), err_msg=name)
         ok = ~np.isnan(a)
         assert np.all(np.abs(a[ok] - b[ok]) <= TIE_WINDOW), name
+
+
+@_over_generated_configs
+def test_merged_paths_match_union_oracles(cfg, seed):
+    # X from one merge of the counting paths' breakpoints, and the coupling
+    # gap without a union of breakpoints, bit for bit against the union forms
+    rec = simulate(cfg, seed=seed, replication=1)
+    for name, got, want in zip("XESG", (rec.X, rec.E, rec.S, rec.G), union_paths(rec)):
+        for a, b in ((got.times, want.times), (got.values, want.values)):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b), err_msg=name)
+    bundle = scale(rec)
+    assert coupling_gap(bundle).value == union_coupling_gap(bundle)

@@ -12,7 +12,7 @@ import httq.simulator
 
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.patience import PatienceSpec
-from httq.paths import linear_path, step_path, uniform_grid
+from httq.paths import counting_path, linear_path, step_path, uniform_grid
 from httq.scaling import ScaledBundle, scale
 from httq.simulator import SystemConfig, simulate
 from httq.validation import (
@@ -26,6 +26,8 @@ from httq.validation import (
     little_gap,
     neg_part_sup,
 )
+
+from oracles import union_coupling_gap
 
 
 def mmn_config(n, mu=1.0, beta=-1.0, theta=1.0, horizon=5.0, xi=0.0,
@@ -88,6 +90,52 @@ def test_coupling_gap_single_jump_synthetic_bundle():
     stat = coupling_gap(bundle)
     assert stat.value == 0.5
     assert stat.replication == 7
+
+
+def _gap_bundle(g, comp, T):
+    grid = uniform_grid(T, T / 4)
+    zero_step = step_path([0.0], [0.0], T)
+    zero_lin = linear_path([0.0, T], [0.0, 0.0], T)
+    return ScaledBundle(n=4, mu=1.0, grid=grid, X=zero_step, Q=zero_step, E=zero_lin,
+                        S=zero_lin, G=g, G_hat=zero_lin, compensator=comp,
+                        omega=np.zeros(grid.size))
+
+
+_T = 4.0
+_COMP = linear_path([0.0, 1.0, 2.0, 3.0, _T], [0.0, 0.3, 0.35, 1.2, 1.6], _T)
+
+
+@pytest.mark.parametrize("g, comp, want", [
+    # G jumps at 0 and at the horizon
+    (step_path([0.0, 1.5, _T], [0.25, 0.5, 2.5], _T), _COMP, 1.1),
+    # G's breakpoints fall between the compensator's knots
+    (step_path([0.0, 0.7, 2.2, 3.1], [0.0, 0.5, 1.0, 1.5], _T), _COMP, 0.48),
+    # G's breakpoints on and off the knots, the compensator with a horizon knot only
+    (step_path([0.0, 1.0, 2.5], [0.0, 1.0, 1.25], _T),
+     linear_path([0.0, _T], [0.0, 2.0], _T), 0.75),
+    # empty G: the gap is the compensator's sup
+    (step_path([0.0], [0.0], _T), _COMP, 1.6),
+    # no compensator: the gap is G's sup
+    (step_path([0.0, 3.9], [0.0, 0.5], _T), linear_path([0.0, _T], [0.0, 0.0], _T), 0.5),
+])
+def test_coupling_gap_matches_union_oracle_on_hand_built_bundles(g, comp, want):
+    bundle = _gap_bundle(g, comp, _T)
+    stat = coupling_gap(bundle)
+    assert stat.value == union_coupling_gap(bundle)
+    assert stat.value == pytest.approx(want, abs=1e-12)
+
+
+def test_coupling_gap_matches_union_oracle_on_random_bundles():
+    # G's breakpoints drawn partly from the knots and partly off them
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        knots = np.unique(np.concatenate([[0.0, _T], rng.uniform(0.0, _T, rng.integers(0, 30))]))
+        comp = linear_path(knots, np.cumsum(rng.exponential(0.2, knots.size)) - 0.2, _T)
+        jumps = np.concatenate([rng.choice(knots, rng.integers(0, 6)),
+                                rng.uniform(0.0, _T, rng.integers(0, 6))])
+        g = counting_path(jumps, horizon=_T, weight=0.5)
+        bundle = _gap_bundle(g, comp, _T)
+        assert coupling_gap(bundle).value == union_coupling_gap(bundle)
 
 
 def test_coupling_gap_single_abandonment_end_to_end():
