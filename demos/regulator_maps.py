@@ -42,8 +42,8 @@ sol = solve_phi_M(y, table, grid)
 print(f"phi_M       : x(2) = {float(sol.x(2.0)):+.4f}  x(4) = {float(sol.x(4.0)):+.4f}  "
       f"residual {sol.residual:.1e}")
 
-# phi_Mg adds the drain back. One forward pass solves it step by step (only
-# the trapezoid's own-step drift term needs a short inner iteration); one
+# phi_Mg adds the drain back. One forward pass solves it in blocks of steps
+# (sweeps over each block settle the trapezoid's own-step drift term); one
 # independent phi_M solve of the answer certifies it: the discrete equation
 # must close below tol, or the solve raises.
 sol = solve_phi_Mg(y, table, g, grid, g_sign=-1.0)

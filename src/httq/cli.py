@@ -140,8 +140,7 @@ def _write_csv(path: Path, meta: dict, columns, rows) -> None:
     with open(path, "w") as fh:
         fh.write("# " + _meta_line(meta) + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, meta: dict, payload: dict) -> None:

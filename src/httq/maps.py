@@ -9,17 +9,18 @@ Four variants, all driven by a cadlag input path y:
 * ``phi_Mg``      x = y + int (x(t-s))^- dM(s) +/- int g(x^+) ds
 
 All four are forward schemes.  The discrete ``phi_Mg`` equation is
-explicit except for the trapezoid's own-step term x_k -/+ h/2 g(x_k^+),
-which one forward pass settles by a short per-step fixed-point
-iteration.  One independent ``phi_M`` solve of the answer then checks
-that it closes the discrete equation: the closure is one sweep of the
-paper's Picard map u -> y +/- int g((phi_M(u))^+) ds, so a value below
-tol certifies the fixed point the contraction argument guarantees.  The
-causal dM convolution is one lower-triangular Toeplitz operator
-(``_stieltjes_matrix``), shared with the service-noise covariance.  The
-public solvers are the one-row case of batched routes (arrays shaped
-(rows, grid)) that the limit solvers share, so a batch of replications
-pays one Python loop over time, not one per sample.
+explicit except for the trapezoid's own-step term x_k -/+ h/2 g(x_k^+).
+One forward pass settles it in blocks of steps: one GEMM brings in a
+block's history, and sweeps over the block settle the steps inside it; a
+block whose sweeps do not contract is halved.  One independent ``phi_M``
+solve of the answer then checks that it closes the discrete equation: the
+closure is one sweep of the paper's Picard map
+u -> y +/- int g((phi_M(u))^+) ds, so a value below tol certifies the fixed
+point the contraction argument guarantees.  The causal dM convolution is
+one lower-triangular Toeplitz operator (``_stieltjes_matrix``), shared with
+the service-noise covariance.  The public solvers are the one-row case of
+batched routes (arrays shaped (rows, grid)) that the limit solvers share,
+so a batch of replications pays one Python loop over time, not one each.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from .paths import CadlagPath, linear_path
 from .renewal import RenewalTable
 
 OWN_STEP_MAX_ITER = 10_000
+_BLOCK = 32  # steps the phi_Mg forward pass settles per history GEMM
 _PROBE_POINTS = 512
-# an own-step update that stalls within this many ulps of the iterate is
-# rounding, not a failure to contract
+# a forward sweep whose update stalls within this many ulps of the iterate
+# has met rounding, not a failure to contract
 _ULPS = 8.0 * np.finfo(float).eps
 
 
@@ -146,7 +148,8 @@ def _phi_m_solve(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Forward solve of x = y + sum_j (x(t_k - t_j))^- dM_j, right-endpoint rule.
 
     dM has no atom at 0, so x(t_k) never feeds its own convolution term and
-    the recursion stays explicit.
+    the recursion stays explicit.  It stays per step, unlike the phi_Mg forward
+    pass, because it is the independent half of that pass's closure check.
     """
     m = w.size
     X = np.empty_like(Y)
@@ -201,35 +204,42 @@ def _phi_m_gain(w: np.ndarray) -> float:
 
 
 def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float,
-                    tol: float, max_iter: int = OWN_STEP_MAX_ITER) -> np.ndarray:
+                    tol: float, max_iter: int = OWN_STEP_MAX_ITER,
+                    A: np.ndarray | None = None) -> np.ndarray:
     """One forward pass through the discrete phi_Mg equation; returns U.
 
     The discrete fixed point satisfies x_k = R_k + sign * h/2 * g(x_k^+),
     where R_k holds y_k, the right-endpoint dM convolution of x^- at
-    t_0..t_{k-1} and the trapezoid sum of g(x^+) through t_{k-1}: all
-    known at step k.  The own-step equation is solved for every row at
-    once by fixed-point iteration, a contraction with factor h/2 * lambda_g,
-    until the update is below 1e-3 * tol.  An update that fails to shrink
-    means the map does not contract, and raises.  The result is
-    U = y + sign * int g(x^+) ds, whose phi_M image is x.
+    t_0..t_{k-1} and the trapezoid sum of g(x^+) through t_{k-1}.  Per block
+    of _BLOCK steps, one GEMM with a panel of A^T (A = `_stieltjes_matrix(w)`)
+    brings in the history, and sweeps over the block and every row settle its
+    steps until one changes x by less than 1e-3 * tol.  A change that fails
+    to shrink halves the block for the rest of the pass and redoes it; at one
+    step the sweep is the own-step contraction, with factor h/2 * lambda_g,
+    and a failure there raises.  The result is U = y + sign * int g(x^+) ds,
+    whose phi_M image is x.
     """
     m = w.size
-    wrev = w[::-1].copy()  # contiguous, so each matvec takes numpy's fast path
+    At = (_stieltjes_matrix(w) if A is None else A).T  # a view: the panels read A
+    b = min(_BLOCK, m)
     own = 0.5 * sign * h  # weight of g(x_k^+) in the trapezoid sum at t_k
+    T = np.triu(At[:b, :b], 1)  # in-block dM convolution, strictly causal
+    C = own * (2.0 * np.triu(np.ones((b, b))) - np.eye(b))  # in-block trapezoid sums
     stop = 1e-3 * tol
     neg = np.empty_like(Y)
     G = np.empty_like(Y)
     neg[:, 0] = np.maximum(-Y[:, 0], 0.0)
-    gk = G[:, 0] = gv(np.maximum(Y[:, 0], 0.0))
-    # sign * (trapezoid sum of G through t_{k-1}) + own * G_{k-1}
-    carried = own * gk
-    for k in range(1, m + 1):
-        known = Y[:, k] + carried + neg[:, :k] @ wrev[m - k:]
-        x = known + own * gk
+    G[:, 0] = gv(np.maximum(Y[:, 0], 0.0))
+    carried = own * G[:, :1]  # sign * h * (G_0 / 2 + G_1 + ... + G_{a-1})
+    a = 1
+    while a <= m:
+        n = min(b, m + 1 - a)  # the block is t_a .. t_{a+n-1}
+        known = Y[:, a:a + n] + carried + neg[:, :a] @ At[:a, a:a + n]
+        x = known + own * G[:, a - 1:a]
         last = np.inf
         for _ in range(max_iter):
-            gk = gv(np.maximum(x, 0.0))
-            x_new = known + own * gk
+            gx = gv(np.maximum(x, 0.0))
+            x_new = known + np.maximum(-x, 0.0) @ T[:n, :n] + gx @ C[:n, :n]
             change = abs(x_new - x).max()
             x = x_new
             if change < stop:
@@ -237,24 +247,27 @@ def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: 
             if not change < last:
                 if change <= _ULPS * abs(x).max():
                     break
-                raise RuntimeError(
-                    f"phi_Mg forward step did not converge at t_{k}: own-step update "
-                    f"{change:.3e} after {last:.3e}; h/2 * lambda_g must be below 1"
-                )
+                if n == 1:
+                    raise RuntimeError(
+                        f"phi_Mg forward step did not converge at t_{a}: own-step update "
+                        f"{change:.3e} after {last:.3e}; h/2 * lambda_g must be below 1")
+                b = n // 2
+                break
             last = change
         else:
-            raise RuntimeError(
-                f"phi_Mg forward step did not converge within {max_iter} iterations "
-                f"at t_{k}: last update {change:.3e}"
-            )
-        G[:, k] = gk
-        neg[:, k] = np.maximum(-x, 0.0)
-        carried += 2.0 * own * gk
+            raise RuntimeError(f"phi_Mg forward block at t_{a} did not converge within "
+                               f"{max_iter} sweeps: last update {change:.3e}")
+        if n > b:
+            continue  # the sweeps did not contract: redo the block with half the steps
+        G[:, a:a + n] = gx
+        neg[:, a:a + n] = np.maximum(-x, 0.0)
+        carried += 2.0 * own * gx.sum(axis=1, keepdims=True)
+        a += n
     return Y + sign * _cumtrapz(G, h)
 
 
-def _phi_mg_solve(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float,
-                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _phi_mg_solve(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float, tol: float,
+                  A: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The discrete phi_Mg fixed point with its certificate; returns (X, U, closure).
 
     U comes from `_phi_mg_forward` and X = phi_M(U) from an independent
@@ -262,7 +275,7 @@ def _phi_mg_solve(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: fl
     per row, is one sweep of the Picard map u -> y + sign * int g((phi_M(u))^+) ds
     from U; a row whose closure is not below tol raises, naming the row.
     """
-    U = _phi_mg_forward(Y, w, gv, h, sign, tol)
+    U = _phi_mg_forward(Y, w, gv, h, sign, tol, A=A)
     X = _phi_m_solve(U, w)
     closure = np.max(np.abs(U - Y - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)), axis=1)
     bad = np.flatnonzero(~(closure < tol))
@@ -298,16 +311,16 @@ def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
 
     The diagnostics hold lambda_g and the per-row ``closure``.  ``defects``
     adds the per-row trapezoid-rule ``quadrature_defect`` of the convolution
-    term, lambda_M and the contraction window, at the cost of the dM operator.
+    term, lambda_M and the contraction window.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     gv, lam_g, probe_hi = _checked_g(g, Y)
-    X, _, closure = _phi_mg_solve(Y, w, gv, h, sign, tol)
+    A = _stieltjes_matrix(w)
+    X, _, closure = _phi_mg_solve(Y, w, gv, h, sign, tol, A)
     lam_g = _rechecked_g(g, gv, lam_g, probe_hi, X)
     diag = {"lambda_g": lam_g, "closure": closure}
     if defects:
-        A = _stieltjes_matrix(w)
         lam_m = _phi_m_gain(w)
         right, left = _phi_m_convolutions(X, A)
         quad = X - Y - 0.5 * (right + left) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
@@ -426,8 +439,10 @@ def solve_phi_Mg(y, M: RenewalTable, g: Callable | None, grid, tol: float = 1e-1
                  g_sign: float = 1.0) -> MappingSolution:
     """Solve x = y + int (x(t-s))^- dM(s) + g_sign * int g(x^+) ds.
 
-    One forward pass (`_phi_mg_forward`) solves the discrete equation step
-    by step, and one independent phi_M solve checks it: the residual field
+    One forward pass (`_phi_mg_forward`) solves the discrete equation in
+    blocks of steps, each settled by sweeps over the whole block and halved
+    where those sweeps do not contract.  One independent phi_M solve checks
+    the answer: the residual field
     reports the closure sup |u - y - g_sign * int g(x^+) ds|, which must be
     below ``tol`` or the solve raises.  ``iterations`` is always 1.  The
     trapezoid-rule defect of the convolution term is recorded separately in

@@ -10,7 +10,9 @@ library; `replay_virtual_wait_path` / `replay_offered_waits`, which
 rebuild the waits from a record's event log and head-count path instead of
 its recorded server-free epochs; `picard_phi_mg`, the paper's Picard
 iteration that the forward phi_Mg solve replaced, which shares only the
-phi_M solve and the trapezoid sum with the library; and
+phi_M solve and the trapezoid sum with the library;
+`per_step_phi_mg_forward`, the step-by-step forward pass that the blocked
+pass replaced, which shares only the trapezoid sum with it; and
 `per_replication_limit`, the loop `httq limit` ran before it solved all
 replications in one batch, which solves each replication on its own through
 the single-path solvers; `union_paths`, the head count sampled on the union
@@ -32,6 +34,7 @@ primitive service times, which shares only the dM convolution matrix.
 import heapq
 import math
 from collections import deque
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -43,7 +46,7 @@ from httq.limits import (
     solve_limit_case_i,
     solve_limit_case_ii,
 )
-from httq.maps import _cumtrapz, _phi_m_solve, _stieltjes_matrix
+from httq.maps import OWN_STEP_MAX_ITER, _ULPS, _cumtrapz, _phi_m_solve, _stieltjes_matrix
 from httq.paths import counting_path, linear_path, step_path
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
@@ -595,6 +598,59 @@ def picard_phi_mg(Y, w, gv, h, sign, tol, init, max_iter=10_000):
         f"Picard iteration did not converge within {max_iter} iterations: "
         f"last sup-change {changes[-1]:.3e}, recent decay ratios {ratios}"
     )
+
+
+def per_step_phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float,
+                            tol: float, max_iter: int = OWN_STEP_MAX_ITER) -> np.ndarray:
+    """One forward pass through the discrete phi_Mg equation; returns U.
+
+    The discrete fixed point satisfies x_k = R_k + sign * h/2 * g(x_k^+),
+    where R_k holds y_k, the right-endpoint dM convolution of x^- at
+    t_0..t_{k-1} and the trapezoid sum of g(x^+) through t_{k-1}: all
+    known at step k.  The own-step equation is solved for every row at
+    once by fixed-point iteration, a contraction with factor h/2 * lambda_g,
+    until the update is below 1e-3 * tol.  An update that fails to shrink
+    means the map does not contract, and raises.  The result is
+    U = y + sign * int g(x^+) ds, whose phi_M image is x.
+    """
+    m = w.size
+    wrev = w[::-1].copy()  # contiguous, so each matvec takes numpy's fast path
+    own = 0.5 * sign * h  # weight of g(x_k^+) in the trapezoid sum at t_k
+    stop = 1e-3 * tol
+    neg = np.empty_like(Y)
+    G = np.empty_like(Y)
+    neg[:, 0] = np.maximum(-Y[:, 0], 0.0)
+    gk = G[:, 0] = gv(np.maximum(Y[:, 0], 0.0))
+    # sign * (trapezoid sum of G through t_{k-1}) + own * G_{k-1}
+    carried = own * gk
+    for k in range(1, m + 1):
+        known = Y[:, k] + carried + neg[:, :k] @ wrev[m - k:]
+        x = known + own * gk
+        last = np.inf
+        for _ in range(max_iter):
+            gk = gv(np.maximum(x, 0.0))
+            x_new = known + own * gk
+            change = abs(x_new - x).max()
+            x = x_new
+            if change < stop:
+                break
+            if not change < last:
+                if change <= _ULPS * abs(x).max():
+                    break
+                raise RuntimeError(
+                    f"phi_Mg forward step did not converge at t_{k}: own-step update "
+                    f"{change:.3e} after {last:.3e}; h/2 * lambda_g must be below 1"
+                )
+            last = change
+        else:
+            raise RuntimeError(
+                f"phi_Mg forward step did not converge within {max_iter} iterations "
+                f"at t_{k}: last update {change:.3e}"
+            )
+        G[:, k] = gk
+        neg[:, k] = np.maximum(-x, 0.0)
+        carried += 2.0 * own * gk
+    return Y + sign * _cumtrapz(G, h)
 
 
 def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table,

@@ -20,7 +20,7 @@ from httq.paths import step_path, uniform_grid
 from httq.patience import PatienceSpec, ramp_hazard
 from httq.renewal import compute_renewal_function
 
-from oracles import picard_phi_mg
+from oracles import per_step_phi_mg_forward, picard_phi_mg
 
 
 def _grid(T, h):
@@ -424,6 +424,39 @@ def test_phi_mg_forward_large_values_stop_at_rounding():
             sol = solve_phi_Mg(y, M, lambda x: 0.7 * x, g, g_sign=-1.0)
             assert sol.iterations == 1
             assert sol.residual < 1e-9
+
+
+# deterministic(0.2) puts lattice atoms of dM at every 20th step, inside a block
+_LAWS = {"exponential": DistributionSpec.exponential(1.0),
+         "deterministic": DistributionSpec.deterministic(0.2)}
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize(
+    "g, slope",
+    [(lambda x: 0.6 * x, 0.6), (_RAMP_F, 1.0), (None, 0.0),
+     (lambda x: 60.0 * x, 60.0), (lambda x: 150.0 * x, 150.0)],
+    ids=["linear", "hazard_ramp", "none", "steep_60", "steep_150"],
+)
+def test_phi_mg_forward_blocks_match_per_step_oracle(law, sign, g, slope):
+    # grids shorter than one block and not a multiple of it; the steep laws
+    # make the full-block sweep expand, so the pass must halve its blocks.
+    # With g_sign = +1 the input drifts down at the slope of g, so x^+ stays
+    # below the level where the growth it feeds outruns the drift.
+    h, tol = 1e-2, 1e-10
+    M = compute_renewal_function(_LAWS[law], 3.0, step=h)
+    gv = _vectorize_g(g)
+    rng = np.random.default_rng(59)
+    for points in (2, 33, 300):
+        grid = _grid((points - 1) * h, h)
+        w = M.increments_on(grid)
+        for rows in (1, 6, 40):
+            Y = _brownian_rows(rng, grid, rows, -slope if sign > 0 else 0.0,
+                               0.1 if sign > 0 else 0.5)
+            _, U, closure = _phi_mg_solve(Y, w, gv, h, sign, tol)
+            assert np.max(np.abs(U - per_step_phi_mg_forward(Y, w, gv, h, sign, tol))) <= 10 * tol
+            assert np.all(closure < tol)
 
 
 def test_phi_mg_certificate_rejects_a_wrong_forward_answer(monkeypatch):
