@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .distributions import DistributionSpec
 from .limits import _solve_limit, sample_brownian, sample_noise
-from .maps import MappingProblem
+from .maps import solve_phi_M, solve_phi_Mg, solve_phi_n_g, solve_skorokhod_g
 from .paths import CadlagPath, uniform_grid
 from .patience import PatienceSpec
 from .renewal import compute_renewal_function
@@ -475,10 +475,7 @@ def _cmd_sweep(args) -> int:
     checkpoints = doc.get("checkpoints")
     grid_points = int(doc.get("grid_points", 256))
     if args.grid_step is not None:
-        gp = round(config.horizon / args.grid_step)
-        if abs(gp * args.grid_step - config.horizon) > 1e-9 * max(1.0, config.horizon):
-            raise CliError("--grid-step must divide the horizon")
-        grid_points = gp
+        grid_points = uniform_grid(config.horizon, args.grid_step).size - 1
     check_sweep_sizes(n_values, reps, grid_points)
     thresholds = doc.get("thresholds", {})
     _check_thresholds(thresholds, n_values, resolve_checkpoints(checkpoints, config.horizon))
@@ -651,12 +648,14 @@ def _cmd_maps(args) -> int:
     outdir = _outdir(args, h)
 
     y = _path_from_doc(_need(doc, "y", "maps spec"), grid, T, seed)
-    problem = MappingProblem(
-        variant=variant, y=y, grid=grid, g=g,
-        mu_n=None if doc.get("mu_n") is None else float(doc["mu_n"]),
-        M=table, g_sign=resolved["g_sign"], tol=resolved["tol"],
-    )
-    sol = problem.solve()
+    if variant == "phi_n_g":
+        sol = solve_phi_n_g(y, g, float(doc["mu_n"]), grid)
+    elif variant == "skorokhod_g":
+        sol = solve_skorokhod_g(y, g, grid)
+    elif variant == "phi_M":
+        sol = solve_phi_M(y, table, grid)
+    else:
+        sol = solve_phi_Mg(y, table, g, grid, tol=resolved["tol"], g_sign=resolved["g_sign"])
     columns = {"t": sol.grid, "x": sol.x.sampled(sol.grid)}
     if sol.ell is not None:
         columns["ell"] = sol.ell.sampled(sol.grid)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Entries kept per cache of tables built from a law (equilibrium laws,
-# integrated hazards, covariance models and their factors); a covariance
-# model or factor at m = 1024 holds about 8 MB.
+# Entries kept per functools.lru_cache of tables built from a law (equilibrium
+# laws, integrated hazards, covariance models, and Cholesky factors keyed by
+# table and grid): at most 8 models and 8 factors, about 8 MB each at m = 1024.
 CACHE_SIZE = 8
 
 __all__ = ["DistributionSpec", "ArrivalSpec"]

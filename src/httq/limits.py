@@ -26,7 +26,8 @@ int_0^t z(t-u) dM(u)), which gives the covariance
 on the renewal table's lattice (a^b = min, avb = max).  The same
 discrete convolution operator A is reused by the finite-n replica
 construction, so comparisons between the two are free of quadrature
-bias.
+bias.  The model and its factors are cached by table content (a factor also
+by grid), so a table built again from the same law and lattice reuses them.
 
 Both equations have one solver route, `_solve_limit`, batched over
 replications: the single-path solvers are its one-row case, and the batch
@@ -35,10 +36,9 @@ samplers and `httq limit` pass all replications at once.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this na
     _stieltjes_matrix,
     solve_phi_Mg,
 )
-from .paths import CadlagPath, linear_path
+from .paths import CadlagPath, check_grid, linear_path
 from .renewal import RenewalTable, equilibrium_distribution
 from .streams import make_rng
 
@@ -69,36 +69,6 @@ __all__ = [
 ]
 
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
-
-class _LRUCache:
-    """The CACHE_SIZE most recently used entries of a key -> value map."""
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > CACHE_SIZE:
-            self._entries.popitem(last=False)
-
-
-def _check_noise_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a one-dimensional array of times")
-    if grid[0] != 0.0 or (grid.size > 1 and np.any(np.diff(grid) <= 0)):
-        raise ValueError("grid must start at 0 and increase strictly")
-    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +88,7 @@ def sample_brownian(variance_rate: float, grid, stream: np.random.Generator) -> 
     """Brownian path on the grid: independent N(0, rate * dt) increments."""
     if variance_rate < 0:
         raise ValueError("variance rate must be nonnegative")
-    grid = _check_noise_grid(grid)
+    grid = check_grid(grid)
     vals = _brownian_batch(stream, variance_rate, grid, 1)[0]
     return linear_path(grid, vals, float(grid[-1]))
 
@@ -127,16 +97,11 @@ def sample_brownian(variance_rate: float, grid, stream: np.random.Generator) -> 
 # the Gaussian service noise at the critical scale
 
 
-def _table_key(table: RenewalTable) -> tuple:
-    digest = hashlib.sha256(np.ascontiguousarray(table.values).tobytes()).hexdigest()[:16]
-    return (table.H, table.step, table.times.size, digest)
-
-
 class ServiceCovariance:
     """Covariance model of the critical-scale service noise on a lattice.
 
-    Built once per renewal table; grids handed to `marginal`, `sampler`
-    or `covariance` must be sub-lattices of the table's.
+    Built once per renewal table content; grids handed to `marginal`,
+    `cholesky` or `covariance` must be sub-lattices of the table's.
     """
 
     def __init__(self, table: RenewalTable):
@@ -166,7 +131,6 @@ class ServiceCovariance:
         A = _stieltjes_matrix(np.diff(table.values))
         cov = A @ C @ A.T
         self.matrix = 0.5 * (cov + cov.T)
-        self._cholesky_cache = _LRUCache()
 
     def _indices(self, grid) -> np.ndarray:
         return self.table._indices_on(np.asarray(grid, dtype=float))
@@ -181,49 +145,42 @@ class ServiceCovariance:
 
     def cholesky(self, grid) -> tuple[np.ndarray, float]:
         """Lower factor of the covariance on grid[1:], with the jitter used."""
-        grid = np.asarray(grid, dtype=float)
-        key = grid.tobytes()
-        hit = self._cholesky_cache.get(key)
-        if hit is not None:
-            return hit
-        if grid[0] != 0.0:
-            raise ValueError("noise grids must start at 0")
-        sub = self.marginal(grid[1:]) if grid.size > 1 else np.zeros((0, 0))
-        err = None
-        for jit in JITTERS:
-            try:
-                # Fortran order, so the draws' `@ L.T` reads a C-ordered operand
-                L = np.asfortranarray(np.linalg.cholesky(sub + jit * np.eye(sub.shape[0]))
-                                      if sub.size else sub)
-                self._cholesky_cache.put(key, (L, jit))
-                return L, jit
-            except np.linalg.LinAlgError as exc:
-                err = exc
-        raise RuntimeError(
-            f"covariance factorization failed even at jitter {JITTERS[-1]:g}: {err}"
-        )
+        return _factor_cache(self.table, check_grid(grid).tobytes())
 
     def sample_batch(self, grid, rng: np.random.Generator, reps: int) -> np.ndarray:
-        grid = _check_noise_grid(grid)
         L, _ = self.cholesky(grid)
-        out = np.zeros((reps, grid.size))
-        if grid.size > 1:
-            out[:, 1:] = rng.standard_normal((reps, grid.size - 1)) @ L.T
+        out = np.zeros((reps, L.shape[0] + 1))
+        out[:, 1:] = rng.standard_normal((reps, L.shape[0])) @ L.T
         return out
 
 
-_covariance_cache = _LRUCache()
+_covariance_cache = lru_cache(maxsize=CACHE_SIZE)(ServiceCovariance)  # keyed by table content
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _factor_cache(M: RenewalTable, grid_bytes: bytes) -> tuple[np.ndarray, float]:
+    """(L, jitter) per table content and grid, shared by every model of an equal table."""
+    grid = np.frombuffer(grid_bytes)
+    sub = _covariance_cache(M).marginal(grid[1:])
+    err = None
+    for jit in JITTERS:
+        try:
+            # Fortran order, so the draws' `@ L.T` reads a C-ordered operand
+            L = np.asfortranarray(np.linalg.cholesky(sub + jit * np.eye(sub.shape[0]))
+                                  if sub.size else sub)
+            L.flags.writeable = False  # shared by every caller
+            return L, jit
+        except np.linalg.LinAlgError as exc:
+            err = exc
+    raise RuntimeError(
+        f"covariance factorization failed even at jitter {JITTERS[-1]:g}: {err}"
+    )
 
 
 def _covariance_model(M: RenewalTable, H: DistributionSpec | None = None) -> ServiceCovariance:
     if H is not None and H != M.H:
         raise ValueError("renewal table was built from a different service law")
-    key = _table_key(M)
-    model = _covariance_cache.get(key)
-    if model is None:
-        model = ServiceCovariance(M)
-        _covariance_cache.put(key, model)
-    return model
+    return _covariance_cache(M)
 
 
 def covariance_S(s: float, t: float, M: RenewalTable, H: DistributionSpec) -> float:
@@ -287,7 +244,7 @@ def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
     so they are independent of each other and of every simulation stream.
     The batch samplers draw in the same order.
     """
-    grid = _check_noise_grid(grid)
+    grid = check_grid(grid)
     E, S, jitter = _draw_noise(case, mu, ca2, grid, make_rng(seed, replication, "limit"),
                                1, M, H)
     return NoiseSample(linear_path(grid, E[0], float(grid[-1])),

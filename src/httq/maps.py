@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .paths import CadlagPath, linear_path
+from .paths import CadlagPath, check_grid, linear_path
 from .renewal import RenewalTable
 
 OWN_STEP_MAX_ITER = 10_000
@@ -43,15 +43,14 @@ _ULPS = 8.0 * np.finfo(float).eps
 
 
 def _check_grid(grid) -> tuple[np.ndarray, float]:
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("grid must be a 1-d array with at least two points")
-    if t[0] != 0.0:
-        raise ValueError("grid must start at 0")
+    """A `check_grid` grid of at least two points and a uniform step; (grid, step)."""
+    t = check_grid(grid)
+    if t.size < 2:
+        raise ValueError("grid must have at least two points")
     steps = np.diff(t)
     h = float(steps[0])
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
-        raise ValueError("grid must be uniform and strictly increasing")
+    if not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
+        raise ValueError("grid must be uniform")
     return t, h
 
 
@@ -204,8 +203,7 @@ def _phi_m_gain(w: np.ndarray) -> float:
 
 
 def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float,
-                    tol: float, max_iter: int = OWN_STEP_MAX_ITER,
-                    A: np.ndarray | None = None) -> np.ndarray:
+                    tol: float, A: np.ndarray | None = None) -> np.ndarray:
     """One forward pass through the discrete phi_Mg equation; returns U.
 
     The discrete fixed point satisfies x_k = R_k + sign * h/2 * g(x_k^+),
@@ -237,7 +235,7 @@ def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: 
         known = Y[:, a:a + n] + carried + neg[:, :a] @ At[:a, a:a + n]
         x = known + own * G[:, a - 1:a]
         last = np.inf
-        for _ in range(max_iter):
+        for _ in range(OWN_STEP_MAX_ITER):
             gx = gv(np.maximum(x, 0.0))
             x_new = known + np.maximum(-x, 0.0) @ T[:n, :n] + gx @ C[:n, :n]
             change = abs(x_new - x).max()
@@ -256,7 +254,7 @@ def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: 
             last = change
         else:
             raise RuntimeError(f"phi_Mg forward block at t_{a} did not converge within "
-                               f"{max_iter} sweeps: last update {change:.3e}")
+                               f"{OWN_STEP_MAX_ITER} sweeps: last update {change:.3e}")
         if n > b:
             continue  # the sweeps did not contract: redo the block with half the steps
         G[:, a:a + n] = gx
@@ -330,7 +328,7 @@ def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
 
 
 # ---------------------------------------------------------------------------
-# problem / solution containers
+# solution container
 
 
 @dataclass(frozen=True)
@@ -342,38 +340,6 @@ class MappingSolution:
     iterations: int | None
     grid: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class MappingProblem:
-    """Declarative form of one mapping solve, dispatched by ``variant``."""
-
-    variant: str
-    y: CadlagPath
-    grid: np.ndarray
-    g: Callable | None = None
-    mu_n: float | None = None
-    M: RenewalTable | None = None
-    g_sign: float = 1.0
-    tol: float = 1e-10
-
-    def solve(self) -> MappingSolution:
-        if self.variant == "phi_n_g":
-            if self.mu_n is None:
-                raise ValueError("phi_n_g requires mu_n")
-            return solve_phi_n_g(self.y, self.g, self.mu_n, self.grid)
-        if self.variant == "skorokhod_g":
-            return solve_skorokhod_g(self.y, self.g, self.grid)
-        if self.variant == "phi_M":
-            if self.M is None:
-                raise ValueError("phi_M requires a RenewalTable")
-            return solve_phi_M(self.y, self.M, self.grid)
-        if self.variant == "phi_Mg":
-            if self.M is None:
-                raise ValueError("phi_Mg requires a RenewalTable")
-            return solve_phi_Mg(self.y, self.M, self.g, self.grid,
-                                tol=self.tol, g_sign=self.g_sign)
-        raise ValueError(f"unknown variant {self.variant!r}")
 
 
 # ---------------------------------------------------------------------------

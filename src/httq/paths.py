@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CadlagPath", "step_path", "linear_path", "counting_path", "uniform_grid"]
+__all__ = ["CadlagPath", "step_path", "linear_path", "counting_path", "uniform_grid", "check_grid"]
 
 
 def uniform_grid(horizon: float, step: float) -> np.ndarray:
@@ -34,6 +34,22 @@ def uniform_grid(horizon: float, step: float) -> np.ndarray:
     if abs(m * step - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not an integer multiple of step {step}")
     return np.linspace(0.0, horizon, m + 1)
+
+
+def check_grid(grid, horizon: float | None = None) -> np.ndarray:
+    """The one time-grid rule, returning the grid as a float array.
+
+    A grid is a non-empty 1-d array that starts at 0 and strictly increases;
+    given a horizon, it must also lie within [0, horizon].
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"grid must be a non-empty 1-d array, got shape {grid.shape}")
+    if horizon is not None and (grid.min() < 0 or grid.max() > horizon):
+        raise ValueError("grid extends beyond the record's [0, horizon]")
+    if grid[0] != 0.0 or not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must start at 0 and strictly increase")
+    return grid
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,15 +28,30 @@ def _default_step(H: DistributionSpec) -> float:
     return min(1e-2, H.mean() / 20.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RenewalTable:
-    """M tabulated on a uniform grid [0, horizon]."""
+    """M tabulated on a uniform grid [0, horizon]; compares and hashes by content."""
 
     H: DistributionSpec
     times: np.ndarray
     values: np.ndarray
     step: float
     method: str  # "trapezoid" | "lattice"
+
+    def __post_init__(self):
+        self.times.flags.writeable = self.values.flags.writeable = False  # cache keys
+
+    @cached_property
+    def _content(self) -> tuple:
+        return (self.H, self.step, self.method, self.times.tobytes(), self.values.tobytes())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RenewalTable):
+            return NotImplemented
+        return self._content == other._content
+
+    def __hash__(self) -> int:
+        return hash(self._content)
 
     @property
     def horizon(self) -> float:

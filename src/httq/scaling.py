@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import CadlagPath, linear_path, uniform_grid
+from .paths import CadlagPath, check_grid, linear_path, uniform_grid
 from .simulator import SimRecord, virtual_wait_path
 
 __all__ = ["ScaledBundle", "abandonment_compensator", "scale"]
@@ -70,22 +70,15 @@ class ScaledBundle:
 def scale(record: SimRecord, grid: np.ndarray | None = None) -> ScaledBundle:
     """Scale a simulation record onto diffusion coordinates, under its own config.
 
-    `grid` defaults to 200 uniform steps over the record horizon.  A grid
-    must be a non-empty 1-d array within [0, horizon] (the rule
-    `virtual_wait_path` applies) that starts at 0 and strictly increases;
-    any other grid is rejected before any path is built.
+    `grid` defaults to 200 uniform steps over the record horizon.  Any other
+    grid must pass `check_grid` within [0, horizon] (the range
+    `virtual_wait_path` accepts); it is checked before any path is built.
     """
     config = record.config
     horizon = config.horizon
     if grid is None:
         grid = uniform_grid(horizon, horizon / 200.0)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"grid must be a non-empty 1-d array, got shape {grid.shape}")
-    if grid.min() < 0 or grid.max() > horizon:
-        raise ValueError("grid extends beyond the record's [0, horizon]")
-    if grid[0] != 0.0 or not np.all(np.diff(grid) > 0):
-        raise ValueError("grid must start at 0 and strictly increase")
+    grid = check_grid(grid, horizon)
 
     n = config.n
     sqn = math.sqrt(n)

@@ -254,8 +254,7 @@ def _replication_job(args):
     return c.value, l.value, g.value, marg
 
 
-def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int,
-                     tol: float):
+def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int):
     """Equal-count samples of the limit marginals at the checkpoints."""
     T = config.horizon
     h = T / 1024.0
@@ -271,7 +270,7 @@ def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int,
     if config.alpha == 1.0:
         table = compute_renewal_function(config.service, horizon=T, step=h)
         X = sample_case_ii_paths(config.xi, config.beta, config.mu, ca2, f, table,
-                                 grid, seed=seed, reps=reps, tol=tol)
+                                 grid, seed=seed, reps=reps)
         case = "ii"
     else:
         X = sample_case_i_paths(config.xi, config.beta, config.mu, ca2, f,
@@ -310,7 +309,7 @@ def verdict_names(checkpoints) -> tuple[str, ...]:
 
 def convergence_sweep(config: SystemConfig, n_values, replications: int,
                       checkpoints=None, seed: int = 0, grid_points: int = 256,
-                      workers: int = 1, limit_tol: float = 1e-10) -> ConvergenceReport:
+                      workers: int = 1) -> ConvergenceReport:
     """Run the n-sweep that measures every vanishing statistic.
 
     For each n the base configuration is rebuilt (servers, rates and the
@@ -332,7 +331,7 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
     unique_n = sorted(set(n_values))
     configs = {n: dataclasses.replace(config, n=n) for n in unique_n}
 
-    lim_marg, case = _limit_marginals(config, checkpoints, replications, seed, limit_tol)
+    lim_marg, case = _limit_marginals(config, checkpoints, replications, seed)
 
     jobs = [(configs[n], seed, r, grid_points, checkpoints)
             for n in unique_n for r in range(replications)]

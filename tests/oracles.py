@@ -40,14 +40,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from httq.limits import (
-    _check_noise_grid,
     _covariance_model,
     sample_noise,
     solve_limit_case_i,
     solve_limit_case_ii,
 )
 from httq.maps import OWN_STEP_MAX_ITER, _ULPS, _cumtrapz, _phi_m_solve, _stieltjes_matrix
-from httq.paths import counting_path, linear_path, step_path
+from httq.paths import check_grid, counting_path, linear_path, step_path
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
     KIND_ABANDONMENT,
@@ -682,7 +681,7 @@ def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table,
 
 def sample_gaussian_S(M, H, grid, stream):
     """One sample path of the critical-scale service noise on the grid."""
-    grid = _check_noise_grid(grid)
+    grid = check_grid(grid)
     vals = _covariance_model(M, H).sample_batch(grid, stream, 1)[0]
     return linear_path(grid, vals, float(grid[-1]))
 
@@ -697,7 +696,7 @@ def sample_service_noise_finite_n(M, H, n, grid, rng, reps):
     """
     if H != M.H:
         raise ValueError("renewal table was built from a different service law")
-    grid = _check_noise_grid(grid)
+    grid = check_grid(grid)
     t = M.times[M.times <= grid[-1] + 1e-12]
     idx = M._indices_on(grid)
     mu = M.rate()

@@ -265,6 +265,24 @@ def test_sweep_grid_points_rejected_before_compute(tmp_path, sweep_doc, monkeypa
     assert not out.exists()
 
 
+def test_sweep_grid_step_must_divide_horizon(tmp_path, sweep_doc, monkeypatch, capsys):
+    class Reached(Exception):
+        pass
+
+    def stop(*args, grid_points, **kwargs):
+        raise Reached(grid_points)
+
+    monkeypatch.setattr(httq.cli, "convergence_sweep", stop)
+    sweep_doc["config"] = mmn_dict(n=16, horizon=10.0, alpha=0.5, xi=0.5)
+    spec = write_spec(tmp_path, "sweep.json", sweep_doc)
+    out = tmp_path / "runs"
+    assert main(["sweep", spec, "--out", str(out), "--grid-step", "0.3"]) == 2
+    assert "horizon" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(Reached, match="^20$"):
+        main(["sweep", spec, "--out", str(out), "--grid-step", "0.5"])
+
+
 def test_workers_default_follows_cpu_affinity(monkeypatch):
     args = httq.cli._build_parser().parse_args(["sweep", "s.json"])
     monkeypatch.delenv("HTTQ_WORKERS", raising=False)
@@ -538,8 +556,10 @@ def test_maps_requirements(tmp_path, capsys):
     assert main(["maps", spec, "--out", str(tmp_path / "r2")]) == 2
     spec = write_spec(tmp_path, "m3.json", {**base, "map": "phi_n_g"})
     assert main(["maps", spec, "--out", str(tmp_path / "r3")]) == 2
+    spec = write_spec(tmp_path, "m4.json", {**base, "map": "newton"})
+    assert main(["maps", spec, "--out", str(tmp_path / "r4")]) == 2
     err = capsys.readouterr().err
-    assert "renewal table" in err and "mu_n" in err
+    assert "renewal table" in err and "mu_n" in err and "unknown map 'newton'" in err
 
 
 def test_maps_phi_mg_brownian_input(tmp_path):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import httq.limits
 from httq.cli import _blas_threads, _openblas_thread_controls
 from httq.distributions import DistributionSpec
 from httq.limits import (
@@ -20,6 +19,7 @@ from httq.limits import (
     CACHE_SIZE,
     _covariance_cache,
     _covariance_model,
+    _factor_cache,
 )
 from httq.paths import linear_path, uniform_grid
 from httq.patience import PatienceSpec, _cum_hazard, constant_hazard
@@ -146,13 +146,25 @@ def test_covariance_caches_are_bounded():
     H = DistributionSpec.exponential(1.0)
     models = [_covariance_model(compute_renewal_function(H, horizon=0.1 * (k + 1)))
               for k in range(CACHE_SIZE + 3)]
-    assert len(_covariance_cache) <= CACHE_SIZE
+    assert _covariance_cache.cache_info().currsize <= CACHE_SIZE
     last = models[-1]
     assert _covariance_model(last.table) is last
     grids = [uniform_grid(0.01 * (k + 1), 0.01) for k in range(CACHE_SIZE + 3)]
     factors = [last.cholesky(g) for g in grids]
-    assert len(last._cholesky_cache) <= CACHE_SIZE
+    assert _factor_cache.cache_info().currsize <= CACHE_SIZE
     assert last.cholesky(grids[-1])[0] is factors[-1][0]
+
+
+def test_equal_tables_share_model_and_factor():
+    # every `limit-critical` op builds its table afresh, so the caches must
+    # key on the table's content, not on the object
+    H = DistributionSpec.erlang(2, 2.0)
+    first, again = (compute_renewal_function(H, horizon=2.0, step=0.01) for _ in range(2))
+    assert first is not again
+    grid = uniform_grid(2.0, 0.02)
+    model = _covariance_model(first)
+    assert _covariance_model(again, H) is model
+    assert model.cholesky(grid)[0] is _covariance_model(again).cholesky(grid.copy())[0]
 
 
 def test_law_table_caches_are_bounded():
@@ -376,8 +388,19 @@ def test_batch_case_ii_matches_single_solve(exp_table):
     np.testing.assert_allclose(X[0], sol.x.sampled(grid), atol=1e-10)
 
 
+@pytest.fixture()
+def clear_noise_caches():
+    """Clears the covariance and factor caches, and clears them again after the
+    test, so no later test finds an entry built under the test's settings."""
+    def clear():
+        _covariance_cache.cache_clear()
+        _factor_cache.cache_clear()
+    yield clear
+    clear()
+
+
 @pytest.mark.skipif(not openblas_mapped(), reason="no OpenBLAS loaded")
-def test_sweep_noise_agrees_across_blas_threads(monkeypatch):
+def test_sweep_noise_agrees_across_blas_threads(clear_noise_caches):
     # The case-(ii) draw of an alpha = 1 sweep (1025-point limit grid, 40 rows)
     # at one and at two OpenBLAS threads, as `httq sweep` and a library caller
     # run it.  OpenBLAS splits the products differently, so the bytes differ:
@@ -389,7 +412,7 @@ def test_sweep_noise_agrees_across_blas_threads(monkeypatch):
     f = lambda x: np.asarray(x)
     draws = []
     for threads in (1, 2):
-        monkeypatch.setattr(httq.limits, "_covariance_cache", httq.limits._LRUCache())
+        clear_noise_caches()
         with _blas_threads(threads):
             assert all(get() == threads for _, get in _openblas_thread_controls())
             X = sample_case_ii_paths(0.0, -1.0, 1.0, 1.0, f, table, grid, seed=7,

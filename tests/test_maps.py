@@ -6,7 +6,6 @@ import pytest
 import httq.maps
 from httq.distributions import DistributionSpec
 from httq.maps import (
-    MappingProblem,
     _phi_m_solve,
     _phi_mg_forward,
     _phi_mg_solve,
@@ -519,29 +518,7 @@ def test_phi_mg_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# problem container and serialization
-
-
-def test_mapping_problem_dispatch():
-    T, h = 1.0, 1e-2
-    g = _grid(T, h)
-    M = _exp_table(1.0, T)
-    rng = np.random.default_rng(3)
-    y_vals = np.cumsum(rng.normal(0, 0.1, g.size)) + 0.5
-    y = step_path(g, y_vals, horizon=T)
-
-    prob = MappingProblem(variant="phi_Mg", y=y, grid=g, g=lambda x: 0.3 * x, M=M)
-    direct = solve_phi_Mg(y, M, lambda x: 0.3 * x, g)
-    np.testing.assert_allclose(prob.solve().x.sampled(g), direct.x.sampled(g), atol=1e-12)
-
-    prob_sk = MappingProblem(variant="skorokhod_g", y=y, grid=g, g=None)
-    sol = prob_sk.solve()
-    assert sol.ell is not None
-
-    with pytest.raises(ValueError, match="unknown variant"):
-        MappingProblem(variant="newton", y=y, grid=g).solve()
-    with pytest.raises(ValueError, match="requires"):
-        MappingProblem(variant="phi_M", y=y, grid=g).solve()
+# grids
 
 
 def test_grid_validation_errors():

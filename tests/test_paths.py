@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
+from httq.distributions import ArrivalSpec, DistributionSpec
+from httq.limits import _covariance_model, sample_brownian, sample_case_i_paths, sample_noise
+from httq.maps import solve_phi_M
 from httq.paths import CadlagPath, counting_path, linear_path, step_path, uniform_grid
+from httq.renewal import compute_renewal_function
+from httq.scaling import scale
+from httq.simulator import SystemConfig, simulate
+from httq.streams import make_rng
 
 from oracles import path_integral
 
@@ -12,6 +19,34 @@ def test_uniform_grid_basics():
     assert g[0] == 0.0 and g[-1] == 10.0
     with pytest.raises(ValueError):
         uniform_grid(1.0, 0.3)
+
+
+@pytest.fixture(scope="module")
+def record_and_table():
+    config = SystemConfig(n=4, alpha=1.0, mu=1.0, beta=0.0, arrival=ArrivalSpec.poisson(),
+                          service=DistributionSpec.exponential(1.0), patience=None,
+                          horizon=2.0, abandon=False)
+    return simulate(config, seed=1), compute_renewal_function(config.service, horizon=2.0)
+
+
+@pytest.mark.parametrize("take", [
+    pytest.param(lambda grid, rec, M: scale(rec, grid), id="scale"),
+    pytest.param(lambda grid, rec, M: sample_brownian(1.0, grid, make_rng(1)),
+                 id="sample_brownian"),
+    pytest.param(lambda grid, rec, M: sample_noise("i", 1.0, 1.0, grid, seed=1),
+                 id="sample_noise"),
+    pytest.param(lambda grid, rec, M: _covariance_model(M).cholesky(grid), id="cholesky"),
+    pytest.param(lambda grid, rec, M: solve_phi_M(np.zeros(grid.size), M, grid),
+                 id="solve_phi_M"),
+    pytest.param(lambda grid, rec, M: sample_case_i_paths(0.0, 0.0, 1.0, 1.0, None, grid,
+                                                          seed=1, reps=2),
+                 id="sample_case_i_paths"),
+])
+@pytest.mark.parametrize("bad,match", [([0.5, 1.0], "start at 0"),
+                                       ([0.0, 2.0, 1.0], "strictly increase")])
+def test_every_grid_taker_applies_check_grid(record_and_table, take, bad, match):
+    with pytest.raises(ValueError, match=match):
+        take(np.array(bad), *record_and_table)
 
 
 def test_step_eval_right_continuous():

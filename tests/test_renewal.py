@@ -143,3 +143,14 @@ def test_equilibrium_sampler_matches_cdf(H):
     emp = np.arange(1, xs.size + 1) / xs.size
     d = np.max(np.abs(np.asarray(he.cdf(xs)) - emp))
     assert d <= 0.01
+
+
+def test_tables_compare_and_hash_by_content():
+    H = DistributionSpec.erlang(2, 2.0)
+    a, b = (compute_renewal_function(H, horizon=2.0, step=0.01) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != compute_renewal_function(H, horizon=2.0, step=0.005)
+    assert a != compute_renewal_function(DistributionSpec.erlang(2, 3.0), horizon=2.0, step=0.01)
+    with pytest.raises(ValueError, match="read-only"):
+        a.values[1] = 0.0
