@@ -14,14 +14,14 @@ a "command" key, when present, must match the subcommand.  Artifacts go
 to <out>/<12-hex hash of the resolved spec>/, every file starts with a
 (version, spec-hash, seed) header, and a schema.json documents the CSV
 columns, so a rerun of the same resolved spec is byte-identical and
-diff-able.  Exit codes: 0 success, 2 validation failure, 3 threshold
-failure under --check.
+diff-able.  The run directory is made only once the artifacts are ready,
+so a rejected spec leaves nothing behind.  Exit codes: 0 success, 2
+validation failure, 3 threshold failure under --check.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import ctypes
 import json
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, check_keys
 from .limits import _solve_limit, sample_brownian, sample_noise
 from .maps import solve_phi_M, solve_phi_Mg, solve_phi_n_g, solve_skorokhod_g
 from .paths import CadlagPath, uniform_grid
@@ -44,7 +44,7 @@ from .simulator import KIND_NAMES, OUTCOME_ABANDONED, OUTCOME_IN_SERVICE, \
     OUTCOME_SERVED, OUTCOME_WAITING, SystemConfig, simulate, spec_hash
 from .streams import make_rng
 from .validation import GAP_NAMES, check_sweep_sizes, compare_abandonment, \
-    convergence_sweep, resolve_checkpoints, verdict_names
+    convergence_sweep, resolve_checkpoints, run_jobs, verdict_names
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -72,10 +72,18 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def _require_keys(doc: dict, allowed, where: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise CliError(f"unknown keys in {where}: {', '.join(unknown)}")
+def _read_spec(args, command: str, keys) -> tuple[dict, int]:
+    """The experiment file's object, once its command and keys check out, and
+    the run's seed: --seed, else the file's, else 0.  "command" and "seed"
+    are allowed in every spec."""
+    doc = _load_doc(args.spec)
+    if "command" in doc and doc["command"] != command:
+        raise CliError(
+            f"experiment file says command={doc['command']!r}, invoked as {command!r}"
+        )
+    check_keys(doc, {"command", "seed", *keys}, f"{command} spec")
+    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    return doc, seed
 
 
 def _need(doc: dict, key: str, where: str):
@@ -84,25 +92,21 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _check_command(doc: dict, command: str) -> None:
-    if "command" in doc and doc["command"] != command:
-        raise CliError(
-            f"experiment file says command={doc['command']!r}, invoked as {command!r}"
-        )
+def _grid_step(args, doc: dict, horizon: float, default_cells: int) -> float:
+    """--grid-step, else the file's grid_step, else horizon / default_cells."""
+    if args.grid_step is not None:
+        return args.grid_step
+    step = doc.get("grid_step")
+    return horizon / default_cells if step is None else float(step)
 
 
-def _meta(spec_hash: str, seed: int) -> dict:
-    return {"version": __version__, "spec_hash": spec_hash, "seed": seed}
-
-
-def _meta_line(meta: dict) -> str:
-    return f"httq v{meta['version']} spec={meta['spec_hash']} seed={meta['seed']}"
-
-
-def _outdir(args, spec_hash: str) -> Path:
-    d = Path(args.out) / spec_hash
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def _run_dir(args, resolved: dict) -> tuple[dict, Path]:
+    """(meta, <out>/<spec hash>) of a resolved spec.  The directory is made
+    here, so call this after the compute, just before the first write."""
+    h = spec_hash(resolved)
+    outdir = Path(args.out) / h
+    outdir.mkdir(parents=True, exist_ok=True)
+    return {"version": __version__, "spec_hash": h, "seed": resolved["seed"]}, outdir
 
 
 def _workers(args) -> int:
@@ -138,7 +142,7 @@ def _cell(v) -> str:
 
 def _write_csv(path: Path, meta: dict, columns, rows) -> None:
     with open(path, "w") as fh:
-        fh.write("# " + _meta_line(meta) + "\n")
+        fh.write(f"# httq v{meta['version']} spec={meta['spec_hash']} seed={meta['seed']}\n")
         fh.write(",".join(columns) + "\n")
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
@@ -197,35 +201,20 @@ def _simulate_job(args):
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_doc(args.spec)
-    _check_command(doc, "simulate")
-    _require_keys(doc, {"command", "config", "replications", "seed", "grid_step"},
-                  "simulate spec")
+    doc, seed = _read_spec(args, "simulate", {"config", "replications", "grid_step"})
     config = SystemConfig.from_dict(_need(doc, "config", "simulate spec"))
     reps = int(doc.get("replications", 1))
     if reps < 1:
         raise CliError("replications must be >= 1")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    grid_step = args.grid_step if args.grid_step is not None else doc.get("grid_step")
     T = config.horizon
-    if grid_step is None:
-        grid_step = T / 200.0
-    grid = uniform_grid(T, float(grid_step))
+    grid_step = _grid_step(args, doc, T, 200)
+    grid = uniform_grid(T, grid_step)
 
     resolved = {"command": "simulate", "config": config.to_dict(),
-                "replications": reps, "seed": seed, "grid_step": float(grid_step)}
-    h = spec_hash(resolved)
-    meta = _meta(h, seed)
+                "replications": reps, "seed": seed, "grid_step": grid_step}
     workers = _workers(args)
-    outdir = _outdir(args, h)
-
-    jobs = [(config, seed, r) for r in range(reps)]
-    if workers > 1 and reps > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            records = list(ex.map(_simulate_job, jobs))
-    else:
-        records = [_simulate_job(j) for j in jobs]
-
+    records = run_jobs(_simulate_job, [(config, seed, r) for r in range(reps)], workers)
+    meta, outdir = _run_dir(args, resolved)
     per_rep = []
     for r, record in enumerate(records):
         bundle = scale(record, grid=grid)
@@ -280,11 +269,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    doc = _load_doc(args.spec)
-    _check_command(doc, "limit")
-    _require_keys(doc, {"command", "case", "xi", "beta", "mu", "ca2", "patience",
-                        "service", "horizon", "grid_step", "reps", "seed", "tol"},
-                  "limit spec")
+    doc, seed = _read_spec(args, "limit", {"case", "xi", "beta", "mu", "ca2", "patience",
+                                           "service", "horizon", "grid_step", "reps", "tol"})
     case = _need(doc, "case", "limit spec")
     if case not in ("i", "ii"):
         raise CliError(f"case must be 'i' or 'ii', got {case!r}")
@@ -297,17 +283,14 @@ def _cmd_limit(args) -> int:
     if reps < 1:
         raise CliError("reps must be >= 1")
     tol = float(doc.get("tol", 1e-10))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    grid_step = args.grid_step if args.grid_step is not None else doc.get("grid_step")
-    if grid_step is None:
-        grid_step = T / 512.0
-    grid = uniform_grid(T, float(grid_step))
+    grid_step = _grid_step(args, doc, T, 512)
+    grid = uniform_grid(T, grid_step)
 
     service_spec = table = None
     if case == "ii":
         service_spec = DistributionSpec.from_dict(
             _need(doc, "service", "limit spec (case 'ii')"))
-        table = compute_renewal_function(service_spec, T, step=float(grid_step))
+        table = compute_renewal_function(service_spec, T, step=grid_step)
     elif doc.get("service") is not None:
         raise CliError("case 'i' does not use a service renewal table")
     f = _limit_f_from(doc.get("patience"))
@@ -315,17 +298,14 @@ def _cmd_limit(args) -> int:
     resolved = {"command": "limit", "case": case, "xi": xi, "beta": beta, "mu": mu,
                 "ca2": ca2, "patience": doc.get("patience"),
                 "service": None if service_spec is None else service_spec.to_dict(),
-                "horizon": T, "grid_step": float(grid_step), "reps": reps,
+                "horizon": T, "grid_step": grid_step, "reps": reps,
                 "seed": seed, "tol": tol}
-    h = spec_hash(resolved)
-    meta = _meta(h, seed)
-    outdir = _outdir(args, h)
-
     noise = [sample_noise(case, mu, ca2, grid, seed, replication=r, M=table,
                           H=service_spec) for r in range(reps)]
-    E = np.array([ns.E.sampled(grid) for ns in noise])
-    S = np.array([ns.S.sampled(grid) for ns in noise])
+    E = np.array([ns.E.values for ns in noise])
+    S = np.array([ns.S.values for ns in noise])
     X, _, diag = _solve_limit(case, xi, beta, mu, f, E, S, grid, table, tol, defects=True)
+    meta, outdir = _run_dir(args, resolved)
     closure = diag.get("closure")
     summary = [{"replication": r, "residual": float(diag["residual"][r]),
                 "closure": None if closure is None else float(closure[r]),
@@ -357,31 +337,23 @@ def _cmd_renewal(args) -> int:
     if args.spec is not None and args.service is not None:
         raise CliError("give either an experiment file or --service/--T, not both")
     if args.spec is not None:
-        doc = _load_doc(args.spec)
-        _check_command(doc, "renewal")
-        _require_keys(doc, {"command", "service", "horizon", "step", "seed"},
-                      "renewal spec")
+        doc, seed = _read_spec(args, "renewal", {"service", "horizon", "step"})
         service = DistributionSpec.from_dict(_need(doc, "service", "renewal spec"))
         T = float(_need(doc, "horizon", "renewal spec"))
-        step = doc.get("step")
-        seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     elif args.service is not None:
         if args.T is None:
             raise CliError("--service needs --T as well")
+        doc, seed = {}, args.seed if args.seed is not None else 0
         service = _parse_dist_flag(args.service)
         T = float(args.T)
-        step = args.grid_step
-        seed = args.seed if args.seed is not None else 0
     else:
         raise CliError("renewal needs an experiment file or --service/--T")
+    step = args.grid_step if args.grid_step is not None else doc.get("step")
 
     table = compute_renewal_function(service, T, step=None if step is None else float(step))
     resolved = {"command": "renewal", "service": service.to_dict(), "horizon": T,
                 "step": table.step, "seed": seed}
-    h = spec_hash(resolved)
-    meta = _meta(h, seed)
-    outdir = _outdir(args, h)
-
+    meta, outdir = _run_dir(args, resolved)
     _write_csv(outdir / "renewal.csv", meta, ("t", "M"),
                zip(table.times, table.values))
     _write_json(outdir / "summary.json", meta, {
@@ -407,14 +379,14 @@ def _check_thresholds(thr, n_values, checkpoints) -> None:
     """Reject thresholds naming a statistic, n or checkpoint the sweep lacks."""
     if not isinstance(thr, dict):
         raise CliError("thresholds must be an object")
-    _require_keys(thr, {"decreasing", "ks_max", "ratio_max"}, "thresholds")
+    check_keys(thr, {"decreasing", "ks_max", "ratio_max"}, "thresholds")
     known = verdict_names(checkpoints)
     for name in thr.get("decreasing", []):
         if name not in known:
             raise CliError(f"thresholds reference unknown statistic {name!r}; "
                            f"known: {sorted(known)}")
     for item in thr.get("ks_max", []):
-        _require_keys(item, {"n", "checkpoint", "max"}, "ks_max entry")
+        check_keys(item, {"n", "checkpoint", "max"}, "ks_max entry")
         n = int(_need(item, "n", "ks_max entry"))
         t = float(_need(item, "checkpoint", "ks_max entry"))
         float(_need(item, "max", "ks_max entry"))  # present and numeric
@@ -423,7 +395,7 @@ def _check_thresholds(thr, n_values, checkpoints) -> None:
         if not any(math.isclose(c, t) for c in checkpoints):
             raise CliError(f"ks_max references checkpoint {t} not in {list(checkpoints)}")
     for item in thr.get("ratio_max", []):
-        _require_keys(item, {"statistic", "max"}, "ratio_max entry")
+        check_keys(item, {"statistic", "max"}, "ratio_max entry")
         float(_need(item, "max", "ratio_max entry"))  # present and numeric
         if _need(item, "statistic", "ratio_max entry") not in GAP_NAMES:
             raise CliError(f"ratio_max references unknown statistic {item['statistic']!r}")
@@ -464,14 +436,11 @@ def _report_rows(report):
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_doc(args.spec)
-    _check_command(doc, "sweep")
-    _require_keys(doc, {"command", "config", "n_values", "replications", "seed",
-                        "checkpoints", "grid_points", "thresholds"}, "sweep spec")
+    doc, seed = _read_spec(args, "sweep", {"config", "n_values", "replications",
+                                           "checkpoints", "grid_points", "thresholds"})
     config = SystemConfig.from_dict(_need(doc, "config", "sweep spec"))
     n_values = [int(n) for n in _need(doc, "n_values", "sweep spec")]
     reps = int(_need(doc, "replications", "sweep spec"))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     checkpoints = doc.get("checkpoints")
     grid_points = int(doc.get("grid_points", 256))
     if args.grid_step is not None:
@@ -483,13 +452,10 @@ def _cmd_sweep(args) -> int:
     resolved = {"command": "sweep", "config": config.to_dict(), "n_values": n_values,
                 "replications": reps, "seed": seed, "checkpoints": checkpoints,
                 "grid_points": grid_points, "thresholds": thresholds}
-    h = spec_hash(resolved)
-    meta = _meta(h, seed)
     workers = _workers(args)
-    outdir = _outdir(args, h)
-
     report = convergence_sweep(config, n_values, reps, checkpoints=checkpoints,
                                seed=seed, grid_points=grid_points, workers=workers)
+    meta, outdir = _run_dir(args, resolved)
     _write_json(outdir / "report.json", meta, report.as_dict())
     _write_csv(outdir / "report.csv", meta, ("n", "statistic", "replication", "value"),
                _report_rows(report))
@@ -526,12 +492,8 @@ def _threshold_count(thr: dict) -> int:
 
 
 def _cmd_compare(args) -> int:
-    doc = _load_doc(args.spec)
-    _check_command(doc, "compare")
-    _require_keys(doc, {"command", "config", "seeds", "replications", "seed"},
-                  "compare spec")
+    doc, base_seed = _read_spec(args, "compare", {"config", "seeds", "replications"})
     config = SystemConfig.from_dict(_need(doc, "config", "compare spec"))
-    base_seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     n_seeds = int(doc.get("seeds", 1))
     reps = int(doc.get("replications", 1))
     if n_seeds < 1 or reps < 1:
@@ -539,10 +501,6 @@ def _cmd_compare(args) -> int:
 
     resolved = {"command": "compare", "config": config.to_dict(), "seed": base_seed,
                 "seeds": n_seeds, "replications": reps}
-    h = spec_hash(resolved)
-    meta = _meta(h, base_seed)
-    outdir = _outdir(args, h)
-
     verdicts = []
     for s in range(base_seed, base_seed + n_seeds):
         for r in range(reps):
@@ -555,6 +513,7 @@ def _cmd_compare(args) -> int:
                 entry["detail"] = v.detail
             verdicts.append(entry)
     all_hold = all(v["holds"] for v in verdicts)
+    meta, outdir = _run_dir(args, resolved)
     _write_json(outdir / "compare.json", meta,
                 {"spec": resolved, "all_hold": all_hold, "verdicts": verdicts})
     print(f"compare: {len(verdicts)} CRN run(s), "
@@ -579,12 +538,12 @@ def _path_from_doc(y_doc, grid: np.ndarray, horizon: float, seed: int) -> Cadlag
     if not isinstance(y_doc, dict):
         raise CliError("y must be an object")
     if "brownian" in y_doc:
-        _require_keys(y_doc, {"brownian"}, "y")
+        check_keys(y_doc, {"brownian"}, "y")
         b = y_doc["brownian"]
-        _require_keys(b, {"variance_rate"}, "y.brownian")
+        check_keys(b, {"variance_rate"}, "y.brownian")
         return sample_brownian(float(_need(b, "variance_rate", "y.brownian")),
                                grid, make_rng(seed, purpose="scratch"))
-    _require_keys(y_doc, {"times", "values", "kind"}, "y")
+    check_keys(y_doc, {"times", "values", "kind"}, "y")
     return CadlagPath(np.asarray(_need(y_doc, "times", "y"), dtype=float),
                       np.asarray(_need(y_doc, "values", "y"), dtype=float),
                       y_doc.get("kind", "linear"), horizon)
@@ -595,7 +554,7 @@ def _g_from_doc(g_doc):
         return None
     if not isinstance(g_doc, dict):
         raise CliError("g must be null or an object")
-    _require_keys(g_doc, {"slope"}, "g")
+    check_keys(g_doc, {"slope"}, "g")
     slope = float(_need(g_doc, "slope", "g"))
 
     def g(x, _s=slope):
@@ -605,20 +564,14 @@ def _g_from_doc(g_doc):
 
 
 def _cmd_maps(args) -> int:
-    doc = _load_doc(args.spec)
-    _check_command(doc, "maps")
-    _require_keys(doc, {"command", "map", "y", "g", "mu_n", "service", "horizon",
-                        "grid_step", "tol", "g_sign", "seed"},
-                  "maps spec")
+    doc, seed = _read_spec(args, "maps", {"map", "y", "g", "mu_n", "service", "horizon",
+                                          "grid_step", "tol", "g_sign"})
     variant = _need(doc, "map", "maps spec")
     if variant not in _MAP_NAMES:
         raise CliError(f"unknown map {variant!r}; known: {', '.join(_MAP_NAMES)}")
     T = float(_need(doc, "horizon", "maps spec"))
-    grid_step = args.grid_step if args.grid_step is not None else doc.get("grid_step")
-    if grid_step is None:
-        grid_step = T / 512.0
-    grid = uniform_grid(T, float(grid_step))
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    grid_step = _grid_step(args, doc, T, 512)
+    grid = uniform_grid(T, grid_step)
 
     if variant == "phi_n_g" and doc.get("mu_n") is None:
         raise CliError("map phi_n_g needs mu_n")
@@ -634,19 +587,15 @@ def _cmd_maps(args) -> int:
     service_spec = None
     if needs_table:
         service_spec = DistributionSpec.from_dict(doc["service"])
-        table = compute_renewal_function(service_spec, T, step=float(grid_step))
+        table = compute_renewal_function(service_spec, T, step=grid_step)
     g = _g_from_doc(doc.get("g"))
 
     resolved = {"command": "maps", "map": variant, "y": doc.get("y"),
                 "g": doc.get("g"), "mu_n": doc.get("mu_n"),
                 "service": None if service_spec is None else service_spec.to_dict(),
-                "horizon": T, "grid_step": float(grid_step),
+                "horizon": T, "grid_step": grid_step,
                 "tol": float(doc.get("tol", 1e-10)),
                 "g_sign": float(doc.get("g_sign", 1.0)), "seed": seed}
-    h = spec_hash(resolved)
-    meta = _meta(h, seed)
-    outdir = _outdir(args, h)
-
     y = _path_from_doc(_need(doc, "y", "maps spec"), grid, T, seed)
     if variant == "phi_n_g":
         sol = solve_phi_n_g(y, g, float(doc["mu_n"]), grid)
@@ -656,6 +605,7 @@ def _cmd_maps(args) -> int:
         sol = solve_phi_M(y, table, grid)
     else:
         sol = solve_phi_Mg(y, table, g, grid, tol=resolved["tol"], g_sign=resolved["g_sign"])
+    meta, outdir = _run_dir(args, resolved)
     columns = {"t": sol.grid, "x": sol.x.sampled(sol.grid)}
     if sol.ell is not None:
         columns["ell"] = sol.ell.sampled(sol.grid)
@@ -688,27 +638,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"httq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, spec_required: bool = True):
+    def add(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
-        if spec_required:
-            p.add_argument("spec", help="experiment JSON file")
-        else:
+        if name == "renewal":
             p.add_argument("spec", nargs="?", default=None,
                            help="experiment JSON file (or use flags)")
+        else:
+            p.add_argument("spec", help="experiment JSON file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the spec seed")
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: HTTQ_WORKERS or all cores)")
         p.add_argument("--out", default="runs", help="output root (default: runs)")
-        p.add_argument("--check", action="store_true",
-                       help="exit 3 when thresholds or domination checks fail")
-        p.add_argument("--grid-step", type=float, default=None, dest="grid_step",
-                       help="override the sampling/solver grid step")
+        if name in ("sweep", "compare"):
+            p.add_argument("--check", action="store_true",
+                           help="exit 3 when thresholds or domination checks fail")
+        if name != "compare":
+            p.add_argument("--grid-step", type=float, default=None, dest="grid_step",
+                           help="override the sampling/solver grid step")
         return p
 
     add("simulate", "run event-exact replications and emit scaled paths")
     add("limit", "solve the limit equation on sampled noise")
-    renewal = add("renewal", "tabulate a renewal function", spec_required=False)
+    renewal = add("renewal", "tabulate a renewal function")
     renewal.add_argument("--service", default=None,
                          help="service law, e.g. exp:rate=1 or erlang:shape=2,rate=2")
     renewal.add_argument("--T", type=float, default=None, help="horizon")

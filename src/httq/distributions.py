@@ -29,9 +29,20 @@ import numpy as np
 # table and grid): at most 8 models and 8 factors, about 8 MB each at m = 1024.
 CACHE_SIZE = 8
 
-__all__ = ["DistributionSpec", "ArrivalSpec"]
+__all__ = ["DistributionSpec", "ArrivalSpec", "check_keys"]
 
 _FAMILIES = ("exponential", "deterministic", "erlang", "hyperexponential", "lognormal", "uniform")
+
+
+def check_keys(doc: dict, allowed, where: str, required=()) -> None:
+    """The one key rule of every spec object: no key outside `allowed`, none
+    of `required` absent."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
+    missing = sorted(set(required) - set(doc))
+    if missing:
+        raise ValueError(f"missing keys in {where}: {', '.join(missing)}")
 
 
 def _erlang_cdf(k: int, y) -> np.ndarray:
@@ -300,12 +311,7 @@ class DistributionSpec:
         if family not in ctors:
             raise ValueError(f"unknown family {family!r}; known: {_FAMILIES}")
         ctor, allowed = ctors[family]
-        unknown = sorted(set(args) - allowed)
-        if unknown:
-            raise ValueError(f"unknown keys for {family}: {unknown}")
-        missing = sorted(allowed - set(args))
-        if missing:
-            raise ValueError(f"missing keys for {family}: {missing}")
+        check_keys(args, allowed, f"{family} distribution", required=allowed)
         return ctor(**args)
 
 

@@ -147,11 +147,13 @@ class ServiceCovariance:
         """Lower factor of the covariance on grid[1:], with the jitter used."""
         return _factor_cache(self.table, check_grid(grid).tobytes())
 
-    def sample_batch(self, grid, rng: np.random.Generator, reps: int) -> np.ndarray:
-        L, _ = self.cholesky(grid)
+    def sample_batch(self, grid, rng: np.random.Generator,
+                     reps: int) -> tuple[np.ndarray, float]:
+        """(reps rows of the noise on the grid, the jitter of their factor)."""
+        L, jitter = self.cholesky(grid)
         out = np.zeros((reps, L.shape[0] + 1))
         out[:, 1:] = rng.standard_normal((reps, L.shape[0])) @ L.T
-        return out
+        return out, jitter
 
 
 _covariance_cache = lru_cache(maxsize=CACHE_SIZE)(ServiceCovariance)  # keyed by table content
@@ -229,7 +231,8 @@ def _draw_noise(case: str, mu: float, ca2: float, grid: np.ndarray, rng, reps: i
     E = _brownian_batch(rng, mu * ca2, grid, reps)
     if model is None:
         return E, _brownian_batch(rng, 1.0, grid, reps), 0.0
-    return E, model.sample_batch(grid, rng, reps), model.cholesky(grid)[1]
+    S, jitter = model.sample_batch(grid, rng, reps)
+    return E, S, jitter
 
 
 def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,

@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .distributions import CACHE_SIZE, DistributionSpec
+from .distributions import CACHE_SIZE, DistributionSpec, check_keys
 
 __all__ = ["PatienceSpec", "constant_hazard", "ramp_hazard", "power_limit"]
 
@@ -274,10 +274,7 @@ class PatienceSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "PatienceSpec":
-        allowed = {"mode", "distribution", "hazard", "f"}
-        unknown = sorted(set(d) - allowed)
-        if unknown:
-            raise ValueError(f"unknown keys in patience spec: {unknown}")
+        check_keys(d, {"mode", "distribution", "hazard", "f"}, "patience spec")
         mode = d.get("mode")
         if mode == "no_scaling":
             return PatienceSpec.no_scaling(DistributionSpec.from_dict(d["distribution"]))

@@ -47,7 +47,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .distributions import ArrivalSpec, DistributionSpec
+from .distributions import ArrivalSpec, DistributionSpec, check_keys
 from .paths import CadlagPath, counting_path, step_path
 from .patience import PatienceSpec
 from .renewal import equilibrium_distribution
@@ -169,12 +169,7 @@ class SystemConfig:
     def from_dict(d: dict) -> "SystemConfig":
         known = {"n", "alpha", "mu", "beta", "arrival", "service", "patience",
                  "horizon", "xi", "abandon"}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        missing = sorted(known - set(d))
-        if missing:
-            raise ValueError(f"missing config keys: {missing}")
+        check_keys(d, known, "config", required=known)
         pat = d["patience"]
         return SystemConfig(
             n=int(d["n"]),

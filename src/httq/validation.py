@@ -242,6 +242,16 @@ def _trend(value_smallest: float, value_largest: float) -> str:
     return "decreasing" if value_largest < value_smallest else "increasing"
 
 
+def run_jobs(fn, jobs: list, workers: int) -> list:
+    """fn over the jobs, results in job order: on a pool of `workers`
+    processes when both it and the job count exceed 1, else in this process."""
+    if workers > 1 and len(jobs) > 1:
+        chunk = max(1, len(jobs) // (4 * workers))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, jobs, chunksize=chunk))
+    return [fn(job) for job in jobs]
+
+
 def _replication_job(args):
     config, seed, rep, grid_points, checkpoints = args
     record = simulate(config, seed, rep)
@@ -335,12 +345,7 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
 
     jobs = [(configs[n], seed, r, grid_points, checkpoints)
             for n in unique_n for r in range(replications)]
-    if workers > 1:
-        chunk = max(1, len(jobs) // (4 * workers))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            out = list(ex.map(_replication_job, jobs, chunksize=chunk))
-    else:
-        out = [_replication_job(j) for j in jobs]
+    out = run_jobs(_replication_job, jobs, workers)
 
     gaps = {name: {} for name in GAP_NAMES}
     ks = {}

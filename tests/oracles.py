@@ -682,8 +682,8 @@ def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table,
 def sample_gaussian_S(M, H, grid, stream):
     """One sample path of the critical-scale service noise on the grid."""
     grid = check_grid(grid)
-    vals = _covariance_model(M, H).sample_batch(grid, stream, 1)[0]
-    return linear_path(grid, vals, float(grid[-1]))
+    draws, _ = _covariance_model(M, H).sample_batch(grid, stream, 1)
+    return linear_path(grid, draws[0], float(grid[-1]))
 
 
 def sample_service_noise_finite_n(M, H, n, grid, rng, reps):

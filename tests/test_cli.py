@@ -1,5 +1,6 @@
 """CLI contract: spec files, hashes, headers, determinism, exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -15,7 +16,9 @@ import httq.cli
 from httq.cli import _limit_f_from, _workers, _write_csv, main
 from httq.distributions import DistributionSpec
 from httq.paths import uniform_grid
+from httq.patience import PatienceSpec
 from httq.renewal import compute_renewal_function
+from httq.simulator import SystemConfig
 
 from oracles import openblas_mapped, per_replication_limit
 
@@ -75,6 +78,19 @@ def test_renewal_spec_file(tmp_path):
     doc = json.loads((rundir / "summary.json").read_text())
     assert doc["step"] == 0.01
     assert doc["rate"] == 1.0
+
+
+def test_renewal_grid_step_overrides_spec_file(tmp_path):
+    spec = write_spec(tmp_path, "r.json", {
+        "command": "renewal", "service": {"family": "exponential", "rate": 1.0},
+        "horizon": 2.0, "step": 0.01,
+    })
+    out = tmp_path / "runs"
+    assert main(["renewal", spec, "--out", str(out), "--grid-step", "0.005"]) == 0
+    (rundir,) = run_dirs(out)
+    doc = json.loads((rundir / "summary.json").read_text())
+    assert doc["step"] == doc["spec"]["step"] == 0.005
+    assert doc["points"] == 401
 
 
 def test_renewal_flag_conflicts(tmp_path, capsys):
@@ -160,6 +176,28 @@ def test_command_mismatch(tmp_path, capsys):
                       {"command": "simulate", "config": mmn_dict()})
     assert main(["sweep", spec, "--out", str(tmp_path / "r")]) == 2
     assert "invoked as" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,doc,drop", [
+    ("config", mmn_dict(), "horizon"),
+    ("erlang distribution", {"family": "erlang", "shape": 2, "rate": 2.0}, "rate"),
+    ("patience spec", {"mode": "no_scaling",
+                       "distribution": {"family": "exponential", "rate": 1.0}}, None),
+    ("limit spec", {"command": "limit", "seed": 3, "case": "i"}, None),
+])
+def test_one_key_rule_for_every_spec_reader(tmp_path, where, doc, drop):
+    def cli_spec(d):
+        args = argparse.Namespace(spec=write_spec(tmp_path, "limit.json", d), seed=None)
+        return httq.cli._read_spec(args, "limit", {"case"})
+
+    read = {"config": SystemConfig.from_dict, "erlang distribution": DistributionSpec.from_dict,
+            "patience spec": PatienceSpec.from_dict, "limit spec": cli_spec}[where]
+    read(doc)
+    with pytest.raises(ValueError, match=f"^unknown keys in {where}: extra, zeta$"):
+        read({**doc, "zeta": 1, "extra": 2})
+    if drop is not None:
+        with pytest.raises(ValueError, match=f"^missing keys in {where}: {drop}$"):
+            read({k: v for k, v in doc.items() if k != drop})
 
 
 def test_missing_file_and_bad_json(tmp_path, capsys):
@@ -666,6 +704,39 @@ def test_workers_below_one_rejected_everywhere(tmp_path, capsys, command):
     assert main([command, spec, "--out", str(out), "--workers", "0"]) == 2
     assert "must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the library's own checks reject these after the spec is read, before any write
+_REJECTED_BY_COMPUTE = [
+    ("limit", {"tol": 0}, "tol must be positive"),
+    ("limit", {"case": "i", "service": None, "xi": -1.0}, "xi must be nonnegative"),
+    ("limit", {"mu": -1.0}, "variance rate must be nonnegative"),
+    ("maps", {"y": [1, 2]}, "y must be an object"),
+    ("maps", {"g": {"slope": -1}}, "g must be nondecreasing"),
+    ("sweep", {"config": mmn_dict(n=4, horizon=10.0, alpha=0.5, xi=0.5),
+               "checkpoints": [0.3]}, "does not lie on the limit grid"),
+]
+
+
+@pytest.mark.parametrize("command,patch,message", _REJECTED_BY_COMPUTE)
+def test_rejected_spec_leaves_no_run_directory(tmp_path, capsys, command, patch, message):
+    doc, _ = _RERUN_SPECS[command]
+    spec = write_spec(tmp_path, f"{command}.json", {"command": command, **doc, **patch})
+    out = tmp_path / "runs"
+    assert main([command, spec, "--out", str(out), "--workers", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("simulate", ["--check"]), ("limit", ["--check"]), ("renewal", ["--check"]),
+    ("maps", ["--check"]), ("compare", ["--grid-step", "0.1"]),
+])
+def test_flags_only_on_the_subcommands_that_read_them(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "spec.json"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_gaussian_sampler_empirical_covariance(exp_table):
     model = _covariance_model(exp_table)
     grid = uniform_grid(5.0, 0.5)
     reps = 4000
-    samples = model.sample_batch(grid, make_rng(11, purpose="gaussian"), reps)
+    samples, _ = model.sample_batch(grid, make_rng(11, purpose="gaussian"), reps)
     assert np.all(samples[:, 0] == 0.0)
     emp = np.cov(samples[:, 1:], rowvar=False)
     want = model.marginal(grid[1:])

@@ -429,7 +429,7 @@ def test_config_validation():
     cfg = mmn_config(4)
     d = cfg.to_dict()
     assert SystemConfig.from_dict(d) == cfg
-    with pytest.raises(ValueError, match="unknown config keys"):
+    with pytest.raises(ValueError, match="unknown keys in config"):
         SystemConfig.from_dict({**d, "extra": 1})
     assert len(cfg.hash()) == 12
 
