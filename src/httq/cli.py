@@ -110,20 +110,21 @@ def _run_dir(args, resolved: dict) -> tuple[dict, Path]:
 
 
 def _workers(args) -> int:
+    """The worker count: --workers, else HTTQ_WORKERS, else the usable cores."""
     if args.workers is not None:
-        return args.workers
-    env = os.environ.get("HTTQ_WORKERS")
-    if env is not None:
+        workers, source = args.workers, "--workers"
+    elif (env := os.environ.get("HTTQ_WORKERS")) is not None:
         try:
-            workers = int(env)
+            workers, source = int(env), "HTTQ_WORKERS"
         except ValueError:
             raise CliError(f"HTTQ_WORKERS must be an integer, got {env!r}")
-        if workers < 1:
-            raise CliError(f"HTTQ_WORKERS must be >= 1, got {workers}")
-        return workers
-    if hasattr(os, "sched_getaffinity"):
+    elif hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    else:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise CliError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +178,7 @@ def _parse_dist_flag(text: str) -> DistributionSpec:
                 kv[key] = float(val)
             except ValueError:
                 raise CliError(f"distribution parameter {key} must be a number, got {val!r}")
-    if "shape" in kv:
-        kv["shape"] = int(kv["shape"])
-    try:
-        return DistributionSpec.from_dict(kv)
-    except ValueError as err:
-        raise CliError(str(err))
+    return DistributionSpec.from_dict(kv)
 
 
 def _limit_f_from(doc_patience) -> object:
@@ -212,8 +208,7 @@ def _cmd_simulate(args) -> int:
 
     resolved = {"command": "simulate", "config": config.to_dict(),
                 "replications": reps, "seed": seed, "grid_step": grid_step}
-    workers = _workers(args)
-    records = run_jobs(_simulate_job, [(config, seed, r) for r in range(reps)], workers)
+    records = run_jobs(_simulate_job, [(config, seed, r) for r in range(reps)], args.workers)
     meta, outdir = _run_dir(args, resolved)
     per_rep = []
     for r, record in enumerate(records):
@@ -452,9 +447,8 @@ def _cmd_sweep(args) -> int:
     resolved = {"command": "sweep", "config": config.to_dict(), "n_values": n_values,
                 "replications": reps, "seed": seed, "checkpoints": checkpoints,
                 "grid_points": grid_points, "thresholds": thresholds}
-    workers = _workers(args)
     report = convergence_sweep(config, n_values, reps, checkpoints=checkpoints,
-                               seed=seed, grid_points=grid_points, workers=workers)
+                               seed=seed, grid_points=grid_points, workers=args.workers)
     meta, outdir = _run_dir(args, resolved)
     _write_json(outdir / "report.json", meta, report.as_dict())
     _write_csv(outdir / "report.csv", meta, ("n", "statistic", "replication", "value"),
@@ -732,8 +726,7 @@ def main(argv=None) -> int:
     solvers' Python-bound loops; a command's parallelism is --workers processes."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.workers is not None and args.workers < 1:
-            raise CliError(f"--workers must be >= 1, got {args.workers}")
+        args.workers = _workers(args)
         with _blas_threads(1):
             return _COMMANDS[args.command](args)
     except (CliError, ValueError) as err:

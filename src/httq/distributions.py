@@ -20,6 +20,7 @@ uniform               0 <= lo < hi
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,30 @@ import numpy as np
 # table and grid): at most 8 models and 8 factors, about 8 MB each at m = 1024.
 CACHE_SIZE = 8
 
-__all__ = ["DistributionSpec", "ArrivalSpec", "check_keys"]
+__all__ = ["DistributionSpec", "ArrivalSpec", "check_keys", "check_number"]
 
-_FAMILIES = ("exponential", "deterministic", "erlang", "hyperexponential", "lognormal", "uniform")
+# each family's parameter names, in order
+_PARAMS = {"exponential": ("rate",), "deterministic": ("value",), "erlang": ("shape", "rate"),
+           "hyperexponential": ("probs", "rates"), "lognormal": ("mu", "sigma"),
+           "uniform": ("lo", "hi")}
+
+# each family's value rules, as (holds, message) on its checked parameters
+_RULES = {
+    "exponential": ((lambda v: v["rate"] > 0, "exponential rate must be positive"),),
+    "deterministic": ((lambda v: v["value"] > 0,
+                       "deterministic value must be positive (atom at 0 rejected)"),),
+    "erlang": ((lambda v: v["shape"] == int(v["shape"]) and v["shape"] >= 1,
+                "erlang shape must be an integer >= 1"),
+               (lambda v: v["rate"] > 0, "erlang rate must be positive")),
+    "hyperexponential": (
+        (lambda v: 0 < len(v["probs"]) == len(v["rates"]),
+         "probs and rates must be 1-d arrays of equal length"),
+        (lambda v: min(v["probs"]) >= 0 and abs(np.sum(v["probs"]) - 1.0) <= 1e-12,
+         "probs must be nonnegative and sum to 1"),
+        (lambda v: min(v["rates"]) > 0, "rates must be positive")),
+    "lognormal": ((lambda v: v["sigma"] > 0, "lognormal sigma must be positive"),),
+    "uniform": ((lambda v: 0 <= v["lo"] < v["hi"], "uniform needs 0 <= lo < hi"),),
+}
 
 
 def check_keys(doc: dict, allowed, where: str, required=()) -> None:
@@ -43,6 +65,20 @@ def check_keys(doc: dict, allowed, where: str, required=()) -> None:
     missing = sorted(set(required) - set(doc))
     if missing:
         raise ValueError(f"missing keys in {where}: {', '.join(missing)}")
+
+
+def check_number(value, where: str) -> float:
+    """The one number rule of spec values: a finite real number (not a bool), as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _param_names(family) -> tuple:
+    """The parameter names of a known family, in order."""
+    if not isinstance(family, str) or family not in _PARAMS:
+        raise ValueError(f"unknown family {family!r}; known: {tuple(_PARAMS)}")
+    return _PARAMS[family]
 
 
 def _erlang_cdf(k: int, y) -> np.ndarray:
@@ -131,59 +167,56 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DistributionSpec:
     family: str
-    params: tuple  # tuple of (name, value) pairs, order fixed per family
+    params: tuple  # tuple of (name, value) pairs in the family's _PARAMS order
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def exponential(rate: float) -> "DistributionSpec":
-        if rate <= 0:
-            raise ValueError("exponential rate must be positive")
-        return DistributionSpec("exponential", (("rate", float(rate)),))
+        return DistributionSpec("exponential", (("rate", rate),))
 
     @staticmethod
     def deterministic(value: float) -> "DistributionSpec":
-        if value <= 0:
-            raise ValueError("deterministic value must be positive (atom at 0 rejected)")
-        return DistributionSpec("deterministic", (("value", float(value)),))
+        return DistributionSpec("deterministic", (("value", value),))
 
     @staticmethod
     def erlang(shape: int, rate: float) -> "DistributionSpec":
-        if int(shape) != shape or shape < 1:
-            raise ValueError("erlang shape must be an integer >= 1")
-        if rate <= 0:
-            raise ValueError("erlang rate must be positive")
-        return DistributionSpec("erlang", (("shape", int(shape)), ("rate", float(rate))))
+        return DistributionSpec("erlang", (("shape", shape), ("rate", rate)))
 
     @staticmethod
     def hyperexponential(probs, rates) -> "DistributionSpec":
-        p = np.asarray(probs, dtype=float)
-        r = np.asarray(rates, dtype=float)
-        if p.shape != r.shape or p.ndim != 1 or p.size == 0:
-            raise ValueError("probs and rates must be 1-d arrays of equal length")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1")
-        if np.any(r <= 0):
-            raise ValueError("rates must be positive")
-        return DistributionSpec(
-            "hyperexponential", (("probs", tuple(p.tolist())), ("rates", tuple(r.tolist())))
-        )
+        return DistributionSpec("hyperexponential", (("probs", probs), ("rates", rates)))
 
     @staticmethod
     def lognormal(mu: float, sigma: float) -> "DistributionSpec":
-        if sigma <= 0:
-            raise ValueError("lognormal sigma must be positive")
-        return DistributionSpec("lognormal", (("mu", float(mu)), ("sigma", float(sigma))))
+        return DistributionSpec("lognormal", (("mu", mu), ("sigma", sigma)))
 
     @staticmethod
     def uniform(lo: float, hi: float) -> "DistributionSpec":
-        if not (0 <= lo < hi):
-            raise ValueError("uniform needs 0 <= lo < hi")
-        return DistributionSpec("uniform", (("lo", float(lo)), ("hi", float(hi))))
+        return DistributionSpec("uniform", (("lo", lo), ("hi", hi)))
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; known: {_FAMILIES}")
+        """Every construction passes here.  Valid params are stored as floats, an
+        int erlang shape and tuples of floats, so equal laws compare equal."""
+        family = self.family
+        expected = _param_names(family)
+        names = tuple(k for k, _ in self.params)
+        if names != expected:
+            raise ValueError(f"{family} parameters are {', '.join(expected)} in that "
+                             f"order, got {', '.join(map(str, names))}")
+        if family == "hyperexponential":
+            if any(np.ndim(v) != 1 for _, v in self.params):
+                raise ValueError("probs and rates must be 1-d arrays of equal length")
+            v = {k: tuple(check_number(x, f"{family} {k}") for x in seq)
+                 for k, seq in self.params}
+        else:
+            v = {k: check_number(x, f"{family} {k}") for k, x in self.params}
+        for ok, message in _RULES[family]:
+            if not ok(v):
+                raise ValueError(message)
+        if family == "erlang":
+            v["shape"] = int(v["shape"])
+        object.__setattr__(self, "params", tuple(v.items()))
 
     def __getitem__(self, key: str):
         for k, v in self.params:
@@ -296,23 +329,12 @@ class DistributionSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "DistributionSpec":
-        if "family" not in d:
+        if not isinstance(d, dict) or "family" not in d:
             raise ValueError("distribution spec needs a 'family' key")
         family = d["family"]
-        args = {k: v for k, v in d.items() if k != "family"}
-        ctors = {
-            "exponential": (DistributionSpec.exponential, {"rate"}),
-            "deterministic": (DistributionSpec.deterministic, {"value"}),
-            "erlang": (DistributionSpec.erlang, {"shape", "rate"}),
-            "hyperexponential": (DistributionSpec.hyperexponential, {"probs", "rates"}),
-            "lognormal": (DistributionSpec.lognormal, {"mu", "sigma"}),
-            "uniform": (DistributionSpec.uniform, {"lo", "hi"}),
-        }
-        if family not in ctors:
-            raise ValueError(f"unknown family {family!r}; known: {_FAMILIES}")
-        ctor, allowed = ctors[family]
-        check_keys(args, allowed, f"{family} distribution", required=allowed)
-        return ctor(**args)
+        names = _param_names(family)
+        check_keys(d, {"family", *names}, f"{family} distribution", required=names)
+        return DistributionSpec(family, tuple((k, d[k]) for k in names))
 
 
 @dataclass(frozen=True)

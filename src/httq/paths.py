@@ -9,8 +9,7 @@ Two interpolation kinds cover everything the library produces:
   compensators, Brownian samples tabulated on a grid).
 
 Evaluation, left limits and sup-norms are exact for the stored
-representation; there is no hidden resampling.  Arithmetic requires matching
-kinds and merges breakpoints exactly.
+representation; there is no hidden resampling.
 
 The constructors check that the breakpoints strictly increase; a path
 derived from another (``map_values``, ``scale``, ``cumulative_integral``, ...)
@@ -119,20 +118,10 @@ class CadlagPath:
 
     # -- exact path functionals ----------------------------------------------
 
-    def _window(self, a: float, b: float) -> tuple[float, float]:
-        b = self.horizon if b is None else float(b)
-        if not (0.0 <= a <= b <= self.horizon + 1e-9):
-            raise ValueError("window must satisfy 0 <= a <= b <= horizon")
-        return float(a), min(b, self.horizon)
-
-    def sup_norm(self, a: float = 0.0, b: float | None = None) -> float:
-        """sup over [a, b] of |x(t)|, exact for the stored representation."""
-        a, b = self._window(a, b)
-        lo = np.searchsorted(self.times, a, side="right")
-        hi = np.searchsorted(self.times, b, side="right")
-        inner = np.abs(self.values[lo:hi])
-        cand = inner.max() if inner.size else 0.0
-        return float(max(cand, abs(self(a)), abs(self(b))))
+    def sup_norm(self) -> float:
+        """sup over [0, horizon] of |x(t)|: both kinds take their extremes at
+        the breakpoints and hold the last value to the horizon."""
+        return float(np.abs(self.values).max())
 
     def cumulative_integral(self) -> "CadlagPath":
         """t -> int_0^t x(s) ds as a linear path on the same breakpoints."""

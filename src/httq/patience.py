@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .distributions import CACHE_SIZE, DistributionSpec, check_keys
+from .distributions import CACHE_SIZE, DistributionSpec, check_keys, check_number
 
 __all__ = ["PatienceSpec", "constant_hazard", "ramp_hazard", "power_limit"]
 
@@ -58,23 +58,45 @@ def _power(coeff: float, exponent: float, x):
 
 def constant_hazard(theta: float):
     """h(t) = theta; hazard-mode equivalent of exponential patience."""
-    if theta <= 0:
+    if check_number(theta, "theta") <= 0:
         raise ValueError("theta must be positive")
     return partial(_const, float(theta))
 
 
 def ramp_hazard(slope: float):
     """h(t) = slope * t, so f(x) = slope * x^2 / 2."""
-    if slope <= 0:
+    if check_number(slope, "slope") <= 0:
         raise ValueError("slope must be positive")
     return partial(_ramp, float(slope))
 
 
 def power_limit(coeff: float, exponent: float = 1.0):
     """f(x) = coeff * x^exponent for direct_f mode (exponent >= 1)."""
-    if coeff <= 0 or exponent < 1.0:
+    if check_number(coeff, "coeff") <= 0 or check_number(exponent, "exponent") < 1.0:
         raise ValueError("need coeff > 0 and exponent >= 1 (local Lipschitz at 0)")
     return partial(_power, float(coeff), float(exponent))
+
+
+# the declarative hazard and f forms: kind -> (builder, the function it binds,
+# its parameters); a form's first parameter is required, the rest default
+_FORMS = {"constant": (constant_hazard, _const, ("theta",)),
+          "ramp": (ramp_hazard, _ramp, ("slope",)),
+          "power": (power_limit, _power, ("coeff", "exponent"))}
+
+# each patience mode's own field; the other two must be None
+_MODE_FIELDS = {"no_scaling": "distribution", "hazard_rate": "hazard", "direct_f": "f"}
+
+
+def _form_from_dict(key: str, form):
+    """The hazard or f callable that a declarative object names."""
+    kind = form.get("kind") if isinstance(form, dict) else None
+    if not isinstance(kind, str) or kind not in _FORMS:
+        raise ValueError(f"{key} must be a declarative object with kind one of "
+                         f"{sorted(_FORMS)}, got {form!r}")
+    build, _, names = _FORMS[kind]
+    args = {k: v for k, v in form.items() if k != "kind"}
+    check_keys(args, names, f"{kind} {key}", required=names[:1])
+    return build(**args)
 
 
 class _CumHazard:
@@ -156,60 +178,54 @@ class PatienceSpec:
 
     @staticmethod
     def no_scaling(distribution: DistributionSpec) -> "PatienceSpec":
-        if float(distribution.cdf(0.0)) != 0.0:
-            raise ValueError("patience law must have no atom at 0")
         return PatienceSpec("no_scaling", distribution=distribution)
 
     @staticmethod
     def hazard_rate(hazard) -> "PatienceSpec":
-        spec = PatienceSpec("hazard_rate", hazard=hazard)
-        spec._validate_probe()
-        return spec
+        return PatienceSpec("hazard_rate", hazard=hazard)
 
     @staticmethod
     def direct_f(f) -> "PatienceSpec":
-        spec = PatienceSpec("direct_f", f=f)
-        spec._validate_probe()
-        return spec
+        return PatienceSpec("direct_f", f=f)
 
     def __post_init__(self):
-        if self.mode not in ("no_scaling", "hazard_rate", "direct_f"):
+        # the mode, its own field and no other, then the no-atom check or the probe
+        own = _MODE_FIELDS.get(self.mode) if isinstance(self.mode, str) else None
+        if own is None:
             raise ValueError(f"unknown patience mode {self.mode!r}")
-
-    def _validate_probe(self) -> None:
+        value = getattr(self, own)
+        if not (isinstance(value, DistributionSpec) if own == "distribution" else callable(value)):
+            raise ValueError(f"patience mode {self.mode} needs {own!r}, got {value!r}")
+        others = [k for k in _MODE_FIELDS.values() if k != own and getattr(self, k) is not None]
+        if others:
+            raise ValueError(f"patience mode {self.mode} takes no {', '.join(others)}")
+        if own == "distribution":
+            if float(value.cdf(0.0)) != 0.0:
+                raise ValueError("patience law must have no atom at 0")
+            return
         grid = np.arange(0.0, _PROBE_HI + _HAZARD_STEP, _HAZARD_STEP)
-        if self.mode == "hazard_rate":
-            h = np.asarray(self.hazard(grid), dtype=float)
-            if h.shape != grid.shape:
-                raise ValueError("hazard must be vectorized (shape-preserving)")
-            if np.any(h < 0) or not np.all(np.isfinite(h)):
+        v = np.asarray(value(grid), dtype=float)
+        if v.shape != grid.shape:
+            raise ValueError(f"{own} must be vectorized (shape-preserving)")
+        if own == "hazard":
+            if np.any(v < 0) or not np.all(np.isfinite(v)):
                 raise ValueError("hazard must be finite and nonnegative on the probe grid")
-        else:
-            v = np.asarray(self.f(grid), dtype=float)
-            if v.shape != grid.shape:
-                raise ValueError("f must be vectorized (shape-preserving)")
-            if abs(v[0]) > 1e-12:
-                raise ValueError("f(0) must be 0")
-            if np.any(np.diff(v) < -1e-12):
-                raise ValueError("f must be nondecreasing")
-            slopes = np.diff(v) / _HAZARD_STEP
-            if not np.all(np.isfinite(slopes)):
-                raise ValueError("f must be locally Lipschitz on the probe grid")
+            return
+        if abs(v[0]) > 1e-12:
+            raise ValueError("f(0) must be 0")
+        if np.any(np.diff(v) < -1e-12):
+            raise ValueError("f must be nondecreasing")
+        if not np.all(np.isfinite(np.diff(v) / _HAZARD_STEP)):
+            raise ValueError("f must be locally Lipschitz on the probe grid")
 
     # -- limit ------------------------------------------------------------------
 
     def limit_function(self):
         """The scaling limit f as a vectorized callable."""
         if self.mode == "no_scaling":
-            slope = self.distribution.density_at_zero()
-
-            def f(x, _s=slope):
-                return _s * np.asarray(x, dtype=float)
-
-            return f
+            return partial(_ramp, self.distribution.density_at_zero())
         if self.mode == "hazard_rate":
-            tab = _cum_hazard(self)
-            return tab.value
+            return _cum_hazard(self).value
         return self.f
 
     # -- finite-n law -------------------------------------------------------------
@@ -238,12 +254,7 @@ class PatienceSpec:
         """Vectorized sampler from the n-th patience law; defective mass -> inf."""
         rootn = math.sqrt(n)
         if self.mode == "no_scaling":
-            dist = self.distribution
-
-            def draw(rng: np.random.Generator, size: int, _d=dist) -> np.ndarray:
-                return _d.sample(rng, size)
-
-            return draw
+            return self.distribution.sample
         if self.mode == "hazard_rate":
             tab = _cum_hazard(self)
 
@@ -263,34 +274,19 @@ class PatienceSpec:
     def to_dict(self) -> dict:
         if self.mode == "no_scaling":
             return {"mode": "no_scaling", "distribution": self.distribution.to_dict()}
-        kind = "hazard" if self.mode == "hazard_rate" else "f"
-        fn = self.hazard if self.mode == "hazard_rate" else self.f
-        if isinstance(fn, partial) and fn.func in (_const, _ramp, _power):
-            names = {_const: ("constant", ("theta",)), _ramp: ("ramp", ("slope",)),
-                     _power: ("power", ("coeff", "exponent"))}
-            label, keys = names[fn.func]
-            return {"mode": self.mode, kind: {"kind": label, **dict(zip(keys, fn.args))}}
+        key = _MODE_FIELDS[self.mode]
+        fn = getattr(self, key)
+        for label, (_, func, names) in _FORMS.items():
+            if isinstance(fn, partial) and fn.func is func:
+                return {"mode": self.mode, key: {"kind": label, **dict(zip(names, fn.args))}}
         raise ValueError("only declarative hazard/f forms serialize to JSON")
 
     @staticmethod
     def from_dict(d: dict) -> "PatienceSpec":
-        check_keys(d, {"mode", "distribution", "hazard", "f"}, "patience spec")
-        mode = d.get("mode")
-        if mode == "no_scaling":
-            return PatienceSpec.no_scaling(DistributionSpec.from_dict(d["distribution"]))
-        if mode not in ("hazard_rate", "direct_f"):
-            raise ValueError(f"unknown patience mode {mode!r}")
-        key = "hazard" if mode == "hazard_rate" else "f"
-        form = d.get(key)
-        if not isinstance(form, dict) or "kind" not in form:
-            raise ValueError(f"patience mode {mode} needs a declarative {key!r} object")
-        kind = form["kind"]
-        args = {k: v for k, v in form.items() if k != "kind"}
-        builders = {"constant": constant_hazard, "ramp": ramp_hazard, "power": power_limit}
-        if kind not in builders:
-            raise ValueError(f"unknown {key} kind {kind!r}; known: {sorted(builders)}")
-        fn = builders[kind](**args)
-        return PatienceSpec.hazard_rate(fn) if mode == "hazard_rate" else PatienceSpec.direct_f(fn)
+        check_keys(d, {"mode", *_MODE_FIELDS.values()}, "patience spec")
+        fields = {k: DistributionSpec.from_dict(v) if k == "distribution" else _form_from_dict(k, v)
+                  for k, v in d.items() if k != "mode" and v is not None}
+        return PatienceSpec(d.get("mode"), **fields)
 
 
 def _invert_f(f, targets: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -216,9 +216,17 @@ class BlockSampler:
         return float(v)
 
 
+def _path_window(path, a, b):
+    """[a, b] as floats, b defaulting to the horizon, inside [0, horizon]."""
+    b = path.horizon if b is None else float(b)
+    if not (0.0 <= a <= b <= path.horizon + 1e-9):
+        raise ValueError("window must satisfy 0 <= a <= b <= horizon")
+    return float(a), min(b, path.horizon)
+
+
 def path_min_value(path, a=0.0, b=None):
     """min over [a, b] of a CadlagPath, exact for its stored representation."""
-    a, b = path._window(a, b)
+    a, b = _path_window(path, a, b)
     lo = np.searchsorted(path.times, a, side="right")
     hi = np.searchsorted(path.times, b, side="right")
     inner = path.values[lo:hi]
@@ -228,7 +236,7 @@ def path_min_value(path, a=0.0, b=None):
 
 def path_integral(path, a=0.0, b=None):
     """int_a^b x(s) ds of a CadlagPath, exact for its stored representation."""
-    a, b = path._window(a, b)
+    a, b = _path_window(path, a, b)
     if b <= a:
         return 0.0
     # Breakpoints interior to (a, b), plus the endpoints.

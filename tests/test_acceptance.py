@@ -6,6 +6,7 @@ Tolerances and workloads are frozen; seeds are fixed so every run is exact.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -70,19 +71,25 @@ def strictly_decreasing(values):
 # ---------------------------------------------------------------------------
 # shared sweeps
 
+# the sweeps run on every usable core; results come back in job order, so the
+# worker count moves no value
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
 
 @pytest.fixture(scope="module")
 def trend_sweep():
     # M/M/n+M, mu=1, theta=1, beta=-1, T=10, 200 replications per n
     return convergence_sweep(mmn_config(25), [25, 100, 400, 1600],
-                             replications=200, checkpoints=(10.0,), seed=2024)
+                             replications=200, checkpoints=(10.0,), seed=2024,
+                             workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
 def ks_sweep():
     # same family, 2000 replications, marginal at T against 2000 limit draws
     return convergence_sweep(mmn_config(25), [25, 100, 400],
-                             replications=2000, checkpoints=(10.0,), seed=71)
+                             replications=2000, checkpoints=(10.0,), seed=71,
+                             workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +97,8 @@ def nds_sweep():
     # many-server square-root staffing: alpha=1/2, beta=0, Poisson input
     return convergence_sweep(mmn_config(100, beta=0.0, alpha=0.5),
                              [100, 400, 1600],
-                             replications=1000, checkpoints=(10.0,), seed=52)
+                             replications=1000, checkpoints=(10.0,), seed=52,
+                             workers=WORKERS)
 
 
 # ---------------------------------------------------------------------------

@@ -728,6 +728,44 @@ def test_rejected_spec_leaves_no_run_directory(tmp_path, capsys, command, patch,
     assert not out.exists()
 
 
+# bad values inside a distribution or patience spec: every construction checks them
+_BAD_SPEC_VALUES = {
+    "str-rate": ("renewal", {"service": {"family": "exponential", "rate": "2"}},
+                 "exponential rate must be a finite number, got '2'"),
+    "bool-rate": ("renewal", {"service": {"family": "exponential", "rate": True}},
+                  "exponential rate must be a finite number, got True"),
+    "nan-rate": ("renewal", {"service": {"family": "exponential", "rate": float("nan")}},
+                 "exponential rate must be a finite number, got nan"),
+    "unknown-form-key": ("limit", {"patience": {"mode": "hazard_rate", "hazard": {
+        "kind": "constant", "theta": 1, "x": 2}}}, "unknown keys in constant hazard: x"),
+}
+
+
+@pytest.mark.parametrize("command,patch,message", _BAD_SPEC_VALUES.values(),
+                         ids=list(_BAD_SPEC_VALUES))
+def test_bad_spec_value_exits_2_before_any_write(tmp_path, capsys, command, patch, message):
+    doc, _ = _RERUN_SPECS[command]
+    spec = write_spec(tmp_path, f"{command}.json", {"command": command, **doc, **patch})
+    out = tmp_path / "runs"
+    assert main([command, spec, "--out", str(out), "--workers", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env,message", [("0", "HTTQ_WORKERS must be >= 1, got 0"),
+                                         ("x", "HTTQ_WORKERS must be an integer, got 'x'")])
+@pytest.mark.parametrize("command", ["limit", "renewal", "compare", "maps"])
+def test_bad_workers_env_rejected_everywhere(tmp_path, capsys, monkeypatch, command, env,
+                                             message):
+    monkeypatch.setenv("HTTQ_WORKERS", env)
+    doc, _ = _RERUN_SPECS[command]
+    spec = write_spec(tmp_path, f"{command}.json", {"command": command, **doc})
+    out = tmp_path / "runs"
+    assert main([command, spec, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag", [
     ("simulate", ["--check"]), ("limit", ["--check"]), ("renewal", ["--check"]),
     ("maps", ["--check"]), ("compare", ["--grid-step", "0.1"]),

@@ -1,5 +1,6 @@
 """Distribution families, random streams, and patience scaling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -320,3 +321,105 @@ def test_patience_dict_round_trip():
         np.testing.assert_allclose(t.limit_function()(xs), s.limit_function()(xs), atol=1e-9)
     with pytest.raises(ValueError):
         PatienceSpec.from_dict({"mode": "no_scaling", "junk": 1})
+
+
+# -- one checked construction path ----------------------------------------------
+
+
+def _exp(rate):
+    return {"family": "exponential", "rate": rate}
+
+
+_EXP1 = DistributionSpec.exponential(1.0)
+
+# (dataclass form or None, reader, the same bad spec as a dict)
+_BAD_SPECS = {
+    "decreasing-f": (
+        lambda: PatienceSpec(mode="direct_f", f=lambda x: -np.asarray(x, dtype=float)),
+        PatienceSpec.from_dict, {"mode": "direct_f", "f": {"kind": "power", "coeff": -1.0}}),
+    "no-hazard": (
+        lambda: PatienceSpec(mode="hazard_rate", hazard=None),
+        PatienceSpec.from_dict, {"mode": "hazard_rate", "hazard": None}),
+    "negative-rate": (
+        lambda: DistributionSpec("exponential", (("rate", -1.0),)),
+        DistributionSpec.from_dict, _exp(-1.0)),
+    "nan-rate": (
+        lambda: DistributionSpec("exponential", (("rate", math.nan),)),
+        DistributionSpec.from_dict, _exp(math.nan)),
+    "str-rate": (
+        lambda: DistributionSpec("exponential", (("rate", "2"),)),
+        DistributionSpec.from_dict, _exp("2")),
+    "bool-rate": (
+        lambda: DistributionSpec("exponential", (("rate", True),)),
+        DistributionSpec.from_dict, _exp(True)),
+    "unknown-form-key": (
+        None,
+        PatienceSpec.from_dict,
+        {"mode": "hazard_rate", "hazard": {"kind": "constant", "theta": 1, "x": 2}}),
+    "str-theta": (
+        lambda: PatienceSpec(mode="hazard_rate", hazard=constant_hazard("1")),
+        PatienceSpec.from_dict,
+        {"mode": "hazard_rate", "hazard": {"kind": "constant", "theta": "1"}}),
+    "bool-coeff": (
+        lambda: PatienceSpec(mode="direct_f", f=power_limit(True)),
+        PatienceSpec.from_dict, {"mode": "direct_f", "f": {"kind": "power", "coeff": True}}),
+    "erlang-params": (
+        lambda: DistributionSpec("erlang", (("rate", 2.0), ("shape", 2))),  # out of order
+        DistributionSpec.from_dict, {"family": "erlang", "shape": 2.5, "rate": 2.0}),
+    "other-mode-field": (
+        lambda: PatienceSpec(mode="no_scaling", distribution=_EXP1, hazard=constant_hazard(1.0)),
+        PatienceSpec.from_dict, {"mode": "no_scaling", "distribution": _exp(1.0),
+                                 "hazard": {"kind": "constant", "theta": 1.0}}),
+}
+
+
+@pytest.mark.parametrize("build,read,doc", _BAD_SPECS.values(), ids=list(_BAD_SPECS))
+def test_every_construction_of_a_bad_spec_is_rejected(build, read, doc):
+    if build is not None:
+        with pytest.raises(ValueError):
+            build()
+    with pytest.raises(ValueError):
+        read(doc)
+
+
+_CONSTANT, _RAMP, _POWER = constant_hazard(2.0), ramp_hazard(0.5), power_limit(1.5, 2.0)
+
+# each family and mode: (static form, the dataclass form as a caller might write it)
+_ROUND_TRIPS = {
+    "exponential": (DistributionSpec.exponential(2.0),
+                    lambda: DistributionSpec("exponential", (("rate", 2),))),
+    "deterministic": (DistributionSpec.deterministic(2.0),
+                      lambda: DistributionSpec("deterministic", (("value", 2),))),
+    "erlang": (DistributionSpec.erlang(3, 4.0),
+               lambda: DistributionSpec("erlang", (("shape", 3.0), ("rate", 4)))),
+    "hyperexponential": (DistributionSpec.hyperexponential([0.3, 0.7], [0.5, 3.0]),
+                         lambda: DistributionSpec("hyperexponential", (
+                             ("probs", [0.3, 0.7]), ("rates", np.array([0.5, 3.0]))))),
+    "lognormal": (DistributionSpec.lognormal(-1.0, 0.8),
+                  lambda: DistributionSpec("lognormal", (("mu", -1), ("sigma", np.float64(0.8))))),
+    "uniform": (DistributionSpec.uniform(0.0, 2.0),
+                lambda: DistributionSpec("uniform", (("lo", 0), ("hi", 2)))),
+    "no_scaling": (PatienceSpec.no_scaling(
+                       DistributionSpec.hyperexponential([0.5, 0.5], [1.0, 2.0])),
+                   lambda: PatienceSpec(mode="no_scaling", distribution=DistributionSpec(
+                       "hyperexponential", (("probs", [0.5, 0.5]), ("rates", [1, 2]))))),
+    "hazard_rate": (PatienceSpec.hazard_rate(_CONSTANT),
+                    lambda: PatienceSpec(mode="hazard_rate", hazard=_CONSTANT)),
+    "ramp": (PatienceSpec.hazard_rate(_RAMP),
+             lambda: PatienceSpec(mode="hazard_rate", hazard=_RAMP)),
+    "direct_f": (PatienceSpec.direct_f(_POWER), lambda: PatienceSpec(mode="direct_f", f=_POWER)),
+}
+
+
+@pytest.mark.parametrize("static,build", _ROUND_TRIPS.values(), ids=list(_ROUND_TRIPS))
+def test_constructions_agree(static, build):
+    canonical = dataclasses.replace(static)  # the dataclass constructor on canonical fields
+    again = type(static).from_dict(static.to_dict())
+    for spec in (canonical, build(), again):
+        assert spec.to_dict() == static.to_dict()
+    # a hazard or f rebuilt from its dict is a new callable, equal in to_dict only
+    rebuilt_callable = getattr(static, "mode", "no_scaling") != "no_scaling"
+    for spec in (canonical, build()) + (() if rebuilt_callable else (again,)):
+        assert spec == static and hash(spec) == hash(static)
+    if isinstance(static, DistributionSpec):
+        assert [type(v) for _, v in build().params] == [type(v) for _, v in static.params]
