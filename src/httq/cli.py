@@ -15,8 +15,11 @@ to <out>/<12-hex hash of the resolved spec>/, every file starts with a
 (version, spec-hash, seed) header, and a schema.json documents the CSV
 columns, so a rerun of the same resolved spec is byte-identical and
 diff-able.  The run directory is made only once the artifacts are ready,
-so a rejected spec leaves nothing behind.  Exit codes: 0 success, 2
-validation failure, 3 threshold failure under --check.
+so a rejected spec leaves nothing behind.  Spec and flag scalars are checked,
+never coerced: a number is finite and not a bool or a string, and a count
+is a number with an integral value (40.0 passes as 40), at least 1, or 0 for
+a seed.  Exit codes: 0 success, 2 validation failure, 3 threshold failure
+under --check.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import json
 import math
 import os
@@ -33,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributions import DistributionSpec, check_keys
+from .distributions import DistributionSpec, check_count, check_keys, check_number
 from .limits import _solve_limit, sample_brownian, sample_noise
 from .maps import solve_phi_M, solve_phi_Mg, solve_phi_n_g, solve_skorokhod_g
 from .paths import CadlagPath, uniform_grid
@@ -82,22 +86,41 @@ def _read_spec(args, command: str, keys) -> tuple[dict, int]:
             f"experiment file says command={doc['command']!r}, invoked as {command!r}"
         )
     check_keys(doc, {"command", "seed", *keys}, f"{command} spec")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else \
+        _value(doc, "seed", f"{command} spec", _seed_count, 0)
     return doc, seed
 
 
-def _need(doc: dict, key: str, where: str):
-    if key not in doc or doc[key] is None:
-        raise CliError(f"{where} is missing required key {key!r}")
-    return doc[key]
+_REQUIRED = object()
+_seed_count = functools.partial(check_count, minimum=0)
 
 
-def _grid_step(args, doc: dict, horizon: float, default_cells: int) -> float:
-    """--grid-step, else the file's grid_step, else horizon / default_cells."""
+def _value(doc: dict, key: str, where: str, rule=None, default=_REQUIRED):
+    """doc[key] under `rule`, a check_* function called with the value and its
+    name; an absent or null key takes `default`, and is an error without one."""
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise CliError(f"{where} is missing required key {key!r}")
+        return default
+    return value if rule is None else rule(value, f"{where} {key}")
+
+
+def _flag(parse, rule):
+    """The argparse type of a flag: its text parsed, then under `rule`."""
+    def read(text: str):
+        try:
+            return rule(parse(text), "value")
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err))
+    return read
+
+
+def _grid_step(args, doc: dict, default, key: str = "grid_step"):
+    """--grid-step, else the file's grid step under `key`, else `default`."""
     if args.grid_step is not None:
         return args.grid_step
-    step = doc.get("grid_step")
-    return horizon / default_cells if step is None else float(step)
+    return _value(doc, key, f"{args.command} spec", check_number, default)
 
 
 def _run_dir(args, resolved: dict) -> tuple[dict, Path]:
@@ -122,9 +145,7 @@ def _workers(args) -> int:
         return len(os.sched_getaffinity(0))
     else:
         return os.cpu_count() or 1
-    if workers < 1:
-        raise CliError(f"{source} must be >= 1, got {workers}")
-    return workers
+    return check_count(workers, source)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +219,10 @@ def _simulate_job(args):
 
 def _cmd_simulate(args) -> int:
     doc, seed = _read_spec(args, "simulate", {"config", "replications", "grid_step"})
-    config = SystemConfig.from_dict(_need(doc, "config", "simulate spec"))
-    reps = int(doc.get("replications", 1))
-    if reps < 1:
-        raise CliError("replications must be >= 1")
+    config = SystemConfig.from_dict(_value(doc, "config", "simulate spec"))
+    reps = _value(doc, "replications", "simulate spec", check_count, 1)
     T = config.horizon
-    grid_step = _grid_step(args, doc, T, 200)
+    grid_step = _grid_step(args, doc, T / 200)
     grid = uniform_grid(T, grid_step)
 
     resolved = {"command": "simulate", "config": config.to_dict(),
@@ -266,25 +285,20 @@ def _cmd_simulate(args) -> int:
 def _cmd_limit(args) -> int:
     doc, seed = _read_spec(args, "limit", {"case", "xi", "beta", "mu", "ca2", "patience",
                                            "service", "horizon", "grid_step", "reps", "tol"})
-    case = _need(doc, "case", "limit spec")
+    where = "limit spec"
+    case = _value(doc, "case", where)
     if case not in ("i", "ii"):
         raise CliError(f"case must be 'i' or 'ii', got {case!r}")
-    xi = float(_need(doc, "xi", "limit spec"))
-    beta = float(_need(doc, "beta", "limit spec"))
-    mu = float(_need(doc, "mu", "limit spec"))
-    ca2 = float(doc.get("ca2", 1.0))
-    T = float(_need(doc, "horizon", "limit spec"))
-    reps = int(doc.get("reps", 1))
-    if reps < 1:
-        raise CliError("reps must be >= 1")
-    tol = float(doc.get("tol", 1e-10))
-    grid_step = _grid_step(args, doc, T, 512)
+    xi, beta, mu, T = (_value(doc, k, where, check_number) for k in ("xi", "beta", "mu", "horizon"))
+    ca2 = _value(doc, "ca2", where, check_number, 1.0)
+    reps = _value(doc, "reps", where, check_count, 1)
+    tol = _value(doc, "tol", where, check_number, 1e-10)
+    grid_step = _grid_step(args, doc, T / 512)
     grid = uniform_grid(T, grid_step)
 
     service_spec = table = None
     if case == "ii":
-        service_spec = DistributionSpec.from_dict(
-            _need(doc, "service", "limit spec (case 'ii')"))
+        service_spec = DistributionSpec.from_dict(_value(doc, "service", "limit spec (case 'ii')"))
         table = compute_renewal_function(service_spec, T, step=grid_step)
     elif doc.get("service") is not None:
         raise CliError("case 'i' does not use a service renewal table")
@@ -333,19 +347,17 @@ def _cmd_renewal(args) -> int:
         raise CliError("give either an experiment file or --service/--T, not both")
     if args.spec is not None:
         doc, seed = _read_spec(args, "renewal", {"service", "horizon", "step"})
-        service = DistributionSpec.from_dict(_need(doc, "service", "renewal spec"))
-        T = float(_need(doc, "horizon", "renewal spec"))
+        service = DistributionSpec.from_dict(_value(doc, "service", "renewal spec"))
+        T = _value(doc, "horizon", "renewal spec", check_number)
     elif args.service is not None:
         if args.T is None:
             raise CliError("--service needs --T as well")
         doc, seed = {}, args.seed if args.seed is not None else 0
         service = _parse_dist_flag(args.service)
-        T = float(args.T)
+        T = args.T
     else:
         raise CliError("renewal needs an experiment file or --service/--T")
-    step = args.grid_step if args.grid_step is not None else doc.get("step")
-
-    table = compute_renewal_function(service, T, step=None if step is None else float(step))
+    table = compute_renewal_function(service, T, step=_grid_step(args, doc, None, "step"))
     resolved = {"command": "renewal", "service": service.to_dict(), "horizon": T,
                 "step": table.step, "seed": seed}
     meta, outdir = _run_dir(args, resolved)
@@ -370,46 +382,50 @@ def _cmd_renewal(args) -> int:
 # sweep
 
 
-def _check_thresholds(thr, n_values, checkpoints) -> None:
-    """Reject thresholds naming a statistic, n or checkpoint the sweep lacks."""
-    if not isinstance(thr, dict):
-        raise CliError("thresholds must be an object")
+def _check_thresholds(thr, n_values, checkpoints) -> dict:
+    """The entries of `thr`: names, (n, checkpoint, max) and (statistic, max) for
+    its three keys; refuses one naming a statistic, n or checkpoint not swept."""
     check_keys(thr, {"decreasing", "ks_max", "ratio_max"}, "thresholds")
+    for key, entries in thr.items():
+        if not isinstance(entries, list):
+            raise CliError(f"thresholds {key} must be a list, got {entries!r}")
     known = verdict_names(checkpoints)
-    for name in thr.get("decreasing", []):
+    checked = {"decreasing": thr.get("decreasing", []), "ks_max": [], "ratio_max": []}
+    for name in checked["decreasing"]:
         if name not in known:
             raise CliError(f"thresholds reference unknown statistic {name!r}; "
                            f"known: {sorted(known)}")
     for item in thr.get("ks_max", []):
         check_keys(item, {"n", "checkpoint", "max"}, "ks_max entry")
-        n = int(_need(item, "n", "ks_max entry"))
-        t = float(_need(item, "checkpoint", "ks_max entry"))
-        float(_need(item, "max", "ks_max entry"))  # present and numeric
+        n = _value(item, "n", "ks_max entry", check_count)
+        t = _value(item, "checkpoint", "ks_max entry", check_number)
         if n not in n_values:
-            raise CliError(f"ks_max references n={n} not in the sweep {n_values}")
+            raise CliError(f"ks_max references n={n} not in the sweep {list(n_values)}")
         if not any(math.isclose(c, t) for c in checkpoints):
             raise CliError(f"ks_max references checkpoint {t} not in {list(checkpoints)}")
+        checked["ks_max"].append((n, t, _value(item, "max", "ks_max entry", check_number)))
     for item in thr.get("ratio_max", []):
         check_keys(item, {"statistic", "max"}, "ratio_max entry")
-        float(_need(item, "max", "ratio_max entry"))  # present and numeric
-        if _need(item, "statistic", "ratio_max entry") not in GAP_NAMES:
-            raise CliError(f"ratio_max references unknown statistic {item['statistic']!r}")
+        mx = _value(item, "max", "ratio_max entry", check_number)
+        name = _value(item, "statistic", "ratio_max entry")
+        if name not in GAP_NAMES:
+            raise CliError(f"ratio_max references unknown statistic {name!r}")
+        checked["ratio_max"].append((name, mx))
+    return checked
 
 
-def _eval_thresholds(report, thr: dict) -> list[str]:
-    """Threshold failures of a sweep; `thr` has passed `_check_thresholds`."""
+def _eval_thresholds(report, checked: dict) -> list[str]:
+    """Threshold failures of a sweep, from the entries `_check_thresholds` returned."""
     failures = []
-    for name in thr.get("decreasing", []):
+    for name in checked["decreasing"]:
         verdict = report.verdicts[name]
         if verdict != "decreasing":
             failures.append(f"{name}: verdict {verdict!r}, required decreasing")
-    for item in thr.get("ks_max", []):
-        n, t, mx = int(item["n"]), float(item["checkpoint"]), float(item["max"])
+    for n, t, mx in checked["ks_max"]:
         value = next(v for tk, v in report.ks[n].items() if math.isclose(tk, t))
         if value > mx:
             failures.append(f"ks@{t:g} at n={n}: {value:.4f} > {mx}")
-    for item in thr.get("ratio_max", []):
-        name, mx = item["statistic"], float(item["max"])
+    for name, mx in checked["ratio_max"]:
         n_lo, n_hi = min(report.n_values), max(report.n_values)
         lo = report.summaries[name][n_lo]["median"]
         hi = report.summaries[name][n_hi]["median"]
@@ -433,18 +449,19 @@ def _report_rows(report):
 def _cmd_sweep(args) -> int:
     doc, seed = _read_spec(args, "sweep", {"config", "n_values", "replications",
                                            "checkpoints", "grid_points", "thresholds"})
-    config = SystemConfig.from_dict(_need(doc, "config", "sweep spec"))
-    n_values = [int(n) for n in _need(doc, "n_values", "sweep spec")]
-    reps = int(_need(doc, "replications", "sweep spec"))
-    checkpoints = doc.get("checkpoints")
-    grid_points = int(doc.get("grid_points", 256))
+    where = "sweep spec"
+    config = SystemConfig.from_dict(_value(doc, "config", where))
+    n_values, reps, grid_points = check_sweep_sizes(
+        _value(doc, "n_values", where), _value(doc, "replications", where),
+        _value(doc, "grid_points", where, default=256))
     if args.grid_step is not None:
         grid_points = uniform_grid(config.horizon, args.grid_step).size - 1
-    check_sweep_sizes(n_values, reps, grid_points)
+    checkpoints = doc.get("checkpoints")
     thresholds = doc.get("thresholds", {})
-    _check_thresholds(thresholds, n_values, resolve_checkpoints(checkpoints, config.horizon))
+    checked = _check_thresholds(thresholds, n_values,
+                                resolve_checkpoints(checkpoints, config.horizon))
 
-    resolved = {"command": "sweep", "config": config.to_dict(), "n_values": n_values,
+    resolved = {"command": "sweep", "config": config.to_dict(), "n_values": list(n_values),
                 "replications": reps, "seed": seed, "checkpoints": checkpoints,
                 "grid_points": grid_points, "thresholds": thresholds}
     report = convergence_sweep(config, n_values, reps, checkpoints=checkpoints,
@@ -463,49 +480,48 @@ def _cmd_sweep(args) -> int:
     })
     for name, verdict in sorted(report.verdicts.items()):
         print(f"sweep: {name}: {verdict}")
-    failures = _eval_thresholds(report, thresholds)
+    failures = _eval_thresholds(report, checked)
     if args.check:
         if failures:
             for f in failures:
                 print(f"check failed: {f}", file=sys.stderr)
             print(f"artifacts in {outdir}")
             return EXIT_THRESHOLD
-        print(f"check passed ({_threshold_count(thresholds)} threshold(s)), "
+        print(f"check passed ({sum(map(len, checked.values()))} threshold(s)), "
               f"artifacts in {outdir}")
         return EXIT_OK
     print(f"artifacts in {outdir}")
     return EXIT_OK
 
 
-def _threshold_count(thr: dict) -> int:
-    return sum(len(v) for v in thr.values())
-
-
 # ---------------------------------------------------------------------------
 # compare
 
 
+def _compare_job(args):
+    config, seed, rep = args
+    return compare_abandonment(config, seed=seed, replication=rep)
+
+
 def _cmd_compare(args) -> int:
     doc, base_seed = _read_spec(args, "compare", {"config", "seeds", "replications"})
-    config = SystemConfig.from_dict(_need(doc, "config", "compare spec"))
-    n_seeds = int(doc.get("seeds", 1))
-    reps = int(doc.get("replications", 1))
-    if n_seeds < 1 or reps < 1:
-        raise CliError("seeds and replications must be >= 1")
+    where = "compare spec"
+    config = SystemConfig.from_dict(_value(doc, "config", where))
+    n_seeds = _value(doc, "seeds", where, check_count, 1)
+    reps = _value(doc, "replications", where, check_count, 1)
 
     resolved = {"command": "compare", "config": config.to_dict(), "seed": base_seed,
                 "seeds": n_seeds, "replications": reps}
+    jobs = [(config, s, r) for s in range(base_seed, base_seed + n_seeds) for r in range(reps)]
     verdicts = []
-    for s in range(base_seed, base_seed + n_seeds):
-        for r in range(reps):
-            v = compare_abandonment(config, seed=s, replication=r)
-            entry = {"seed": s, "replication": r, "holds": v.holds,
-                     "max_queue_excess": float(v.max_queue_excess),
-                     "n_checked": int(v.n_checked)}
-            if not v.holds:
-                entry["first_violation"] = list(v.first_violation)
-                entry["detail"] = v.detail
-            verdicts.append(entry)
+    for (_, s, r), v in zip(jobs, run_jobs(_compare_job, jobs, args.workers)):
+        entry = {"seed": s, "replication": r, "holds": v.holds,
+                 "max_queue_excess": float(v.max_queue_excess),
+                 "n_checked": int(v.n_checked)}
+        if not v.holds:
+            entry["first_violation"] = list(v.first_violation)
+            entry["detail"] = v.detail
+        verdicts.append(entry)
     all_hold = all(v["holds"] for v in verdicts)
     meta, outdir = _run_dir(args, resolved)
     _write_json(outdir / "compare.json", meta,
@@ -529,27 +545,23 @@ _MAP_NAMES = ("phi_n_g", "skorokhod_g", "phi_M", "phi_Mg")
 
 
 def _path_from_doc(y_doc, grid: np.ndarray, horizon: float, seed: int) -> CadlagPath:
-    if not isinstance(y_doc, dict):
-        raise CliError("y must be an object")
-    if "brownian" in y_doc:
+    if isinstance(y_doc, dict) and "brownian" in y_doc:
         check_keys(y_doc, {"brownian"}, "y")
         b = y_doc["brownian"]
         check_keys(b, {"variance_rate"}, "y.brownian")
-        return sample_brownian(float(_need(b, "variance_rate", "y.brownian")),
+        return sample_brownian(_value(b, "variance_rate", "y.brownian", check_number),
                                grid, make_rng(seed, purpose="scratch"))
     check_keys(y_doc, {"times", "values", "kind"}, "y")
-    return CadlagPath(np.asarray(_need(y_doc, "times", "y"), dtype=float),
-                      np.asarray(_need(y_doc, "values", "y"), dtype=float),
+    return CadlagPath(np.asarray(_value(y_doc, "times", "y"), dtype=float),
+                      np.asarray(_value(y_doc, "values", "y"), dtype=float),
                       y_doc.get("kind", "linear"), horizon)
 
 
 def _g_from_doc(g_doc):
     if g_doc is None:
         return None
-    if not isinstance(g_doc, dict):
-        raise CliError("g must be null or an object")
     check_keys(g_doc, {"slope"}, "g")
-    slope = float(_need(g_doc, "slope", "g"))
+    slope = _value(g_doc, "slope", "g", check_number)
 
     def g(x, _s=slope):
         return _s * np.asarray(x, dtype=float)
@@ -560,16 +572,20 @@ def _g_from_doc(g_doc):
 def _cmd_maps(args) -> int:
     doc, seed = _read_spec(args, "maps", {"map", "y", "g", "mu_n", "service", "horizon",
                                           "grid_step", "tol", "g_sign"})
-    variant = _need(doc, "map", "maps spec")
+    where = "maps spec"
+    variant = _value(doc, "map", where)
     if variant not in _MAP_NAMES:
         raise CliError(f"unknown map {variant!r}; known: {', '.join(_MAP_NAMES)}")
-    T = float(_need(doc, "horizon", "maps spec"))
-    grid_step = _grid_step(args, doc, T, 512)
+    T = _value(doc, "horizon", where, check_number)
+    grid_step = _grid_step(args, doc, T / 512)
     grid = uniform_grid(T, grid_step)
+    tol = _value(doc, "tol", where, check_number, 1e-10)
+    g_sign = _value(doc, "g_sign", where, check_number, 1.0)
 
-    if variant == "phi_n_g" and doc.get("mu_n") is None:
+    mu_n = _value(doc, "mu_n", where, check_number, None)
+    if variant == "phi_n_g" and mu_n is None:
         raise CliError("map phi_n_g needs mu_n")
-    if variant != "phi_n_g" and doc.get("mu_n") is not None:
+    if variant != "phi_n_g" and mu_n is not None:
         raise CliError(f"map {variant} does not use mu_n")
     needs_table = variant in ("phi_M", "phi_Mg")
     if needs_table and doc.get("service") is None:
@@ -587,18 +603,17 @@ def _cmd_maps(args) -> int:
     resolved = {"command": "maps", "map": variant, "y": doc.get("y"),
                 "g": doc.get("g"), "mu_n": doc.get("mu_n"),
                 "service": None if service_spec is None else service_spec.to_dict(),
-                "horizon": T, "grid_step": grid_step,
-                "tol": float(doc.get("tol", 1e-10)),
-                "g_sign": float(doc.get("g_sign", 1.0)), "seed": seed}
-    y = _path_from_doc(_need(doc, "y", "maps spec"), grid, T, seed)
+                "horizon": T, "grid_step": grid_step, "tol": tol, "g_sign": g_sign,
+                "seed": seed}
+    y = _path_from_doc(_value(doc, "y", where), grid, T, seed)
     if variant == "phi_n_g":
-        sol = solve_phi_n_g(y, g, float(doc["mu_n"]), grid)
+        sol = solve_phi_n_g(y, g, mu_n, grid)
     elif variant == "skorokhod_g":
         sol = solve_skorokhod_g(y, g, grid)
     elif variant == "phi_M":
         sol = solve_phi_M(y, table, grid)
     else:
-        sol = solve_phi_Mg(y, table, g, grid, tol=resolved["tol"], g_sign=resolved["g_sign"])
+        sol = solve_phi_Mg(y, table, g, grid, tol=tol, g_sign=g_sign)
     meta, outdir = _run_dir(args, resolved)
     columns = {"t": sol.grid, "x": sol.x.sampled(sol.grid)}
     if sol.ell is not None:
@@ -639,7 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="experiment JSON file (or use flags)")
         else:
             p.add_argument("spec", help="experiment JSON file")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_flag(int, _seed_count), default=None,
                        help="override the spec seed")
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: HTTQ_WORKERS or all cores)")
@@ -648,7 +663,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--check", action="store_true",
                            help="exit 3 when thresholds or domination checks fail")
         if name != "compare":
-            p.add_argument("--grid-step", type=float, default=None, dest="grid_step",
+            p.add_argument("--grid-step", type=_flag(float, check_number), default=None,
                            help="override the sampling/solver grid step")
         return p
 
@@ -657,7 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
     renewal = add("renewal", "tabulate a renewal function")
     renewal.add_argument("--service", default=None,
                          help="service law, e.g. exp:rate=1 or erlang:shape=2,rate=2")
-    renewal.add_argument("--T", type=float, default=None, help="horizon")
+    renewal.add_argument("--T", type=_flag(float, check_number), default=None, help="horizon")
     add("sweep", "n-sweep of gap statistics and KS marginals")
     add("compare", "CRN comparison against the no-abandonment benchmark")
     add("maps", "solve one regulator mapping")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 # table and grid): at most 8 models and 8 factors, about 8 MB each at m = 1024.
 CACHE_SIZE = 8
 
-__all__ = ["DistributionSpec", "ArrivalSpec", "check_keys", "check_number"]
+__all__ = ["DistributionSpec", "ArrivalSpec", "check_count", "check_keys", "check_number"]
 
 # each family's parameter names, in order
 _PARAMS = {"exponential": ("rate",), "deterministic": ("value",), "erlang": ("shape", "rate"),
@@ -42,9 +43,7 @@ _RULES = {
     "exponential": ((lambda v: v["rate"] > 0, "exponential rate must be positive"),),
     "deterministic": ((lambda v: v["value"] > 0,
                        "deterministic value must be positive (atom at 0 rejected)"),),
-    "erlang": ((lambda v: v["shape"] == int(v["shape"]) and v["shape"] >= 1,
-                "erlang shape must be an integer >= 1"),
-               (lambda v: v["rate"] > 0, "erlang rate must be positive")),
+    "erlang": ((lambda v: v["rate"] > 0, "erlang rate must be positive"),),
     "hyperexponential": (
         (lambda v: 0 < len(v["probs"]) == len(v["rates"]),
          "probs and rates must be 1-d arrays of equal length"),
@@ -57,8 +56,10 @@ _RULES = {
 
 
 def check_keys(doc: dict, allowed, where: str, required=()) -> None:
-    """The one key rule of every spec object: no key outside `allowed`, none
-    of `required` absent."""
+    """The one key rule of every spec object: an object, no key outside
+    `allowed`, none of `required` absent."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {doc!r}")
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
@@ -68,10 +69,22 @@ def check_keys(doc: dict, allowed, where: str, required=()) -> None:
 
 
 def check_number(value, where: str) -> float:
-    """The one number rule of spec values: a finite real number (not a bool), as a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """The one number rule of spec values: a finite real number (not a bool), as a float.
+    Finite means within a float's range, so an int too large for a float is refused too."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
         raise ValueError(f"{where} must be a finite number, got {value!r}")
     return float(value)
+
+
+def check_count(value, where: str, minimum: int = 1) -> int:
+    """The one count rule of spec values: a finite real number (not a bool) with an
+    integral value, at least `minimum`, as an int; 40.0 passes as 40."""
+    if check_number(value, where) % 1:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{where} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _param_names(family) -> tuple:
@@ -210,12 +223,11 @@ class DistributionSpec:
             v = {k: tuple(check_number(x, f"{family} {k}") for x in seq)
                  for k, seq in self.params}
         else:
-            v = {k: check_number(x, f"{family} {k}") for k, x in self.params}
+            v = {k: (check_count if k == "shape" else check_number)(x, f"{family} {k}")
+                 for k, x in self.params}
         for ok, message in _RULES[family]:
             if not ok(v):
                 raise ValueError(message)
-        if family == "erlang":
-            v["shape"] = int(v["shape"])
         object.__setattr__(self, "params", tuple(v.items()))
 
     def __getitem__(self, key: str):

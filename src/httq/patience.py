@@ -56,25 +56,37 @@ def _power(coeff: float, exponent: float, x):
     return coeff * np.asarray(x, dtype=float) ** exponent
 
 
+class _Form(partial):
+    """A declarative hazard or f: a partial that compares and hashes by its
+    function and arguments, so equal forms give equal specs however they were
+    built, read from a dict or unpickled."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Form) and (self.func, self.args) == (other.func, other.args)
+
+    def __hash__(self):
+        return hash((self.func, self.args))
+
+
 def constant_hazard(theta: float):
     """h(t) = theta; hazard-mode equivalent of exponential patience."""
     if check_number(theta, "theta") <= 0:
         raise ValueError("theta must be positive")
-    return partial(_const, float(theta))
+    return _Form(_const, float(theta))
 
 
 def ramp_hazard(slope: float):
     """h(t) = slope * t, so f(x) = slope * x^2 / 2."""
     if check_number(slope, "slope") <= 0:
         raise ValueError("slope must be positive")
-    return partial(_ramp, float(slope))
+    return _Form(_ramp, float(slope))
 
 
 def power_limit(coeff: float, exponent: float = 1.0):
     """f(x) = coeff * x^exponent for direct_f mode (exponent >= 1)."""
     if check_number(coeff, "coeff") <= 0 or check_number(exponent, "exponent") < 1.0:
         raise ValueError("need coeff > 0 and exponent >= 1 (local Lipschitz at 0)")
-    return partial(_power, float(coeff), float(exponent))
+    return _Form(_power, float(coeff), float(exponent))
 
 
 # the declarative hazard and f forms: kind -> (builder, the function it binds,

@@ -96,10 +96,7 @@ def scale(record: SimRecord, grid: np.ndarray | None = None) -> ScaledBundle:
     s_vals = (record.S.sampled(grid) - config.mu_n * busy_time.sampled(grid)) / sqn
     s_t = linear_path(grid, s_vals, float(grid[-1]))
 
-    f = None
-    if config.abandon and config.patience is not None:
-        f = config.patience.limit_function()
-    comp = abandonment_compensator(q_t, f, config.mu)
+    comp = abandonment_compensator(q_t, config.limit_function(), config.mu)
     gh_vals = g_t.sampled(grid) - comp.sampled(grid)
     g_hat = linear_path(grid, gh_vals, float(grid[-1]))
 

@@ -47,7 +47,8 @@ from hashlib import sha256
 
 import numpy as np
 
-from .distributions import ArrivalSpec, DistributionSpec, check_keys
+from .distributions import ArrivalSpec, DistributionSpec, check_count, check_keys, \
+    check_number
 from .paths import CadlagPath, counting_path, step_path
 from .patience import PatienceSpec
 from .renewal import equilibrium_distribution
@@ -96,8 +97,16 @@ class SystemConfig:
     abandon: bool = True
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        """Every construction passes here; it stores an int n and float scalars."""
+        object.__setattr__(self, "n", check_count(self.n, "n"))
+        for k in ("alpha", "mu", "beta", "horizon", "xi"):
+            object.__setattr__(self, k, check_number(getattr(self, k), k))
+        if not isinstance(self.abandon, bool):
+            raise ValueError(f"abandon must be true or false, got {self.abandon!r}")
+        if not (isinstance(self.arrival, ArrivalSpec) and isinstance(self.service,
+                DistributionSpec) and isinstance(self.patience, (PatienceSpec, type(None)))):
+            raise ValueError("arrival, service and patience must be an ArrivalSpec, "
+                             "a DistributionSpec and a PatienceSpec or None")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.mu <= 0:
@@ -165,24 +174,19 @@ class SystemConfig:
             "abandon": self.abandon,
         }
 
+    def limit_function(self):
+        """The abandonment limit f of this system; None with abandonment off."""
+        return self.patience.limit_function() if self.abandon else None
+
     @staticmethod
     def from_dict(d: dict) -> "SystemConfig":
         known = {"n", "alpha", "mu", "beta", "arrival", "service", "patience",
                  "horizon", "xi", "abandon"}
         check_keys(d, known, "config", required=known)
         pat = d["patience"]
-        return SystemConfig(
-            n=int(d["n"]),
-            alpha=float(d["alpha"]),
-            mu=float(d["mu"]),
-            beta=float(d["beta"]),
-            arrival=ArrivalSpec.from_dict(d["arrival"]),
-            service=DistributionSpec.from_dict(d["service"]),
-            patience=None if pat is None else PatienceSpec.from_dict(pat),
-            horizon=float(d["horizon"]),
-            xi=float(d["xi"]),
-            abandon=bool(d["abandon"]),
-        )
+        return SystemConfig(**{**d, "arrival": ArrivalSpec.from_dict(d["arrival"]),
+                               "service": DistributionSpec.from_dict(d["service"]),
+                               "patience": None if pat is None else PatienceSpec.from_dict(pat)})
 
     def hash(self) -> str:
         return spec_hash(self.to_dict())

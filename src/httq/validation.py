@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import check_count, check_number
 from .limits import sample_case_i_paths, sample_case_ii_paths
 from .paths import uniform_grid
 from .renewal import compute_renewal_function
@@ -275,7 +276,7 @@ def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int):
         if j >= grid.size or abs(grid[j] - t) > 1e-9 * max(1.0, T):
             raise ValueError(f"checkpoint {t} does not lie on the limit grid (step {h})")
         idx.append(j)
-    f = config.patience.limit_function() if (config.abandon and config.patience) else None
+    f = config.limit_function()
     ca2 = config.arrival.scv()
     if config.alpha == 1.0:
         table = compute_renewal_function(config.service, horizon=T, step=h)
@@ -293,23 +294,24 @@ def resolve_checkpoints(checkpoints, horizon: float) -> tuple[float, ...]:
     """A sweep's checkpoint times: {T/4, T/2, T} by default, each in (0, T]."""
     if checkpoints is None:
         checkpoints = (horizon / 4.0, horizon / 2.0, horizon)
-    checkpoints = tuple(float(t) for t in checkpoints)
+    if np.ndim(checkpoints) != 1:
+        raise ValueError(f"checkpoints must be a list of times, got {checkpoints!r}")
+    checkpoints = tuple(check_number(t, "checkpoint") for t in checkpoints)
     for t in checkpoints:
         if not 0.0 < t <= horizon + 1e-9:
             raise ValueError(f"checkpoint {t} outside (0, horizon]")
     return checkpoints
 
 
-def check_sweep_sizes(n_values, replications: int, grid_points: int) -> tuple[int, ...]:
-    """A sweep's n values as a tuple; raises unless every size is positive."""
-    n_values = tuple(int(n) for n in n_values)
-    if not n_values or min(n_values) < 1:
-        raise ValueError("n values must be positive integers")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    if grid_points < 1:
-        raise ValueError("grid_points must be >= 1")
-    return n_values
+def check_sweep_sizes(n_values, replications: int,
+                      grid_points: int) -> tuple[tuple[int, ...], int, int]:
+    """A sweep's n values, replication count and grid points under the count
+    rule: a nonempty list of positive counts, then two counts >= 1."""
+    if np.ndim(n_values) != 1 or len(n_values) == 0:
+        raise ValueError(f"n values must be a nonempty list of positive integers, "
+                         f"got {n_values!r}")
+    return (tuple(check_count(n, "n_values entry") for n in n_values),
+            check_count(replications, "replications"), check_count(grid_points, "grid_points"))
 
 
 def verdict_names(checkpoints) -> tuple[str, ...]:
@@ -333,7 +335,7 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
     Replications are independent jobs (set `workers` > 1 to fan them out
     over processes); aggregation is deterministic in replication order.
     """
-    n_values = check_sweep_sizes(n_values, replications, grid_points)
+    n_values, replications, grid_points = check_sweep_sizes(n_values, replications, grid_points)
     T = config.horizon
     checkpoints = resolve_checkpoints(checkpoints, T)
 

@@ -1,6 +1,7 @@
 """CLI contract: spec files, hashes, headers, determinism, exit codes."""
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -389,6 +390,27 @@ def test_compare_all_hold(tmp_path):
     assert {v["seed"] for v in doc["verdicts"]} == {0, 1}
 
 
+def test_compare_spreads_over_workers_with_identical_output(tmp_path, monkeypatch):
+    calls = []
+    run_jobs = httq.cli.run_jobs
+
+    def recording(fn, jobs, workers):
+        calls.append((len(jobs), workers))
+        return run_jobs(fn, jobs, workers)
+
+    monkeypatch.setattr(httq.cli, "run_jobs", recording)
+    doc, _ = _RERUN_SPECS["compare"]
+    spec = write_spec(tmp_path, "cmp.json", {"command": "compare", **doc})
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"runs{workers}"
+        assert main(["compare", spec, "--out", str(out), "--workers", workers]) == 0
+        (rundir,) = run_dirs(out)
+        written.append((rundir / "compare.json").read_bytes())
+    assert calls == [(2, 1), (2, 2)]
+    assert written[0] == written[1]
+
+
 # ---------------------------------------------------------------------------
 # limit
 
@@ -728,26 +750,76 @@ def test_rejected_spec_leaves_no_run_directory(tmp_path, capsys, command, patch,
     assert not out.exists()
 
 
-# bad values inside a distribution or patience spec: every construction checks them
+_RENEWAL_FLAGS = ["--service", "exp:rate=1", "--T", "2"]
+
+# bad scalars of a spec, a config, a distribution or patience spec, or a flag,
+# as (command, patch of the command's rerun spec or None for the flag form,
+# flags, message): every one is refused, none coerced
 _BAD_SPEC_VALUES = {
-    "str-rate": ("renewal", {"service": {"family": "exponential", "rate": "2"}},
+    "str-rate": ("renewal", {"service": {"family": "exponential", "rate": "2"}}, [],
                  "exponential rate must be a finite number, got '2'"),
-    "bool-rate": ("renewal", {"service": {"family": "exponential", "rate": True}},
+    "bool-rate": ("renewal", {"service": {"family": "exponential", "rate": True}}, [],
                   "exponential rate must be a finite number, got True"),
-    "nan-rate": ("renewal", {"service": {"family": "exponential", "rate": float("nan")}},
+    "nan-rate": ("renewal", {"service": {"family": "exponential", "rate": float("nan")}}, [],
                  "exponential rate must be a finite number, got nan"),
     "unknown-form-key": ("limit", {"patience": {"mode": "hazard_rate", "hazard": {
-        "kind": "constant", "theta": 1, "x": 2}}}, "unknown keys in constant hazard: x"),
+        "kind": "constant", "theta": 1, "x": 2}}}, [], "unknown keys in constant hazard: x"),
+    "str-abandon": ("simulate", {"config": {**mmn_dict(), "abandon": "false"}}, [],
+                    "abandon must be true or false, got 'false'"),
+    "fraction-n": ("simulate", {"config": mmn_dict(n=16.7)}, [],
+                   "n must be an integer, got 16.7"),
+    "bool-horizon": ("simulate", {"config": mmn_dict(horizon=True)}, [],
+                     "horizon must be a finite number, got True"),
+    "bool-tol": ("limit", {"tol": True}, [], "limit spec tol must be a finite number, got True"),
+    "nan-xi": ("limit", {"xi": float("nan")}, [], "limit spec xi must be a finite number, got nan"),
+    "fraction-reps": ("limit", {"reps": 2.9}, [], "limit spec reps must be an integer, got 2.9"),
+    "huge-reps": ("limit", {"reps": 10**400}, [],
+                  "limit spec reps must be a finite number, got 1000"),
+    "bool-replications": ("simulate", {"replications": True}, [],
+                          "simulate spec replications must be a finite number, got True"),
+    "fraction-seed": ("simulate", {"seed": 1.5}, [],
+                      "simulate spec seed must be an integer, got 1.5"),
+    "fraction-seeds": ("compare", {"seeds": 2.5}, [],
+                       "compare spec seeds must be an integer, got 2.5"),
+    "fraction-n-values": ("sweep", {"n_values": [16.9, "64"]}, [],
+                          "n_values entry must be an integer, got 16.9"),
+    "str-grid-points": ("sweep", {"grid_points": "32"}, [],
+                        "grid_points must be a finite number, got '32'"),
+    "str-checkpoint": ("sweep", {"checkpoints": ["5"]}, [],
+                       "checkpoint must be a finite number, got '5'"),
+    "fraction-threshold-n": ("sweep", {"thresholds": {"ks_max": [
+        {"n": 16.5, "checkpoint": 1.5, "max": 0.5}]}}, [],
+        "ks_max entry n must be an integer, got 16.5"),
+    "str-decreasing": ("sweep", {"thresholds": {"decreasing": "coupling_gap"}}, [],
+                       "thresholds decreasing must be a list, got 'coupling_gap'"),
+    "str-variance-rate": ("maps", {"map": "phi_n_g", "mu_n": 1.0,
+                                   "y": {"brownian": {"variance_rate": "1"}}}, [],
+                          "y.brownian variance_rate must be a finite number, got '1'"),
+    "number-config": ("simulate", {"config": 5}, [], "config must be an object, got 5"),
+    "number-threshold-entry": ("sweep", {"thresholds": {"ks_max": [5]}}, [],
+                               "ks_max entry must be an object, got 5"),
+    "inf-T-flag": ("renewal", None, [*_RENEWAL_FLAGS[:-1], "inf"],
+                   "argument --T: value must be a finite number, got inf"),
+    "negative-seed-flag": ("renewal", None, [*_RENEWAL_FLAGS, "--seed", "-3"],
+                           "argument --seed: value must be >= 0, got -3"),
+    "nan-grid-step-flag": ("simulate", {}, ["--grid-step", "nan"],
+                           "argument --grid-step: value must be a finite number, got nan"),
 }
 
 
-@pytest.mark.parametrize("command,patch,message", _BAD_SPEC_VALUES.values(),
+@pytest.mark.parametrize("command,patch,flags,message", _BAD_SPEC_VALUES.values(),
                          ids=list(_BAD_SPEC_VALUES))
-def test_bad_spec_value_exits_2_before_any_write(tmp_path, capsys, command, patch, message):
+def test_bad_spec_value_exits_2_before_any_write(tmp_path, capsys, command, patch, flags,
+                                                 message):
     doc, _ = _RERUN_SPECS[command]
-    spec = write_spec(tmp_path, f"{command}.json", {"command": command, **doc, **patch})
+    spec = [] if patch is None else \
+        [write_spec(tmp_path, f"{command}.json", {"command": command, **doc, **patch})]
     out = tmp_path / "runs"
-    assert main([command, spec, "--out", str(out), "--workers", "1"]) == 2
+    try:
+        code = main([command, *spec, *flags, "--out", str(out), "--workers", "1"])
+    except SystemExit as exit:  # argparse refuses a flag's value itself
+        code = exit.code
+    assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -795,6 +867,17 @@ def test_write_csv_cell_text(tmp_path):
     _write_csv(tmp_path / "b.csv", meta, "tabcd", zip(grid, *X))
     _write_csv(tmp_path / "c.csv", meta, "tabcd", np.column_stack([grid, *X]).tolist())
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # perfbench/spans.py patches each (module, attribute) of WRAPS at run time
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    assert spans.WRAPS
+    for where, attr, *_ in spans.WRAPS:
+        assert callable(getattr(spans._target(where), attr, None)), f"{where}.{attr}"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.patience import (
     PatienceSpec,
     _CumHazard,
+    _cum_hazard,
     constant_hazard,
     power_limit,
     ramp_hazard,
@@ -415,11 +417,16 @@ _ROUND_TRIPS = {
 def test_constructions_agree(static, build):
     canonical = dataclasses.replace(static)  # the dataclass constructor on canonical fields
     again = type(static).from_dict(static.to_dict())
-    for spec in (canonical, build(), again):
+    unpickled = pickle.loads(pickle.dumps(static))  # as a pool worker receives it
+    specs = (canonical, build(), again, unpickled)
+    for spec in specs:
         assert spec.to_dict() == static.to_dict()
-    # a hazard or f rebuilt from its dict is a new callable, equal in to_dict only
-    rebuilt_callable = getattr(static, "mode", "no_scaling") != "no_scaling"
-    for spec in (canonical, build()) + (() if rebuilt_callable else (again,)):
         assert spec == static and hash(spec) == hash(static)
+    if getattr(static, "mode", None) == "hazard_rate":
+        # equal specs share one integrated-hazard table
+        _cum_hazard.cache_clear()
+        for spec in (static, *specs):
+            spec.limit_function()
+        assert _cum_hazard.cache_info().misses == 1
     if isinstance(static, DistributionSpec):
         assert [type(v) for _, v in build().params] == [type(v) for _, v in static.params]

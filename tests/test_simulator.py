@@ -432,6 +432,19 @@ def test_config_validation():
     with pytest.raises(ValueError, match="unknown keys in config"):
         SystemConfig.from_dict({**d, "extra": 1})
     assert len(cfg.hash()) == 12
+    # one scalar rule for the dataclass and from_dict: n is a count, the other
+    # scalars finite numbers, abandon a bool; nothing is coerced
+    for key, bad, message in [("n", 16.7, "n must be an integer, got 16.7"),
+                              ("n", True, "n must be a finite number, got True"),
+                              ("abandon", "false", "abandon must be true or false, got 'false'"),
+                              ("horizon", True, "horizon must be a finite number, got True")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(cfg, **{key: bad})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SystemConfig.from_dict({**d, key: bad})
+    for whole in (dataclasses.replace(cfg, n=16.0), SystemConfig.from_dict({**d, "n": 16.0})):
+        assert type(whole.n) is int and whole.n == 16 and whole.servers == 16
+        assert whole == mmn_config(16) and whole.hash() == mmn_config(16).hash()
 
 
 # ---------------------------------------------------------------------------

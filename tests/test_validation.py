@@ -336,6 +336,13 @@ def test_sweep_input_validation():
     for grid_points in (0, -4):
         with pytest.raises(ValueError, match="grid_points must be >= 1"):
             convergence_sweep(cfg, [25], replications=2, grid_points=grid_points)
+    # the library entry holds sizes and checkpoints to the count and number rules
+    with pytest.raises(ValueError, match=r"n_values entry must be an integer, got 25\.5"):
+        convergence_sweep(cfg, [25.5], replications=2)
+    with pytest.raises(ValueError, match="replications must be a finite number, got True"):
+        convergence_sweep(cfg, [25], replications=True)
+    with pytest.raises(ValueError, match="checkpoint must be a finite number, got '5'"):
+        convergence_sweep(cfg, [25], replications=2, checkpoints=["5"])
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
