@@ -6,6 +6,7 @@
 
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,3 +51,4 @@ print("\nreport.csv header:", (rundir / "report.csv").read_text().splitlines()[0
 before = (rundir / "report.json").read_bytes()
 subprocess.run(cmd, capture_output=True)
 print("rerun byte-identical:", (rundir / "report.json").read_bytes() == before)
+shutil.rmtree(workdir)

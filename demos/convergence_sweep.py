@@ -56,8 +56,8 @@ for name, verdict in report.verdicts.items():
 
 # Reports are plain dicts for post-processing; `httq sweep` writes the same
 # report as report.json, plus report.csv, beside a schema.json.
-Path("/tmp/sweep_report.json").write_text(json.dumps(report.as_dict(), indent=2))
-print("\nwrote /tmp/sweep_report.json")
+Path("sweep_report.json").write_text(json.dumps(report.as_dict(), indent=2))
+print("\nwrote sweep_report.json in the current directory")
 
 # The same harness checks the pathwise ordering behind the approximation:
 # under common random numbers, switching abandonment off can only lengthen

@@ -30,13 +30,12 @@ table = compute_renewal_function(H, 8.0, step=0.01)
 
 # One labelled draw per case, from purpose-separated random streams.
 noise_i = sample_noise("i", mu, ca2, grid, seed=5)
-sol_i = solve_limit_case_i(0.5, noise_i.E, noise_i.S, beta, mu, f, grid, inputs=noise_i)
+sol_i = solve_limit_case_i(0.5, noise_i.E, noise_i.S, beta, mu, f, grid)
 print(f"case i : X(8) = {float(sol_i.x(8.0)):+.3f}  regulator L(8) = "
       f"{float(sol_i.ell(8.0)):.3f}  min X = {np.min(sol_i.x.sampled(grid)):.3f}")
 
-noise_ii = sample_noise("ii", mu, ca2, grid, seed=5, M=table, H=H)
-sol_ii = solve_limit_case_ii(0.5, noise_ii.E, noise_ii.S, beta, mu, f, table, grid,
-                             inputs=noise_ii)
+noise_ii = sample_noise("ii", mu, ca2, grid, seed=5, M=table)
+sol_ii = solve_limit_case_ii(0.5, noise_ii.E, noise_ii.S, beta, mu, f, table, grid)
 print(f"case ii: X(8) = {float(sol_ii.x(8.0)):+.3f}  quadrature defect "
       f"{sol_ii.residual:.1e}  (no regulator: {sol_ii.ell})")
 
@@ -47,8 +46,8 @@ print(f"case ii: X(8) = {float(sol_ii.x(8.0)):+.3f}  quadrature defect "
 det = DistributionSpec.deterministic(1.0)
 det_tab = compute_renewal_function(det, 2.0)
 print("\nservice-noise variance at t = 0.5, 1.0, 1.5, 2.0:")
-print("  exp(1)  :", [round(covariance_S(t, t, table, H), 4) for t in (0.5, 1.0, 1.5, 2.0)])
-print("  det(1)  :", [round(covariance_S(t, t, det_tab, det), 4) for t in (0.5, 1.0, 1.5, 2.0)])
+print("  exp(1)  :", [round(covariance_S(t, t, table), 4) for t in (0.5, 1.0, 1.5, 2.0)])
+print("  det(1)  :", [round(covariance_S(t, t, det_tab), 4) for t in (0.5, 1.0, 1.5, 2.0)])
 
 # Terminal-value statistics from batched draws, the workhorse behind the
 # convergence diagnostics.

@@ -4,7 +4,6 @@ that tie them together."""
 
 from .distributions import ArrivalSpec, DistributionSpec
 from .limits import (
-    LimitSolution,
     NoiseSample,
     covariance_S,
     sample_brownian,
@@ -64,7 +63,6 @@ __all__ = [
     "DistributionSpec",
     "EquilibriumDistribution",
     "GapStatistic",
-    "LimitSolution",
     "MappingSolution",
     "NoiseSample",
     "OUTCOME_ABANDONED",

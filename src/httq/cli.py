@@ -309,8 +309,8 @@ def _cmd_limit(args) -> int:
                 "service": None if service_spec is None else service_spec.to_dict(),
                 "horizon": T, "grid_step": grid_step, "reps": reps,
                 "seed": seed, "tol": tol}
-    noise = [sample_noise(case, mu, ca2, grid, seed, replication=r, M=table,
-                          H=service_spec) for r in range(reps)]
+    noise = [sample_noise(case, mu, ca2, grid, seed, replication=r, M=table)
+             for r in range(reps)]
     E = np.array([ns.E.values for ns in noise])
     S = np.array([ns.S.values for ns in noise])
     X, _, diag = _solve_limit(case, xi, beta, mu, f, E, S, grid, table, tol, defects=True)

@@ -23,27 +23,30 @@ int_0^t z(t-u) dM(u)), which gives the covariance
     Cov[s(a), s(b)] = (A C A^T)_{ab},   A = I + (right-endpoint dM conv),
     C(a, b) = H_e(a^b) H_e^c(avb) + mu int_0^{a^b} H(a^b - r) H^c(avb - r) dr
 
-on the renewal table's lattice (a^b = min, avb = max).  The same
-discrete convolution operator A is reused by the finite-n replica
+on the renewal table's lattice (a^b = min, avb = max).  The table carries
+its service law, M.H, so the covariance and the noise take no separate H.
+The same discrete convolution operator A is reused by the finite-n replica
 construction, so comparisons between the two are free of quadrature
 bias.  The model and its factors are cached by table content (a factor also
 by grid), so a table built again from the same law and lattice reuses them.
 
 Both equations have one solver route, `_solve_limit`, batched over
-replications: the single-path solvers are its one-row case, and the batch
+replications: the single-path solvers are its one-row case and return the
+regulator maps' `MappingSolution` (variant "i" or "ii"), and the batch
 samplers and `httq limit` pass all replications at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .distributions import CACHE_SIZE, DistributionSpec
+from .distributions import CACHE_SIZE
 from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this name)
+    MappingSolution,
     _check_grid,
     _phi_mg_rows,
     _skorokhod_rows,
@@ -57,7 +60,6 @@ from .streams import make_rng
 
 __all__ = [
     "NoiseSample",
-    "LimitSolution",
     "ServiceCovariance",
     "covariance_S",
     "sample_brownian",
@@ -156,14 +158,14 @@ class ServiceCovariance:
         return out, jitter
 
 
-_covariance_cache = lru_cache(maxsize=CACHE_SIZE)(ServiceCovariance)  # keyed by table content
+_covariance_model = lru_cache(maxsize=CACHE_SIZE)(ServiceCovariance)  # keyed by table content
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _factor_cache(M: RenewalTable, grid_bytes: bytes) -> tuple[np.ndarray, float]:
     """(L, jitter) per table content and grid, shared by every model of an equal table."""
     grid = np.frombuffer(grid_bytes)
-    sub = _covariance_cache(M).marginal(grid[1:])
+    sub = _covariance_model(M).marginal(grid[1:])
     err = None
     for jit in JITTERS:
         try:
@@ -179,20 +181,15 @@ def _factor_cache(M: RenewalTable, grid_bytes: bytes) -> tuple[np.ndarray, float
     )
 
 
-def _covariance_model(M: RenewalTable, H: DistributionSpec | None = None) -> ServiceCovariance:
-    if H is not None and H != M.H:
-        raise ValueError("renewal table was built from a different service law")
-    return _covariance_cache(M)
-
-
-def covariance_S(s: float, t: float, M: RenewalTable, H: DistributionSpec) -> float:
+def covariance_S(s: float, t: float, M: RenewalTable) -> float:
     """Covariance of the critical-scale service noise at lattice times s, t.
 
-    Symmetric in (s, t); both must be aligned with M's table.
+    The service law is the table's, M.H.  Symmetric in (s, t); both must be
+    aligned with M's table.
     """
     if min(s, t) < 0 or max(s, t) > M.horizon + 1e-9:
         raise ValueError("times must lie within the renewal table horizon")
-    return _covariance_model(M, H).covariance(s, t)
+    return _covariance_model(M).covariance(s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,7 @@ class NoiseSample:
 
 
 def _draw_noise(case: str, mu: float, ca2: float, grid: np.ndarray, rng, reps: int,
-                M: RenewalTable | None = None, H: DistributionSpec | None = None):
+                M: RenewalTable | None = None):
     """(E, S, jitter): reps rows of the driving pair from one stream, E first.
 
     The covariance model, whose first build is the memory peak, is fetched
@@ -227,7 +224,7 @@ def _draw_noise(case: str, mu: float, ca2: float, grid: np.ndarray, rng, reps: i
         raise ValueError(f"unknown case {case!r}; use 'i' or 'ii'")
     if case == "ii" and M is None:
         raise ValueError("case 'ii' needs the renewal table M")
-    model = _covariance_model(M, H) if case == "ii" else None
+    model = _covariance_model(M) if case == "ii" else None
     E = _brownian_batch(rng, mu * ca2, grid, reps)
     if model is None:
         return E, _brownian_batch(rng, 1.0, grid, reps), 0.0
@@ -236,20 +233,19 @@ def _draw_noise(case: str, mu: float, ca2: float, grid: np.ndarray, rng, reps: i
 
 
 def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
-                 replication: int = 0, M: RenewalTable | None = None,
-                 H: DistributionSpec | None = None) -> NoiseSample:
+                 replication: int = 0, M: RenewalTable | None = None) -> NoiseSample:
     """Draw the driving pair (E, S) for one limit equation.
 
     E is Brownian with variance rate mu * ca2 in both cases.  S is a
     standard Brownian motion for case "i" and the renewal-coupled
-    Gaussian service noise for case "ii" (which needs M and H).  Both come
+    Gaussian service noise for case "ii" (which needs M; its law is M.H).  Both come
     from the one stream (seed, replication, "limit"), E first and then S,
     so they are independent of each other and of every simulation stream.
     The batch samplers draw in the same order.
     """
     grid = check_grid(grid)
     E, S, jitter = _draw_noise(case, mu, ca2, grid, make_rng(seed, replication, "limit"),
-                               1, M, H)
+                               1, M)
     return NoiseSample(linear_path(grid, E[0], float(grid[-1])),
                        linear_path(grid, S[0], float(grid[-1])), seed=seed,
                        covariance_source="brownian" if case == "i" else "renewal-gaussian",
@@ -258,19 +254,6 @@ def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
 
 # ---------------------------------------------------------------------------
 # limit equations
-
-
-@dataclass(frozen=True)
-class LimitSolution:
-    """Solved limit path with the regulator's certificates."""
-
-    case: str
-    x: CadlagPath
-    ell: CadlagPath | None
-    residual: float
-    grid: np.ndarray = field(repr=False)
-    diagnostics: dict = field(repr=False)
-    inputs: NoiseSample | None = None
 
 
 def _drift_g(f, mu: float):
@@ -307,34 +290,29 @@ def _solve_limit(case: str, xi: float, beta: float, mu: float, f, E: np.ndarray,
     return X, None, diag
 
 
-def _limit_solution(case, xi, e_path, s_path, beta, mu, f, grid, M=None, tol=1e-10,
-                    inputs=None) -> LimitSolution:
+def _limit_solution(case, xi, e_path, s_path, beta, mu, f, grid, M=None,
+                    tol=1e-10) -> MappingSolution:
     grid = np.asarray(grid, dtype=float)
     X, L, diag = _solve_limit(case, xi, beta, mu, f, e_path.sampled(grid)[None, :],
                               s_path.sampled(grid)[None, :], grid, M, tol, defects=True)
-    if case == "ii":
-        diag["closure_residual"] = diag.pop("closure")
-    sol = _solution(case, grid, X, L, diag, "residual")
-    return LimitSolution(case, sol.x, sol.ell, sol.residual, grid, sol.diagnostics, inputs)
+    return _solution(case, grid, X, L, diag, "residual")
 
 
 def solve_limit_case_i(xi: float, e_path: CadlagPath, s_path: CadlagPath,
-                       beta: float, mu: float, f, grid,
-                       inputs: NoiseSample | None = None) -> LimitSolution:
-    """Reflected limit equation for the sub-critical regimes."""
-    return _limit_solution("i", xi, e_path, s_path, beta, mu, f, grid, inputs=inputs)
+                       beta: float, mu: float, f, grid) -> MappingSolution:
+    """Reflected limit equation for the sub-critical regimes; ``variant`` is "i"."""
+    return _limit_solution("i", xi, e_path, s_path, beta, mu, f, grid)
 
 
 def solve_limit_case_ii(xi: float, e_path: CadlagPath, s_path: CadlagPath,
                         beta: float, mu: float, f, M: RenewalTable, grid,
-                        tol: float = 1e-10,
-                        inputs: NoiseSample | None = None) -> LimitSolution:
+                        tol: float = 1e-10) -> MappingSolution:
     """Critical-scale limit equation; residual is the quadrature defect.
 
-    The one-row case of the batched route.  ``diagnostics["closure_residual"]``
-    is the phi_Mg closure, below ``tol`` or the solve raises.
+    The one-row case of the batched route.  ``diagnostics["closure"]`` is the
+    phi_Mg closure, below ``tol`` or the solve raises.
     """
-    return _limit_solution("ii", xi, e_path, s_path, beta, mu, f, grid, M, tol, inputs)
+    return _limit_solution("ii", xi, e_path, s_path, beta, mu, f, grid, M, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ Four variants, all driven by a cadlag input path y:
 * ``phi_M``       x = y + int (x(t-s))^- dM(s)
 * ``phi_Mg``      x = y + int (x(t-s))^- dM(s) +/- int g(x^+) ds
 
+Each g must be vectorized: it maps an array to an array of the same shape.
+
 All four are forward schemes.  The discrete ``phi_Mg`` equation is
 explicit except for the trapezoid's own-step term x_k -/+ h/2 g(x_k^+).
 One forward pass settles it in blocks of steps: one GEMM brings in a
@@ -66,16 +68,13 @@ def _sample_input(y, grid: np.ndarray) -> np.ndarray:
 
 
 def _vectorize_g(g: Callable | None) -> Callable[[np.ndarray], np.ndarray]:
+    """g as a float-array map; g must map an array to one of its shape."""
     if g is None:
         return lambda x: np.zeros_like(x)
     probe = np.array([0.0, 0.5])
-    try:
-        out = np.asarray(g(probe), dtype=float)
-        if out.shape == probe.shape:
-            return lambda x: np.asarray(g(x), dtype=float)
-    except Exception:
-        pass
-    return np.vectorize(g, otypes=[float])
+    if np.asarray(g(probe), dtype=float).shape != probe.shape:
+        raise ValueError("g must be vectorized (shape-preserving)")
+    return lambda x: np.asarray(g(x), dtype=float)
 
 
 def _validate_g(gv: Callable, hi: float, label: str = "g") -> float:

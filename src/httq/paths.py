@@ -24,12 +24,24 @@ import numpy as np
 
 __all__ = ["CadlagPath", "step_path", "linear_path", "counting_path", "uniform_grid", "check_grid"]
 
+# The most cells a time grid or a renewal table may have: 128 MB per float array.
+MAX_CELLS = 2**24
+
+
+def cell_count(horizon: float, step: float) -> float:
+    """horizon / step, refused before anything is allocated unless it lies in (0, MAX_CELLS]."""
+    cells = horizon / step
+    if not 0 < cells <= MAX_CELLS:
+        raise ValueError(f"horizon / step gives {cells:.4g} cells; a grid needs a positive "
+                         f"count of at most {MAX_CELLS}")
+    return cells
+
 
 def uniform_grid(horizon: float, step: float) -> np.ndarray:
     """Uniform grid 0, step, ..., horizon; horizon must be a multiple of step."""
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and step must be positive")
-    m = round(horizon / step)
+    m = round(cell_count(horizon, step))
     if abs(m * step - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not an integer multiple of step {step}")
     return np.linspace(0.0, horizon, m + 1)

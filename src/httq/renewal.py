@@ -7,19 +7,20 @@ dispatched to the exact lattice formula M(t) = floor(t / v) instead of
 quadrature.
 
 The equilibrium distribution H_e(x) = mu * int_0^x (1 - H(u)) du (mu the
-reciprocal mean) is analytic for the exponential and deterministic families
-and tabulated by cumulative trapezoid otherwise.
+reciprocal mean) is itself a `DistributionSpec` for the exponential and
+deterministic families and tabulated by cumulative trapezoid otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .distributions import CACHE_SIZE, DistributionSpec
+from .paths import cell_count
 
 __all__ = ["RenewalTable", "compute_renewal_function", "EquilibriumDistribution", "equilibrium_distribution"]
 
@@ -116,7 +117,7 @@ def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | 
         raise ValueError(f"step {step} exceeds the stability cap min(1e-2, mean/20) = {cap}")
     if float(H.cdf(0.0)) != 0.0:
         raise ValueError("interrenewal law must have no atom at 0")
-    m = math.ceil(horizon / step - 1e-9)
+    m = math.ceil(cell_count(horizon, step) - 1e-9)
     times = step * np.arange(m + 1)
     if times[-1] < horizon - 1e-12:
         m += 1
@@ -143,32 +144,17 @@ def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | 
 
 @dataclass(frozen=True)
 class EquilibriumDistribution:
-    """H_e(x) = mu * int_0^x (1 - H(u)) du with sampling support."""
+    """H_e(x) = mu * int_0^x (1 - H(u)) du, tabulated by cumulative trapezoid."""
 
     H: DistributionSpec
-    kind: str  # "exponential" | "uniform" | "table"
-    xs: np.ndarray | None = None
-    cs: np.ndarray | None = None
+    xs: np.ndarray
+    cs: np.ndarray
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "exponential":
-            out = -np.expm1(-self.H["rate"] * np.maximum(x, 0.0))
-        elif self.kind == "uniform":
-            v = self.H["value"]
-            out = np.clip(x / v, 0.0, 1.0)
-        else:
-            out = np.interp(x, self.xs, self.cs, left=0.0, right=1.0)
+        out = np.interp(np.asarray(x, dtype=float), self.xs, self.cs, left=0.0, right=1.0)
         return out if out.ndim else float(out)
 
-    def survival(self, x):
-        return 1.0 - np.asarray(self.cdf(x))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "exponential":
-            return rng.exponential(1.0 / self.H["rate"], size)
-        if self.kind == "uniform":
-            return rng.uniform(0.0, self.H["value"], size)
         u = rng.random(size)
         idx = np.searchsorted(self.cs, u, side="left")
         idx = np.clip(idx, 1, self.cs.size - 1)
@@ -180,17 +166,18 @@ class EquilibriumDistribution:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def equilibrium_distribution(H: DistributionSpec) -> EquilibriumDistribution:
-    """The equilibrium law of H, built once per law and then shared."""
+def equilibrium_distribution(H: DistributionSpec) -> DistributionSpec | EquilibriumDistribution:
+    """The equilibrium law of H, built once per law and then shared.
+
+    The exponential law is its own (it is memoryless); deterministic(v) has uniform(0, v).
+    """
     if H.family == "exponential":
-        return EquilibriumDistribution(H, "exponential")
+        return H
     if H.family == "deterministic":
-        return EquilibriumDistribution(H, "uniform")
+        return DistributionSpec.uniform(0.0, H["value"])
     mu = 1.0 / H.mean()
     step = H.mean() / 2000.0
     hi = H.mean()
-    xs = None
-    cs = None
     # Extend the table until essentially all equilibrium mass is covered.
     for _ in range(40):
         xs = np.arange(0.0, hi + step, step)
@@ -201,4 +188,4 @@ def equilibrium_distribution(H: DistributionSpec) -> EquilibriumDistribution:
         hi *= 2.0
     cs = np.minimum(cs, 1.0)
     xs.flags.writeable = cs.flags.writeable = False  # the table is shared
-    return EquilibriumDistribution(H, "table", xs, cs)
+    return EquilibriumDistribution(H, xs, cs)

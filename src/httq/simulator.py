@@ -382,13 +382,8 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
 
     rng_initial = make_rng(seed, replication, "initial")
     eff_service = config.effective_service()
-    if s0 > 0:
-        if config.alpha == 1.0:
-            remaining = equilibrium_distribution(config.service).sample(rng_initial, s0)
-        else:
-            remaining = rng_initial.exponential(1.0 / config.mu_n, s0)
-    else:
-        remaining = np.empty(0)
+    remaining = (equilibrium_distribution(eff_service).sample(rng_initial, s0) if s0 > 0
+                 else np.empty(0))
     queued_service = eff_service.sample(rng_initial, q0) if q0 > 0 else np.empty(0)
 
     arrivals = _arrival_epochs(make_rng(seed, replication, "arrivals"),

@@ -660,8 +660,7 @@ def per_step_phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float
     return Y + sign * _cumtrapz(G, h)
 
 
-def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table,
-                          service_spec, tol):
+def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table, tol):
     """`httq limit`'s replications solved one by one: (paths, summary).
 
     One `sample_noise` draw and one single-path solve per replication; the
@@ -669,14 +668,12 @@ def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table,
     """
     paths, summary = [], []
     for r in range(reps):
-        noise = sample_noise(case, mu, ca2, grid, seed, replication=r,
-                             M=table, H=service_spec)
+        noise = sample_noise(case, mu, ca2, grid, seed, replication=r, M=table)
         if case == "i":
-            sol = solve_limit_case_i(xi, noise.E, noise.S, beta, mu, f, grid,
-                                     inputs=noise)
+            sol = solve_limit_case_i(xi, noise.E, noise.S, beta, mu, f, grid)
         else:
             sol = solve_limit_case_ii(xi, noise.E, noise.S, beta, mu, f, table,
-                                      grid, tol=tol, inputs=noise)
+                                      grid, tol=tol)
         paths.append(sol.x.sampled(grid))
         summary.append({"replication": r, "residual": float(sol.residual),
                         "jitter": float(noise.jitter)})
@@ -690,7 +687,9 @@ def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table,
 def sample_gaussian_S(M, H, grid, stream):
     """One sample path of the critical-scale service noise on the grid."""
     grid = check_grid(grid)
-    draws, _ = _covariance_model(M, H).sample_batch(grid, stream, 1)
+    if H != M.H:
+        raise ValueError("renewal table was built from a different service law")
+    draws, _ = _covariance_model(M).sample_batch(grid, stream, 1)
     return linear_path(grid, draws[0], float(grid[-1]))
 
 
@@ -715,7 +714,7 @@ def sample_service_noise_finite_n(M, H, n, grid, rng, reps):
     tau = np.arange(1, n_ent + 1) / (mu * n)
     m_at = np.floor(mu * n * t + 1e-9).astype(int)
     # deterministic centerings, shared by every replication
-    w_center = n * np.asarray(eq.survival(t), dtype=float)
+    w_center = n * (1.0 - np.asarray(eq.cdf(t), dtype=float))
     hc_tail = np.zeros(t.size)
     for k in range(t.size):
         hc_tail[k] = float(np.sum(1.0 - np.asarray(H.cdf(t[k] - tau[: m_at[k]]), dtype=float)))

@@ -189,7 +189,7 @@ def test_criterion_06_service_noise_covariance_crosscheck():
     want = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            want[i, j] = want[j, i] = covariance_S(ts[i], ts[j], table, EXP1)
+            want[i, j] = want[j, i] = covariance_S(ts[i], ts[j], table)
 
     reps_g = 20_000
     rng = make_rng(13, 0, "gaussian")

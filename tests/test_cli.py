@@ -537,7 +537,7 @@ def test_limit_batch_matches_per_replication_loop(tmp_path, case, xi, patience):
     table = None if H is None else compute_renewal_function(H, T, step=step)
     paths, expected = per_replication_limit(case, xi, -0.4, 1.0, 1.0,
                                             _limit_f_from(patience), grid, seed,
-                                            reps, table, H, tol)
+                                            reps, table, tol)
     np.testing.assert_array_equal(got[:, 0], grid)
     assert np.max(np.abs(got[:, 1:] - np.array(paths).T)) <= 10 * tol
     assert [rep["replication"] for rep in summary] == list(range(reps))
@@ -804,6 +804,10 @@ _BAD_SPEC_VALUES = {
                            "argument --seed: value must be >= 0, got -3"),
     "nan-grid-step-flag": ("simulate", {}, ["--grid-step", "nan"],
                            "argument --grid-step: value must be a finite number, got nan"),
+    "huge-limit-horizon": ("limit", {"horizon": 1e308, "grid_step": 0.01}, [],
+                           "horizon / step gives inf cells"),
+    "huge-T-flag": ("renewal", None, [*_RENEWAL_FLAGS[:-1], "1e308"],
+                    "horizon / step gives inf cells"),
 }
 
 

@@ -17,7 +17,6 @@ from httq.limits import (
     solve_limit_case_i,
     solve_limit_case_ii,
     CACHE_SIZE,
-    _covariance_cache,
     _covariance_model,
     _factor_cache,
 )
@@ -88,26 +87,26 @@ def test_brownian_input_validation():
 
 def test_covariance_zero_at_origin(exp_table):
     H = exp_table.H
-    assert covariance_S(0.0, 0.0, exp_table, H) == pytest.approx(0.0, abs=1e-12)
-    assert covariance_S(0.0, 3.0, exp_table, H) == pytest.approx(0.0, abs=1e-12)
+    assert covariance_S(0.0, 0.0, exp_table) == pytest.approx(0.0, abs=1e-12)
+    assert covariance_S(0.0, 3.0, exp_table) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_covariance_symmetry_convention(exp_table):
     H = exp_table.H
-    assert covariance_S(3.0, 1.0, exp_table, H) == covariance_S(1.0, 3.0, exp_table, H)
+    assert covariance_S(3.0, 1.0, exp_table) == covariance_S(1.0, 3.0, exp_table)
 
 
 def test_exponential_covariance_matches_min(exp_table):
     # for exponential service the noise is Brownian: Cov = mu * min(s, t)
     H = exp_table.H
     pts = np.arange(0.0, 5.01, 0.25)
-    cov = np.array([[covariance_S(s, t, exp_table, H) for t in pts] for s in pts])
+    cov = np.array([[covariance_S(s, t, exp_table) for t in pts] for s in pts])
     target = np.minimum.outer(pts, pts)
     err = np.max(np.abs(cov - target))
     assert err <= 0.03
     # halving the lattice step roughly halves the quadrature error
     finer = compute_renewal_function(DistributionSpec.exponential(1.0), 5.0, step=0.005)
-    cov2 = np.array([[covariance_S(s, t, finer, H) for t in pts] for s in pts])
+    cov2 = np.array([[covariance_S(s, t, finer) for t in pts] for s in pts])
     err2 = np.max(np.abs(cov2 - target))
     assert err2 <= 0.62 * err
 
@@ -115,7 +114,7 @@ def test_exponential_covariance_matches_min(exp_table):
 def test_exponential_covariance_rate_scaling():
     H = DistributionSpec.exponential(2.0)
     tab = compute_renewal_function(H, horizon=3.0)
-    got = covariance_S(1.0, 2.5, tab, H)
+    got = covariance_S(1.0, 2.5, tab)
     assert got == pytest.approx(2.0 * 1.0, abs=0.06)
 
 
@@ -123,12 +122,12 @@ def test_deterministic_covariance_exact(det_table):
     # unit deterministic service: Var(t) = t(1-t) on [0,1], (t-1)(2-t) on [1,2]
     H = det_table.H
     for t in (0.25, 0.5, 0.75):
-        assert covariance_S(t, t, det_table, H) == pytest.approx(t * (1 - t), abs=1e-9)
+        assert covariance_S(t, t, det_table) == pytest.approx(t * (1 - t), abs=1e-9)
     for t in (1.25, 1.5, 1.75):
         expected = (t - 1.0) * (2.0 - t)
-        assert covariance_S(t, t, det_table, H) == pytest.approx(expected, abs=1e-9)
-    assert covariance_S(1.0, 1.0, det_table, H) == pytest.approx(0.0, abs=1e-9)
-    assert covariance_S(2.0, 2.0, det_table, H) == pytest.approx(0.0, abs=1e-9)
+        assert covariance_S(t, t, det_table) == pytest.approx(expected, abs=1e-9)
+    assert covariance_S(1.0, 1.0, det_table) == pytest.approx(0.0, abs=1e-9)
+    assert covariance_S(2.0, 2.0, det_table) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_covariance_psd_and_jitter(exp_table):
@@ -146,7 +145,7 @@ def test_covariance_caches_are_bounded():
     H = DistributionSpec.exponential(1.0)
     models = [_covariance_model(compute_renewal_function(H, horizon=0.1 * (k + 1)))
               for k in range(CACHE_SIZE + 3)]
-    assert _covariance_cache.cache_info().currsize <= CACHE_SIZE
+    assert _covariance_model.cache_info().currsize <= CACHE_SIZE
     last = models[-1]
     assert _covariance_model(last.table) is last
     grids = [uniform_grid(0.01 * (k + 1), 0.01) for k in range(CACHE_SIZE + 3)]
@@ -163,7 +162,7 @@ def test_equal_tables_share_model_and_factor():
     assert first is not again
     grid = uniform_grid(2.0, 0.02)
     model = _covariance_model(first)
-    assert _covariance_model(again, H) is model
+    assert _covariance_model(again) is model
     assert model.cholesky(grid)[0] is _covariance_model(again).cholesky(grid.copy())[0]
 
 
@@ -175,14 +174,9 @@ def test_law_table_caches_are_bounded():
     assert equilibrium_distribution.cache_info().currsize <= CACHE_SIZE
 
 
-def test_covariance_rejects_mismatched_service_law(exp_table):
-    with pytest.raises(ValueError, match="different service law"):
-        covariance_S(1.0, 1.0, exp_table, DistributionSpec.exponential(2.0))
-
-
 def test_covariance_rejects_out_of_range(exp_table):
     with pytest.raises(ValueError, match="within"):
-        covariance_S(1.0, 7.0, exp_table, exp_table.H)
+        covariance_S(1.0, 7.0, exp_table)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +215,8 @@ def test_finite_n_replica_exponential_variance(exp_table):
     grid = np.array([0.0, 1.0, 3.0])
     s = sample_service_noise_finite_n(exp_table, exp_table.H, 200, grid,
                                       make_rng(6, purpose="scratch"), 400)
-    want1 = covariance_S(1.0, 1.0, exp_table, exp_table.H)
-    want3 = covariance_S(3.0, 3.0, exp_table, exp_table.H)
+    want1 = covariance_S(1.0, 1.0, exp_table)
+    want3 = covariance_S(3.0, 3.0, exp_table)
     assert abs(s[:, 1].var(ddof=1) - want1) <= 0.25 * want1
     assert abs(s[:, 2].var(ddof=1) - want3) <= 0.25 * want3
 
@@ -237,7 +231,7 @@ def test_sample_noise_case_i_and_ii(exp_table):
     assert ns.covariance_source == "brownian"
     assert ns.E(0.0) == 0.0 and ns.S(0.0) == 0.0
     ns2 = sample_noise("ii", mu=1.0, ca2=1.0, grid=grid, seed=9,
-                       M=exp_table, H=exp_table.H)
+                       M=exp_table)
     assert ns2.covariance_source == "renewal-gaussian"
     assert ns2.jitter <= 1e-8
     # same seed, same purpose split: E agrees across cases, S differs
@@ -263,7 +257,7 @@ def test_noise_sample_must_start_at_zero():
 def test_case_i_all_zero():
     grid = uniform_grid(2.0, 0.01)
     sol = solve_limit_case_i(0.0, zero_path(2.0), zero_path(2.0), 0.0, 1.0, None, grid)
-    assert sol.case == "i"
+    assert sol.variant == "i"
     assert sol.x.sup_norm() == 0.0
     assert sol.ell.sup_norm() == 0.0
 
@@ -310,7 +304,7 @@ def test_case_i_complementarity_on_noisy_samples():
     f = lambda x: np.asarray(x)
     for seed in range(5):
         ns = sample_noise("i", mu=1.0, ca2=1.0, grid=grid, seed=seed)
-        sol = solve_limit_case_i(0.5, ns.E, ns.S, -0.5, 1.0, f, grid, inputs=ns)
+        sol = solve_limit_case_i(0.5, ns.E, ns.S, -0.5, 1.0, f, grid)
         x = sol.x.sampled(grid)
         assert np.min(x) >= 0.0
         ell = sol.ell.sampled(grid)
@@ -326,7 +320,7 @@ def test_case_ii_all_zero(exp_table):
     grid = uniform_grid(5.0, 0.01)
     sol = solve_limit_case_ii(0.0, zero_path(5.0), zero_path(5.0), 0.0, 1.0,
                               None, exp_table, grid)
-    assert sol.case == "ii"
+    assert sol.variant == "ii"
     assert sol.x.sup_norm() == 0.0
     assert sol.ell is None
 
@@ -357,11 +351,11 @@ def test_case_ii_residual_bound_on_noisy_samples(exp_table):
     f = lambda x: np.asarray(x)
     for seed in range(5):
         ns = sample_noise("ii", mu=1.0, ca2=1.0, grid=grid, seed=seed,
-                          M=exp_table, H=exp_table.H)
+                          M=exp_table)
         sol = solve_limit_case_ii(-0.3, ns.E, ns.S, -1.0, 1.0, f, exp_table,
-                                  grid, inputs=ns)
+                                  grid)
         assert sol.residual <= 10.0 * 0.01
-        assert sol.diagnostics["closure_residual"] < 1e-8
+        assert sol.diagnostics["closure"] < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +377,7 @@ def test_batch_case_ii_matches_single_solve(exp_table):
     X = sample_case_ii_paths(-0.3, -1.0, 1.0, 1.0, f, exp_table, grid,
                              seed=33, reps=1)
     ns = sample_noise("ii", mu=1.0, ca2=1.0, grid=grid, seed=33,
-                      M=exp_table, H=exp_table.H)
+                      M=exp_table)
     sol = solve_limit_case_ii(-0.3, ns.E, ns.S, -1.0, 1.0, f, exp_table, grid)
     np.testing.assert_allclose(X[0], sol.x.sampled(grid), atol=1e-10)
 
@@ -393,7 +387,7 @@ def clear_noise_caches():
     """Clears the covariance and factor caches, and clears them again after the
     test, so no later test finds an entry built under the test's settings."""
     def clear():
-        _covariance_cache.cache_clear()
+        _covariance_model.cache_clear()
         _factor_cache.cache_clear()
     yield clear
     clear()

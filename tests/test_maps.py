@@ -5,6 +5,7 @@ import pytest
 
 import httq.maps
 from httq.distributions import DistributionSpec
+from httq.limits import sample_case_i_paths
 from httq.maps import (
     _phi_m_solve,
     _phi_mg_forward,
@@ -515,6 +516,19 @@ def test_phi_mg_input_validation():
         solve_phi_Mg(y, M, lambda x: -x, g)
     with pytest.raises(ValueError, match=r"g\(0\) must be 0"):
         solve_phi_Mg(y, M, lambda x: x + 1.0, g)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda y, M, g, grid: solve_phi_n_g(y, g, 10.0, grid),
+    lambda y, M, g, grid: solve_skorokhod_g(y, g, grid),
+    lambda y, M, g, grid: solve_phi_Mg(y, M, g, grid),
+    lambda y, M, g, grid: sample_case_i_paths(0.0, 0.0, 1.0, 1.0, g, grid, seed=1, reps=2),
+], ids=["phi_n_g", "skorokhod_g", "phi_Mg", "case_i_paths"])
+def test_scalar_only_g_is_refused(solve):
+    # a g that returns one number for an array is refused, not looped over
+    grid = _grid(1.0, 1e-2)
+    with pytest.raises(ValueError, match=r"vectorized \(shape-preserving\)"):
+        solve(np.zeros(grid.size), _exp_table(1.0, 1.0), lambda x: 0.0, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.limits import _covariance_model, sample_brownian, sample_case_i_paths, sample_noise
 from httq.maps import solve_phi_M
-from httq.paths import CadlagPath, counting_path, linear_path, step_path, uniform_grid
+from httq.paths import (MAX_CELLS, CadlagPath, cell_count, counting_path, linear_path, step_path,
+                        uniform_grid)
 from httq.renewal import compute_renewal_function
 from httq.scaling import scale
 from httq.simulator import SystemConfig, simulate
@@ -19,6 +20,18 @@ def test_uniform_grid_basics():
     assert g[0] == 0.0 and g[-1] == 10.0
     with pytest.raises(ValueError):
         uniform_grid(1.0, 0.3)
+
+
+def test_cell_cap_is_shared_and_checked_before_allocation():
+    assert cell_count(float(MAX_CELLS), 1.0) == MAX_CELLS
+    for horizon in (MAX_CELLS + 1.0, float("inf")):
+        with pytest.raises(ValueError, match="cells"):
+            cell_count(horizon, 1.0)
+    # 1e8 cells: refused at once, where an unchecked build would allocate gigabytes
+    with pytest.raises(ValueError, match="1e\\+08 cells"):
+        uniform_grid(1e6, 0.01)
+    with pytest.raises(ValueError, match="1e\\+08 cells"):
+        compute_renewal_function(DistributionSpec.exponential(1.0), 1e6, step=0.01)
 
 
 @pytest.fixture(scope="module")

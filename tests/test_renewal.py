@@ -93,12 +93,14 @@ def test_grid_alignment_contract():
 def test_equilibrium_exponential_is_itself():
     H = DistributionSpec.exponential(3.0)
     he = equilibrium_distribution(H)
+    assert he is H
     xs = np.linspace(0.0, 3.0, 31)
     np.testing.assert_allclose(he.cdf(xs), H.cdf(xs), atol=1e-12)
 
 
 def test_equilibrium_deterministic_is_uniform():
     he = equilibrium_distribution(DistributionSpec.deterministic(0.5))
+    assert he == DistributionSpec.uniform(0.0, 0.5)
     xs = np.linspace(0.0, 0.5, 11)
     np.testing.assert_allclose(he.cdf(xs), xs / 0.5, atol=1e-12)
     x = he.sample(make_rng(5, 0, "initial"), 50_000)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from httq import simulator
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.patience import PatienceSpec
+from httq.renewal import equilibrium_distribution
 from httq.simulator import (
     OUTCOME_ABANDONED,
     OUTCOME_IN_SERVICE,
@@ -23,6 +24,7 @@ from httq.simulator import (
     virtual_wait_path,
 )
 from httq.scaling import scale
+from httq.streams import make_rng
 from httq.validation import _replication_job, coupling_gap
 
 from oracles import (
@@ -251,6 +253,29 @@ def test_nds_regime_runs_and_balances():
     rec = simulate(cfg, seed=17)
     assert rec.balance_gap() == 0.0
     assert rec.E(5.0) > 300  # lambda_n = 100 on [0,5]
+
+
+@pytest.mark.parametrize("alpha,service", [
+    (0.5, DistributionSpec.exponential(1.0)),
+    (1.0, DistributionSpec.exponential(1.0)),
+    (1.0, DistributionSpec.deterministic(1.0)),
+    (1.0, DistributionSpec.lognormal(-0.5, 1.0)),
+], ids=["nds-exponential", "exponential", "deterministic", "lognormal"])
+def test_initial_residuals_are_equilibrium_draws(alpha, service):
+    # the initially busy servers' residuals are the first draws of the
+    # "initial" stream: exponential(mu_n) below alpha = 1, H_e at alpha = 1
+    cfg = SystemConfig(n=16, alpha=alpha, mu=1.0, beta=0.0, arrival=ArrivalSpec.poisson(),
+                       service=service, patience=None, horizon=2.0, xi=0.5, abandon=False)
+    rec = simulate(cfg, seed=7, replication=2)
+    s0 = rec.n_initial_service
+    assert s0 == cfg.servers
+    rng = make_rng(7, 2, "initial")
+    if alpha < 1.0:
+        want = rng.exponential(1.0 / cfg.mu_n, s0)
+    else:
+        want = equilibrium_distribution(service).sample(rng, s0)
+    np.testing.assert_array_equal(rec.completion_times[:s0],
+                                  np.where(want <= cfg.horizon, want, np.nan))
 
 
 # ---------------------------------------------------------------------------
