@@ -61,5 +61,5 @@ for t, x, q, w in zip(bundle.grid[::every], bundle.X.sampled(bundle.grid[::every
 #   little_gap    sup |mu omega~ - Q~|          (waits track the queue)
 #   neg_part_sup  sup (X~)^-                    (no mass below the server line
 #                                                at diffusion scale, case i)
-for name, stat in gap_statistics(bundle).items():
-    print(f"{name:13s} {stat.value:.4f}")
+for name, value in gap_statistics(bundle).items():
+    print(f"{name:13s} {value:.4f}")

@@ -28,7 +28,7 @@ from .renewal import (
     compute_renewal_function,
     equilibrium_distribution,
 )
-from .scaling import ScaledBundle, abandonment_compensator, scale
+from .scaling import ScaledBundle, abandonment_compensator, scale, scaled_primitives
 from .simulator import (
     OUTCOME_ABANDONED,
     OUTCOME_IN_SERVICE,
@@ -43,7 +43,6 @@ from .streams import make_rng
 from .validation import (
     ComparisonVerdict,
     ConvergenceReport,
-    GapStatistic,
     compare_abandonment,
     convergence_sweep,
     coupling_gap,
@@ -62,7 +61,6 @@ __all__ = [
     "ConvergenceReport",
     "DistributionSpec",
     "EquilibriumDistribution",
-    "GapStatistic",
     "MappingSolution",
     "NoiseSample",
     "OUTCOME_ABANDONED",
@@ -96,6 +94,7 @@ __all__ = [
     "sample_case_ii_paths",
     "sample_noise",
     "scale",
+    "scaled_primitives",
     "simulate",
     "solve_limit_case_i",
     "solve_limit_case_ii",

@@ -43,7 +43,7 @@ from .maps import solve_phi_M, solve_phi_Mg, solve_phi_n_g, solve_skorokhod_g
 from .paths import CadlagPath, uniform_grid
 from .patience import PatienceSpec
 from .renewal import compute_renewal_function
-from .scaling import scale
+from .scaling import scale, scaled_primitives
 from .simulator import KIND_NAMES, OUTCOME_ABANDONED, OUTCOME_IN_SERVICE, \
     OUTCOME_SERVED, OUTCOME_WAITING, SystemConfig, simulate, spec_hash
 from .streams import make_rng
@@ -202,19 +202,8 @@ def _parse_dist_flag(text: str) -> DistributionSpec:
     return DistributionSpec.from_dict(kv)
 
 
-def _limit_f_from(doc_patience) -> object:
-    if doc_patience is None:
-        return None
-    return PatienceSpec.from_dict(doc_patience).limit_function()
-
-
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def _simulate_job(args):
-    config, seed, rep = args
-    return simulate(config, seed, rep)
 
 
 def _cmd_simulate(args) -> int:
@@ -227,11 +216,12 @@ def _cmd_simulate(args) -> int:
 
     resolved = {"command": "simulate", "config": config.to_dict(),
                 "replications": reps, "seed": seed, "grid_step": grid_step}
-    records = run_jobs(_simulate_job, [(config, seed, r) for r in range(reps)], args.workers)
+    records = run_jobs(simulate, [(config, seed, r) for r in range(reps)], args.workers)
     meta, outdir = _run_dir(args, resolved)
     per_rep = []
     for r, record in enumerate(records):
         bundle = scale(record, grid=grid)
+        E, S, G_hat = scaled_primitives(record, bundle)
         _write_csv(
             outdir / f"events_r{r}.csv", meta, ("time", "kind", "customer"),
             ((t, KIND_NAMES[int(k)], int(c)) for t, k, c in
@@ -241,8 +231,8 @@ def _cmd_simulate(args) -> int:
             outdir / f"scaled_r{r}.csv", meta,
             ("t", "X", "Q", "E", "S", "G", "G_hat", "omega"),
             zip(grid, bundle.X.sampled(grid), bundle.Q.sampled(grid),
-                bundle.E.sampled(grid), bundle.S.sampled(grid),
-                bundle.G.sampled(grid), bundle.G_hat.sampled(grid), bundle.omega),
+                E.sampled(grid), S.sampled(grid),
+                bundle.G.sampled(grid), G_hat.sampled(grid), bundle.omega),
         )
         out = record.outcomes
         per_rep.append({
@@ -302,10 +292,11 @@ def _cmd_limit(args) -> int:
         table = compute_renewal_function(service_spec, T, step=grid_step)
     elif doc.get("service") is not None:
         raise CliError("case 'i' does not use a service renewal table")
-    f = _limit_f_from(doc.get("patience"))
+    patience = doc.get("patience")
+    f = None if patience is None else PatienceSpec.from_dict(patience).limit_function()
 
     resolved = {"command": "limit", "case": case, "xi": xi, "beta": beta, "mu": mu,
-                "ca2": ca2, "patience": doc.get("patience"),
+                "ca2": ca2, "patience": patience,
                 "service": None if service_spec is None else service_spec.to_dict(),
                 "horizon": T, "grid_step": grid_step, "reps": reps,
                 "seed": seed, "tol": tol}
@@ -498,11 +489,6 @@ def _cmd_sweep(args) -> int:
 # compare
 
 
-def _compare_job(args):
-    config, seed, rep = args
-    return compare_abandonment(config, seed=seed, replication=rep)
-
-
 def _cmd_compare(args) -> int:
     doc, base_seed = _read_spec(args, "compare", {"config", "seeds", "replications"})
     where = "compare spec"
@@ -514,7 +500,7 @@ def _cmd_compare(args) -> int:
                 "seeds": n_seeds, "replications": reps}
     jobs = [(config, s, r) for s in range(base_seed, base_seed + n_seeds) for r in range(reps)]
     verdicts = []
-    for (_, s, r), v in zip(jobs, run_jobs(_compare_job, jobs, args.workers)):
+    for (_, s, r), v in zip(jobs, run_jobs(compare_abandonment, jobs, args.workers)):
         entry = {"seed": s, "replication": r, "holds": v.holds,
                  "max_queue_excess": float(v.max_queue_excess),
                  "n_checked": int(v.n_checked)}
@@ -552,9 +538,16 @@ def _path_from_doc(y_doc, grid: np.ndarray, horizon: float, seed: int) -> Cadlag
         return sample_brownian(_value(b, "variance_rate", "y.brownian", check_number),
                                grid, make_rng(seed, purpose="scratch"))
     check_keys(y_doc, {"times", "values", "kind"}, "y")
-    return CadlagPath(np.asarray(_value(y_doc, "times", "y"), dtype=float),
-                      np.asarray(_value(y_doc, "values", "y"), dtype=float),
-                      y_doc.get("kind", "linear"), horizon)
+    times, values = (_numbers(y_doc, key, "y") for key in ("times", "values"))
+    return CadlagPath(times, values, y_doc.get("kind", "linear"), horizon)
+
+
+def _numbers(doc: dict, key: str, where: str) -> np.ndarray:
+    """doc[key]: a list whose every entry meets the number rule."""
+    entries = _value(doc, key, where)
+    if not isinstance(entries, list):
+        raise CliError(f"{where} {key} must be a list of numbers, got {entries!r}")
+    return np.array([check_number(v, f"{where} {key} entry") for v in entries], dtype=float)
 
 
 def _g_from_doc(g_doc):

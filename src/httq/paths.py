@@ -195,8 +195,8 @@ def linear_path(times, values, horizon: float) -> CadlagPath:
     return CadlagPath(np.asarray(times, float), np.asarray(values, float), "linear", horizon)
 
 
-def counting_path(event_times, horizon: float, weight: float = 1.0) -> CadlagPath:
-    """Step path counting events: t -> weight * #{i : event_times[i] <= t}.
+def counting_path(event_times, horizon: float) -> CadlagPath:
+    """Step path counting events: t -> #{i : event_times[i] <= t}.
 
     Event times need not be distinct; simultaneous events coalesce into one
     breakpoint carrying the cumulative count.
@@ -204,7 +204,7 @@ def counting_path(event_times, horizon: float, weight: float = 1.0) -> CadlagPat
     ev = np.sort(np.asarray(event_times, dtype=float))
     if ev.size and (ev[0] < 0 or ev[-1] > horizon + 1e-9):
         raise ValueError("event times outside [0, horizon]")
-    counts = np.arange(1, ev.size + 1, dtype=float) * weight
+    counts = np.arange(1, ev.size + 1, dtype=float)
     keep = np.ones(ev.size, dtype=bool)
     if ev.size > 1:
         keep[:-1] = np.diff(ev) > 0  # keep last event at each distinct time

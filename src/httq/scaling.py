@@ -10,12 +10,12 @@ With N_n servers, arrival rate lambda_n and service rate mu_n:
     wt(t) = sqrt(n) w(t)                    scaled virtual wait (exact past T)
     Gh(t) = Gt(t) - mu int_0^t f(Qt(s)/mu) ds
 
-Xt, Qt and Gt are exact step paths on the event breakpoints.  Et, St and
-Gh mix jumps with continuous drifts, so they are reported as linear paths
-holding exact values at the sampling grid.  The abandonment compensator
-mu int f(Qt/mu) is also kept as an exact piecewise-linear path on the
-event breakpoints, which lets downstream statistics take exact suprema
-of Gt minus the compensator.
+Xt, Qt and Gt are exact step paths on the event breakpoints, and the
+abandonment compensator mu int f(Qt/mu) an exact linear path on them, so
+statistics take exact suprema of Gt minus it.  `scale` builds these and wt,
+all that the statistics read.  Et, St and Gh mix jumps with continuous
+drifts; `scaled_primitives` builds them, where they are written out, as
+linear paths holding exact values at the sampling grid.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .paths import CadlagPath, check_grid, linear_path, uniform_grid
 from .simulator import SimRecord, virtual_wait_path
 
-__all__ = ["ScaledBundle", "abandonment_compensator", "scale"]
+__all__ = ["ScaledBundle", "abandonment_compensator", "scale", "scaled_primitives"]
 
 
 def abandonment_compensator(q_tilde: CadlagPath, f, mu: float) -> CadlagPath:
@@ -45,26 +45,21 @@ def abandonment_compensator(q_tilde: CadlagPath, f, mu: float) -> CadlagPath:
 
 @dataclass(frozen=True)
 class ScaledBundle:
-    """Centered and sqrt(n)-scaled paths from one simulation record.
+    """The centered and sqrt(n)-scaled paths that the statistics read.
 
     X, Q, G and the compensator live on the event breakpoints of the
-    record (horizon = record horizon); E, S and G_hat live on `grid`.
-    `omega` is an array of scaled virtual waits on `grid`, exact even where
-    the wait ends beyond the horizon.
+    record (horizon = record horizon).  `omega` is an array of scaled
+    virtual waits on `grid`, exact even where the wait ends beyond the
+    horizon.
     """
 
-    n: int
     mu: float
     grid: np.ndarray
     X: CadlagPath
     Q: CadlagPath
-    E: CadlagPath
-    S: CadlagPath
     G: CadlagPath
-    G_hat: CadlagPath
     compensator: CadlagPath
     omega: np.ndarray
-    replication: int = 0
 
 
 def scale(record: SimRecord, grid: np.ndarray | None = None) -> ScaledBundle:
@@ -80,29 +75,23 @@ def scale(record: SimRecord, grid: np.ndarray | None = None) -> ScaledBundle:
         grid = uniform_grid(horizon, horizon / 200.0)
     grid = check_grid(grid, horizon)
 
-    n = config.n
-    sqn = math.sqrt(n)
-    servers = config.servers
-
-    x_t = record.X.shift_values(-float(servers)).scale(1.0 / sqn)
+    sqn = math.sqrt(config.n)
+    x_t = record.X.shift_values(-float(config.servers)).scale(1.0 / sqn)
     q_t = x_t.pos_part()
-    g_t = record.G.scale(1.0 / sqn)
+    return ScaledBundle(
+        mu=config.mu, grid=grid, X=x_t, Q=q_t, G=record.G.scale(1.0 / sqn),
+        compensator=abandonment_compensator(q_t, config.limit_function(), config.mu),
+        omega=sqn * virtual_wait_path(record, grid),
+    )
 
+
+def scaled_primitives(record: SimRecord, bundle: ScaledBundle) -> tuple[CadlagPath, ...]:
+    """(Et, St, Gh) of `record` on the grid of its bundle, as linear paths."""
+    config, grid = record.config, bundle.grid
+    sqn = math.sqrt(config.n)
     e_vals = (record.E.sampled(grid) - config.lambda_n * grid) / sqn
-    e_t = linear_path(grid, e_vals, float(grid[-1]))
-
-    busy = record.X.map_values(lambda v: np.minimum(v, float(servers)))
+    busy = record.X.map_values(lambda v: np.minimum(v, float(config.servers)))
     busy_time = busy.cumulative_integral()
     s_vals = (record.S.sampled(grid) - config.mu_n * busy_time.sampled(grid)) / sqn
-    s_t = linear_path(grid, s_vals, float(grid[-1]))
-
-    comp = abandonment_compensator(q_t, config.limit_function(), config.mu)
-    gh_vals = g_t.sampled(grid) - comp.sampled(grid)
-    g_hat = linear_path(grid, gh_vals, float(grid[-1]))
-
-    return ScaledBundle(
-        n=n, mu=config.mu, grid=grid,
-        X=x_t, Q=q_t, E=e_t, S=s_t, G=g_t, G_hat=g_hat,
-        compensator=comp, omega=sqn * virtual_wait_path(record, grid),
-        replication=record.replication,
-    )
+    gh_vals = bundle.G.sampled(grid) - bundle.compensator.sampled(grid)
+    return tuple(linear_path(grid, v, float(grid[-1])) for v in (e_vals, s_vals, gh_vals))

@@ -6,8 +6,9 @@ Three nonnegative path statistics are tracked per replication:
     little_gap    sup_t |mu wt(t) - Qt(t)|      (over the sampling grid)
     neg_part_sup  sup_t (Xt(t))^-
 
-Each reads only the scaled bundle.  The virtual waits are exact even where
-they end beyond the horizon, so little_gap takes every grid point.
+Each reads only the scaled bundle and returns a float.  The virtual waits
+are exact even where they end beyond the horizon, so little_gap takes every
+grid point.
 
 All three should shrink as n grows whenever the modeling assumptions
 hold; `convergence_sweep` runs the n-sweep that turns "vanishes in the
@@ -39,7 +40,6 @@ from .simulator import SystemConfig, simulate
 
 __all__ = [
     "GAP_NAMES",
-    "GapStatistic",
     "ComparisonVerdict",
     "ConvergenceReport",
     "coupling_gap",
@@ -56,24 +56,7 @@ __all__ = [
 GAP_NAMES = ("coupling_gap", "little_gap", "neg_part_sup")
 
 
-@dataclass(frozen=True)
-class GapStatistic:
-    """One nonnegative sup-statistic from one scaled replication."""
-
-    name: str
-    value: float
-    n: int
-    horizon: float
-    replication: int
-
-    def __post_init__(self):
-        if self.name not in GAP_NAMES:
-            raise ValueError(f"unknown gap statistic {self.name!r}")
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"{self.name} must be finite and >= 0, got {self.value}")
-
-
-def coupling_gap(bundle: ScaledBundle) -> GapStatistic:
+def coupling_gap(bundle: ScaledBundle) -> float:
     """Exact sup of |Gt - compensator| over the union of breakpoints.
 
     Gt is a step path and the bundle's compensator is piecewise linear, so
@@ -92,35 +75,34 @@ def coupling_gap(bundle: ScaledBundle) -> GapStatistic:
                                minlength=knots.size + 1)[:-1]) - 1
     g_left = np.append(g.values[:1], g.values[:-1])
     c_g = comp.sampled(g.times)
-    value = float(max(np.abs(g.values[at] - c).max(), np.abs(g.values - c_g).max(),
-                      np.abs(g_left - c_g).max()))
-    return GapStatistic("coupling_gap", value, bundle.n, g.horizon, bundle.replication)
+    return float(max(np.abs(g.values[at] - c).max(), np.abs(g.values - c_g).max(),
+                     np.abs(g_left - c_g).max()))
 
 
-def little_gap(bundle: ScaledBundle) -> GapStatistic:
+def little_gap(bundle: ScaledBundle) -> float:
     """sup over the sampling grid of |mu wt - Qt|.
 
     Grid-sup, hence a lower bound on the true sup.
     """
     gap = np.abs(bundle.mu * bundle.omega - bundle.Q.sampled(bundle.grid))
-    return GapStatistic("little_gap", float(gap.max()), bundle.n, bundle.X.horizon,
-                        bundle.replication)
+    return float(gap.max())
 
 
-def neg_part_sup(bundle: ScaledBundle) -> GapStatistic:
+def neg_part_sup(bundle: ScaledBundle) -> float:
     """Exact sup of (Xt)^- over the event breakpoints."""
-    value = bundle.X.neg_part().sup_norm()
-    return GapStatistic("neg_part_sup", value, bundle.n, bundle.X.horizon,
-                        bundle.replication)
+    return bundle.X.neg_part().sup_norm()
 
 
-def gap_statistics(bundle: ScaledBundle) -> dict[str, GapStatistic]:
-    """All three gap statistics of one bundle, keyed by name."""
-    return {
-        "coupling_gap": coupling_gap(bundle),
-        "little_gap": little_gap(bundle),
-        "neg_part_sup": neg_part_sup(bundle),
-    }
+def gap_statistics(bundle: ScaledBundle) -> dict[str, float]:
+    """The gap statistics of one bundle keyed by name, each finite and >= 0
+    or a ValueError.  Each is called by its module name, wrappers included."""
+    stats = {"coupling_gap": coupling_gap(bundle),
+             "little_gap": little_gap(bundle),
+             "neg_part_sup": neg_part_sup(bundle)}
+    for name, value in stats.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +226,22 @@ def _trend(value_smallest: float, value_largest: float) -> str:
 
 
 def run_jobs(fn, jobs: list, workers: int) -> list:
-    """fn over the jobs, results in job order: on a pool of `workers`
+    """fn(*job) over the jobs, results in job order: on a pool of `workers`
     processes when both it and the job count exceed 1, else in this process."""
     if workers > 1 and len(jobs) > 1:
         chunk = max(1, len(jobs) // (4 * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, jobs, chunksize=chunk))
-    return [fn(job) for job in jobs]
+            return list(ex.map(fn, *zip(*jobs), chunksize=chunk))
+    return [fn(*job) for job in jobs]
 
 
-def _replication_job(args):
-    config, seed, rep, grid_points, checkpoints = args
+def _replication_job(config, seed, rep, grid_points, checkpoints):
+    """(gap statistics, marginals Xt(t*)) of one sweep replication."""
     record = simulate(config, seed, rep)
     T = config.horizon
     bundle = scale(record, grid=uniform_grid(T, T / grid_points))
-    c = coupling_gap(bundle)
-    l = little_gap(bundle)
-    g = neg_part_sup(bundle)
     marg = np.atleast_1d(bundle.X.sampled(np.asarray(checkpoints, dtype=float)))
-    return c.value, l.value, g.value, marg
+    return gap_statistics(bundle), marg
 
 
 def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int):
@@ -355,10 +334,9 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
     for n in unique_n:
         rows = out[pos:pos + replications]
         pos += replications
-        gaps["coupling_gap"][n] = np.array([r[0] for r in rows])
-        gaps["little_gap"][n] = np.array([r[1] for r in rows])
-        gaps["neg_part_sup"][n] = np.array([r[2] for r in rows])
-        marg = np.vstack([r[3] for r in rows])
+        for name in GAP_NAMES:
+            gaps[name][n] = np.array([stats[name] for stats, _ in rows])
+        marg = np.vstack([m for _, m in rows])
         ks[n] = {t: ks_two_sample(marg[:, k], lim_marg[:, k])
                  for k, t in enumerate(checkpoints)}
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import httq.cli
-from httq.cli import _limit_f_from, _workers, _write_csv, main
+from httq.cli import _workers, _write_csv, main
 from httq.distributions import DistributionSpec
 from httq.paths import uniform_grid
 from httq.patience import PatienceSpec
@@ -535,8 +535,8 @@ def test_limit_batch_matches_per_replication_loop(tmp_path, case, xi, patience):
     grid = uniform_grid(T, step)
     H = None if service is None else DistributionSpec.from_dict(service)
     table = None if H is None else compute_renewal_function(H, T, step=step)
-    paths, expected = per_replication_limit(case, xi, -0.4, 1.0, 1.0,
-                                            _limit_f_from(patience), grid, seed,
+    f = None if patience is None else PatienceSpec.from_dict(patience).limit_function()
+    paths, expected = per_replication_limit(case, xi, -0.4, 1.0, 1.0, f, grid, seed,
                                             reps, table, tol)
     np.testing.assert_array_equal(got[:, 0], grid)
     assert np.max(np.abs(got[:, 1:] - np.array(paths).T)) <= 10 * tol
@@ -792,6 +792,14 @@ _BAD_SPEC_VALUES = {
         "ks_max entry n must be an integer, got 16.5"),
     "str-decreasing": ("sweep", {"thresholds": {"decreasing": "coupling_gap"}}, [],
                        "thresholds decreasing must be a list, got 'coupling_gap'"),
+    "str-y-time": ("maps", {"y": {"times": ["0", 1.0, 2.0], "values": [0.0, -1.0, 0.5]}}, [],
+                   "y times entry must be a finite number, got '0'"),
+    "bool-y-value": ("maps", {"y": {"times": [0.0, 1.0, 2.0], "values": [True, -1.0, 0.5]}},
+                     [], "y values entry must be a finite number, got True"),
+    "nan-y-value": ("maps", {"y": {"times": [0.0, 1.0, 2.0], "values": [0.0, float("nan"), 0.5]}},
+                    [], "y values entry must be a finite number, got nan"),
+    "number-y-values": ("maps", {"y": {"times": [0.0, 1.0, 2.0], "values": 0.5}}, [],
+                        "y values must be a list of numbers, got 0.5"),
     "str-variance-rate": ("maps", {"map": "phi_n_g", "mu_n": 1.0,
                                    "y": {"brownian": {"variance_rate": "1"}}}, [],
                           "y.brownian variance_rate must be a finite number, got '1'"),

@@ -10,7 +10,7 @@ import httq.scaling
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.paths import step_path, uniform_grid
 from httq.patience import PatienceSpec
-from httq.scaling import abandonment_compensator, scale
+from httq.scaling import abandonment_compensator, scale, scaled_primitives
 from httq.simulator import SystemConfig, simulate
 
 
@@ -43,12 +43,13 @@ def test_empty_record_scales_to_drift_only():
     rec = simulate(cfg, seed=1)
     grid = uniform_grid(0.2, 0.01)
     b = scale(rec, grid=grid)
+    E, S, G_hat = scaled_primitives(rec, b)
     assert b.X.sup_norm() == pytest.approx(2.0)  # (0 - 4)/sqrt(4) = -2 throughout
     assert b.Q.sup_norm() == 0.0
     assert b.G.sup_norm() == 0.0
-    assert b.S.sup_norm() == 0.0
-    np.testing.assert_allclose(b.E.values, -cfg.lambda_n * grid / 2.0, atol=1e-12)
-    assert b.G_hat.sup_norm() == 0.0
+    assert S.sup_norm() == 0.0
+    np.testing.assert_allclose(E.values, -cfg.lambda_n * grid / 2.0, atol=1e-12)
+    assert G_hat.sup_norm() == 0.0
     np.testing.assert_allclose(b.omega, 0.0, atol=0)
 
 
@@ -64,7 +65,8 @@ def test_zero_limit_slope_keeps_g_hat_equal_to_g():
     rec = simulate(cfg, seed=8)
     assert rec.G(10.0) > 0
     b = scale(rec)
-    np.testing.assert_allclose(b.G_hat.values, b.G.sampled(b.grid), atol=1e-12)
+    _, _, G_hat = scaled_primitives(rec, b)
+    np.testing.assert_allclose(G_hat.values, b.G.sampled(b.grid), atol=1e-12)
     assert b.compensator.sup_norm() == 0.0
 
 
@@ -108,11 +110,12 @@ def test_balance_identity_on_grid():
     cfg = overloaded_config(n=100)
     rec = simulate(cfg, seed=11)
     b = scale(rec)
+    E, S, _ = scaled_primitives(rec, b)
     sqn = math.sqrt(cfg.n)
     busy = rec.X.map_values(lambda v: np.minimum(v, float(cfg.servers)))
     drift = (cfg.lambda_n * b.grid - cfg.mu_n * busy.cumulative_integral().sampled(b.grid)) / sqn
     lhs = b.X.sampled(b.grid)
-    rhs = b.X(0.0) + b.E.values - b.S.values - b.G.sampled(b.grid) + drift
+    rhs = b.X(0.0) + E.values - S.values - b.G.sampled(b.grid) + drift
     np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 

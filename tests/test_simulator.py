@@ -215,7 +215,7 @@ def test_event_log_is_built_only_when_read(monkeypatch):
     monkeypatch.setattr(simulator, "_event_log", counting_log)
     cfg = mmn_config(25)
     rec = simulate(cfg, seed=21)
-    _replication_job((cfg, 21, 0, 50, (cfg.horizon,)))
+    _replication_job(cfg, 21, 0, 50, (cfg.horizon,))
     assert built == []
     times, kinds, ids = rec.event_times, rec.event_kinds, rec.event_ids
     assert len(built) == 1 and built[0] is rec
@@ -649,4 +649,4 @@ def test_merged_paths_match_union_oracles(cfg, seed):
             np.testing.assert_array_equal(a, b, err_msg=name)
             np.testing.assert_array_equal(np.signbit(a), np.signbit(b), err_msg=name)
     bundle = scale(rec)
-    assert coupling_gap(bundle).value == union_coupling_gap(bundle)
+    assert coupling_gap(bundle) == union_coupling_gap(bundle)

@@ -1,5 +1,6 @@
 """Gap statistics, CRN comparison, KS, and the n-sweep report."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ import scipy.stats
 
 import httq.limits
 import httq.simulator
+import httq.validation
 
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.patience import PatienceSpec
@@ -16,8 +18,8 @@ from httq.paths import counting_path, linear_path, step_path, uniform_grid
 from httq.scaling import ScaledBundle, scale
 from httq.simulator import SystemConfig, simulate
 from httq.validation import (
+    GAP_NAMES,
     ComparisonVerdict,
-    GapStatistic,
     compare_abandonment,
     convergence_sweep,
     coupling_gap,
@@ -55,24 +57,33 @@ def dd1_config(service_len, horizon, patience=None, xi=-1.0):
 
 
 # ---------------------------------------------------------------------------
-# GapStatistic
+# gap statistics
 
 
-def test_gap_statistic_validation():
-    with pytest.raises(ValueError, match="unknown gap statistic"):
-        GapStatistic("sup_gap", 1.0, 10, 5.0, 0)
-    with pytest.raises(ValueError, match="finite"):
-        GapStatistic("little_gap", -0.1, 10, 5.0, 0)
-    with pytest.raises(ValueError, match="finite"):
-        GapStatistic("little_gap", math.inf, 10, 5.0, 0)
+def test_gap_statistic_validation(monkeypatch):
+    # a NaN scaled wait makes little_gap NaN, and gap_statistics refuses it
+    T = 4.0
+    grid = uniform_grid(T, 1.0)
+    omega = np.zeros(grid.size)
+    omega[2] = np.nan
+    bundle = ScaledBundle(mu=1.0, grid=grid, X=step_path([0.0], [0.0], T),
+                          Q=step_path([0.0], [0.0], T), G=step_path([0.0], [0.0], T),
+                          compensator=linear_path([0.0, T], [0.0, 0.0], T), omega=omega)
+    with pytest.raises(ValueError, match="little_gap must be finite and >= 0, got nan"):
+        gap_statistics(bundle)
+    # each statistic is called by its module name, so a replaced one is what is checked
+    bundle = dataclasses.replace(bundle, omega=np.zeros(grid.size))
+    assert gap_statistics(bundle) == {name: 0.0 for name in GAP_NAMES}
+    for bad in (-0.1, math.inf):
+        monkeypatch.setattr(httq.validation, "neg_part_sup", lambda b, _v=bad: _v)
+        with pytest.raises(ValueError, match=f"neg_part_sup must be finite and >= 0, got {bad}"):
+            gap_statistics(bundle)
 
 
 def test_coupling_gap_zero_without_abandonment():
     cfg = mmn_config(9, beta=-0.5, abandon=False)
     bundle = scale(simulate(cfg, seed=3))
-    stat = coupling_gap(bundle)
-    assert stat.value == 0.0
-    assert stat.name == "coupling_gap"
+    assert coupling_gap(bundle) == 0.0
 
 
 def test_coupling_gap_single_jump_synthetic_bundle():
@@ -82,22 +93,17 @@ def test_coupling_gap_single_jump_synthetic_bundle():
     zero_step = step_path([0.0], [0.0], T)
     zero_lin = linear_path([0.0, T], [0.0, 0.0], T)
     bundle = ScaledBundle(
-        n=4, mu=1.0, grid=grid, X=zero_step, Q=zero_step, E=zero_lin,
-        S=zero_lin, G=step_path([0.0, 2.5], [0.0, 0.5], T), G_hat=zero_lin,
+        mu=1.0, grid=grid, X=zero_step, Q=zero_step,
+        G=step_path([0.0, 2.5], [0.0, 0.5], T),
         compensator=zero_lin, omega=np.zeros(grid.size),
-        replication=7,
     )
-    stat = coupling_gap(bundle)
-    assert stat.value == 0.5
-    assert stat.replication == 7
+    assert coupling_gap(bundle) == 0.5
 
 
 def _gap_bundle(g, comp, T):
     grid = uniform_grid(T, T / 4)
     zero_step = step_path([0.0], [0.0], T)
-    zero_lin = linear_path([0.0, T], [0.0, 0.0], T)
-    return ScaledBundle(n=4, mu=1.0, grid=grid, X=zero_step, Q=zero_step, E=zero_lin,
-                        S=zero_lin, G=g, G_hat=zero_lin, compensator=comp,
+    return ScaledBundle(mu=1.0, grid=grid, X=zero_step, Q=zero_step, G=g, compensator=comp,
                         omega=np.zeros(grid.size))
 
 
@@ -121,8 +127,8 @@ _COMP = linear_path([0.0, 1.0, 2.0, 3.0, _T], [0.0, 0.3, 0.35, 1.2, 1.6], _T)
 def test_coupling_gap_matches_union_oracle_on_hand_built_bundles(g, comp, want):
     bundle = _gap_bundle(g, comp, _T)
     stat = coupling_gap(bundle)
-    assert stat.value == union_coupling_gap(bundle)
-    assert stat.value == pytest.approx(want, abs=1e-12)
+    assert stat == union_coupling_gap(bundle)
+    assert stat == pytest.approx(want, abs=1e-12)
 
 
 def test_coupling_gap_matches_union_oracle_on_random_bundles():
@@ -133,9 +139,9 @@ def test_coupling_gap_matches_union_oracle_on_random_bundles():
         comp = linear_path(knots, np.cumsum(rng.exponential(0.2, knots.size)) - 0.2, _T)
         jumps = np.concatenate([rng.choice(knots, rng.integers(0, 6)),
                                 rng.uniform(0.0, _T, rng.integers(0, 6))])
-        g = counting_path(jumps, horizon=_T, weight=0.5)
+        g = counting_path(jumps, horizon=_T).scale(0.5)
         bundle = _gap_bundle(g, comp, _T)
-        assert coupling_gap(bundle).value == union_coupling_gap(bundle)
+        assert coupling_gap(bundle) == union_coupling_gap(bundle)
 
 
 def test_coupling_gap_single_abandonment_end_to_end():
@@ -145,17 +151,13 @@ def test_coupling_gap_single_abandonment_end_to_end():
     rec = simulate(cfg, seed=0)
     assert int(rec.G(2.75)) == 1
     bundle = scale(rec, grid=uniform_grid(2.75, 0.25))
-    stat = coupling_gap(bundle)
-    assert stat.value == 1.0
-    assert stat.n == 1
-    assert stat.horizon == 2.75
+    assert coupling_gap(bundle) == 1.0
 
 
 def test_little_gap_empty_system():
     cfg = dd1_config(2.0, horizon=0.5)
     bundle = scale(simulate(cfg, seed=1))
-    stat = little_gap(bundle)
-    assert stat.value == 0.0
+    assert little_gap(bundle) == 0.0
 
 
 def test_little_gap_underloaded_dd1_idle_grid():
@@ -164,7 +166,7 @@ def test_little_gap_underloaded_dd1_idle_grid():
     cfg = dd1_config(0.5, horizon=4.0)
     rec = simulate(cfg, seed=2)
     bundle = scale(rec, grid=np.array([0.0, 0.75, 1.75, 2.75, 3.75]))
-    assert little_gap(bundle).value == 0.0
+    assert little_gap(bundle) == 0.0
 
 
 def test_little_gap_overloaded_uses_every_point():
@@ -176,25 +178,23 @@ def test_little_gap_overloaded_uses_every_point():
     assert np.any(bundle.grid + bundle.omega > 12.0)
     stat = little_gap(bundle)
     q = bundle.Q.sampled(bundle.grid)
-    assert stat.value == np.max(np.abs(bundle.mu * bundle.omega - q))
-    assert math.isfinite(stat.value) and stat.value > 0.0
+    assert stat == np.max(np.abs(bundle.mu * bundle.omega - q))
+    assert math.isfinite(stat) and stat > 0.0
 
 
 def test_neg_part_sup_tracks_negative_start():
     cfg = mmn_config(25, xi=-2.0)
     bundle = scale(simulate(cfg, seed=4))
-    stat = neg_part_sup(bundle)
-    assert stat.value >= 2.0
-    assert stat.n == 25
+    assert neg_part_sup(bundle) >= 2.0
 
 
 def test_gap_statistics_bundle_helper():
     cfg = mmn_config(16, horizon=3.0)
     stats = gap_statistics(scale(simulate(cfg, seed=5)))
     assert set(stats) == {"coupling_gap", "little_gap", "neg_part_sup"}
-    for name, s in stats.items():
-        assert s.name == name
-        assert s.value >= 0.0 and math.isfinite(s.value)
+    for s in stats.values():
+        assert type(s) is float
+        assert s >= 0.0 and math.isfinite(s)
 
 
 # ---------------------------------------------------------------------------
