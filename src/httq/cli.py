@@ -9,8 +9,9 @@ Six subcommands mirror the library layers:
     httq compare cmp.json --check     CRN queue-domination check
     httq maps maps.json               one regulator-mapping solve
 
-Experiment files are JSON objects; unknown keys anywhere are errors, and
-a "command" key, when present, must match the subcommand.  Artifacts go
+Experiment files are JSON objects; unknown keys anywhere are errors, and so
+is a key the chosen map or limit case does not read.  A "command" key, when
+present, must match the subcommand.  Artifacts go
 to <out>/<12-hex hash of the resolved spec>/, every file starts with a
 (version, spec-hash, seed) header, and a schema.json documents the CSV
 columns, so a rerun of the same resolved spec is byte-identical and
@@ -104,6 +105,14 @@ def _value(doc: dict, key: str, where: str, rule=None, default=_REQUIRED):
             raise CliError(f"{where} is missing required key {key!r}")
         return default
     return value if rule is None else rule(value, f"{where} {key}")
+
+
+def _refuse_unread(doc: dict, reads, what: str) -> None:
+    """Refuse a non-null key of the spec that `what` does not read."""
+    unread = sorted(k for k, v in doc.items()
+                    if v is not None and k not in {"command", "seed", *reads})
+    if unread:
+        raise CliError(f"{what} does not use {', '.join(unread)}")
 
 
 def _flag(parse, rule):
@@ -272,13 +281,18 @@ def _cmd_simulate(args) -> int:
 # limit
 
 
+# the spec keys each limit case reads
+_CASE_I_KEYS = {"case", "xi", "beta", "mu", "ca2", "patience", "horizon", "grid_step", "reps"}
+_CASE_KEYS = {"i": _CASE_I_KEYS, "ii": _CASE_I_KEYS | {"service", "tol"}}
+
+
 def _cmd_limit(args) -> int:
-    doc, seed = _read_spec(args, "limit", {"case", "xi", "beta", "mu", "ca2", "patience",
-                                           "service", "horizon", "grid_step", "reps", "tol"})
+    doc, seed = _read_spec(args, "limit", _CASE_KEYS["ii"])
     where = "limit spec"
     case = _value(doc, "case", where)
-    if case not in ("i", "ii"):
+    if case not in _CASE_KEYS:
         raise CliError(f"case must be 'i' or 'ii', got {case!r}")
+    _refuse_unread(doc, _CASE_KEYS[case], f"case {case!r}")
     xi, beta, mu, T = (_value(doc, k, where, check_number) for k in ("xi", "beta", "mu", "horizon"))
     ca2 = _value(doc, "ca2", where, check_number, 1.0)
     reps = _value(doc, "reps", where, check_count, 1)
@@ -290,8 +304,6 @@ def _cmd_limit(args) -> int:
     if case == "ii":
         service_spec = DistributionSpec.from_dict(_value(doc, "service", "limit spec (case 'ii')"))
         table = compute_renewal_function(service_spec, T, step=grid_step)
-    elif doc.get("service") is not None:
-        raise CliError("case 'i' does not use a service renewal table")
     patience = doc.get("patience")
     f = None if patience is None else PatienceSpec.from_dict(patience).limit_function()
 
@@ -527,7 +539,12 @@ def _cmd_compare(args) -> int:
 # maps
 
 
-_MAP_NAMES = ("phi_n_g", "skorokhod_g", "phi_M", "phi_Mg")
+# the spec keys each map reads
+_MAP_BASE_KEYS = {"map", "y", "horizon", "grid_step"}
+_MAP_KEYS = {"phi_n_g": _MAP_BASE_KEYS | {"g", "mu_n"},
+             "skorokhod_g": _MAP_BASE_KEYS | {"g"},
+             "phi_M": _MAP_BASE_KEYS | {"service"},
+             "phi_Mg": _MAP_BASE_KEYS | {"g", "service", "tol", "g_sign"}}
 
 
 def _path_from_doc(y_doc, grid: np.ndarray, horizon: float, seed: int) -> CadlagPath:
@@ -563,33 +580,24 @@ def _g_from_doc(g_doc):
 
 
 def _cmd_maps(args) -> int:
-    doc, seed = _read_spec(args, "maps", {"map", "y", "g", "mu_n", "service", "horizon",
-                                          "grid_step", "tol", "g_sign"})
+    doc, seed = _read_spec(args, "maps", set().union(*_MAP_KEYS.values()))
     where = "maps spec"
     variant = _value(doc, "map", where)
-    if variant not in _MAP_NAMES:
-        raise CliError(f"unknown map {variant!r}; known: {', '.join(_MAP_NAMES)}")
+    if variant not in _MAP_KEYS:
+        raise CliError(f"unknown map {variant!r}; known: {', '.join(_MAP_KEYS)}")
+    _refuse_unread(doc, _MAP_KEYS[variant], f"map {variant}")
     T = _value(doc, "horizon", where, check_number)
     grid_step = _grid_step(args, doc, T / 512)
     grid = uniform_grid(T, grid_step)
     tol = _value(doc, "tol", where, check_number, 1e-10)
     g_sign = _value(doc, "g_sign", where, check_number, 1.0)
-
-    mu_n = _value(doc, "mu_n", where, check_number, None)
-    if variant == "phi_n_g" and mu_n is None:
-        raise CliError("map phi_n_g needs mu_n")
-    if variant != "phi_n_g" and mu_n is not None:
-        raise CliError(f"map {variant} does not use mu_n")
-    needs_table = variant in ("phi_M", "phi_Mg")
-    if needs_table and doc.get("service") is None:
-        raise CliError(f"map {variant} needs a service distribution for the renewal table")
-    if not needs_table and doc.get("service") is not None:
-        raise CliError(f"map {variant} does not use a service renewal table")
+    mu_n = _value(doc, "mu_n", where, check_number) if "mu_n" in _MAP_KEYS[variant] else None
 
     table = None
     service_spec = None
-    if needs_table:
-        service_spec = DistributionSpec.from_dict(doc["service"])
+    if "service" in _MAP_KEYS[variant]:
+        service_spec = DistributionSpec.from_dict(
+            _value(doc, "service", f"maps spec (renewal table of map {variant})"))
         table = compute_renewal_function(service_spec, T, step=grid_step)
     g = _g_from_doc(doc.get("g"))
 

@@ -11,9 +11,11 @@ Two interpolation kinds cover everything the library produces:
 Evaluation, left limits and sup-norms are exact for the stored
 representation; there is no hidden resampling.
 
-The constructors check that the breakpoints strictly increase; a path
-derived from another (``map_values``, ``scale``, ``cumulative_integral``, ...)
-trusts the breakpoints it inherits and checks only its new values' shape.
+The constructors check that the breakpoints strictly increase.  Paths on
+breakpoints the library built itself skip that check: a derived path
+(``map_values``, ``scale``, ``cumulative_integral``, ...) checks only its new
+values' shape, and the one coalescing rule behind ``counting_path`` and the
+simulator's E, S, G and X trusts the times its caller sorted.
 """
 
 from __future__ import annotations
@@ -179,9 +181,7 @@ class CadlagPath:
         v = np.asarray(values, dtype=float)
         if v.shape != t.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        path = object.__new__(CadlagPath)
-        vars(path).update(times=t, values=v, kind=kind or self.kind, horizon=self.horizon)
-        return path
+        return _trusted(t, v, kind or self.kind, self.horizon)
 
     def sampled(self, grid: np.ndarray) -> np.ndarray:
         return np.asarray(self(np.asarray(grid, dtype=float)))
@@ -198,19 +198,34 @@ def linear_path(times, values, horizon: float) -> CadlagPath:
 def counting_path(event_times, horizon: float) -> CadlagPath:
     """Step path counting events: t -> #{i : event_times[i] <= t}.
 
-    Event times need not be distinct; simultaneous events coalesce into one
-    breakpoint carrying the cumulative count.
+    Event times need not be sorted or distinct; simultaneous events coalesce
+    into one breakpoint carrying the cumulative count.  A NaN, a negative time
+    or one more than 1e-12 past the horizon is refused.
     """
     ev = np.sort(np.asarray(event_times, dtype=float))
-    if ev.size and (ev[0] < 0 or ev[-1] > horizon + 1e-9):
+    last = ev[-1] if ev.size else 0.0
+    if np.isnan(last) or (ev.size and ev[0] < 0) or horizon < last - 1e-12:
         raise ValueError("event times outside [0, horizon]")
-    counts = np.arange(1, ev.size + 1, dtype=float)
-    keep = np.ones(ev.size, dtype=bool)
-    if ev.size > 1:
-        keep[:-1] = np.diff(ev) > 0  # keep last event at each distinct time
-    t = ev[keep]
-    v = counts[keep]
-    if t.size == 0 or t[0] > 0.0:
-        t = np.concatenate(([0.0], t))
-        v = np.concatenate(([0.0], v))
-    return CadlagPath(t, v, "step", horizon)
+    return _coalesced(ev, 1.0, 0.0, horizon)
+
+
+def _coalesced(times: np.ndarray, jumps, start: float, horizon: float) -> CadlagPath:
+    """start plus the running sum of `jumps` (one per time, or one for all) at
+    `times`, as a step path: one breakpoint at 0 and one per distinct time,
+    holding the sum through that time's last entry.  The caller sorts the
+    times and keeps them in [0, horizon]; nothing here checks them again."""
+    t = np.concatenate(([0.0], times))
+    v = np.empty(t.size)
+    v[0], v[1:] = start, jumps
+    np.cumsum(v, out=v)
+    last = np.append(t[1:] != t[:-1], True)
+    if not last.all():
+        t, v = t[last], v[last]
+    return _trusted(t, v, "step", horizon)
+
+
+def _trusted(times: np.ndarray, values: np.ndarray, kind: str, horizon: float) -> CadlagPath:
+    """A path on breakpoints the library built itself, without the constructor's checks."""
+    path = object.__new__(CadlagPath)
+    vars(path).update(times=times, values=values, kind=kind, horizon=float(horizon))
+    return path

@@ -49,7 +49,7 @@ import numpy as np
 
 from .distributions import ArrivalSpec, DistributionSpec, check_count, check_keys, \
     check_number
-from .paths import CadlagPath, counting_path, step_path
+from .paths import CadlagPath, _coalesced
 from .patience import PatienceSpec
 from .renewal import equilibrium_distribution
 from .streams import BLOCK, draw_blocks, make_rng
@@ -263,26 +263,20 @@ class SimRecord:
 def _assemble_record(config, seed, replication, s0, q0, **customers) -> SimRecord:
     """Build the paths from the per-customer times (shared with the heap oracle).
 
-    X = x0 + E - S - G comes from one merge of the breakpoints of E, S and G,
-    each carrying its path's signed jump: a stable sort (timsort merges the
-    three sorted runs), a running sum, and the last entry at each distinct
-    time, so that simultaneous events coalesce into one net-jump breakpoint.
+    E, S and G coalesce three sorted runs: the arrivals as the recursion made
+    them, and the finite completions and abandonments, each sorted once.
+    X = x0 + E - S - G coalesces one stable merge of the same runs, with
+    jumps +1, -1 and -1.
     """
     T = config.horizon
     x0 = s0 + q0
-    E = counting_path(customers["arrival_times"][x0:], horizon=T)
-    S, G = (counting_path(times[np.isfinite(times)], horizon=T)
-            for times in (customers["completion_times"], customers["abandon_times"]))
-    times = np.concatenate([E.times, S.times, G.times])
+    runs = [customers["arrival_times"][x0:]]
+    runs += [np.sort(times[np.isfinite(times)])
+             for times in (customers["completion_times"], customers["abandon_times"])]
+    E, S, G = (_coalesced(run, 1.0, 0.0, T) for run in runs)
+    times = np.concatenate(runs)
     order = np.argsort(times, kind="stable")
-    times = times[order]
-    jumps = np.concatenate([np.diff(p.values, prepend=0.0) for p in (E, S, G)])
-    jumps[E.times.size:] *= -1.0
-    jumps = jumps[order]
-    last = np.append(times[1:] != times[:-1], True)
-    values = np.cumsum(jumps, out=jumps)[last]
-    values += x0
-    X = step_path(times[last], values, horizon=T)
+    X = _coalesced(times[order], np.where(order < runs[0].size, 1.0, -1.0), x0, T)
     return SimRecord(config=config, seed=seed, replication=replication,
                      n_initial_service=s0, n_initial_queued=q0, X=X, E=E, S=S, G=G,
                      **customers)

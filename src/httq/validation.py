@@ -285,12 +285,14 @@ def resolve_checkpoints(checkpoints, horizon: float) -> tuple[float, ...]:
 def check_sweep_sizes(n_values, replications: int,
                       grid_points: int) -> tuple[tuple[int, ...], int, int]:
     """A sweep's n values, replication count and grid points under the count
-    rule: a nonempty list of positive counts, then two counts >= 1."""
+    rule: a nonempty list of distinct positive counts, then two counts >= 1."""
     if np.ndim(n_values) != 1 or len(n_values) == 0:
         raise ValueError(f"n values must be a nonempty list of positive integers, "
                          f"got {n_values!r}")
-    return (tuple(check_count(n, "n_values entry") for n in n_values),
-            check_count(replications, "replications"), check_count(grid_points, "grid_points"))
+    ns = tuple(check_count(n, "n_values entry") for n in n_values)
+    if len(set(ns)) < len(ns):
+        raise ValueError(f"n values must be distinct, got {list(ns)}")
+    return ns, check_count(replications, "replications"), check_count(grid_points, "grid_points")
 
 
 def verdict_names(checkpoints) -> tuple[str, ...]:

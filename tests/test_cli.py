@@ -524,7 +524,7 @@ def test_limit_batch_matches_per_replication_loop(tmp_path, case, xi, patience):
     spec = write_spec(tmp_path, "limit.json", {
         "command": "limit", "case": case, "xi": xi, "beta": -0.4, "mu": 1.0,
         "ca2": 1.0, "patience": patience, "service": service, "horizon": T,
-        "grid_step": step, "reps": reps, "seed": seed, "tol": tol,
+        "grid_step": step, "reps": reps, "seed": seed, "tol": tol if case == "ii" else None,
     })
     out = tmp_path / "runs"
     assert main(["limit", spec, "--out", str(out), "--workers", "1"]) == 0
@@ -718,6 +718,21 @@ def test_rerun_is_byte_identical(tmp_path, command):
                 f"schema.json documents {key!r}, which is not a {name} column"
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_artifacts_do_not_depend_on_workers(tmp_path, command):
+    # at --workers 2 the records (simulate) and the gap statistics (sweep)
+    # cross a process pool; every artifact is byte-identical to the serial run
+    doc, _ = _RERUN_SPECS[command]
+    spec = write_spec(tmp_path, f"{command}.json", {"command": command, **doc})
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"runs{workers}"
+        assert main([command, spec, "--out", str(out), "--workers", workers]) == 0
+        (rundir,) = run_dirs(out)
+        written.append((rundir.name, {p.name: p.read_bytes() for p in rundir.iterdir()}))
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("command", ["limit", "renewal", "compare", "maps"])
 def test_workers_below_one_rejected_everywhere(tmp_path, capsys, command):
     doc, _ = _RERUN_SPECS[command]
@@ -816,6 +831,17 @@ _BAD_SPEC_VALUES = {
                            "horizon / step gives inf cells"),
     "huge-T-flag": ("renewal", None, [*_RENEWAL_FLAGS[:-1], "1e308"],
                     "horizon / step gives inf cells"),
+    "repeated-n": ("sweep", {"n_values": [16, 4, 16]}, [],
+                   "n values must be distinct, got [16, 4, 16]"),
+    # a key the chosen map or case does not read would only move the run's hash
+    "phi-M-unread-keys": ("maps", {"map": "phi_M", "service": {"family": "exponential",
+                                                              "rate": 1.0},
+                                   "g": {"slope": 5}, "tol": 1e-3, "g_sign": -1}, [],
+                          "map phi_M does not use g, g_sign, tol"),
+    "skorokhod-unread-keys": ("maps", {"tol": 5, "g_sign": 7}, [],
+                              "map skorokhod_g does not use g_sign, tol"),
+    "case-i-unread-tol": ("limit", {"case": "i", "xi": 0.0, "service": None, "tol": 1e-3}, [],
+                          "case 'i' does not use tol"),
 }
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from httq.distributions import ArrivalSpec, DistributionSpec
 from httq.limits import _covariance_model, sample_brownian, sample_case_i_paths, sample_noise
 from httq.maps import solve_phi_M
-from httq.paths import (MAX_CELLS, CadlagPath, cell_count, counting_path, linear_path, step_path,
-                        uniform_grid)
+from httq.paths import (MAX_CELLS, CadlagPath, _coalesced, cell_count, counting_path, linear_path,
+                        step_path, uniform_grid)
 from httq.renewal import compute_renewal_function
 from httq.scaling import scale
 from httq.simulator import SystemConfig, simulate
@@ -157,15 +159,54 @@ def test_public_constructors_reject_non_increasing_times(times):
 
 
 def test_counting_path_breakpoints_strictly_increase():
-    # counting_path sorts and coalesces its events, so its breakpoints always
-    # pass the constructor's check; events it cannot order are rejected
+    # counting_path sorts and coalesces its events, so its breakpoints strictly
+    # increase; one explicit check refuses a NaN, a time below 0 and one more
+    # than 1e-12 past the horizon
     p = counting_path([2.0, 0.5, 1.0, 0.5, 2.0, 0.0], horizon=3.0)
     np.testing.assert_array_equal(p.times, [0.0, 0.5, 1.0, 2.0])
     np.testing.assert_array_equal(p.values, [1.0, 3.0, 4.0, 6.0])
-    with pytest.raises(ValueError):
-        counting_path([0.0, np.nan], horizon=3.0)
-    with pytest.raises(ValueError):
-        counting_path([-1.0, 1.0], horizon=3.0)
+    for ev in ([0.0, np.nan], [np.nan], [-1.0, 1.0], [-1e-13], [3.0 + 2e-12]):
+        with pytest.raises(ValueError, match="event times outside"):
+            counting_path(ev, horizon=3.0)
+    np.testing.assert_array_equal(counting_path([3.0 + 5e-13], horizon=3.0).values, [0.0, 1.0])
+
+
+@st.composite
+def _event_multisets(draw):
+    """(unsorted event times, horizon): ties, events at 0 and at the horizon."""
+    T = draw(st.sampled_from([1.0, 2.5, 3.0]))
+    pool = [0.0, T, *draw(st.lists(st.floats(0.0, T, exclude_min=True, exclude_max=True),
+                                   max_size=6))]
+    return draw(st.lists(st.sampled_from(pool), max_size=30)), T
+
+
+def _brute_force(t, ev, jumps, start, left=False):
+    """start plus the jumps at events <= t (< t for a left limit, except at 0)."""
+    t = np.asarray(t)[:, None]
+    hit = (ev < t) | ((ev == t) & (t == 0.0)) if left else ev <= t
+    return start + (hit * jumps).sum(axis=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(events=_event_multisets(), data=st.data())
+def test_coalescing_rule_matches_brute_force_count(events, data):
+    # the paths built by the one coalescing rule are trusted, so the rule is
+    # checked against a direct count: breakpoints, left limits and midpoints
+    ev, T = events
+    ev = np.array(ev, dtype=float)
+    signs = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=ev.size,
+                                        max_size=ev.size)), dtype=float)
+    start = float(data.draw(st.integers(0, 5)))
+    order = np.argsort(ev, kind="stable")
+    for p, jumps, x0 in ((counting_path(ev, horizon=T), np.ones(ev.size), 0.0),
+                         (_coalesced(ev[order], signs[order], start, T), signs, start)):
+        assert p.kind == "step" and p.horizon == T
+        assert p.times[0] == 0.0 and np.all(np.diff(p.times) > 0)
+        np.testing.assert_array_equal(p.values, _brute_force(p.times, ev, jumps, x0))
+        np.testing.assert_array_equal(p.left_limit(p.times),
+                                      _brute_force(p.times, ev, jumps, x0, left=True))
+        mids = (p.times + np.append(p.times[1:], T)) / 2
+        np.testing.assert_array_equal(p(mids), _brute_force(mids, ev, jumps, x0))
 
 
 def test_random_step_paths_integral_matches_dense_riemann():

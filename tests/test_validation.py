@@ -290,9 +290,10 @@ def test_ks_rejects_empty():
 
 def test_sweep_degenerate_is_flat():
     cfg = mmn_config(100, alpha=0.5, horizon=2.0, xi=0.5)
-    report = convergence_sweep(cfg, [100, 100], replications=8, seed=1)
+    # one n, so the smallest and the largest n coincide (a repeated n is refused)
+    report = convergence_sweep(cfg, [100], replications=8, seed=1)
     assert report.limit_case == "i"
-    assert report.n_values == (100, 100)
+    assert report.n_values == (100,)
     assert set(report.verdicts.values()) == {"flat"}
     assert report.replications == 8 and report.seed == 1
 
@@ -343,6 +344,8 @@ def test_sweep_input_validation():
         convergence_sweep(cfg, [25], replications=True)
     with pytest.raises(ValueError, match="checkpoint must be a finite number, got '5'"):
         convergence_sweep(cfg, [25], replications=2, checkpoints=["5"])
+    with pytest.raises(ValueError, match=r"n values must be distinct, got \[25, 16, 25\]"):
+        convergence_sweep(cfg, [25, 16, 25], replications=2)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
