@@ -4,6 +4,7 @@ that tie them together."""
 
 from .distributions import ArrivalSpec, DistributionSpec
 from .limits import (
+    LimitModel,
     NoiseSample,
     covariance_S,
     sample_brownian,
@@ -61,6 +62,7 @@ __all__ = [
     "ConvergenceReport",
     "DistributionSpec",
     "EquilibriumDistribution",
+    "LimitModel",
     "MappingSolution",
     "NoiseSample",
     "OUTCOME_ABANDONED",

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import DistributionSpec, check_count, check_keys, check_number
-from .limits import _solve_limit, sample_brownian, sample_noise
+from .limits import LimitModel, sample_brownian, sample_noise
 from .maps import solve_phi_M, solve_phi_Mg, solve_phi_n_g, solve_skorokhod_g
 from .paths import CadlagPath, uniform_grid
 from .patience import PatienceSpec
@@ -306,6 +306,7 @@ def _cmd_limit(args) -> int:
         table = compute_renewal_function(service_spec, T, step=grid_step)
     patience = doc.get("patience")
     f = None if patience is None else PatienceSpec.from_dict(patience).limit_function()
+    model = LimitModel(case, mu, ca2, xi, beta, f, table, tol)
 
     resolved = {"command": "limit", "case": case, "xi": xi, "beta": beta, "mu": mu,
                 "ca2": ca2, "patience": patience,
@@ -316,7 +317,7 @@ def _cmd_limit(args) -> int:
              for r in range(reps)]
     E = np.array([ns.E.values for ns in noise])
     S = np.array([ns.S.values for ns in noise])
-    X, _, diag = _solve_limit(case, xi, beta, mu, f, E, S, grid, table, tol, defects=True)
+    X, _, diag = model.solve(model.drive(E, S, grid), grid, defects=True)
     meta, outdir = _run_dir(args, resolved)
     closure = diag.get("closure")
     summary = [{"replication": r, "residual": float(diag["residual"][r]),

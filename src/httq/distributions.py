@@ -31,7 +31,8 @@ import numpy as np
 # table and grid): at most 8 models and 8 factors, about 8 MB each at m = 1024.
 CACHE_SIZE = 8
 
-__all__ = ["DistributionSpec", "ArrivalSpec", "check_count", "check_keys", "check_number"]
+__all__ = ["DistributionSpec", "ArrivalSpec", "check_count", "check_keys", "check_number",
+           "check_service_mean"]
 
 # each family's parameter names, in order
 _PARAMS = {"exponential": ("rate",), "deterministic": ("value",), "erlang": ("shape", "rate"),
@@ -85,6 +86,13 @@ def check_count(value, where: str, minimum: int = 1) -> int:
     if value < minimum:
         raise ValueError(f"{where} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_service_mean(H: DistributionSpec, mu: float, where: str) -> None:
+    """The critical-scale service rule: H has mean 1/mu, to 1e-8 of max(1, 1/mu)."""
+    m = H.mean()
+    if not abs(m - 1.0 / mu) <= 1e-8 * max(1.0, 1.0 / mu):
+        raise ValueError(f"{where} requires service mean 1/mu = {1.0 / mu}, got {m}")
 
 
 def _param_names(family) -> tuple:

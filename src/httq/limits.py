@@ -30,10 +30,10 @@ construction, so comparisons between the two are free of quadrature
 bias.  The model and its factors are cached by table content (a factor also
 by grid), so a table built again from the same law and lattice reuses them.
 
-Both equations have one solver route, `_solve_limit`, batched over
-replications: the single-path solvers are its one-row case and return the
-regulator maps' `MappingSolution` (variant "i" or "ii"), and the batch
-samplers and `httq limit` pass all replications at once.
+Each equation is one frozen `LimitModel`, checked once when built, that draws
+its noise (`noise`), builds its input Y (`drive`) and solves for every row of
+any Y (`solve`).  The public samplers and solvers compose these three; the
+single-path solvers return the maps' `MappingSolution` (variant "i" or "ii").
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .distributions import CACHE_SIZE
+from .distributions import CACHE_SIZE, check_number, check_service_mean
 from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this name)
     MappingSolution,
     _check_grid,
@@ -59,6 +60,7 @@ from .renewal import RenewalTable, equilibrium_distribution
 from .streams import make_rng
 
 __all__ = [
+    "LimitModel",
     "NoiseSample",
     "ServiceCovariance",
     "covariance_S",
@@ -88,7 +90,7 @@ def _brownian_batch(rng: np.random.Generator, variance_rate: float,
 
 def sample_brownian(variance_rate: float, grid, stream: np.random.Generator) -> CadlagPath:
     """Brownian path on the grid: independent N(0, rate * dt) increments."""
-    if variance_rate < 0:
+    if not check_number(variance_rate, "variance rate") >= 0:
         raise ValueError("variance rate must be nonnegative")
     grid = check_grid(grid)
     vals = _brownian_batch(stream, variance_rate, grid, 1)[0]
@@ -134,15 +136,12 @@ class ServiceCovariance:
         cov = A @ C @ A.T
         self.matrix = 0.5 * (cov + cov.T)
 
-    def _indices(self, grid) -> np.ndarray:
-        return self.table._indices_on(np.asarray(grid, dtype=float))
-
     def covariance(self, s: float, t: float) -> float:
-        idx = self._indices([min(s, t), max(s, t)])
+        idx = self.table._indices_on([min(s, t), max(s, t)])
         return float(self.matrix[idx[0], idx[1]])
 
     def marginal(self, grid) -> np.ndarray:
-        idx = self._indices(grid)
+        idx = self.table._indices_on(grid)
         return self.matrix[np.ix_(idx, idx)]
 
     def cholesky(self, grid) -> tuple[np.ndarray, float]:
@@ -193,7 +192,7 @@ def covariance_S(s: float, t: float, M: RenewalTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# noise bundles
+# the limit model
 
 
 @dataclass(frozen=True)
@@ -211,131 +210,132 @@ class NoiseSample:
             raise ValueError("noise paths must start at 0")
 
 
-def _draw_noise(case: str, mu: float, ca2: float, grid: np.ndarray, rng, reps: int,
-                M: RenewalTable | None = None):
-    """(E, S, jitter): reps rows of the driving pair from one stream, E first.
+@dataclass(frozen=True)
+class LimitModel:
+    """One limit equation: case "i" or "ii", its scalars, the patience limit f
+    and, in case "ii", the renewal table M of the service law M.H.  Building it
+    is the one check, before any draw: every scalar finite, mu > 0, ca2 >= 0,
+    tol > 0, and xi >= 0 in case "i", M with mean 1/mu in case "ii"."""
 
-    The covariance model, whose first build is the memory peak, is fetched
-    before any row is drawn.
-    """
-    if mu * ca2 < 0:
-        raise ValueError("variance rate must be nonnegative")
-    if case not in ("i", "ii"):
-        raise ValueError(f"unknown case {case!r}; use 'i' or 'ii'")
-    if case == "ii" and M is None:
-        raise ValueError("case 'ii' needs the renewal table M")
-    model = _covariance_model(M) if case == "ii" else None
-    E = _brownian_batch(rng, mu * ca2, grid, reps)
-    if model is None:
-        return E, _brownian_batch(rng, 1.0, grid, reps), 0.0
-    S, jitter = model.sample_batch(grid, rng, reps)
-    return E, S, jitter
+    case: str
+    mu: float
+    ca2: float = 1.0
+    xi: float = 0.0
+    beta: float = 0.0
+    f: Callable | None = None
+    M: RenewalTable | None = None
+    tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.case not in ("i", "ii"):
+            raise ValueError(f"unknown case {self.case!r}; use 'i' or 'ii'")
+        for k in ("mu", "ca2", "xi", "beta", "tol"):
+            object.__setattr__(self, k, check_number(getattr(self, k), k))
+        if self.mu * self.ca2 < 0:
+            raise ValueError("variance rate must be nonnegative")
+        if not (self.mu > 0 and self.ca2 >= 0):
+            raise ValueError(f"mu must be positive and ca2 nonnegative, got {self.mu}, {self.ca2}")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.case == "i" and self.xi < 0:
+            raise ValueError("xi must be nonnegative in the reflected regime")
+        if self.case == "ii":
+            if self.M is None:
+                raise ValueError("case 'ii' needs the renewal table M")
+            check_service_mean(self.M.H, self.mu, "case 'ii'")
+
+    def noise(self, grid, rng: np.random.Generator, reps: int):
+        """(E, S, jitter): reps rows of the driving pair on the grid from rng, E first.
+
+        E is Brownian with variance rate mu * ca2, S standard Brownian in case "i"
+        and the renewal-coupled service noise in case "ii", whose covariance model
+        (the memory peak at its first build) is fetched before any row is drawn."""
+        grid = check_grid(grid)
+        model = _covariance_model(self.M) if self.case == "ii" else None
+        E = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
+        if model is None:
+            return E, _brownian_batch(rng, 1.0, grid, reps), 0.0
+        return (E, *model.sample_batch(grid, rng, reps))
+
+    def drive(self, E, S, grid) -> np.ndarray:
+        """The equation's input Y for every noise row (E, S) on the grid."""
+        grid = check_grid(grid)
+        if self.case == "i":
+            return self.xi + E - math.sqrt(self.mu) * S + self.beta * self.mu * grid
+        return (self.xi + E - S + self.beta * self.mu * grid
+                + max(-self.xi, 0.0) * (self.mu * grid - self.M.values_on(grid)))
+
+    def solve(self, Y, grid, defects: bool = False):
+        """(X, L, diag): the equation solved for every row of Y on the uniform grid.
+
+        L is the regulator (None in case "ii"); diag holds per-row arrays (the
+        case-"ii" closure; with ``defects`` the residual) beside scalars.
+        """
+        grid, h = _check_grid(grid)
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != grid.size:
+            raise ValueError(f"Y must have shape (rows, {grid.size}), got {Y.shape}")
+        f, mu = self.f, self.mu
+        g = None if f is None else \
+            lambda x: mu * np.asarray(f(np.asarray(x, dtype=float) / mu), dtype=float)
+        if self.case == "i":
+            return _skorokhod_rows(Y, g, h, defects)
+        X, diag = _phi_mg_rows(Y, self.M.increments_on(grid), g, h, -1.0, self.tol, defects)
+        if defects:
+            diag["residual"] = diag["quadrature_defect"]
+        return X, None, diag
 
 
 def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
                  replication: int = 0, M: RenewalTable | None = None) -> NoiseSample:
-    """Draw the driving pair (E, S) for one limit equation.
-
-    E is Brownian with variance rate mu * ca2 in both cases.  S is a
-    standard Brownian motion for case "i" and the renewal-coupled
-    Gaussian service noise for case "ii" (which needs M; its law is M.H).  Both come
-    from the one stream (seed, replication, "limit"), E first and then S,
-    so they are independent of each other and of every simulation stream.
-    The batch samplers draw in the same order.
-    """
+    """One row of `LimitModel.noise` as paths, from the stream (seed, replication,
+    "limit") that the batch samplers draw from and no simulation stream shares."""
     grid = check_grid(grid)
-    E, S, jitter = _draw_noise(case, mu, ca2, grid, make_rng(seed, replication, "limit"),
-                               1, M)
+    model = LimitModel(case, mu, ca2, M=M)
+    E, S, jitter = model.noise(grid, make_rng(seed, replication, "limit"), 1)
     return NoiseSample(linear_path(grid, E[0], float(grid[-1])),
                        linear_path(grid, S[0], float(grid[-1])), seed=seed,
                        covariance_source="brownian" if case == "i" else "renewal-gaussian",
                        jitter=jitter)
 
 
-# ---------------------------------------------------------------------------
-# limit equations
-
-
-def _drift_g(f, mu: float):
-    if f is None:
-        return None
-
-    def g(x, _f=f, _mu=mu):
-        return _mu * np.asarray(_f(np.asarray(x, dtype=float) / _mu), dtype=float)
-
-    return g
-
-
-def _solve_limit(case: str, xi: float, beta: float, mu: float, f, E: np.ndarray,
-                 S: np.ndarray, grid, M: RenewalTable | None = None,
-                 tol: float = 1e-10, defects: bool = False):
-    """Solve the limit equation for every noise row (E, S); returns (X, L, diag).
-
-    Every check applies to every row.  L is the regulator (None in case "ii");
-    diag holds per-row arrays (the case-"ii" closure; with ``defects`` the
-    residual) beside scalars.
-    """
-    if case == "i" and xi < 0:
-        raise ValueError("xi must be nonnegative in the reflected regime")
-    grid, h = _check_grid(grid)
-    g = _drift_g(f, mu)
-    if case == "i":
-        Y = xi + E - math.sqrt(mu) * S + beta * mu * grid
-        return _skorokhod_rows(Y, g, h, defects)
-    xi_neg = max(-xi, 0.0)
-    Y = xi + E - S + beta * mu * grid + xi_neg * (mu * grid - M.values_on(grid))
-    X, diag = _phi_mg_rows(Y, M.increments_on(grid), g, h, -1.0, tol, defects)
-    if defects:
-        diag["residual"] = diag["quadrature_defect"]
-    return X, None, diag
-
-
-def _limit_solution(case, xi, e_path, s_path, beta, mu, f, grid, M=None,
-                    tol=1e-10) -> MappingSolution:
+def _limit_solution(model: LimitModel, e_path, s_path, grid) -> MappingSolution:
     grid = np.asarray(grid, dtype=float)
-    X, L, diag = _solve_limit(case, xi, beta, mu, f, e_path.sampled(grid)[None, :],
-                              s_path.sampled(grid)[None, :], grid, M, tol, defects=True)
-    return _solution(case, grid, X, L, diag, "residual")
+    Y = model.drive(e_path.sampled(grid)[None, :], s_path.sampled(grid)[None, :], grid)
+    return _solution(model.case, grid, *model.solve(Y, grid, defects=True), "residual")
 
 
 def solve_limit_case_i(xi: float, e_path: CadlagPath, s_path: CadlagPath,
                        beta: float, mu: float, f, grid) -> MappingSolution:
     """Reflected limit equation for the sub-critical regimes; ``variant`` is "i"."""
-    return _limit_solution("i", xi, e_path, s_path, beta, mu, f, grid)
+    return _limit_solution(LimitModel("i", mu, xi=xi, beta=beta, f=f), e_path, s_path, grid)
 
 
 def solve_limit_case_ii(xi: float, e_path: CadlagPath, s_path: CadlagPath,
                         beta: float, mu: float, f, M: RenewalTable, grid,
                         tol: float = 1e-10) -> MappingSolution:
-    """Critical-scale limit equation; residual is the quadrature defect.
-
-    The one-row case of the batched route.  ``diagnostics["closure"]`` is the
-    phi_Mg closure, below ``tol`` or the solve raises.
-    """
-    return _limit_solution("ii", xi, e_path, s_path, beta, mu, f, grid, M, tol)
+    """Critical-scale limit equation; residual is the quadrature defect, and
+    ``diagnostics["closure"]`` the phi_Mg closure, below ``tol`` or the solve raises."""
+    return _limit_solution(LimitModel("ii", mu, xi=xi, beta=beta, f=f, M=M, tol=tol),
+                           e_path, s_path, grid)
 
 
-# ---------------------------------------------------------------------------
-# batch marginal samplers for convergence sweeps
-
-
-def _sample_paths(case, xi, beta, mu, ca2, f, grid, seed, reps, replication,
-                  M=None, tol=1e-10) -> np.ndarray:
+def _limit_paths(model: LimitModel, grid, seed: int, reps: int, replication: int) -> np.ndarray:
     grid, _ = _check_grid(grid)
-    E, S, _ = _draw_noise(case, mu, ca2, grid, make_rng(seed, replication, "limit"),
-                          reps, M)
-    return _solve_limit(case, xi, beta, mu, f, E, S, grid, M, tol)[0]
+    E, S, _ = model.noise(grid, make_rng(seed, replication, "limit"), reps)
+    return model.solve(model.drive(E, S, grid), grid)[0]
 
 
 def sample_case_i_paths(xi: float, beta: float, mu: float, ca2: float, f,
                         grid, seed: int, reps: int,
                         replication: int = 0) -> np.ndarray:
     """(reps, len(grid)) array of reflected-limit sample paths."""
-    return _sample_paths("i", xi, beta, mu, ca2, f, grid, seed, reps, replication)
+    return _limit_paths(LimitModel("i", mu, ca2, xi, beta, f), grid, seed, reps, replication)
 
 
 def sample_case_ii_paths(xi: float, beta: float, mu: float, ca2: float, f,
                          M: RenewalTable, grid, seed: int, reps: int,
                          replication: int = 0, tol: float = 1e-10) -> np.ndarray:
     """(reps, len(grid)) array of critical-scale limit sample paths."""
-    return _sample_paths("ii", xi, beta, mu, ca2, f, grid, seed, reps, replication, M, tol)
+    return _limit_paths(LimitModel("ii", mu, ca2, xi, beta, f, M, tol), grid, seed, reps,
+                        replication)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import check_number
+
 __all__ = ["CadlagPath", "step_path", "linear_path", "counting_path", "uniform_grid", "check_grid"]
 
 # The most cells a time grid or a renewal table may have: 128 MB per float array.
@@ -99,11 +101,12 @@ class CadlagPath:
             raise ValueError("breakpoints must be strictly increasing")
         if self.kind not in ("step", "linear"):
             raise ValueError(f"unknown path kind {self.kind!r}")
-        if self.horizon < t[-1] - 1e-12:
-            raise ValueError("horizon precedes the last breakpoint")
+        horizon = check_number(self.horizon, "horizon")
+        if not horizon >= max(t[-1] - 1e-12, 0.0):
+            raise ValueError(f"horizon {horizon!r} is negative or precedes the last breakpoint")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", horizon)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -199,12 +202,14 @@ def counting_path(event_times, horizon: float) -> CadlagPath:
     """Step path counting events: t -> #{i : event_times[i] <= t}.
 
     Event times need not be sorted or distinct; simultaneous events coalesce
-    into one breakpoint carrying the cumulative count.  A NaN, a negative time
-    or one more than 1e-12 past the horizon is refused.
+    into one breakpoint carrying the cumulative count.  A NaN or negative time,
+    one more than 1e-12 past the horizon, and a NaN or negative horizon are refused.
     """
+    if not check_number(horizon, "horizon") >= 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon!r}")
     ev = np.sort(np.asarray(event_times, dtype=float))
     last = ev[-1] if ev.size else 0.0
-    if np.isnan(last) or (ev.size and ev[0] < 0) or horizon < last - 1e-12:
+    if np.isnan(last) or (ev.size and ev[0] < 0) or not horizon >= last - 1e-12:
         raise ValueError("event times outside [0, horizon]")
     return _coalesced(ev, 1.0, 0.0, horizon)
 

@@ -48,7 +48,7 @@ from hashlib import sha256
 import numpy as np
 
 from .distributions import ArrivalSpec, DistributionSpec, check_count, check_keys, \
-    check_number
+    check_number, check_service_mean
 from .paths import CadlagPath, _coalesced
 from .patience import PatienceSpec
 from .renewal import equilibrium_distribution
@@ -118,22 +118,13 @@ class SystemConfig:
             raise ValueError("abandon=True requires a patience spec")
         if self.alpha < 1.0:
             if self.service.family != "exponential":
-                raise ValueError(
-                    "alpha < 1 requires exponential service "
-                    f"(got {self.service.family})"
-                )
+                raise ValueError("alpha < 1 requires exponential service "
+                                 f"(got {self.service.family})")
             if abs(self.service["rate"] - self.mu) > 1e-9 * self.mu:
-                raise ValueError(
-                    f"alpha < 1 requires service rate mu={self.mu}, "
-                    f"got {self.service['rate']}"
-                )
+                raise ValueError(f"alpha < 1 requires service rate mu={self.mu}, "
+                                 f"got {self.service['rate']}")
         else:
-            m = self.service.mean()
-            if abs(m - 1.0 / self.mu) > 1e-8 * max(1.0, 1.0 / self.mu):
-                raise ValueError(
-                    f"alpha = 1 requires service mean 1/mu = {1.0 / self.mu}, "
-                    f"got {m}"
-                )
+            check_service_mean(self.service, self.mu, "alpha = 1")
         if self.initial_head_count() < 0:
             raise ValueError(
                 f"xi={self.xi} makes the initial head count negative at n={self.n}"

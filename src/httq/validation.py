@@ -255,18 +255,11 @@ def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int):
         if j >= grid.size or abs(grid[j] - t) > 1e-9 * max(1.0, T):
             raise ValueError(f"checkpoint {t} does not lie on the limit grid (step {h})")
         idx.append(j)
-    f = config.limit_function()
-    ca2 = config.arrival.scv()
-    if config.alpha == 1.0:
-        table = compute_renewal_function(config.service, horizon=T, step=h)
-        X = sample_case_ii_paths(config.xi, config.beta, config.mu, ca2, f, table,
-                                 grid, seed=seed, reps=reps)
-        case = "ii"
-    else:
-        X = sample_case_i_paths(config.xi, config.beta, config.mu, ca2, f,
-                                grid, seed=seed, reps=reps)
-        case = "i"
-    return X[:, idx], case
+    args = (config.xi, config.beta, config.mu, config.arrival.scv(), config.limit_function())
+    if config.alpha < 1.0:
+        return sample_case_i_paths(*args, grid, seed=seed, reps=reps)[:, idx], "i"
+    table = compute_renewal_function(config.service, horizon=T, step=h)
+    return sample_case_ii_paths(*args, table, grid, seed=seed, reps=reps)[:, idx], "ii"
 
 
 def resolve_checkpoints(checkpoints, horizon: float) -> tuple[float, ...]:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import httq.cli
+import httq.validation
 from httq.cli import _workers, _write_csv, main
 from httq.distributions import DistributionSpec
 from httq.paths import uniform_grid
@@ -476,7 +477,7 @@ def test_main_restores_each_openblas_thread_count(tmp_path, monkeypatch):
         def fails(*args, **kwargs):
             raise RuntimeError("solver failed")
 
-        monkeypatch.setattr(httq.cli, "_solve_limit", fails)
+        monkeypatch.setattr(httq.cli.LimitModel, "solve", fails)
         with pytest.raises(RuntimeError, match="solver failed"):
             main(argv)
         assert blas_thread_counts() == before
@@ -485,13 +486,13 @@ def test_main_restores_each_openblas_thread_count(tmp_path, monkeypatch):
 @needs_openblas
 def test_limit_command_runs_on_one_blas_thread(tmp_path, monkeypatch):
     seen = []
-    solve = httq.cli._solve_limit
+    solve = httq.cli.LimitModel.solve
 
     def recording(*args, **kwargs):
         seen.append(blas_thread_counts())
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(httq.cli, "_solve_limit", recording)
+    monkeypatch.setattr(httq.cli.LimitModel, "solve", recording)
     with httq.cli._blas_threads(2):
         assert main(["limit", small_limit_spec(tmp_path), "--out", str(tmp_path / "runs"),
                      "--workers", "1"]) == 0
@@ -752,6 +753,9 @@ _REJECTED_BY_COMPUTE = [
     ("maps", {"g": {"slope": -1}}, "g must be nondecreasing"),
     ("sweep", {"config": mmn_dict(n=4, horizon=10.0, alpha=0.5, xi=0.5),
                "checkpoints": [0.3]}, "does not lie on the limit grid"),
+    ("limit", {"mu": 2.0}, "case 'ii' requires service mean 1/mu = 0.5, got 1.0"),
+    ("limit", {"mu": -1.0, "ca2": -1.0}, "mu must be positive and ca2 nonnegative"),
+    ("limit", {"case": "i", "service": None, "mu": 0.0}, "mu must be positive"),
 ]
 
 
@@ -916,6 +920,40 @@ def test_every_name_the_benchmark_traces_resolves():
     assert spans.WRAPS
     for where, attr, *_ in spans.WRAPS:
         assert callable(getattr(spans._target(where), attr, None)), f"{where}.{attr}"
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Wrap module.name, as the benchmark's spans do; returns the list of its calls."""
+    calls, inner = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_limit_command_draws_through_the_traced_sample_noise(tmp_path, monkeypatch):
+    # the benchmark times httq limit's draws by wrapping httq.cli.sample_noise:
+    # the command must call it once per replication, or limits.sample_noise_s reads 0
+    calls = _counting(monkeypatch, httq.cli, "sample_noise")
+    doc, _ = _RERUN_SPECS["limit"]
+    spec = write_spec(tmp_path, "limit.json", {"command": "limit", **doc})
+    assert main(["limit", spec, "--out", str(tmp_path / "runs"), "--workers", "1"]) == 0
+    assert len(calls) == doc["reps"]
+
+
+@pytest.mark.parametrize("alpha,drawn,idle",
+                         [(1.0, "sample_case_ii_paths", "sample_case_i_paths"),
+                          (0.5, "sample_case_i_paths", "sample_case_ii_paths")])
+def test_sweep_draws_through_the_traced_limit_sampler(monkeypatch, alpha, drawn, idle):
+    # the benchmark times a sweep's limit draw by wrapping the sampler at its
+    # httq.validation name: one call per sweep, from the sampler of the regime
+    calls = {name: _counting(monkeypatch, httq.validation, name) for name in (drawn, idle)}
+    config = SystemConfig.from_dict(mmn_dict(n=4, horizon=1.0, alpha=alpha, xi=0.5))
+    httq.validation.convergence_sweep(config, [4], 2, seed=1, grid_points=16)
+    assert len(calls[drawn]) == 1 and not calls[idle]
 
 
 # ---------------------------------------------------------------------------

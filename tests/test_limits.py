@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import httq.limits
 from httq.cli import _blas_threads, _openblas_thread_controls
 from httq.distributions import DistributionSpec
 from httq.limits import (
+    LimitModel,
     NoiseSample,
     covariance_S,
     sample_brownian,
@@ -20,6 +22,7 @@ from httq.limits import (
     _covariance_model,
     _factor_cache,
 )
+from httq.maps import solve_phi_Mg, solve_skorokhod_g
 from httq.paths import linear_path, uniform_grid
 from httq.patience import PatienceSpec, _cum_hazard, constant_hazard
 from httq.renewal import compute_renewal_function, equilibrium_distribution
@@ -79,6 +82,13 @@ def test_brownian_input_validation():
         sample_brownian(-1.0, uniform_grid(1.0, 0.5), make_rng(1))
     with pytest.raises(ValueError, match="start at 0"):
         sample_brownian(1.0, np.array([0.5, 1.0]), make_rng(1))
+
+
+def test_brownian_refuses_a_rate_that_is_not_a_number():
+    # a NaN rate failed `rate > 0` and gave the zero path
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="variance rate must be a finite number"):
+            sample_brownian(rate, uniform_grid(1.0, 0.5), make_rng(1))
 
 
 # ---------------------------------------------------------------------------
@@ -445,3 +455,102 @@ def test_case_i_reflected_ou_stationary_law():
     xs, cdf = reflected_ou_stationary_cdf(beta * mu, theta, sigma2, x_hi=10.0)
     ks = ks_one_sample(samples, np.interp(samples, xs, cdf))
     assert ks <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# the limit model
+
+
+_TABLE = compute_renewal_function(DistributionSpec.exponential(1.0), horizon=1.0)
+_GRID = uniform_grid(1.0, 0.01)
+_BASE = {"i": dict(case="i", mu=1.0, ca2=1.0, xi=0.0, beta=0.0, f=None, M=None, tol=1e-10),
+         "ii": dict(case="ii", mu=1.0, ca2=1.0, xi=0.0, beta=0.0, f=None, M=_TABLE, tol=1e-10)}
+
+# every public route into the model, as (case it builds, parameters it takes, call)
+_ZERO = zero_path(1.0)
+_ROUTES = {
+    "LimitModel": (None, set(_BASE["i"]), LimitModel),
+    "sample_noise": (None, {"case", "mu", "ca2", "M"}, lambda case, mu, ca2, M, **_:
+                     sample_noise(case, mu, ca2, _GRID, 1, M=M)),
+    "solve_limit_case_i": ("i", {"xi", "beta", "mu", "f"}, lambda xi, beta, mu, f, **_:
+                           solve_limit_case_i(xi, _ZERO, _ZERO, beta, mu, f, _GRID)),
+    "solve_limit_case_ii": ("ii", {"xi", "beta", "mu", "f", "M", "tol"},
+                            lambda xi, beta, mu, f, M, tol, **_:
+                            solve_limit_case_ii(xi, _ZERO, _ZERO, beta, mu, f, M, _GRID, tol)),
+    "sample_case_i_paths": ("i", {"xi", "beta", "mu", "ca2", "f"},
+                            lambda xi, beta, mu, ca2, f, **_:
+                            sample_case_i_paths(xi, beta, mu, ca2, f, _GRID, seed=1, reps=2)),
+    "sample_case_ii_paths": ("ii", {"xi", "beta", "mu", "ca2", "f", "M", "tol"},
+                             lambda xi, beta, mu, ca2, f, M, tol, **_:
+                             sample_case_ii_paths(xi, beta, mu, ca2, f, M, _GRID, seed=1,
+                                                  reps=2, tol=tol)),
+}
+
+# every check of LimitModel.__post_init__, as (case, changed parameters, message)
+_REFUSED = {
+    "unknown-case": ("i", {"case": "iii"}, "unknown case 'iii'"),
+    **{f"nan-{k}-{case}": (case, {k: float("nan")}, f"{k} must be a finite number, got nan")
+       for case in ("i", "ii") for k in ("mu", "ca2", "xi", "beta", "tol")},
+    "inf-ca2": ("i", {"ca2": float("inf")}, "ca2 must be a finite number, got inf"),
+    "bool-mu": ("i", {"mu": True}, "mu must be a finite number, got True"),
+    "negative-mu": ("ii", {"mu": -1.0}, "variance rate must be nonnegative"),
+    "negative-ca2": ("i", {"ca2": -1.0}, "variance rate must be nonnegative"),
+    "zero-mu": ("i", {"mu": 0.0}, "mu must be positive"),
+    "negative-mu-and-ca2": ("ii", {"mu": -1.0, "ca2": -1.0}, "mu must be positive"),
+    "zero-tol": ("ii", {"tol": 0.0}, "tol must be positive"),
+    "negative-tol-case-i": ("i", {"tol": -1.0}, "tol must be positive"),
+    "negative-xi": ("i", {"xi": -0.5}, "xi must be nonnegative"),
+    "no-table": ("ii", {"M": None}, "needs the renewal table"),
+    "table-mean": ("ii", {"mu": 2.0}, r"case 'ii' requires service mean 1/mu = 0.5, got 1.0"),
+}
+
+
+def _refusals():
+    for name, (case, changed, message) in _REFUSED.items():
+        for route, (builds, takes, call) in _ROUTES.items():
+            if builds in (None, changed.get("case", case)) and set(changed) <= takes:
+                yield pytest.param({**_BASE[case], **changed}, call, message,
+                                   id=f"{name}-{route}")
+
+
+@pytest.mark.parametrize("model,call,message", list(_refusals()))
+def test_limit_model_refuses_before_any_draw(monkeypatch, model, call, message):
+    # one check holds every parameter, for the model and each public route,
+    # and it runs before the stream is touched
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw ran before the check")
+
+    monkeypatch.setattr(httq.limits, "make_rng", no_draw)
+    with pytest.raises(ValueError, match=message):
+        call(**model)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.5])
+@pytest.mark.parametrize("case", ["i", "ii"])
+def test_model_solve_of_a_given_y_is_the_map_solver(case, mu):
+    # solve maps any input Y, not only a drawn one, with the public map solvers'
+    # bits: the reflected map with g(x) = mu f(x/mu) in case i, phi_Mg with
+    # g_sign = -1 on the model's table in case ii
+    grid = uniform_grid(2.0, 0.01)
+    rng = make_rng(8)
+    Y = 0.3 + np.concatenate(([0.0], np.cumsum(0.2 * rng.standard_normal(grid.size - 1))))
+    f = lambda x: 0.7 * x + 0.2 * x ** 2
+    g = lambda x: mu * f(x / mu)
+    if case == "i":
+        X, L, _ = LimitModel("i", mu, f=f).solve(Y[None], grid)
+        sol = solve_skorokhod_g(Y, g, grid)
+        np.testing.assert_array_equal(L[0], sol.ell.values)
+    else:
+        table = compute_renewal_function(DistributionSpec.erlang(3, 3.0 * mu), horizon=2.0,
+                                         step=0.01)
+        X, L, diag = LimitModel("ii", mu, f=f, M=table, tol=1e-10).solve(Y[None], grid)
+        sol = solve_phi_Mg(Y, table, g, grid, 1e-10, g_sign=-1)
+        assert L is None and diag["closure"][0] == sol.residual
+    np.testing.assert_array_equal(X[0], sol.x.values)
+
+
+def test_model_solve_refuses_a_y_off_the_grid():
+    model = LimitModel("i", 1.0)
+    for Y in (np.zeros(_GRID.size), np.zeros((2, _GRID.size - 1))):
+        with pytest.raises(ValueError, match="Y must have shape"):
+            model.solve(Y, _GRID)

@@ -171,6 +171,21 @@ def test_counting_path_breakpoints_strictly_increase():
     np.testing.assert_array_equal(counting_path([3.0 + 5e-13], horizon=3.0).values, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: counting_path([0.5], float("nan")), "horizon must be a finite number, got nan"),
+    (lambda: CadlagPath([0.0, 1.0], [0.0, 1.0], "step", float("nan")),
+     "horizon must be a finite number, got nan"),
+    (lambda: counting_path([], -5e-13), "horizon must be nonnegative"),
+    (lambda: CadlagPath([0.0], [0.0], "step", -5e-13), "is negative or precedes"),
+    (lambda: linear_path([0.0, 1.0], [0.0, 1.0], float("inf")), "horizon must be a finite number"),
+], ids=["counting-nan", "cadlag-nan", "counting-negative", "cadlag-negative", "linear-inf"])
+def test_horizon_is_a_finite_nonnegative_number(build, message):
+    # a NaN horizon passed every comparison with it, so the path evaluated
+    # anywhere; a horizon just below 0 slipped inside the breakpoint tolerance
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @st.composite
 def _event_multisets(draw):
     """(unsorted event times, horizon): ties, events at 0 and at the horizon."""
