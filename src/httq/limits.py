@@ -29,6 +29,9 @@ The same discrete convolution operator A is reused by the finite-n replica
 construction, so comparisons between the two are free of quadrature
 bias.  The model and its factors are cached by table content (a factor also
 by grid), so a table built again from the same law and lattice reuses them.
+The build holds at most three (m+1) x (m+1) float buffers at once, and a
+factor on a grid whose lattice points form one run at most two of its size
+(three at a jitter rung); the covariance and its factors are read-only.
 
 Each equation is one frozen `LimitModel`, checked once when built, that draws
 its noise (`noise`), builds its input Y (`drive`) and solves for every row of
@@ -44,6 +47,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import CACHE_SIZE, check_number, check_service_mean
 from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this name)
@@ -105,7 +109,9 @@ class ServiceCovariance:
     """Covariance model of the critical-scale service noise on a lattice.
 
     Built once per renewal table content; grids handed to `marginal`,
-    `cholesky` or `covariance` must be sub-lattices of the table's.
+    `cholesky` or `covariance` must be sub-lattices of the table's.  The
+    (m+1) x (m+1) build holds at most three such float buffers at once (J,
+    overwritten by C, then the two products), and `matrix` is read-only.
     """
 
     def __init__(self, table: RenewalTable):
@@ -123,25 +129,36 @@ class ServiceCovariance:
         mids = (np.arange(2 * m, dtype=float) + 0.5) * h
         h_mid = np.asarray(self.H.cdf(mids[:m]), dtype=float)
         hc_mid = 1.0 - np.asarray(self.H.cdf(mids), dtype=float)
-        ks = np.arange(m)[:, None]
-        ds = np.arange(m + 1)[None, :]
-        prod = h_mid[:, None] * hc_mid[ks + ds]
-        J = h * np.vstack([np.zeros(m + 1), np.cumsum(prod, axis=0)])
-        ii = np.arange(m + 1)[:, None]
-        jj = np.arange(m + 1)[None, :]
-        lo = np.minimum(ii, jj)
-        hi = np.maximum(ii, jj)
-        C = he[lo] * hec[hi] + self.mu * J[lo, hi - lo]
+        # row k + 1 of J sums the products h_mid[r] hc_mid[r + d] over r <= k
+        J = np.zeros((m + 1, m + 1))
+        np.multiply(h_mid[:, None], sliding_window_view(hc_mid, m + 1), out=J[1:])
+        np.cumsum(J[1:], axis=0, out=J[1:])  # in place: numpy makes no copy
+        J *= h
+        # C(t_i, t_j) = he[i] hec[j] + mu J[i, j - i] for i <= j reads only J's
+        # row i, so C overwrites J row by row and mirrors the finished rows above
+        C = J
+        for i in range(m + 1):
+            C[i, i:] = he[i] * hec[i:] + self.mu * J[i, :m + 1 - i]
+            C[i, :i] = C[:i, i]
         A = _stieltjes_matrix(np.diff(table.values))
-        cov = A @ C @ A.T
-        self.matrix = 0.5 * (cov + cov.T)
+        cov = A @ C
+        del C, J
+        cov = cov @ A.T
+        del A
+        self.matrix = cov + cov.T
+        self.matrix *= 0.5
+        self.matrix.flags.writeable = False  # shared by every caller
 
     def covariance(self, s: float, t: float) -> float:
         idx = self.table._indices_on([min(s, t), max(s, t)])
         return float(self.matrix[idx[0], idx[1]])
 
     def marginal(self, grid) -> np.ndarray:
+        """The covariance on the grid: a read-only view of `matrix` when the
+        grid's lattice indices are one contiguous run, else a copy."""
         idx = self.table._indices_on(grid)
+        if idx.size and np.all(np.diff(idx) == 1):
+            return self.matrix[idx[0]:idx[-1] + 1, idx[0]:idx[-1] + 1]
         return self.matrix[np.ix_(idx, idx)]
 
     def cholesky(self, grid) -> tuple[np.ndarray, float]:
@@ -160,19 +177,35 @@ class ServiceCovariance:
 _covariance_model = lru_cache(maxsize=CACHE_SIZE)(ServiceCovariance)  # keyed by table content
 
 
+def _fortran_factor(a: np.ndarray) -> np.ndarray:
+    """numpy's lower Cholesky factor of a, read-only and in Fortran order without
+    a second buffer: the C-ordered factor is transposed in place and read as U.T."""
+    U = np.linalg.cholesky(a)
+    for i in range(U.shape[0] - 1):
+        U[i, i + 1:] = U[i + 1:, i]
+        U[i + 1:, i] = 0.0
+    U.flags.writeable = False  # shared by every caller
+    return U.T
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _factor_cache(M: RenewalTable, grid_bytes: bytes) -> tuple[np.ndarray, float]:
-    """(L, jitter) per table content and grid, shared by every model of an equal table."""
+    """(L, jitter) per table content and grid, shared by every model of an equal table.
+
+    A jitter rung is added to the diagonal of a copy of the covariance, so a
+    grid whose lattice points form one run (a view of the covariance) needs at
+    most three buffers of its size: that copy, numpy's work copy and L."""
     grid = np.frombuffer(grid_bytes)
     sub = _covariance_model(M).marginal(grid[1:])
     err = None
     for jit in JITTERS:
+        a = sub
+        if jit:  # sub + jit * I, bit for bit: x + 0.0 is x for every entry x >= 0
+            a = sub.copy()
+            a.flat[::a.shape[0] + 1] += jit
         try:
             # Fortran order, so the draws' `@ L.T` reads a C-ordered operand
-            L = np.asfortranarray(np.linalg.cholesky(sub + jit * np.eye(sub.shape[0]))
-                                  if sub.size else sub)
-            L.flags.writeable = False  # shared by every caller
-            return L, jit
+            return _fortran_factor(a), jit
         except np.linalg.LinAlgError as exc:
             err = exc
     raise RuntimeError(
@@ -249,7 +282,8 @@ class LimitModel:
 
         E is Brownian with variance rate mu * ca2, S standard Brownian in case "i"
         and the renewal-coupled service noise in case "ii", whose covariance model
-        (the memory peak at its first build) is fetched before any row is drawn."""
+        (the memory peak at its first build: three covariance-sized buffers) is
+        fetched before any row is drawn."""
         grid = check_grid(grid)
         model = _covariance_model(self.M) if self.case == "ii" else None
         E = _brownian_batch(rng, self.mu * self.ca2, grid, reps)

@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .distributions import check_number
 from .paths import CadlagPath, check_grid, linear_path
 from .renewal import RenewalTable
 
@@ -310,7 +311,7 @@ def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
     adds the per-row trapezoid-rule ``quadrature_defect`` of the convolution
     term, lambda_M and the contraction window.
     """
-    if tol <= 0:
+    if not check_number(tol, "tol") > 0:
         raise ValueError("tol must be positive")
     gv, lam_g, probe_hi = _checked_g(g, Y)
     A = _stieltjes_matrix(w)
@@ -357,9 +358,9 @@ def _solution(variant: str, t: np.ndarray, X: np.ndarray, L: np.ndarray | None,
 def solve_phi_n_g(y, g: Callable | None, mu_n: float, grid) -> MappingSolution:
     """x = y + mu_n int (x)^- ds - int g(x^+) ds by explicit forward Euler."""
     t, h = _check_grid(grid)
-    if mu_n <= 0:
+    if not check_number(mu_n, "mu_n") > 0:
         raise ValueError("mu_n must be positive")
-    if h > 0.1 / mu_n + 1e-15:
+    if not h <= 0.1 / mu_n + 1e-15:
         raise ValueError(f"grid step {h:.4g} too large for mu_n={mu_n:.4g}; "
                          f"use step <= {0.1 / mu_n:.4g}")
     Y = _sample_input(y, t)[None, :]

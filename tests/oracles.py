@@ -29,6 +29,10 @@ samplers serve the covariance cross-checks: `sample_gaussian_S`, one path
 drawn through the library's covariance model, and
 `sample_service_noise_finite_n`, the direct finite-n replica built from the
 primitive service times, which shares only the dM convolution matrix.
+`dense_service_covariance` and `dense_cholesky` are the dense covariance
+build and jitter ladder that the three-buffer build replaced, each matrix
+formed whole (index gathers, min/max index matrices, one chained product),
+sharing only the equilibrium law and the dM convolution matrix.
 """
 
 import heapq
@@ -691,6 +695,40 @@ def sample_gaussian_S(M, H, grid, stream):
         raise ValueError("renewal table was built from a different service law")
     draws, _ = _covariance_model(M).sample_batch(grid, stream, 1)
     return linear_path(grid, draws[0], float(grid[-1]))
+
+
+def dense_service_covariance(table):
+    """The service-noise covariance on the table's lattice, every matrix formed whole."""
+    H, t, h = table.H, table.times, table.step
+    m = t.size - 1
+    mu = table.rate()
+    he = np.asarray(equilibrium_distribution(H).cdf(t), dtype=float)
+    hec = 1.0 - he
+    mids = (np.arange(2 * m, dtype=float) + 0.5) * h
+    h_mid = np.asarray(H.cdf(mids[:m]), dtype=float)
+    hc_mid = 1.0 - np.asarray(H.cdf(mids), dtype=float)
+    ks = np.arange(m)[:, None]
+    ds = np.arange(m + 1)[None, :]
+    prod = h_mid[:, None] * hc_mid[ks + ds]
+    J = h * np.vstack([np.zeros(m + 1), np.cumsum(prod, axis=0)])
+    ii = np.arange(m + 1)[:, None]
+    jj = np.arange(m + 1)[None, :]
+    lo = np.minimum(ii, jj)
+    hi = np.maximum(ii, jj)
+    C = he[lo] * hec[hi] + mu * J[lo, hi - lo]
+    A = _stieltjes_matrix(np.diff(table.values))
+    cov = A @ C @ A.T
+    return 0.5 * (cov + cov.T)
+
+
+def dense_cholesky(sub, jitters):
+    """(Fortran-ordered lower factor of sub + jit * I, jit) at the first rung that factors."""
+    for jit in jitters:
+        try:
+            return np.asfortranarray(np.linalg.cholesky(sub + jit * np.eye(sub.shape[0]))), jit
+        except np.linalg.LinAlgError:
+            pass
+    raise AssertionError("no rung of the jitter ladder factors the covariance")
 
 
 def sample_service_noise_finite_n(M, H, n, grid, rng, reps):

@@ -1,6 +1,7 @@
 """Limit-lab checks: noise laws, covariance closed forms, equation solvers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import httq.limits
 from httq.cli import _blas_threads, _openblas_thread_controls
 from httq.distributions import DistributionSpec
 from httq.limits import (
+    JITTERS,
     LimitModel,
     NoiseSample,
     covariance_S,
@@ -29,6 +31,8 @@ from httq.renewal import compute_renewal_function, equilibrium_distribution
 from httq.streams import make_rng
 
 from oracles import (
+    dense_cholesky,
+    dense_service_covariance,
     ks_one_sample,
     openblas_mapped,
     reflected_ou_stationary_cdf,
@@ -182,6 +186,62 @@ def test_law_table_caches_are_bounded():
         equilibrium_distribution(DistributionSpec.uniform(0.5, 1.0 + k))
     assert _cum_hazard.cache_info().currsize <= CACHE_SIZE
     assert equilibrium_distribution.cache_info().currsize <= CACHE_SIZE
+
+
+@pytest.mark.parametrize("H", [
+    DistributionSpec.exponential(1.0),
+    DistributionSpec.erlang(3, 3.0),
+    DistributionSpec.lognormal(-0.32, 0.8),
+    DistributionSpec.hyperexponential([0.3, 0.7], [0.5, 3.0]),
+    DistributionSpec.deterministic(1.0),
+], ids=lambda s: s.family)
+def test_covariance_and_factor_match_the_dense_build(H, clear_noise_caches):
+    # the three-buffer build against the dense one it replaced, bit for bit: the
+    # lattice takes the view of the covariance, a 2h sub-grid its copy, and the
+    # deterministic law a jitter rung
+    clear_noise_caches()
+    T = 10.0
+    table = compute_renewal_function(H, T, step=T / 1024)
+    want = dense_service_covariance(table)
+    model = _covariance_model(table)
+    assert np.array_equal(model.matrix, want)
+    jitters = []
+    for step in (T / 1024, 2 * T / 1024):
+        grid = uniform_grid(T, step)
+        idx = table._indices_on(grid[1:])
+        L, jitter = model.cholesky(grid)
+        ref, ref_jitter = dense_cholesky(want[np.ix_(idx, idx)], JITTERS)
+        assert jitter == ref_jitter
+        assert np.array_equal(L, ref) and L.flags.f_contiguous
+        jitters.append(jitter)
+    assert (jitters[0] > 0) == (H.family == "deterministic")
+
+
+def test_covariance_build_and_factor_hold_three_buffers(clear_noise_caches):
+    # m = 512, in units of one (m+1) x (m+1) float buffer: the dense build
+    # peaked at 8.05 and its jittered factor at 3.99
+    clear_noise_caches()
+    m, T = 512, 5.0
+    table = compute_renewal_function(DistributionSpec.deterministic(1.0), T, step=T / m)
+    grid = uniform_grid(T, T / m)
+    equilibrium_distribution(table.H)  # a law table, not part of the build
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            return build(), tracemalloc.get_traced_memory()[1] / (8 * (m + 1) ** 2)
+        finally:
+            tracemalloc.stop()
+
+    model, build_peak = peak(lambda: _covariance_model(table))
+    (L, jitter), factor_peak = peak(lambda: _factor_cache(table, grid.tobytes()))
+    assert jitter > 0  # the deterministic law's covariance is singular
+    assert build_peak <= 3.5 and factor_peak <= 3.5
+    view = model.marginal(grid[1:])
+    assert np.shares_memory(view, model.matrix)
+    for shared in (view, model.matrix, L):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
 
 
 def test_covariance_rejects_out_of_range(exp_table):

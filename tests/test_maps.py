@@ -16,7 +16,7 @@ from httq.maps import (
     solve_phi_n_g,
     solve_skorokhod_g,
 )
-from httq.paths import step_path, uniform_grid
+from httq.paths import linear_path, step_path, uniform_grid
 from httq.patience import PatienceSpec, ramp_hazard
 from httq.renewal import compute_renewal_function
 
@@ -102,6 +102,19 @@ def test_phi_n_g_step_too_large():
     g = _grid(1.0, 1e-2)
     with pytest.raises(ValueError, match="use step <="):
         solve_phi_n_g(np.zeros_like(g), None, 100.0, g)
+
+
+@pytest.mark.parametrize("mu_n, match", [
+    (float("nan"), "mu_n must be a finite number"),
+    (float("inf"), "mu_n must be a finite number"),
+    (0.0, "mu_n must be positive"),
+    (-1.0, "mu_n must be positive"),
+], ids=["nan", "inf", "zero", "negative"])
+def test_phi_n_g_refuses_a_mu_n_that_is_not_a_positive_number(mu_n, match):
+    # a NaN mu_n failed both `mu_n <= 0` and the step cap and gave a NaN path
+    with pytest.raises(ValueError, match=match):
+        solve_phi_n_g(linear_path([0, 1], [0.5, 0.2], 1.0), lambda x: x, mu_n,
+                      uniform_grid(1.0, 0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +514,23 @@ def test_phi_mg_reprobes_g_over_the_visited_range():
     kink = lambda x: np.where(np.asarray(x) <= 10.0, x, 20.0 - np.asarray(x))
     with pytest.raises(ValueError, match="nondecreasing"):
         solve_phi_Mg(np.ones(g.size), M, kink, g, g_sign=1.0)
+
+
+@pytest.mark.parametrize("tol, match", [
+    (float("nan"), "tol must be a finite number"),
+    (float("inf"), "tol must be a finite number"),
+    (0.0, "tol must be positive"),
+    (-1e-10, "tol must be positive"),
+], ids=["nan", "inf", "zero", "negative"])
+def test_phi_mg_refuses_a_tol_that_is_not_a_positive_number(tol, match):
+    # a NaN tol passed `tol <= 0` and ended in a closure RuntimeError; the
+    # refusal comes before g is probed
+    probed = []
+    g = lambda x: probed.append(1) or np.asarray(x, dtype=float)
+    with pytest.raises(ValueError, match=match):
+        solve_phi_Mg(linear_path([0, 1], [0.5, 0.2], 1.0), _exp_table(1.0, 1.0), g,
+                     uniform_grid(1.0, 0.01), tol=tol)
+    assert not probed
 
 
 def test_phi_mg_input_validation():
