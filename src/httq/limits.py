@@ -27,8 +27,11 @@ on the renewal table's lattice (a^b = min, avb = max).  The table carries
 its service law, M.H, so the covariance and the noise take no separate H.
 The same discrete convolution operator A is reused by the finite-n replica
 construction, so comparisons between the two are free of quadrature
-bias.  The model and its factors are cached by table content (a factor also
-by grid), so a table built again from the same law and lattice reuses them.
+bias.  `compute_renewal_function` caches its tables by (law, horizon, step),
+and the model and its factors are cached by table content (a factor also by
+grid), each cache bounded by ``CACHE_SIZE``: a repeated call finds the table,
+the model and the factor without a rebuild, and an equal table built apart
+reuses the model and the factor.
 The build holds at most three (m+1) x (m+1) float buffers at once, and a
 factor on a grid whose lattice points form one run at most two of its size
 (three at a jitter rung); the covariance and its factors are read-only.

@@ -18,27 +18,33 @@ block whose sweeps do not contract is halved.  One independent ``phi_M``
 solve of the answer then checks that it closes the discrete equation: the
 closure is one sweep of the paper's Picard map
 u -> y +/- int g((phi_M(u))^+) ds, so a value below tol certifies the fixed
-point the contraction argument guarantees.  The causal dM convolution is
-one lower-triangular Toeplitz operator (``_stieltjes_matrix``), shared with
-the service-noise covariance.  The public solvers are the one-row case of
-batched routes (arrays shaped (rows, grid)) that the limit solvers share,
-so a batch of replications pays one Python loop over time, not one each.
+point the contraction argument guarantees.  The ``phi_M`` solve works in
+blocks too, with its own code: one GEMM brings in a block's history, and
+sweeps of the block's strictly causal (nilpotent) map settle it until the
+iterate repeats bit for bit; the tests hold it to a per-step oracle.  The
+causal dM convolution is one lower-triangular Toeplitz operator
+(``_stieltjes_matrix``), shared with the service-noise covariance, and the
+trapezoid-rule defect of the convolution term applies it in one GEMM.  The
+public solvers are the one-row case of batched routes (arrays shaped
+(rows, grid)) that the limit solvers share, so a batch of replications pays
+one Python loop over time, not one each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distributions import check_number
+from .distributions import CACHE_SIZE, check_number
 from .paths import CadlagPath, check_grid, linear_path
 from .renewal import RenewalTable
 
 OWN_STEP_MAX_ITER = 10_000
-_BLOCK = 32  # steps the phi_Mg forward pass settles per history GEMM
+_BLOCK = 32  # steps the phi_Mg and phi_M forward passes settle per history GEMM
 _PROBE_POINTS = 512
 # a forward sweep whose update stalls within this many ulps of the iterate
 # has met rounding, not a failure to contract
@@ -143,22 +149,37 @@ def _skorokhod_euler(Y: np.ndarray, gv: Callable, h: float) -> tuple[np.ndarray,
     return X, L
 
 
-def _phi_m_solve(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _phi_m_solve(Y: np.ndarray, w: np.ndarray, A: np.ndarray | None = None) -> np.ndarray:
     """Forward solve of x = y + sum_j (x(t_k - t_j))^- dM_j, right-endpoint rule.
 
     dM has no atom at 0, so x(t_k) never feeds its own convolution term and
-    the recursion stays explicit.  It stays per step, unlike the phi_Mg forward
-    pass, because it is the independent half of that pass's closure check.
+    the recursion stays explicit.  Per block of _BLOCK steps, one GEMM with a
+    panel of A^T (A = `_stieltjes_matrix(w)`) brings in the history, and
+    sweeps of the block's strictly causal map settle its steps.  That map is
+    nilpotent, so the iterate of an n-step block repeats bit for bit within
+    n + 1 sweeps.  It shares no code with the phi_Mg forward pass, because it
+    is the independent half of that pass's closure check.
     """
     m = w.size
+    At = (_stieltjes_matrix(w) if A is None else A).T  # a view: the panels read A
+    b = min(_BLOCK, m)
+    T = np.triu(At[:b, :b], 1)  # in-block dM convolution, strictly causal
     X = np.empty_like(Y)
     neg = np.empty_like(Y)
     X[:, 0] = Y[:, 0]
     neg[:, 0] = np.maximum(-Y[:, 0], 0.0)
-    wrev = w[::-1].copy()  # contiguous, so each matvec takes numpy's fast path
-    for k in range(1, m + 1):
-        X[:, k] = Y[:, k] + neg[:, :k] @ wrev[m - k:]
-        neg[:, k] = np.maximum(-X[:, k], 0.0)
+    for a in range(1, m + 1, b):
+        n = min(b, m + 1 - a)  # the block is t_a .. t_{a+n-1}
+        Tn = T[:n, :n]
+        known = Y[:, a:a + n] + neg[:, :a] @ At[:a, a:a + n]
+        x = known
+        for _ in range(n + 1):
+            x_new = known - np.minimum(x, 0.0) @ Tn  # min(x, 0) = -x^-, one ufunc call
+            if (x_new == x).all():
+                break
+            x = x_new
+        X[:, a:a + n] = x
+        neg[:, a:a + n] = np.maximum(-x, 0.0)
     return X
 
 
@@ -173,18 +194,18 @@ def _stieltjes_matrix(w: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate((np.zeros(w.size), col)), col.size)[:, ::-1].copy()
 
 
-def _phi_m_convolutions(X: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right- and left-endpoint discretizations of int (x(t-s))^- dM(s).
+def _phi_m_trapezoid(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Trapezoid discretization of int (x(t-s))^- dM(s), in one GEMM.
 
-    Both apply A - I: the right rule to x^-, the left rule to x^- advanced by
-    one step (A - I is strictly lower, so the missing last value never enters).
+    It is the mean of the right-endpoint rule, A - I applied to x^-, and the
+    left-endpoint rule, A - I applied to x^- advanced one step (A - I is
+    strictly lower, so the missing last value never enters): (A - I) / 2
+    applied to b = x^- plus x^- advanced one step.
     """
     neg = np.maximum(-X, 0.0)
-    ahead = np.zeros_like(neg)
-    ahead[:, :-1] = neg[:, 1:]
-    right = neg @ A.T - neg
-    left = ahead @ A.T - ahead
-    return right, left
+    b = neg.copy()
+    b[:, :-1] += neg[:, 1:]
+    return 0.5 * (b @ A.T - b)
 
 
 def _phi_m_gain(w: np.ndarray) -> float:
@@ -192,8 +213,15 @@ def _phi_m_gain(w: np.ndarray) -> float:
 
     d_k = 1 + sum_j w_j d_{k-j} is the discrete renewal series; a sup-norm
     perturbation of y grows by at most d_m through the forward solve.  The
-    recursion is the forward substitution of (2I - A) d = 1.
+    recursion is the forward substitution of (2I - A) d = 1.  The series is
+    summed once per increments w (cached by their bytes).
     """
+    return _gain_cache(np.asarray(w, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _gain_cache(w_bytes: bytes) -> float:
+    w = np.frombuffer(w_bytes)
     m = w.size
     wrev = w[::-1].copy()  # contiguous, so each dot takes numpy's fast path
     d = np.ones(m + 1)
@@ -273,8 +301,9 @@ def _phi_mg_solve(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: fl
     per row, is one sweep of the Picard map u -> y + sign * int g((phi_M(u))^+) ds
     from U; a row whose closure is not below tol raises, naming the row.
     """
+    A = _stieltjes_matrix(w) if A is None else A
     U = _phi_mg_forward(Y, w, gv, h, sign, tol, A=A)
-    X = _phi_m_solve(U, w)
+    X = _phi_m_solve(U, w, A)
     closure = np.max(np.abs(U - Y - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)), axis=1)
     bad = np.flatnonzero(~(closure < tol))
     if bad.size:
@@ -320,8 +349,7 @@ def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
     diag = {"lambda_g": lam_g, "closure": closure}
     if defects:
         lam_m = _phi_m_gain(w)
-        right, left = _phi_m_convolutions(X, A)
-        quad = X - Y - 0.5 * (right + left) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
+        quad = X - Y - _phi_m_trapezoid(X, A) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
         diag.update(lambda_M=lam_m, quadrature_defect=np.max(np.abs(quad), axis=1),
                     delta_window=np.inf if lam_g * lam_m == 0 else 2.0 / (3.0 * lam_m * lam_g))
     return X, diag
@@ -393,10 +421,9 @@ def solve_phi_M(y, M: RenewalTable, grid) -> MappingSolution:
     t, h = _check_grid(grid)
     w = M.increments_on(t)
     Y = _sample_input(y, t)[None, :]
-    X = _phi_m_solve(Y, w)
     A = _stieltjes_matrix(w)
-    right, left = _phi_m_convolutions(X, A)
-    defect = X - Y - 0.5 * (right + left)
+    X = _phi_m_solve(Y, w, A)
+    defect = X - Y - _phi_m_trapezoid(X, A)
     return _solution("phi_M", t, X, None, {"residual": float(np.max(np.abs(defect))),
                                            "lambda_M": _phi_m_gain(w)}, "residual")
 

@@ -4,7 +4,8 @@ The renewal function M(t) = E[number of renewals in (0, t]] solves
 M = H + H * dM.  On a uniform grid the Riemann-Stieltjes trapezoid
 discretization gives a stable forward recursion; the deterministic family is
 dispatched to the exact lattice formula M(t) = floor(t / v) instead of
-quadrature.
+quadrature.  Tables are frozen, read-only and cached by (law, horizon, step),
+at most ``CACHE_SIZE`` of them, so a repeated call returns the same table.
 
 The equilibrium distribution H_e(x) = mu * int_0^x (1 - H(u)) du (mu the
 reciprocal mean) is itself a `DistributionSpec` for the exponential and
@@ -106,7 +107,8 @@ def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | 
     """Solve M = H + H * dM on [0, horizon].
 
     ``step`` defaults to min(1e-2, mean(H)/20) and may be set smaller but not
-    larger.  Deterministic H uses the exact lattice formula.
+    larger.  Deterministic H uses the exact lattice formula.  The table is
+    built once per (law, horizon, step) and shared by every later call.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -117,6 +119,12 @@ def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | 
         raise ValueError(f"step {step} exceeds the stability cap min(1e-2, mean/20) = {cap}")
     if float(H.cdf(0.0)) != 0.0:
         raise ValueError("interrenewal law must have no atom at 0")
+    return _renewal_table(H, float(horizon), float(step))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _renewal_table(H: DistributionSpec, horizon: float, step: float) -> RenewalTable:
+    """The table of `compute_renewal_function`, cached by (law, horizon, step)."""
     m = math.ceil(cell_count(horizon, step) - 1e-9)
     times = step * np.arange(m + 1)
     if times[-1] < horizon - 1e-12:
@@ -126,7 +134,7 @@ def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | 
     if H.family == "deterministic":
         v = H["value"]
         values = np.floor((times + 1e-12) / v)
-        return RenewalTable(H, times, values, float(step), "lattice")
+        return RenewalTable(H, times, values, step, "lattice")
 
     Hg = np.asarray(H.cdf(times), dtype=float)
     b = 0.5 * (Hg[:-1] + Hg[1:])
@@ -139,7 +147,7 @@ def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | 
         conv = float(np.dot(dM[1:k], b[k - 1 : 0 : -1])) if k > 1 else 0.0
         M[k] = (Hg[k] + conv - 0.5 * Hg[1] * M[k - 1]) / denom
         dM[k] = M[k] - M[k - 1]
-    return RenewalTable(H, times, M, float(step), "trapezoid")
+    return RenewalTable(H, times, M, step, "trapezoid")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ library; `replay_virtual_wait_path` / `replay_offered_waits`, which
 rebuild the waits from a record's event log and head-count path instead of
 its recorded server-free epochs; `picard_phi_mg`, the paper's Picard
 iteration that the forward phi_Mg solve replaced, which shares only the
-phi_M solve and the trapezoid sum with the library;
+trapezoid sum with the library and solves phi_M through
+`per_step_phi_m_solve`, the step-by-step phi_M solve that the blocked one
+replaced; `endpoint_rule_phi_m`, the two-GEMM form of the trapezoid
+convolution that the one-GEMM defect replaced;
 `per_step_phi_mg_forward`, the step-by-step forward pass that the blocked
 pass replaced, which shares only the trapezoid sum with it; and
 `per_replication_limit`, the loop `httq limit` ran before it solved all
@@ -49,7 +52,7 @@ from httq.limits import (
     solve_limit_case_i,
     solve_limit_case_ii,
 )
-from httq.maps import OWN_STEP_MAX_ITER, _ULPS, _cumtrapz, _phi_m_solve, _stieltjes_matrix
+from httq.maps import OWN_STEP_MAX_ITER, _ULPS, _cumtrapz, _stieltjes_matrix
 from httq.paths import check_grid, counting_path, linear_path, step_path
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
@@ -578,6 +581,36 @@ def offered_waits(record):
     return np.maximum(a, record.server_free[:-1]) - a
 
 
+def per_step_phi_m_solve(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Forward solve of x = y + sum_j (x(t_k - t_j))^- dM_j, one step at a time.
+
+    dM has no atom at 0, so x(t_k) never feeds its own convolution term:
+    each step is one matvec of the history x^- at t_0..t_{k-1} against the
+    reversed increments.
+    """
+    m = w.size
+    X = np.empty_like(Y)
+    neg = np.empty_like(Y)
+    X[:, 0] = Y[:, 0]
+    neg[:, 0] = np.maximum(-Y[:, 0], 0.0)
+    wrev = w[::-1].copy()  # contiguous, so each matvec takes numpy's fast path
+    for k in range(1, m + 1):
+        X[:, k] = Y[:, k] + neg[:, :k] @ wrev[m - k:]
+        neg[:, k] = np.maximum(-X[:, k], 0.0)
+    return X
+
+
+def endpoint_rule_phi_m(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Mean of the right- and left-endpoint rules for int (x(t-s))^- dM(s),
+    each applied through its own GEMM against A."""
+    neg = np.maximum(-X, 0.0)
+    ahead = np.zeros_like(neg)
+    ahead[:, :-1] = neg[:, 1:]
+    right = neg @ A.T - neg
+    left = ahead @ A.T - ahead
+    return 0.5 * (right + left)
+
+
 def picard_phi_mg(Y, w, gv, h, sign, tol, init, max_iter=10_000):
     """Picard iteration u <- y + sign * int g((phi_M(u))^+) ds from ``init``.
 
@@ -593,13 +626,13 @@ def picard_phi_mg(Y, w, gv, h, sign, tol, init, max_iter=10_000):
         raise ValueError(f"unknown initial guess {init!r}; use 'y' or 'zero'")
     changes = []
     for it in range(1, max_iter + 1):
-        X = _phi_m_solve(U, w)
+        X = per_step_phi_m_solve(U, w)
         U_new = Y + sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
         change = float(np.max(np.abs(U_new - U)))
         changes.append(change)
         U = U_new
         if change < tol:
-            X = _phi_m_solve(U, w)
+            X = per_step_phi_m_solve(U, w)
             closure = X - Y - (X - U) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
             if float(np.max(np.abs(closure))) < 10.0 * tol:
                 return X, U, it, changes

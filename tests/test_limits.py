@@ -27,7 +27,7 @@ from httq.limits import (
 from httq.maps import solve_phi_Mg, solve_skorokhod_g
 from httq.paths import linear_path, uniform_grid
 from httq.patience import PatienceSpec, _cum_hazard, constant_hazard
-from httq.renewal import compute_renewal_function, equilibrium_distribution
+from httq.renewal import RenewalTable, compute_renewal_function, equilibrium_distribution
 from httq.streams import make_rng
 
 from oracles import (
@@ -169,10 +169,13 @@ def test_covariance_caches_are_bounded():
 
 
 def test_equal_tables_share_model_and_factor():
-    # every `limit-critical` op builds its table afresh, so the caches must
-    # key on the table's content, not on the object
+    # an equal table built apart from the renewal cache (here from the cached
+    # table's arrays) must find the same model and factor: the caches key on
+    # the table's content, not on the object
     H = DistributionSpec.erlang(2, 2.0)
-    first, again = (compute_renewal_function(H, horizon=2.0, step=0.01) for _ in range(2))
+    first = compute_renewal_function(H, horizon=2.0, step=0.01)
+    assert compute_renewal_function(H, horizon=2.0, step=0.01) is first  # built once
+    again = RenewalTable(H, first.times.copy(), first.values.copy(), first.step, first.method)
     assert first is not again
     grid = uniform_grid(2.0, 0.02)
     model = _covariance_model(first)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 import httq.maps
-from httq.distributions import DistributionSpec
+from httq.distributions import CACHE_SIZE, DistributionSpec
 from httq.limits import sample_case_i_paths
 from httq.maps import (
+    _gain_cache,
+    _phi_m_gain,
     _phi_m_solve,
+    _phi_m_trapezoid,
     _phi_mg_forward,
     _phi_mg_solve,
+    _stieltjes_matrix,
     _vectorize_g,
     solve_phi_M,
     solve_phi_Mg,
@@ -20,7 +24,12 @@ from httq.paths import linear_path, step_path, uniform_grid
 from httq.patience import PatienceSpec, ramp_hazard
 from httq.renewal import compute_renewal_function
 
-from oracles import per_step_phi_mg_forward, picard_phi_mg
+from oracles import (
+    endpoint_rule_phi_m,
+    per_step_phi_m_solve,
+    per_step_phi_mg_forward,
+    picard_phi_mg,
+)
 
 
 def _grid(T, h):
@@ -257,6 +266,47 @@ def test_phi_m_misaligned_grid_rejected():
     bad = uniform_grid(1.5, 0.015)
     with pytest.raises(ValueError, match="not aligned"):
         solve_phi_M(np.zeros_like(bad), M, bad)
+
+
+# deterministic(1.0) puts lattice atoms of dM at every 100th step
+_PHI_M_LAWS = [
+    DistributionSpec.exponential(1.0),
+    DistributionSpec.erlang(3, 3.0),
+    DistributionSpec.deterministic(1.0),
+    DistributionSpec.lognormal(-0.32, 0.8),
+    DistributionSpec.hyperexponential([0.3, 0.7], [0.5, 3.0]),
+]
+
+
+@pytest.mark.parametrize("H", _PHI_M_LAWS, ids=lambda s: s.family)
+@pytest.mark.parametrize("m", [1024, 1000])  # 1000 steps end in a partial block
+@pytest.mark.parametrize("rows", [1, 12])
+def test_blocked_phi_m_matches_per_step_oracle(H, m, rows):
+    # every row starts above zero and drifts below it, so the in-block sweeps
+    # carry a nonzero x^-; the bound is fixed at rounding level
+    h = 1e-2
+    grid = _grid(m * h, h)
+    w = compute_renewal_function(H, m * h, step=h).increments_on(grid)
+    Y = _brownian_rows(np.random.default_rng(61), grid, rows, -0.4, 1.0)
+    assert np.all(Y.min(axis=1) < 0.0) and np.all(Y.max(axis=1) > 0.0)
+    A = _stieltjes_matrix(w)
+    X = _phi_m_solve(Y, w, A)
+    assert np.all((X < 0.0).any(axis=1))
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(X))))
+    assert np.max(np.abs(X - per_step_phi_m_solve(Y, w))) <= bound
+    np.testing.assert_array_equal(_phi_m_solve(Y, w), X)  # A built inside is the same A
+    assert np.max(np.abs(_phi_m_trapezoid(X, A) - endpoint_rule_phi_m(X, A))) <= bound
+
+
+def test_phi_m_gain_is_summed_once_per_increments():
+    w = _exp_table(1.0, 2.0).increments_on(_grid(2.0, 1e-2))
+    gain = _phi_m_gain(w)
+    hits = _gain_cache.cache_info().hits
+    assert _phi_m_gain(w.copy()) == gain  # keyed by the bytes, not the array
+    assert _gain_cache.cache_info().hits == hits + 1
+    for k in range(CACHE_SIZE + 3):
+        _phi_m_gain(w * (1.0 + 0.1 * k))
+    assert _gain_cache.cache_info().currsize <= CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------

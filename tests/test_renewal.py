@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 from oracles import equilibrium_cdf_quadrature, erlang2_renewal_closed_form, mc_renewal_function
 
-from httq.distributions import DistributionSpec
-from httq.renewal import compute_renewal_function, equilibrium_distribution
+from httq.distributions import CACHE_SIZE, DistributionSpec
+from httq.renewal import (
+    RenewalTable,
+    _renewal_table,
+    compute_renewal_function,
+    equilibrium_distribution,
+)
 from httq.streams import make_rng
 
 
@@ -149,10 +154,22 @@ def test_equilibrium_sampler_matches_cdf(H):
 
 def test_tables_compare_and_hash_by_content():
     H = DistributionSpec.erlang(2, 2.0)
-    a, b = (compute_renewal_function(H, horizon=2.0, step=0.01) for _ in range(2))
+    a = compute_renewal_function(H, horizon=2.0, step=0.01)
+    b = RenewalTable(H, a.times.copy(), a.values.copy(), a.step, a.method)
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != compute_renewal_function(H, horizon=2.0, step=0.005)
     assert a != compute_renewal_function(DistributionSpec.erlang(2, 3.0), horizon=2.0, step=0.01)
     with pytest.raises(ValueError, match="read-only"):
         a.values[1] = 0.0
+
+
+def test_tables_are_built_once_per_law_horizon_and_step():
+    H = DistributionSpec.erlang(2, 2.0)  # mean 1, so the default step is 0.01
+    a = compute_renewal_function(H, horizon=2.0, step=0.01)
+    assert compute_renewal_function(H, 2.0, 0.01) is a
+    assert compute_renewal_function(DistributionSpec.erlang(2, 2.0), 2, step=0.01) is a
+    assert compute_renewal_function(H, horizon=2.0) is a
+    for k in range(CACHE_SIZE + 3):
+        compute_renewal_function(H, horizon=0.5 + 0.1 * k)
+    assert _renewal_table.cache_info().currsize <= CACHE_SIZE

@@ -166,6 +166,13 @@ def test_cholesky_factor_matches_scipy(table):
 def test_cholesky_jitter_rung_matches_scipy(H):
     # the deterministic law's covariance is singular, so both factors need a
     # jitter rung and differ by far more than rounding; they must still agree
-    # on the rung and on how well they reproduce the covariance
+    # on the rung and on how well they reproduce the covariance.  The
+    # hyperexponential law's covariance factors at rung 0.0 on this lattice
     model = ServiceCovariance(compute_renewal_function(H, 10.0, step=10.0 / 1024))
-    _check_factor(model, uniform_grid(10.0, 10.0 / 1024))
+    grid = uniform_grid(10.0, 10.0 / 1024)
+    _check_factor(model, grid)
+    jitter = model.cholesky(grid)[1]
+    if H.family == "deterministic":
+        assert jitter > 0.0
+    else:
+        assert jitter == 0.0
