@@ -62,7 +62,7 @@ from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this na
     _stieltjes_matrix,
     solve_phi_Mg,
 )
-from .paths import CadlagPath, check_grid, linear_path
+from .paths import MAX_CELLS, CadlagPath, check_grid, linear_path
 from .renewal import RenewalTable, equilibrium_distribution
 from .streams import make_rng
 
@@ -114,14 +114,17 @@ class ServiceCovariance:
     Built once per renewal table content; grids handed to `marginal`,
     `cholesky` or `covariance` must be sub-lattices of the table's.  The
     (m+1) x (m+1) build holds at most three such float buffers at once (J,
-    overwritten by C, then the two products), and `matrix` is read-only.
+    overwritten by C, then the two products), and `matrix` is read-only.  A
+    table over 4096 points ((m+1)^2 > MAX_CELLS) is refused before any buffer.
     """
 
     def __init__(self, table: RenewalTable):
+        t = table.times
+        if t.size ** 2 > MAX_CELLS:
+            raise ValueError(f"a {t.size}-point table's covariance exceeds {MAX_CELLS} cells")
         self.table = table
         self.H = table.H
         self.mu = table.rate()
-        t = table.times
         h = table.step
         m = t.size - 1
         eq = equilibrium_distribution(self.H)
@@ -288,6 +291,8 @@ class LimitModel:
         (the memory peak at its first build: three covariance-sized buffers) is
         fetched before any row is drawn."""
         grid = check_grid(grid)
+        if self.case == "ii":
+            self.M._indices_on(grid)  # a grid off M's lattice is refused before the build
         model = _covariance_model(self.M) if self.case == "ii" else None
         E = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
         if model is None:

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import CACHE_SIZE, check_number
-from .paths import CadlagPath, check_grid, linear_path
+from .paths import CadlagPath, _cumtrapz, check_grid, linear_path
 from .renewal import RenewalTable
 
 OWN_STEP_MAX_ITER = 10_000
@@ -84,22 +84,20 @@ def _vectorize_g(g: Callable | None) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.asarray(g(x), dtype=float)
 
 
-def _validate_g(gv: Callable, hi: float, label: str = "g") -> float:
+def _validate_g(gv: Callable, hi: float) -> float:
     """Check g(0)=0 and monotonicity on [0, hi]; return the max probe slope."""
     hi = max(hi, 1e-6)
     xs = np.linspace(0.0, hi, _PROBE_POINTS)
     vals = gv(xs)
     if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{label} produced non-finite values on [0, {hi:.3g}]")
+        raise ValueError(f"g produced non-finite values on [0, {hi:.3g}]")
     if abs(vals[0]) > 1e-10 * max(1.0, np.max(np.abs(vals))):
-        raise ValueError(f"{label}(0) must be 0, got {vals[0]:.3g}")
+        raise ValueError(f"g(0) must be 0, got {vals[0]:.3g}")
     drops = np.diff(vals)
     span = max(1.0, float(np.max(np.abs(vals))))
     if np.any(drops < -1e-9 * span):
         k = int(np.argmin(drops))
-        raise ValueError(
-            f"{label} must be nondecreasing: {label}({xs[k]:.4g}) > {label}({xs[k + 1]:.4g})"
-        )
+        raise ValueError(f"g must be nondecreasing: g({xs[k]:.4g}) > g({xs[k + 1]:.4g})")
     return float(np.max(drops) / (xs[1] - xs[0]))
 
 
@@ -114,13 +112,6 @@ def _rechecked_g(g, gv: Callable, lam_g: float, hi: float, X: np.ndarray) -> flo
     """lambda_g, re-probed over the range X visited when that left [0, hi]."""
     visited = max(float(X.max()), 0.0)
     return _validate_g(gv, visited) if g is not None and visited > hi else lam_g
-
-
-def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
-    mids = 0.5 * (values[..., 1:] + values[..., :-1]) * h
-    out = np.zeros_like(values)
-    np.cumsum(mids, axis=-1, out=out[..., 1:])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +140,19 @@ def _skorokhod_euler(Y: np.ndarray, gv: Callable, h: float) -> tuple[np.ndarray,
     return X, L
 
 
-def _phi_m_solve(Y: np.ndarray, w: np.ndarray, A: np.ndarray | None = None) -> np.ndarray:
+def _phi_m_solve(Y: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Forward solve of x = y + sum_j (x(t_k - t_j))^- dM_j, right-endpoint rule.
 
     dM has no atom at 0, so x(t_k) never feeds its own convolution term and
     the recursion stays explicit.  Per block of _BLOCK steps, one GEMM with a
-    panel of A^T (A = `_stieltjes_matrix(w)`) brings in the history, and
+    panel of A^T (A = `_stieltjes_matrix(dM)`) brings in the history, and
     sweeps of the block's strictly causal map settle its steps.  That map is
     nilpotent, so the iterate of an n-step block repeats bit for bit within
     n + 1 sweeps.  It shares no code with the phi_Mg forward pass, because it
     is the independent half of that pass's closure check.
     """
-    m = w.size
-    At = (_stieltjes_matrix(w) if A is None else A).T  # a view: the panels read A
+    m = A.shape[0] - 1
+    At = A.T  # a view: the panels read A
     b = min(_BLOCK, m)
     T = np.triu(At[:b, :b], 1)  # in-block dM convolution, strictly causal
     X = np.empty_like(Y)
@@ -230,14 +221,14 @@ def _gain_cache(w_bytes: bytes) -> float:
     return float(d[-1])
 
 
-def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float,
-                    tol: float, A: np.ndarray | None = None) -> np.ndarray:
+def _phi_mg_forward(Y: np.ndarray, A: np.ndarray, gv: Callable, h: float, sign: float,
+                    tol: float) -> np.ndarray:
     """One forward pass through the discrete phi_Mg equation; returns U.
 
     The discrete fixed point satisfies x_k = R_k + sign * h/2 * g(x_k^+),
     where R_k holds y_k, the right-endpoint dM convolution of x^- at
     t_0..t_{k-1} and the trapezoid sum of g(x^+) through t_{k-1}.  Per block
-    of _BLOCK steps, one GEMM with a panel of A^T (A = `_stieltjes_matrix(w)`)
+    of _BLOCK steps, one GEMM with a panel of A^T (A = `_stieltjes_matrix(dM)`)
     brings in the history, and sweeps over the block and every row settle its
     steps until one changes x by less than 1e-3 * tol.  A change that fails
     to shrink halves the block for the rest of the pass and redoes it; at one
@@ -245,8 +236,8 @@ def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: 
     and a failure there raises.  The result is U = y + sign * int g(x^+) ds,
     whose phi_M image is x.
     """
-    m = w.size
-    At = (_stieltjes_matrix(w) if A is None else A).T  # a view: the panels read A
+    m = A.shape[0] - 1
+    At = A.T  # a view: the panels read A
     b = min(_BLOCK, m)
     own = 0.5 * sign * h  # weight of g(x_k^+) in the trapezoid sum at t_k
     T = np.triu(At[:b, :b], 1)  # in-block dM convolution, strictly causal
@@ -292,8 +283,8 @@ def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: 
     return Y + sign * _cumtrapz(G, h)
 
 
-def _phi_mg_solve(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float, tol: float,
-                  A: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _phi_mg_solve(Y: np.ndarray, A: np.ndarray, gv: Callable, h: float, sign: float,
+                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The discrete phi_Mg fixed point with its certificate; returns (X, U, closure).
 
     U comes from `_phi_mg_forward` and X = phi_M(U) from an independent
@@ -301,9 +292,8 @@ def _phi_mg_solve(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: fl
     per row, is one sweep of the Picard map u -> y + sign * int g((phi_M(u))^+) ds
     from U; a row whose closure is not below tol raises, naming the row.
     """
-    A = _stieltjes_matrix(w) if A is None else A
-    U = _phi_mg_forward(Y, w, gv, h, sign, tol, A=A)
-    X = _phi_m_solve(U, w, A)
+    U = _phi_mg_forward(Y, A, gv, h, sign, tol)
+    X = _phi_m_solve(U, A)
     closure = np.max(np.abs(U - Y - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)), axis=1)
     bad = np.flatnonzero(~(closure < tol))
     if bad.size:
@@ -344,7 +334,7 @@ def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
         raise ValueError("tol must be positive")
     gv, lam_g, probe_hi = _checked_g(g, Y)
     A = _stieltjes_matrix(w)
-    X, _, closure = _phi_mg_solve(Y, w, gv, h, sign, tol, A)
+    X, _, closure = _phi_mg_solve(Y, A, gv, h, sign, tol)
     lam_g = _rechecked_g(g, gv, lam_g, probe_hi, X)
     diag = {"lambda_g": lam_g, "closure": closure}
     if defects:
@@ -422,7 +412,7 @@ def solve_phi_M(y, M: RenewalTable, grid) -> MappingSolution:
     w = M.increments_on(t)
     Y = _sample_input(y, t)[None, :]
     A = _stieltjes_matrix(w)
-    X = _phi_m_solve(Y, w, A)
+    X = _phi_m_solve(Y, A)
     defect = X - Y - _phi_m_trapezoid(X, A)
     return _solution("phi_M", t, X, None, {"residual": float(np.max(np.abs(defect))),
                                            "lambda_M": _phi_m_gain(w)}, "residual")

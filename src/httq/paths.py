@@ -41,6 +41,14 @@ def cell_count(horizon: float, step: float) -> float:
     return cells
 
 
+def _cumtrapz(values: np.ndarray, h) -> np.ndarray:
+    """Cumulative trapezoid sums along the last axis from 0; h: step or cell widths."""
+    mids = 0.5 * (values[..., 1:] + values[..., :-1]) * h
+    out = np.zeros_like(values)
+    np.cumsum(mids, axis=-1, out=out[..., 1:])
+    return out
+
+
 def uniform_grid(horizon: float, step: float) -> np.ndarray:
     """Uniform grid 0, step, ..., horizon; horizon must be a multiple of step."""
     if horizon <= 0 or step <= 0:
@@ -143,13 +151,8 @@ class CadlagPath:
     def cumulative_integral(self) -> "CadlagPath":
         """t -> int_0^t x(s) ds as a linear path on the same breakpoints."""
         t = self.times
-        if self.kind == "step":
-            segs = self.values[:-1] * np.diff(t)
-            cum = np.concatenate(([0.0], np.cumsum(segs)))
-        else:
-            cum = np.concatenate(
-                ([0.0], np.cumsum(0.5 * (self.values[1:] + self.values[:-1]) * np.diff(t)))
-            )
+        cum = (_cumtrapz(self.values, np.diff(t)) if self.kind == "linear"
+               else np.concatenate(([0.0], np.cumsum(self.values[:-1] * np.diff(t)))))
         if self.horizon > t[-1]:
             tail = self.values[-1] * (self.horizon - t[-1])
             t = np.concatenate((t, [self.horizon]))

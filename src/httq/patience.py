@@ -301,8 +301,8 @@ class PatienceSpec:
         return PatienceSpec(d.get("mode"), **fields)
 
 
-def _invert_f(f, targets: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Smallest z >= 0 with f(z) >= target, by vectorized bisection; inf if none."""
+def _invert_f(f, targets: np.ndarray) -> np.ndarray:
+    """Smallest z >= 0 with f(z) >= target, by bisection to 1e-12; inf if none."""
     targets = np.asarray(targets, dtype=float)
     hi = np.full_like(targets, 1.0)
     # Grow brackets until they cover their targets or stop making progress.
@@ -322,7 +322,7 @@ def _invert_f(f, targets: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         below = np.asarray(f(mid), dtype=float) < targets
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if float((hi - lo).max()) < tol:
+        if float((hi - lo).max()) < 1e-12:
             break
     out = 0.5 * (lo + hi)
     out = np.where(targets <= 0, 0.0, out)

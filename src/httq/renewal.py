@@ -4,8 +4,10 @@ The renewal function M(t) = E[number of renewals in (0, t]] solves
 M = H + H * dM.  On a uniform grid the Riemann-Stieltjes trapezoid
 discretization gives a stable forward recursion; the deterministic family is
 dispatched to the exact lattice formula M(t) = floor(t / v) instead of
-quadrature.  Tables are frozen, read-only and cached by (law, horizon, step),
-at most ``CACHE_SIZE`` of them, so a repeated call returns the same table.
+quadrature.  A step above the stability cap min(1e-2, mean/20) is divided by
+the least integer that brings it under.  Tables are frozen, read-only and
+cached by (law, horizon, table step), at most ``CACHE_SIZE`` of them, so a
+repeated call returns the same table.
 
 The equilibrium distribution H_e(x) = mu * int_0^x (1 - H(u)) du (mu the
 reciprocal mean) is itself a `DistributionSpec` for the exponential and
@@ -20,8 +22,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .distributions import CACHE_SIZE, DistributionSpec
-from .paths import cell_count
+from .distributions import CACHE_SIZE, DistributionSpec, check_number
+from .paths import _cumtrapz, cell_count
 
 __all__ = ["RenewalTable", "compute_renewal_function", "EquilibriumDistribution", "equilibrium_distribution"]
 
@@ -66,7 +68,9 @@ class RenewalTable:
     def _indices_on(self, grid: np.ndarray) -> np.ndarray:
         grid = np.asarray(grid, dtype=float)
         idx = np.rint(grid / self.step).astype(int)
-        if np.any(np.abs(idx * self.step - grid) > 1e-9) or np.any(idx < 0) or np.any(idx >= self.times.size):
+        if np.any(idx >= self.times.size):
+            raise ValueError(f"grid runs past the renewal table's horizon {self.horizon}")
+        if np.any(np.abs(idx * self.step - grid) > 1e-9) or np.any(idx < 0):
             raise ValueError("grid is not aligned with the renewal table (integer multiples of its step)")
         return idx
 
@@ -81,7 +85,6 @@ class RenewalTable:
     def residual(self) -> float:
         """sup over the grid of |M - H - H * dM| under the scheme's quadrature."""
         m = self.times.size - 1
-        dM = np.diff(self.values)
         if self.method == "lattice":
             Hg = np.asarray(self.H.cdf(self.times + 1e-12), dtype=float)
             # Exact Stieltjes sums against the atom train of M.
@@ -96,30 +99,28 @@ class RenewalTable:
             return float(r)
         Hg = np.asarray(self.H.cdf(self.times), dtype=float)
         b = 0.5 * (Hg[:-1] + Hg[1:])  # b[i] = (H(t_i) + H(t_{i+1})) / 2
-        r = 0.0
-        for k in range(1, m + 1):
-            conv = float(np.dot(dM[:k], b[k - 1 :: -1]))
-            r = max(r, abs(self.values[k] - Hg[k] - conv))
-        return float(r)
+        conv = np.convolve(np.diff(self.values), b)[:m]  # conv[k-1] = sum_{j<k} dM_j b_{k-1-j}
+        return float(np.max(np.abs(self.values[1:] - Hg[1:] - conv)))
 
 
 def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | None = None) -> RenewalTable:
     """Solve M = H + H * dM on [0, horizon].
 
-    ``step`` defaults to min(1e-2, mean(H)/20) and may be set smaller but not
-    larger.  Deterministic H uses the exact lattice formula.  The table is
-    built once per (law, horizon, step) and shared by every later call.
+    ``step`` defaults to the stability cap min(1e-2, mean(H)/20); one over it
+    by more than 1e-15 is divided by the least integer k that brings it under,
+    so every multiple of ``step`` lies on the lattice of ``table.step`` = step / k.
+    Deterministic H uses the exact lattice formula, and each table is built once.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     cap = _default_step(H)
-    if step is None:
-        step = cap
-    if step > cap + 1e-15:
-        raise ValueError(f"step {step} exceeds the stability cap min(1e-2, mean/20) = {cap}")
+    step = cap if step is None else check_number(step, "step")
+    k = max(1, math.floor(step / cap))  # not ceil: 0.07 / 0.01 rounds to just over 7
+    while step / k > cap + 1e-15:
+        k += 1
     if float(H.cdf(0.0)) != 0.0:
         raise ValueError("interrenewal law must have no atom at 0")
-    return _renewal_table(H, float(horizon), float(step))
+    return _renewal_table(H, float(horizon), step / k)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -190,7 +191,7 @@ def equilibrium_distribution(H: DistributionSpec) -> DistributionSpec | Equilibr
     for _ in range(40):
         xs = np.arange(0.0, hi + step, step)
         surv = 1.0 - np.asarray(H.cdf(xs), dtype=float)
-        cs = mu * np.concatenate(([0.0], np.cumsum(0.5 * (surv[1:] + surv[:-1]) * step)))
+        cs = mu * _cumtrapz(surv, step)
         if cs[-1] >= 1.0 - 1e-9:
             break
         hi *= 2.0

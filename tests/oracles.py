@@ -13,7 +13,9 @@ iteration that the forward phi_Mg solve replaced, which shares only the
 trapezoid sum with the library and solves phi_M through
 `per_step_phi_m_solve`, the step-by-step phi_M solve that the blocked one
 replaced; `endpoint_rule_phi_m`, the two-GEMM form of the trapezoid
-convolution that the one-GEMM defect replaced;
+convolution that the one-GEMM defect replaced; `per_step_trapezoid_residual`,
+the per-grid-point dot products that a renewal table's one convolution
+replaced;
 `per_step_phi_mg_forward`, the step-by-step forward pass that the blocked
 pass replaced, which shares only the trapezoid sum with it; and
 `per_replication_limit`, the loop `httq limit` ran before it solved all
@@ -52,8 +54,8 @@ from httq.limits import (
     solve_limit_case_i,
     solve_limit_case_ii,
 )
-from httq.maps import OWN_STEP_MAX_ITER, _ULPS, _cumtrapz, _stieltjes_matrix
-from httq.paths import check_grid, counting_path, linear_path, step_path
+from httq.maps import OWN_STEP_MAX_ITER, _ULPS, _stieltjes_matrix
+from httq.paths import _cumtrapz, check_grid, counting_path, linear_path, step_path
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
     KIND_ABANDONMENT,
@@ -598,6 +600,20 @@ def per_step_phi_m_solve(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
         X[:, k] = Y[:, k] + neg[:, :k] @ wrev[m - k:]
         neg[:, k] = np.maximum(-X[:, k], 0.0)
     return X
+
+
+def per_step_trapezoid_residual(table) -> float:
+    """sup over a trapezoid renewal table's grid of |M - H - H * dM|, with the
+    Stieltjes sum at each grid point taken as its own dot product."""
+    m = table.times.size - 1
+    dM = np.diff(table.values)
+    Hg = np.asarray(table.H.cdf(table.times), dtype=float)
+    b = 0.5 * (Hg[:-1] + Hg[1:])  # b[i] = (H(t_i) + H(t_{i+1})) / 2
+    r = 0.0
+    for k in range(1, m + 1):
+        conv = float(np.dot(dM[:k], b[k - 1 :: -1]))
+        r = max(r, abs(table.values[k] - Hg[k] - conv))
+    return float(r)
 
 
 def endpoint_rule_phi_m(X: np.ndarray, A: np.ndarray) -> np.ndarray:

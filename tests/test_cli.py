@@ -438,6 +438,28 @@ def test_limit_case_ii(tmp_path):
         assert rep["residual"] <= 0.1  # 10 x grid step
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("limit", {"case": "ii", "xi": -0.5, "beta": -1.0, "mu": 1.0, "reps": 2,
+               "patience": {"mode": "no_scaling",
+                            "distribution": {"family": "exponential", "rate": 1.0}}}),
+    ("maps", {"map": "phi_Mg", "y": {"brownian": {"variance_rate": 2.0}}, "g": {"slope": 0.5}}),
+])
+def test_critical_routes_run_on_their_default_grid_at_the_paper_horizon(tmp_path, command, doc):
+    # the default grid step T / 512 = 0.0195 is over the renewal table's cap
+    # of 0.01, so the table is built at half the grid step
+    spec = write_spec(tmp_path, f"{command}.json", {
+        "command": command, **doc, "service": {"family": "exponential", "rate": 1.0},
+        "horizon": 10.0, "seed": 5})
+    out = tmp_path / "runs"
+    assert main([command, spec, "--out", str(out), "--workers", "1"]) == 0
+    (rundir,) = run_dirs(out)
+    csv = "limit.csv" if command == "limit" else "solution.csv"
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in (rundir / csv).read_text().splitlines()[2:]])
+    np.testing.assert_array_equal(rows[:, 0], uniform_grid(10.0, 10.0 / 512))
+    assert np.all(np.isfinite(rows))
+
+
 _LINEAR_PATIENCE = {"mode": "no_scaling",
                     "distribution": {"family": "exponential", "rate": 0.7}}
 

@@ -252,6 +252,32 @@ def test_covariance_rejects_out_of_range(exp_table):
         covariance_S(1.0, 7.0, exp_table)
 
 
+def test_covariance_refuses_a_table_past_max_cells():
+    # 4097 points give 4097^2 > MAX_CELLS entries: refused before any buffer,
+    # and the refusal leaves no cache entry behind
+    table = compute_renewal_function(DistributionSpec.exponential(1.0), horizon=40.96, step=0.01)
+    assert table.times.size == 4097
+    entries = _covariance_model.cache_info().currsize
+    with pytest.raises(ValueError, match="4097-point table"):
+        _covariance_model(table)
+    assert _covariance_model.cache_info().currsize == entries
+
+
+@pytest.mark.parametrize("grid, message", [
+    (np.linspace(0.0, 1.0, 8), "not aligned"),  # step 1/7, off the 0.01 lattice
+    (uniform_grid(1.5, 0.01), "past the renewal table's horizon"),
+])
+def test_case_ii_grid_off_the_table_is_refused_before_the_covariance_build(
+        grid, message, clear_noise_caches):
+    clear_noise_caches()
+    table = compute_renewal_function(DistributionSpec.exponential(1.0), horizon=1.37, step=0.01)
+    before = _covariance_model.cache_info()
+    with pytest.raises(ValueError, match=message):
+        sample_case_ii_paths(0.0, 0.0, 1.0, 1.0, None, table, grid, seed=1, reps=2)
+    after = _covariance_model.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian sampler and the finite-n replica
 

@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import equilibrium_cdf_quadrature, erlang2_renewal_closed_form, mc_renewal_function
+from oracles import (
+    equilibrium_cdf_quadrature,
+    erlang2_renewal_closed_form,
+    mc_renewal_function,
+    per_step_trapezoid_residual,
+)
 
 from httq.distributions import CACHE_SIZE, DistributionSpec
 from httq.renewal import (
@@ -78,10 +83,50 @@ def test_refining_step_converges():
     assert prev_err <= 1e-4
 
 
-def test_step_cap_enforced():
+@pytest.mark.parametrize("rate", [1.0, 10.0])
+@pytest.mark.parametrize("asked", [0.07, 0.05, 0.0195, "cap", "cap/3"])
+def test_step_over_the_cap_is_divided_by_the_least_integer(rate, asked):
+    H = DistributionSpec.exponential(rate)
+    cap = min(1e-2, H.mean() / 20.0)
+    asked = {"cap": cap, "cap/3": cap / 3.0}.get(asked, asked)
+    T = 1.0
+    table = compute_renewal_function(H, T, step=asked)
+    assert table.step <= cap
+    k = round(asked / table.step)
+    assert k >= 1 and asked / k == table.step
+    if k > 1:  # k is the least integer that brings the step under the cap
+        assert asked / (k - 1) > cap + 1e-15
+    else:  # a step the cap admits is kept, and so is its table
+        assert table.step == asked and table is _renewal_table(H, T, asked)
+    multiples = asked * np.arange(math.floor(T / asked) + 1)
+    on_lattice = table.values[k * np.arange(multiples.size)]
+    np.testing.assert_array_equal(table.values_on(multiples), on_lattice)
+
+
+def test_worked_out_steps_share_one_table():
+    # 0.07 / 0.01 is 7.000000000000001 in floats, yet 7 brings it under the cap
     H = DistributionSpec.exponential(1.0)
-    with pytest.raises(ValueError):
-        compute_renewal_function(H, horizon=1.0, step=0.05)
+    assert compute_renewal_function(H, 1.0, step=0.07).step == 0.01
+    table = compute_renewal_function(H, 1.0, step=0.01)
+    assert compute_renewal_function(H, 1.0, step=0.05) is table
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        DistributionSpec.exponential(1.0),
+        DistributionSpec.erlang(3, 3.0),
+        DistributionSpec.lognormal(-0.32, 0.8),
+        DistributionSpec.hyperexponential([0.3, 0.7], [0.5, 3.0]),
+        DistributionSpec.uniform(0.0, 2.0),
+    ],
+    ids=lambda h: h.family,
+)
+def test_trapezoid_residual_matches_the_per_step_oracle(H):
+    table = compute_renewal_function(H, 10.0)
+    assert table.method == "trapezoid"
+    bound = 1e-15 * max(1.0, float(table.values[-1]))
+    assert abs(table.residual() - per_step_trapezoid_residual(table)) <= bound
 
 
 def test_grid_alignment_contract():
@@ -91,8 +136,10 @@ def test_grid_alignment_contract():
     assert vals.shape == sub.shape
     inc = tab.increments_on(sub)
     np.testing.assert_allclose(np.cumsum(inc), vals[1:] - vals[0], atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not aligned"):
         tab.values_on(np.array([0.013]))
+    with pytest.raises(ValueError, match="past the renewal table's horizon"):
+        tab.values_on(np.array([0.0, 2.01]))
 
 
 def test_equilibrium_exponential_is_itself():

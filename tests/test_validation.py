@@ -324,6 +324,18 @@ def test_sweep_gap_trends_mmn():
             assert np.all(vals >= 0.0) and np.all(np.isfinite(vals))
 
 
+@pytest.mark.parametrize("mu, horizon", [(1.0, 20.0), (10.0, 10.0)])
+def test_critical_sweep_runs_where_the_limit_grid_is_over_the_table_cap(mu, horizon):
+    # the limit grid step T / 1024 is over min(1e-2, mean/20), so the renewal
+    # table is built at half that step
+    report = convergence_sweep(mmn_config(25, mu=mu, horizon=horizon), [25, 100],
+                               replications=8, seed=1)
+    assert report.limit_case == "ii"
+    for n in (25, 100):
+        assert len(report.ks[n]) == 3
+        assert all(0.0 <= v <= 1.0 for v in report.ks[n].values())
+
+
 def test_sweep_input_validation():
     cfg = mmn_config(25)
     with pytest.raises(ValueError, match="replications"):
