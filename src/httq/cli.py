@@ -11,16 +11,18 @@ Six subcommands mirror the library layers:
 
 Experiment files are JSON objects; unknown keys anywhere are errors, and so
 is a key the chosen map or limit case does not read.  A "command" key, when
-present, must match the subcommand.  Artifacts go
-to <out>/<12-hex hash of the resolved spec>/, every file starts with a
-(version, spec-hash, seed) header, and a schema.json documents the CSV
-columns, so a rerun of the same resolved spec is byte-identical and
-diff-able.  The run directory is made only once the artifacts are ready,
-so a rejected spec leaves nothing behind.  Spec and flag scalars are checked,
-never coerced: a number is finite and not a bool or a string, and a count
-is a number with an integral value (40.0 passes as 40), at least 1, or 0 for
-a seed.  Exit codes: 0 success, 2 validation failure, 3 threshold failure
-under --check.
+present, must match the subcommand.  Spec and flag scalars are checked,
+never coerced: a number is finite and not a bool or a string, a count is a
+number with an integral value (40.0 passes as 40), at least 1, or 0 for a
+seed, and a null key reads as absent.  A command's resolved spec, which every
+summary but sweep's records, holds each setting in the form it was checked
+and run with; its 12-hex hash names the run directory <out>/<hash>/, however
+the file spells the settings (1 or 1.0, a null or an absent key).  Every file
+starts with a (version, spec-hash, seed) header and a schema.json documents
+the CSV columns, so a rerun is byte-identical and diff-able.  The run
+directory is made only once the artifacts are ready, so a rejected spec
+leaves nothing behind.  Exit codes: 0 success, 2 validation failure, 3
+threshold failure under --check.
 """
 
 from __future__ import annotations
@@ -132,6 +134,18 @@ def _grid_step(args, doc: dict, default, key: str = "grid_step"):
     return _value(doc, key, f"{args.command} spec", check_number, default)
 
 
+def _lattice(args, doc: dict, T: float, service_where: str | None):
+    """(grid step, grid, service law, renewal table) of a limit or map solve on
+    [0, T]: the step is --grid-step, else the spec's, else T/512; the law and
+    its table on that step are read where `service_where` names a reader."""
+    grid_step = _grid_step(args, doc, T / 512)
+    grid = uniform_grid(T, grid_step)
+    if service_where is None:
+        return grid_step, grid, None, None
+    law = DistributionSpec.from_dict(_value(doc, "service", service_where))
+    return grid_step, grid, law, compute_renewal_function(law, T, step=grid_step)
+
+
 def _run_dir(args, resolved: dict) -> tuple[dict, Path]:
     """(meta, <out>/<spec hash>) of a resolved spec.  The directory is made
     here, so call this after the compute, just before the first write."""
@@ -161,21 +175,12 @@ def _workers(args) -> int:
 # artifact writers
 
 
-def _cell(v) -> str:
-    if type(v) is float:
-        return repr(v)
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _write_csv(path: Path, meta: dict, columns, rows) -> None:
+    """Rows of str, int and float cells; `str` of a float, numpy's too, is its repr."""
     with open(path, "w") as fh:
         fh.write(f"# httq v{meta['version']} spec={meta['spec_hash']} seed={meta['seed']}\n")
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, meta: dict, payload: dict) -> None:
@@ -297,20 +302,16 @@ def _cmd_limit(args) -> int:
     ca2 = _value(doc, "ca2", where, check_number, 1.0)
     reps = _value(doc, "reps", where, check_count, 1)
     tol = _value(doc, "tol", where, check_number, 1e-10)
-    grid_step = _grid_step(args, doc, T / 512)
-    grid = uniform_grid(T, grid_step)
-
-    service_spec = table = None
-    if case == "ii":
-        service_spec = DistributionSpec.from_dict(_value(doc, "service", "limit spec (case 'ii')"))
-        table = compute_renewal_function(service_spec, T, step=grid_step)
     patience = doc.get("patience")
-    f = None if patience is None else PatienceSpec.from_dict(patience).limit_function()
+    patience = None if patience is None else PatienceSpec.from_dict(patience)
+    grid_step, grid, law, table = _lattice(
+        args, doc, T, "limit spec (case 'ii')" if case == "ii" else None)
+    f = None if patience is None else patience.limit_function()
     model = LimitModel(case, mu, ca2, xi, beta, f, table, tol)
 
     resolved = {"command": "limit", "case": case, "xi": xi, "beta": beta, "mu": mu,
-                "ca2": ca2, "patience": patience,
-                "service": None if service_spec is None else service_spec.to_dict(),
+                "ca2": ca2, "patience": None if patience is None else patience.to_dict(),
+                "service": None if law is None else law.to_dict(),
                 "horizon": T, "grid_step": grid_step, "reps": reps,
                 "seed": seed, "tol": tol}
     noise = [sample_noise(case, mu, ca2, grid, seed, replication=r, M=table)
@@ -386,50 +387,55 @@ def _cmd_renewal(args) -> int:
 # sweep
 
 
-def _check_thresholds(thr, n_values, checkpoints) -> dict:
-    """The entries of `thr`: names, (n, checkpoint, max) and (statistic, max) for
-    its three keys; refuses one naming a statistic, n or checkpoint not swept."""
+def _check_thresholds(thr: dict, n_values, checkpoints) -> dict:
+    """The checked thresholds document, null and empty lists dropped: names, {n,
+    checkpoint, max} and {statistic, max} under its three keys; refuses an
+    entry naming a statistic, n or checkpoint not swept."""
     check_keys(thr, {"decreasing", "ks_max", "ratio_max"}, "thresholds")
-    for key, entries in thr.items():
-        if not isinstance(entries, list):
-            raise CliError(f"thresholds {key} must be a list, got {entries!r}")
     known = verdict_names(checkpoints)
-    checked = {"decreasing": thr.get("decreasing", []), "ks_max": [], "ratio_max": []}
-    for name in checked["decreasing"]:
-        if name not in known:
-            raise CliError(f"thresholds reference unknown statistic {name!r}; "
-                           f"known: {sorted(known)}")
-    for item in thr.get("ks_max", []):
-        check_keys(item, {"n", "checkpoint", "max"}, "ks_max entry")
-        n = _value(item, "n", "ks_max entry", check_count)
-        t = _value(item, "checkpoint", "ks_max entry", check_number)
-        if n not in n_values:
-            raise CliError(f"ks_max references n={n} not in the sweep {list(n_values)}")
-        if not any(math.isclose(c, t) for c in checkpoints):
-            raise CliError(f"ks_max references checkpoint {t} not in {list(checkpoints)}")
-        checked["ks_max"].append((n, t, _value(item, "max", "ks_max entry", check_number)))
-    for item in thr.get("ratio_max", []):
-        check_keys(item, {"statistic", "max"}, "ratio_max entry")
-        mx = _value(item, "max", "ratio_max entry", check_number)
-        name = _value(item, "statistic", "ratio_max entry")
-        if name not in GAP_NAMES:
-            raise CliError(f"ratio_max references unknown statistic {name!r}")
-        checked["ratio_max"].append((name, mx))
+    checked = {}
+    for key, entries in thr.items():
+        if entries is not None and not isinstance(entries, list):
+            raise CliError(f"thresholds {key} must be a list, got {entries!r}")
+        for item in entries or []:
+            if key == "decreasing" and item not in known:
+                raise CliError(f"thresholds reference unknown statistic {item!r}; "
+                               f"known: {sorted(known)}")
+            elif key == "ks_max":
+                check_keys(item, {"n", "checkpoint", "max"}, "ks_max entry")
+                n = _value(item, "n", "ks_max entry", check_count)
+                t = _value(item, "checkpoint", "ks_max entry", check_number)
+                if n not in n_values:
+                    raise CliError(f"ks_max references n={n} not in the sweep {list(n_values)}")
+                if not any(math.isclose(c, t) for c in checkpoints):
+                    raise CliError(f"ks_max references checkpoint {t} not in {list(checkpoints)}")
+                item = {"n": n, "checkpoint": t,
+                        "max": _value(item, "max", "ks_max entry", check_number)}
+            elif key == "ratio_max":
+                check_keys(item, {"statistic", "max"}, "ratio_max entry")
+                item = {"max": _value(item, "max", "ratio_max entry", check_number),
+                        "statistic": _value(item, "statistic", "ratio_max entry")}
+                if item["statistic"] not in GAP_NAMES:
+                    raise CliError(
+                        f"ratio_max references unknown statistic {item['statistic']!r}")
+            checked.setdefault(key, []).append(item)
     return checked
 
 
 def _eval_thresholds(report, checked: dict) -> list[str]:
-    """Threshold failures of a sweep, from the entries `_check_thresholds` returned."""
+    """Threshold failures of a sweep, from the document `_check_thresholds` returned."""
     failures = []
-    for name in checked["decreasing"]:
+    for name in checked.get("decreasing", []):
         verdict = report.verdicts[name]
         if verdict != "decreasing":
             failures.append(f"{name}: verdict {verdict!r}, required decreasing")
-    for n, t, mx in checked["ks_max"]:
+    for item in checked.get("ks_max", []):
+        n, t, mx = item["n"], item["checkpoint"], item["max"]
         value = next(v for tk, v in report.ks[n].items() if math.isclose(tk, t))
         if value > mx:
             failures.append(f"ks@{t:g} at n={n}: {value:.4f} > {mx}")
-    for name, mx in checked["ratio_max"]:
+    for item in checked.get("ratio_max", []):
+        name, mx = item["statistic"], item["max"]
         n_lo, n_hi = min(report.n_values), max(report.n_values)
         lo = report.summaries[name][n_lo]["median"]
         hi = report.summaries[name][n_hi]["median"]
@@ -460,10 +466,10 @@ def _cmd_sweep(args) -> int:
         _value(doc, "grid_points", where, default=256))
     if args.grid_step is not None:
         grid_points = uniform_grid(config.horizon, args.grid_step).size - 1
-    checkpoints = doc.get("checkpoints")
-    thresholds = doc.get("thresholds", {})
-    checked = _check_thresholds(thresholds, n_values,
-                                resolve_checkpoints(checkpoints, config.horizon))
+    times = resolve_checkpoints(doc.get("checkpoints"), config.horizon)
+    checkpoints = None if doc.get("checkpoints") is None else list(times)
+    thresholds = _check_thresholds(_value(doc, "thresholds", where, default={}),
+                                   n_values, times)
 
     resolved = {"command": "sweep", "config": config.to_dict(), "n_values": list(n_values),
                 "replications": reps, "seed": seed, "checkpoints": checkpoints,
@@ -484,14 +490,14 @@ def _cmd_sweep(args) -> int:
     })
     for name, verdict in sorted(report.verdicts.items()):
         print(f"sweep: {name}: {verdict}")
-    failures = _eval_thresholds(report, checked)
+    failures = _eval_thresholds(report, thresholds)
     if args.check:
         if failures:
             for f in failures:
                 print(f"check failed: {f}", file=sys.stderr)
             print(f"artifacts in {outdir}")
             return EXIT_THRESHOLD
-        print(f"check passed ({sum(map(len, checked.values()))} threshold(s)), "
+        print(f"check passed ({sum(map(len, thresholds.values()))} threshold(s)), "
               f"artifacts in {outdir}")
         return EXIT_OK
     print(f"artifacts in {outdir}")
@@ -548,36 +554,23 @@ _MAP_KEYS = {"phi_n_g": _MAP_BASE_KEYS | {"g", "mu_n"},
              "phi_Mg": _MAP_BASE_KEYS | {"g", "service", "tol", "g_sign"}}
 
 
-def _path_from_doc(y_doc, grid: np.ndarray, horizon: float, seed: int) -> CadlagPath:
+def _check_y(y_doc) -> dict:
+    """The checked input path: a Brownian variance rate, or float times and
+    values with their interpolation kind, "linear" when absent."""
     if isinstance(y_doc, dict) and "brownian" in y_doc:
         check_keys(y_doc, {"brownian"}, "y")
         b = y_doc["brownian"]
         check_keys(b, {"variance_rate"}, "y.brownian")
-        return sample_brownian(_value(b, "variance_rate", "y.brownian", check_number),
-                               grid, make_rng(seed, purpose="scratch"))
+        return {"brownian": {"variance_rate": _value(b, "variance_rate", "y.brownian",
+                                                     check_number)}}
     check_keys(y_doc, {"times", "values", "kind"}, "y")
-    times, values = (_numbers(y_doc, key, "y") for key in ("times", "values"))
-    return CadlagPath(times, values, y_doc.get("kind", "linear"), horizon)
-
-
-def _numbers(doc: dict, key: str, where: str) -> np.ndarray:
-    """doc[key]: a list whose every entry meets the number rule."""
-    entries = _value(doc, key, where)
-    if not isinstance(entries, list):
-        raise CliError(f"{where} {key} must be a list of numbers, got {entries!r}")
-    return np.array([check_number(v, f"{where} {key} entry") for v in entries], dtype=float)
-
-
-def _g_from_doc(g_doc):
-    if g_doc is None:
-        return None
-    check_keys(g_doc, {"slope"}, "g")
-    slope = _value(g_doc, "slope", "g", check_number)
-
-    def g(x, _s=slope):
-        return _s * np.asarray(x, dtype=float)
-
-    return g
+    y = {"kind": _value(y_doc, "kind", "y", default="linear")}
+    for key in ("times", "values"):
+        entries = _value(y_doc, key, "y")
+        if not isinstance(entries, list):
+            raise CliError(f"y {key} must be a list of numbers, got {entries!r}")
+        y[key] = [check_number(v, f"y {key} entry") for v in entries]
+    return y
 
 
 def _cmd_maps(args) -> int:
@@ -588,26 +581,28 @@ def _cmd_maps(args) -> int:
         raise CliError(f"unknown map {variant!r}; known: {', '.join(_MAP_KEYS)}")
     _refuse_unread(doc, _MAP_KEYS[variant], f"map {variant}")
     T = _value(doc, "horizon", where, check_number)
-    grid_step = _grid_step(args, doc, T / 512)
-    grid = uniform_grid(T, grid_step)
     tol = _value(doc, "tol", where, check_number, 1e-10)
     g_sign = _value(doc, "g_sign", where, check_number, 1.0)
     mu_n = _value(doc, "mu_n", where, check_number) if "mu_n" in _MAP_KEYS[variant] else None
+    y_doc = _check_y(_value(doc, "y", where))
+    g_doc = doc.get("g")
+    if g_doc is not None:
+        check_keys(g_doc, {"slope"}, "g")
+        g_doc = {"slope": _value(g_doc, "slope", "g", check_number)}
+    grid_step, grid, law, table = _lattice(
+        args, doc, T, f"maps spec (renewal table of map {variant})"
+        if "service" in _MAP_KEYS[variant] else None)
 
-    table = None
-    service_spec = None
-    if "service" in _MAP_KEYS[variant]:
-        service_spec = DistributionSpec.from_dict(
-            _value(doc, "service", f"maps spec (renewal table of map {variant})"))
-        table = compute_renewal_function(service_spec, T, step=grid_step)
-    g = _g_from_doc(doc.get("g"))
-
-    resolved = {"command": "maps", "map": variant, "y": doc.get("y"),
-                "g": doc.get("g"), "mu_n": doc.get("mu_n"),
-                "service": None if service_spec is None else service_spec.to_dict(),
+    resolved = {"command": "maps", "map": variant, "y": y_doc, "g": g_doc, "mu_n": mu_n,
+                "service": None if law is None else law.to_dict(),
                 "horizon": T, "grid_step": grid_step, "tol": tol, "g_sign": g_sign,
                 "seed": seed}
-    y = _path_from_doc(_value(doc, "y", where), grid, T, seed)
+    if "brownian" in y_doc:
+        rng = make_rng(seed, purpose="scratch")
+        y = sample_brownian(y_doc["brownian"]["variance_rate"], grid, rng)
+    else:
+        y = CadlagPath(np.array(y_doc["times"]), np.array(y_doc["values"]), y_doc["kind"], T)
+    g = None if g_doc is None else lambda x: g_doc["slope"] * np.asarray(x, dtype=float)
     if variant == "phi_n_g":
         sol = solve_phi_n_g(y, g, mu_n, grid)
     elif variant == "skorokhod_g":

@@ -28,7 +28,8 @@ import numpy as np
 
 # Entries kept per functools.lru_cache of tables built from a law (equilibrium
 # laws, integrated hazards, covariance models, and Cholesky factors keyed by
-# table and grid): at most 8 models and 8 factors, about 8 MB each at m = 1024.
+# table and grid): at most 8 models and 8 factors, about 8 MB each at m = 1024
+# and 134 MB each at the 4096-point table cap, so about 2.1 GB at worst.
 CACHE_SIZE = 8
 
 __all__ = ["DistributionSpec", "ArrivalSpec", "check_count", "check_keys", "check_number",

@@ -254,7 +254,7 @@ class LimitModel:
     """One limit equation: case "i" or "ii", its scalars, the patience limit f
     and, in case "ii", the renewal table M of the service law M.H.  Building it
     is the one check, before any draw: every scalar finite, mu > 0, ca2 >= 0,
-    tol > 0, and xi >= 0 in case "i", M with mean 1/mu in case "ii"."""
+    tol > 0, xi >= 0 and no M in case "i", M with mean 1/mu in case "ii"."""
 
     case: str
     mu: float
@@ -278,6 +278,8 @@ class LimitModel:
             raise ValueError("tol must be positive")
         if self.case == "i" and self.xi < 0:
             raise ValueError("xi must be nonnegative in the reflected regime")
+        if self.case == "i" and self.M is not None:
+            raise ValueError("case 'i' takes no renewal table")
         if self.case == "ii":
             if self.M is None:
                 raise ValueError("case 'ii' needs the renewal table M")

@@ -231,10 +231,10 @@ def _phi_mg_forward(Y: np.ndarray, A: np.ndarray, gv: Callable, h: float, sign: 
     of _BLOCK steps, one GEMM with a panel of A^T (A = `_stieltjes_matrix(dM)`)
     brings in the history, and sweeps over the block and every row settle its
     steps until one changes x by less than 1e-3 * tol.  A change that fails
-    to shrink halves the block for the rest of the pass and redoes it; at one
-    step the sweep is the own-step contraction, with factor h/2 * lambda_g,
-    and a failure there raises.  The result is U = y + sign * int g(x^+) ds,
-    whose phi_M image is x.
+    to shrink halves the block and redoes it, and each settled block doubles
+    the next, up to _BLOCK; at one step the sweep is the own-step contraction,
+    with factor h/2 * lambda_g, and a failure there raises.  The result is
+    U = y + sign * int g(x^+) ds, whose phi_M image is x.
     """
     m = A.shape[0] - 1
     At = A.T  # a view: the panels read A
@@ -280,6 +280,7 @@ def _phi_mg_forward(Y: np.ndarray, A: np.ndarray, gv: Callable, h: float, sign: 
         neg[:, a:a + n] = np.maximum(-x, 0.0)
         carried += 2.0 * own * gx.sum(axis=1, keepdims=True)
         a += n
+        b = min(2 * b, _BLOCK, m)
     return Y + sign * _cumtrapz(G, h)
 
 

@@ -741,6 +741,75 @@ def test_rerun_is_byte_identical(tmp_path, command):
                 f"schema.json documents {key!r}, which is not a {name} column"
 
 
+# one run's settings in their checked form, with that form's run directory,
+# and other spellings of the same settings: ints for floats, explicit nulls,
+# no y kind and empty threshold lists
+_EXP1 = {"family": "exponential", "rate": 1.0}
+_LIMIT_SPELLED = {"case": "ii", "xi": 0.0, "beta": -1.0, "mu": 1.0, "service": _EXP1,
+                  "patience": {"mode": "no_scaling", "distribution": _EXP1},
+                  "horizon": 2.0, "grid_step": 0.01, "reps": 1}
+_MAPS_SPELLED = {"map": "phi_n_g", "g": {"slope": 1.0}, "mu_n": 2.0, "horizon": 1.0,
+                 "y": {"times": [0.0, 1.0], "values": [0.0, -1.0], "kind": "linear"},
+                 "grid_step": 0.01}
+_SWEEP_SPELLED = {"config": mmn_dict(n=4, horizon=1.0, alpha=1.0, beta=0.0),
+                  "n_values": [4], "replications": 2, "checkpoints": [1.0]}
+_DECREASING = {"decreasing": ["coupling_gap"]}
+_SPELLINGS = {
+    "limit-patience": ("limit", _LIMIT_SPELLED, "325442a028fb", [
+        {"patience": {"mode": "no_scaling",
+                      "distribution": {"family": "exponential", "rate": 1}}},
+        {"patience": {"mode": "no_scaling", "distribution": _EXP1, "f": None}}]),
+    "maps-g-mu_n-y": ("maps", _MAPS_SPELLED, "eeaf48a6b79d", [
+        {"g": {"slope": 1}, "mu_n": 2},
+        {"y": {"times": [0, 1], "values": [0, -1]}},
+        {"y": {"times": [0.0, 1.0], "values": [0.0, -1.0], "kind": None}}]),
+    "sweep-checkpoints": ("sweep", _SWEEP_SPELLED, "eb2f2df4ea8b", [
+        {"checkpoints": [1]}, {"thresholds": None}, {"thresholds": {"decreasing": None}}]),
+    "sweep-thresholds": ("sweep", {**_SWEEP_SPELLED, "thresholds": _DECREASING},
+                         "65b2d7280e32", [
+        {"thresholds": {**_DECREASING, "ks_max": []}},
+        {"thresholds": {**_DECREASING, "ks_max": None, "ratio_max": []}}]),
+}
+
+
+@pytest.mark.parametrize("command,doc,rundir,spellings", _SPELLINGS.values(),
+                         ids=list(_SPELLINGS))
+def test_one_run_directory_however_the_settings_are_spelled(tmp_path, command, doc,
+                                                            rundir, spellings):
+    # the run directory hashes the checked settings, not the file's text; the
+    # checked form keeps the directory it had when the file was hashed raw
+    out = tmp_path / "runs"
+    written = []
+    for k, patch in enumerate([{}, *spellings]):
+        spec = write_spec(tmp_path, f"{k}.json", {"command": command, **doc, **patch})
+        assert main([command, spec, "--out", str(out), "--workers", "1"]) == 0
+        (written_dir,) = run_dirs(out)
+        written.append({p.name: p.read_bytes() for p in written_dir.iterdir()})
+    assert written_dir.name == rundir
+    assert all(files == written[0] for files in written)
+
+
+def test_summary_records_the_checked_settings(tmp_path):
+    spec = write_spec(tmp_path, "limit.json", {
+        "command": "limit", **_LIMIT_SPELLED,
+        "patience": {"mode": "no_scaling", "distribution": {"family": "exponential", "rate": 1}},
+        "reps": 1.0})
+    assert main(["limit", spec, "--out", str(tmp_path / "r1"), "--workers", "1"]) == 0
+    (rundir,) = run_dirs(tmp_path / "r1")
+    recorded = json.loads((rundir / "limit_summary.json").read_text())["spec"]
+    rate = recorded["patience"]["distribution"]["rate"]
+    assert type(rate) is float and rate == 1.0
+    assert type(recorded["reps"]) is int
+    spec = write_spec(tmp_path, "maps.json", {
+        "command": "maps", **_MAPS_SPELLED, "y": {"times": [0, 1], "values": [0, -1]}})
+    assert main(["maps", spec, "--out", str(tmp_path / "r2"), "--workers", "1"]) == 0
+    (rundir,) = run_dirs(tmp_path / "r2")
+    recorded = json.loads((rundir / "solution_summary.json").read_text())["spec"]
+    assert recorded["y"] == {"times": [0.0, 1.0], "values": [0.0, -1.0], "kind": "linear"}
+    assert all(type(v) is float for v in recorded["y"]["times"] + recorded["y"]["values"])
+    assert recorded["g"] == {"slope": 1.0} and recorded["mu_n"] == 2.0
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_artifacts_do_not_depend_on_workers(tmp_path, command):
     # at --workers 2 the records (simulate) and the gap statistics (sweep)

@@ -590,6 +590,7 @@ _REFUSED = {
     "negative-tol-case-i": ("i", {"tol": -1.0}, "tol must be positive"),
     "negative-xi": ("i", {"xi": -0.5}, "xi must be nonnegative"),
     "no-table": ("ii", {"M": None}, "needs the renewal table"),
+    "case-i-table": ("i", {"M": _TABLE}, "case 'i' takes no renewal table"),
     "table-mean": ("ii", {"mu": 2.0}, r"case 'ii' requires service mean 1/mu = 0.5, got 1.0"),
 }
 

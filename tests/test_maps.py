@@ -523,6 +523,31 @@ def test_phi_mg_forward_blocks_match_per_step_oracle(law, sign, g, slope):
             assert np.all(closure < tol)
 
 
+def test_phi_mg_forward_blocks_grow_back_after_a_steep_stretch():
+    # g = 150x makes the first block's sweeps expand, so the pass halves its
+    # blocks there; once the input turns negative g(x^+) = 0 and the blocks
+    # double back, so every later call runs at full size but the last block's
+    h, tol = 1e-2, 1e-10
+    grid = _grid(640 * h, h)
+    M = _exp_table(1.0, grid[-1])
+    w = M.increments_on(grid)
+    base = _vectorize_g(lambda x: 150.0 * x)
+    widths = []
+
+    def gv(x):
+        widths.append(np.shape(x)[-1] if np.ndim(x) == 2 else 0)
+        return base(x)
+
+    Y = np.where(grid < httq.maps._BLOCK * h, 1.0, -1.0)[None, :].repeat(4, axis=0)
+    U = _phi_mg_forward(Y, _stieltjes_matrix(w), gv, h, -1.0, tol)
+    assert np.max(np.abs(U - per_step_phi_mg_forward(Y, w, base, h, -1.0, tol))) <= 10 * tol
+    full = httq.maps._BLOCK
+    regrown = widths.index(full, widths.index(full // 2))
+    tail = widths[regrown:]
+    assert set(tail) <= {full, tail[-1]}
+    assert tail.count(full) >= (grid.size - 4 * full) // full
+
+
 def test_phi_mg_certificate_rejects_a_wrong_forward_answer(monkeypatch):
     T, h = 2.0, 1e-2
     g = _grid(T, h)
