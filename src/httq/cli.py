@@ -390,13 +390,17 @@ def _cmd_renewal(args) -> int:
 def _check_thresholds(thr: dict, n_values, checkpoints) -> dict:
     """The checked thresholds document, null and empty lists dropped: names, {n,
     checkpoint, max} and {statistic, max} under its three keys; refuses an
-    entry naming a statistic, n or checkpoint not swept."""
+    entry naming a statistic, n or checkpoint not swept, and a decreasing or
+    ratio_max entry, which compares the smallest n with the largest, on one n."""
     check_keys(thr, {"decreasing", "ks_max", "ratio_max"}, "thresholds")
     known = verdict_names(checkpoints)
     checked = {}
     for key, entries in thr.items():
         if entries is not None and not isinstance(entries, list):
             raise CliError(f"thresholds {key} must be a list, got {entries!r}")
+        if entries and key != "ks_max" and len(n_values) < 2:
+            raise CliError(f"thresholds {key} compares the smallest n with the largest; "
+                           f"the sweep has one n value {list(n_values)}")
         for item in entries or []:
             if key == "decreasing" and item not in known:
                 raise CliError(f"thresholds reference unknown statistic {item!r}; "

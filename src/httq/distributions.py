@@ -90,7 +90,7 @@ def check_count(value, where: str, minimum: int = 1) -> int:
 
 
 def check_service_mean(H: DistributionSpec, mu: float, where: str) -> None:
-    """The critical-scale service rule: H has mean 1/mu, to 1e-8 of max(1, 1/mu)."""
+    """The service rule of every regime: H has mean 1/mu, to 1e-8 of max(1, 1/mu)."""
     m = H.mean()
     if not abs(m - 1.0 / mu) <= 1e-8 * max(1.0, 1.0 / mu):
         raise ValueError(f"{where} requires service mean 1/mu = {1.0 / mu}, got {m}")
@@ -360,12 +360,8 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class ArrivalSpec:
-    """Arrival process: a mean-1 base interarrival law, sped up to lambda^n.
-
-    The n-th system draws interarrivals as ``base / lambda_n`` with
-    ``lambda_n = n * mu * (1 + beta / sqrt(n))``, which makes the traffic
-    intensity deviation exactly ``beta / sqrt(n)``.
-    """
+    """Arrival process: a mean-1 base interarrival law, which the n-th system
+    divides by its arrival rate ``SystemConfig.lambda_n``."""
 
     base: DistributionSpec
 
@@ -380,22 +376,6 @@ class ArrivalSpec:
     @staticmethod
     def poisson() -> "ArrivalSpec":
         return ArrivalSpec(DistributionSpec.exponential(1.0))
-
-    def rate_for(self, n: int, mu: float, beta: float) -> float:
-        lam = n * mu * (1.0 + beta / math.sqrt(n))
-        if lam <= 0:
-            raise ValueError(f"arrival rate nonpositive at n={n}: beta={beta} too negative")
-        return lam
-
-    def sampler(self, n: int, mu: float, beta: float):
-        """Vectorized interarrival sampler for system n."""
-        lam = self.rate_for(n, mu, beta)
-        base = self.base
-
-        def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-            return base.sample(rng, size) / lam
-
-        return draw
 
     def to_dict(self) -> dict:
         return self.base.to_dict()

@@ -37,9 +37,10 @@ factor on a grid whose lattice points form one run at most two of its size
 (three at a jitter rung); the covariance and its factors are read-only.
 
 Each equation is one frozen `LimitModel`, checked once when built, that draws
-its noise (`noise`), builds its input Y (`drive`) and solves for every row of
-any Y (`solve`).  The public samplers and solvers compose these three; the
-single-path solvers return the maps' `MappingSolution` (variant "i" or "ii").
+both its noises (`noise`: `ServiceCovariance` only builds, factors and is read),
+builds its input Y (`drive`) and solves for every row of any Y (`solve`).  The
+public samplers and solvers compose these three; the single-path solvers
+return the maps' `MappingSolution` (variant "i" or "ii").
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distributions import CACHE_SIZE, check_number, check_service_mean
+from .distributions import CACHE_SIZE, check_count, check_number, check_service_mean
 from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this name)
     MappingSolution,
     _check_grid,
@@ -111,11 +112,11 @@ def sample_brownian(variance_rate: float, grid, stream: np.random.Generator) -> 
 class ServiceCovariance:
     """Covariance model of the critical-scale service noise on a lattice.
 
-    Built once per renewal table content; grids handed to `marginal`,
-    `cholesky` or `covariance` must be sub-lattices of the table's.  The
-    (m+1) x (m+1) build holds at most three such float buffers at once (J,
-    overwritten by C, then the two products), and `matrix` is read-only.  A
-    table over 4096 points ((m+1)^2 > MAX_CELLS) is refused before any buffer.
+    Built once per renewal table content, then factored and read; grids handed
+    to `marginal` or `cholesky` must be sub-lattices of the table's.  The (m+1)
+    x (m+1) build holds at most three such float buffers at once (J, overwritten
+    by C, then the two products), and `matrix` is read-only.  A table over 4096
+    points ((m+1)^2 > MAX_CELLS) is refused before any buffer.
     """
 
     def __init__(self, table: RenewalTable):
@@ -155,10 +156,6 @@ class ServiceCovariance:
         self.matrix *= 0.5
         self.matrix.flags.writeable = False  # shared by every caller
 
-    def covariance(self, s: float, t: float) -> float:
-        idx = self.table._indices_on([min(s, t), max(s, t)])
-        return float(self.matrix[idx[0], idx[1]])
-
     def marginal(self, grid) -> np.ndarray:
         """The covariance on the grid: a read-only view of `matrix` when the
         grid's lattice indices are one contiguous run, else a copy."""
@@ -170,14 +167,6 @@ class ServiceCovariance:
     def cholesky(self, grid) -> tuple[np.ndarray, float]:
         """Lower factor of the covariance on grid[1:], with the jitter used."""
         return _factor_cache(self.table, check_grid(grid).tobytes())
-
-    def sample_batch(self, grid, rng: np.random.Generator,
-                     reps: int) -> tuple[np.ndarray, float]:
-        """(reps rows of the noise on the grid, the jitter of their factor)."""
-        L, jitter = self.cholesky(grid)
-        out = np.zeros((reps, L.shape[0] + 1))
-        out[:, 1:] = rng.standard_normal((reps, L.shape[0])) @ L.T
-        return out, jitter
 
 
 _covariance_model = lru_cache(maxsize=CACHE_SIZE)(ServiceCovariance)  # keyed by table content
@@ -227,7 +216,8 @@ def covariance_S(s: float, t: float, M: RenewalTable) -> float:
     """
     if min(s, t) < 0 or max(s, t) > M.horizon + 1e-9:
         raise ValueError("times must lie within the renewal table horizon")
-    return _covariance_model(M).covariance(s, t)
+    idx = M._indices_on([min(s, t), max(s, t)])
+    return float(_covariance_model(M).matrix[idx[0], idx[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +279,21 @@ class LimitModel:
         """(E, S, jitter): reps rows of the driving pair on the grid from rng, E first.
 
         E is Brownian with variance rate mu * ca2, S standard Brownian in case "i"
-        and the renewal-coupled service noise in case "ii", whose covariance model
-        (the memory peak at its first build: three covariance-sized buffers) is
-        fetched before any row is drawn."""
+        and in case "ii" the renewal-coupled service noise, drawn here through the
+        lower factor `ServiceCovariance.cholesky` of its covariance on grid[1:].
+        The factor (and at its first build the model, the memory peak: three
+        covariance-sized buffers) is fetched before any row is drawn."""
+        reps = check_count(reps, "reps")
         grid = check_grid(grid)
-        if self.case == "ii":
-            self.M._indices_on(grid)  # a grid off M's lattice is refused before the build
-        model = _covariance_model(self.M) if self.case == "ii" else None
-        E = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
-        if model is None:
+        if self.case == "i":
+            E = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
             return E, _brownian_batch(rng, 1.0, grid, reps), 0.0
-        return (E, *model.sample_batch(grid, rng, reps))
+        self.M._indices_on(grid)  # a grid off M's lattice is refused before the build
+        L, jitter = _covariance_model(self.M).cholesky(grid)
+        E = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
+        S = np.zeros((reps, grid.size))
+        S[:, 1:] = rng.standard_normal((reps, grid.size - 1)) @ L.T
+        return E, S, jitter
 
     def drive(self, E, S, grid) -> np.ndarray:
         """The equation's input Y for every noise row (E, S) on the grid."""

@@ -49,6 +49,17 @@ def _cumtrapz(values: np.ndarray, h) -> np.ndarray:
     return out
 
 
+def _inverse_interp(xs: np.ndarray, cs: np.ndarray, u) -> np.ndarray:
+    """Inverse of the nondecreasing table cs over xs at u: within the cell of the first
+    cs >= u, linear between its ends (its left end where the cell is flat)."""
+    idx = np.clip(np.searchsorted(cs, u, side="left"), 1, cs.size - 1)
+    c_lo, c_hi = cs[idx - 1], cs[idx]
+    x_lo, x_hi = xs[idx - 1], xs[idx]
+    dc = c_hi - c_lo
+    frac = np.where(dc > 0, (u - c_lo) / np.where(dc > 0, dc, 1.0), 0.0)
+    return x_lo + frac * (x_hi - x_lo)
+
+
 def uniform_grid(horizon: float, step: float) -> np.ndarray:
     """Uniform grid 0, step, ..., horizon; horizon must be a multiple of step."""
     if horizon <= 0 or step <= 0:

@@ -33,6 +33,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .distributions import CACHE_SIZE, DistributionSpec, check_keys, check_number
+from .paths import _inverse_interp
 
 __all__ = ["PatienceSpec", "constant_hazard", "ramp_hazard", "power_limit"]
 
@@ -151,7 +152,6 @@ class _CumHazard:
     def inverse(self, target):
         """Generalized inverse: smallest z with cum(z) >= target; inf if unreachable."""
         target = np.asarray(target, dtype=float)
-        out = np.empty_like(target)
         need = float(target.max()) if target.size else 0.0
         # Extend until the table covers every target or visibly plateaus.
         while self._c[-1] < need:
@@ -162,18 +162,8 @@ class _CumHazard:
                 break
             if self._c[-1] - before < 1e-12:
                 break  # integrable hazard: remaining mass unreachable
-        idx = np.searchsorted(self._c, target, side="left")
-        unreachable = idx >= self._c.size
-        idx = np.minimum(idx, self._c.size - 1)
-        z_hi = self._z[idx]
-        c_hi = self._c[idx]
-        z_lo = self._z[np.maximum(idx - 1, 0)]
-        c_lo = self._c[np.maximum(idx - 1, 0)]
-        dc = c_hi - c_lo
-        frac = np.where(dc > 0, (target - c_lo) / np.where(dc > 0, dc, 1.0), 0.0)
-        out = z_lo + frac * (z_hi - z_lo)
-        out = np.where(target <= 0, 0.0, out)
-        return np.where(unreachable, np.inf, out)
+        out = np.where(target <= 0, 0.0, _inverse_interp(self._z, self._c, target))
+        return np.where(target > self._c[-1], np.inf, out)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .distributions import CACHE_SIZE, DistributionSpec, check_number
-from .paths import _cumtrapz, cell_count
+from .paths import _cumtrapz, _inverse_interp, cell_count
 
 __all__ = ["RenewalTable", "compute_renewal_function", "EquilibriumDistribution", "equilibrium_distribution"]
 
@@ -164,14 +164,7 @@ class EquilibriumDistribution:
         return out if out.ndim else float(out)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        idx = np.searchsorted(self.cs, u, side="left")
-        idx = np.clip(idx, 1, self.cs.size - 1)
-        c_lo, c_hi = self.cs[idx - 1], self.cs[idx]
-        x_lo, x_hi = self.xs[idx - 1], self.xs[idx]
-        dc = c_hi - c_lo
-        frac = np.where(dc > 0, (u - c_lo) / np.where(dc > 0, dc, 1.0), 0.0)
-        return x_lo + frac * (x_hi - x_lo)
+        return _inverse_interp(self.xs, self.cs, rng.random(size))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -79,9 +79,10 @@ class SystemConfig:
     """One fully specified n-th system.
 
     ``alpha`` selects the regime: N_n = ceil(n^alpha) servers, each working
-    at rate mu_n = n^(1-alpha) * mu.  Below alpha = 1 the service law must
-    be exponential(mu) (it is sped up internally); at alpha = 1 any service
-    law with mean 1/mu is accepted.  The initial head count is
+    at rate mu_n = n^(1-alpha) * mu, fed at rate lambda_n = n mu (1 + beta /
+    sqrt(n)), which must be positive.  At every alpha the service law must
+    have mean 1/mu (`check_service_mean`); below alpha = 1 it must also be
+    exponential (it is sped up to mu_n internally).  The initial head count is
     X(0) = N_n + ceil(sqrt(n) * xi); initial queued customers never abandon.
     """
 
@@ -113,18 +114,14 @@ class SystemConfig:
             raise ValueError("mu must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        self.arrival.rate_for(self.n, self.mu, self.beta)
+        if self.lambda_n <= 0:
+            raise ValueError(f"arrival rate nonpositive at n={self.n}: "
+                             f"beta={self.beta} too negative")
         if self.abandon and self.patience is None:
             raise ValueError("abandon=True requires a patience spec")
-        if self.alpha < 1.0:
-            if self.service.family != "exponential":
-                raise ValueError("alpha < 1 requires exponential service "
-                                 f"(got {self.service.family})")
-            if abs(self.service["rate"] - self.mu) > 1e-9 * self.mu:
-                raise ValueError(f"alpha < 1 requires service rate mu={self.mu}, "
-                                 f"got {self.service['rate']}")
-        else:
-            check_service_mean(self.service, self.mu, "alpha = 1")
+        if self.alpha < 1.0 and self.service.family != "exponential":
+            raise ValueError(f"alpha < 1 requires exponential service (got {self.service.family})")
+        check_service_mean(self.service, self.mu, f"alpha = {self.alpha:g}")
         if self.initial_head_count() < 0:
             raise ValueError(
                 f"xi={self.xi} makes the initial head count negative at n={self.n}"
@@ -140,7 +137,7 @@ class SystemConfig:
 
     @property
     def lambda_n(self) -> float:
-        return self.arrival.rate_for(self.n, self.mu, self.beta)
+        return self.n * self.mu * (1.0 + self.beta / math.sqrt(self.n))
 
     def effective_service(self) -> DistributionSpec:
         """Per-server service law actually simulated."""
@@ -273,12 +270,12 @@ def _assemble_record(config, seed, replication, s0, q0, **customers) -> SimRecor
                      **customers)
 
 
-def _arrival_epochs(rng: np.random.Generator, draw, horizon: float) -> np.ndarray:
-    """Arrival epochs <= horizon: running sums of the interarrival stream."""
+def _arrival_epochs(rng: np.random.Generator, base, rate: float, horizon: float) -> np.ndarray:
+    """Arrival epochs <= horizon: running sums of the interarrivals base / rate."""
     blocks = []
     last = 0.0
     while last <= horizon:
-        gaps = draw(rng, BLOCK)
+        gaps = base.sample(rng, BLOCK) / rate
         gaps[0] += last
         blocks.append(np.cumsum(gaps))
         last = blocks[-1][-1]
@@ -371,8 +368,8 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
                  else np.empty(0))
     queued_service = eff_service.sample(rng_initial, q0) if q0 > 0 else np.empty(0)
 
-    arrivals = _arrival_epochs(make_rng(seed, replication, "arrivals"),
-                               config.arrival.sampler(config.n, config.mu, config.beta), T)
+    arrivals = _arrival_epochs(make_rng(seed, replication, "arrivals"), config.arrival.base,
+                               config.lambda_n, T)
     k = arrivals.size
     services = draw_blocks(make_rng(seed, replication, "services"), eff_service.sample, k)
     if config.abandon:

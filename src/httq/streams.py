@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .distributions import check_count
+
 __all__ = ["BLOCK", "PURPOSES", "draw_blocks", "make_rng"]
 
 # Fixed purpose registry; the index is part of the stream address, so the
@@ -22,12 +24,12 @@ BLOCK = 4096
 
 
 def make_rng(seed: int, replication: int = 0, purpose: str = "scratch") -> np.random.Generator:
-    """Generator for the stream addressed by (seed, replication, purpose)."""
+    """Generator for the stream addressed by (seed, replication, purpose), two counts >= 0."""
     if purpose not in PURPOSES:
         raise ValueError(f"unknown purpose {purpose!r}; known: {PURPOSES}")
-    if replication < 0:
-        raise ValueError("replication index must be nonnegative")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replication), PURPOSES.index(purpose)))
+    ss = np.random.SeedSequence(entropy=check_count(seed, "seed", minimum=0),
+                                spawn_key=(check_count(replication, "replication", minimum=0),
+                                           PURPOSES.index(purpose)))
     return np.random.Generator(np.random.Philox(ss))
 
 

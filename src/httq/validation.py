@@ -263,12 +263,14 @@ def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int):
 
 
 def resolve_checkpoints(checkpoints, horizon: float) -> tuple[float, ...]:
-    """A sweep's checkpoint times: {T/4, T/2, T} by default, each in (0, T]."""
+    """A sweep's checkpoint times: {T/4, T/2, T} by default, distinct, each in (0, T]."""
     if checkpoints is None:
         checkpoints = (horizon / 4.0, horizon / 2.0, horizon)
     if np.ndim(checkpoints) != 1:
         raise ValueError(f"checkpoints must be a list of times, got {checkpoints!r}")
     checkpoints = tuple(check_number(t, "checkpoint") for t in checkpoints)
+    if len(set(checkpoints)) < len(checkpoints):
+        raise ValueError(f"checkpoints must be distinct, got {list(checkpoints)}")
     for t in checkpoints:
         if not 0.0 < t <= horizon + 1e-9:
             raise ValueError(f"checkpoint {t} outside (0, horizon]")

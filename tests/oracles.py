@@ -31,7 +31,7 @@ and `limit_f` are instruments only the tests read: one virtual wait and the
 offered waits read off a record's server-free epochs, and a patience law's
 scaling limit tabulated as a path.  Two critical-scale service-noise
 samplers serve the covariance cross-checks: `sample_gaussian_S`, one path
-drawn through the library's covariance model, and
+drawn through the library's covariance factor, and
 `sample_service_noise_finite_n`, the direct finite-n replica built from the
 primitive service times, which shares only the dM convolution matrix.
 `dense_service_covariance` and `dense_cholesky` are the dense covariance
@@ -281,7 +281,8 @@ def heap_simulate(config, seed, replication=0):
     rng_initial = make_rng(seed, replication, "initial")
     eff_service = config.effective_service()
     arrivals = BlockSampler(make_rng(seed, replication, "arrivals"),
-                            config.arrival.sampler(config.n, config.mu, config.beta))
+                            lambda rng, size: config.arrival.base.sample(rng, size)
+                            / config.lambda_n)
     services = BlockSampler(make_rng(seed, replication, "services"),
                             lambda rng, size: eff_service.sample(rng, size))
     patience_draw = None
@@ -742,8 +743,10 @@ def sample_gaussian_S(M, H, grid, stream):
     grid = check_grid(grid)
     if H != M.H:
         raise ValueError("renewal table was built from a different service law")
-    draws, _ = _covariance_model(M).sample_batch(grid, stream, 1)
-    return linear_path(grid, draws[0], float(grid[-1]))
+    L, _ = _covariance_model(M).cholesky(grid)
+    draws = np.zeros(grid.size)
+    draws[1:] = (stream.standard_normal((1, grid.size - 1)) @ L.T)[0]
+    return linear_path(grid, draws, float(grid[-1]))
 
 
 def dense_service_covariance(table):

@@ -765,8 +765,9 @@ _SPELLINGS = {
         {"y": {"times": [0.0, 1.0], "values": [0.0, -1.0], "kind": None}}]),
     "sweep-checkpoints": ("sweep", _SWEEP_SPELLED, "eb2f2df4ea8b", [
         {"checkpoints": [1]}, {"thresholds": None}, {"thresholds": {"decreasing": None}}]),
-    "sweep-thresholds": ("sweep", {**_SWEEP_SPELLED, "thresholds": _DECREASING},
-                         "65b2d7280e32", [
+    # two n values, as a decreasing threshold compares the smallest n with the largest
+    "sweep-thresholds": ("sweep", {**_SWEEP_SPELLED, "n_values": [4, 16],
+                                   "thresholds": _DECREASING}, "8dbc007eaa69", [
         {"thresholds": {**_DECREASING, "ks_max": []}},
         {"thresholds": {**_DECREASING, "ks_max": None, "ratio_max": []}}]),
 }
@@ -928,6 +929,16 @@ _BAD_SPEC_VALUES = {
                     "horizon / step gives inf cells"),
     "repeated-n": ("sweep", {"n_values": [16, 4, 16]}, [],
                    "n values must be distinct, got [16, 4, 16]"),
+    "repeated-checkpoints": ("sweep", {"checkpoints": [0.75, 0.75]}, [],
+                             "checkpoints must be distinct, got [0.75, 0.75]"),
+    # both compare the smallest n with the largest, so one n is refused before the compute
+    "one-n-decreasing": ("sweep", {"n_values": [4],
+                                   "thresholds": {"decreasing": ["coupling_gap"]}}, [],
+                         "thresholds decreasing compares the smallest n with the largest; "
+                         "the sweep has one n value [4]"),
+    "one-n-ratio-max": ("sweep", {"n_values": [4], "thresholds": {"ratio_max": [
+        {"statistic": "coupling_gap", "max": 2}]}}, ["--check"],
+        "thresholds ratio_max compares the smallest n with the largest"),
     # a key the chosen map or case does not read would only move the run's hash
     "phi-M-unread-keys": ("maps", {"map": "phi_M", "service": {"family": "exponential",
                                                               "rate": 1.0},

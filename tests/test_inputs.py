@@ -17,6 +17,7 @@ from httq.patience import (
     power_limit,
     ramp_hazard,
 )
+from httq.simulator import SystemConfig
 from httq.streams import BLOCK, PURPOSES, draw_blocks, make_rng
 
 from oracles import limit_f
@@ -121,21 +122,26 @@ def test_arrival_spec_requires_mean_one():
         ArrivalSpec(DistributionSpec.exponential(2.0))
 
 
+def _system(n, mu, beta, arrival=ArrivalSpec.poisson()):
+    return SystemConfig(n=n, alpha=1.0, mu=mu, beta=beta, arrival=arrival,
+                        service=DistributionSpec.exponential(mu), patience=None,
+                        horizon=1.0, abandon=False)
+
+
 def test_arrival_rate_heavy_traffic_identity():
     # beta^n = sqrt(n) (lambda^n/(n mu) - 1) must equal beta exactly.
-    a = ArrivalSpec.poisson()
     for n in (25, 100, 1600):
         for beta, mu in ((-1.0, 1.0), (0.5, 2.0), (0.0, 0.5)):
-            lam = a.rate_for(n, mu, beta)
+            lam = _system(n, mu, beta).lambda_n
             assert math.sqrt(n) * (lam / (n * mu) - 1.0) == pytest.approx(beta, abs=1e-12)
     with pytest.raises(ValueError):
-        a.rate_for(4, 1.0, -3.0)
+        _system(4, 1.0, -3.0)
 
 
 def test_arrival_sampler_mean():
     a = ArrivalSpec(DistributionSpec.uniform(0.5, 1.5))
-    draw = a.sampler(100, 1.0, 0.0)
-    x = draw(make_rng(3, 0, "arrivals"), 50_000)
+    lam = _system(100, 1.0, 0.0, a).lambda_n
+    x = a.base.sample(make_rng(3, 0, "arrivals"), 50_000) / lam
     assert x.mean() == pytest.approx(1.0 / 100.0, rel=5e-3)
 
 
@@ -158,6 +164,25 @@ def test_stream_purpose_registry():
     with pytest.raises(ValueError):
         make_rng(1, 0, "nonsense")
     assert "patience" in PURPOSES
+
+
+@pytest.mark.parametrize("seed,replication,message", [
+    (1.7, 0, "seed must be an integer, got 1.7"),
+    (True, 0, "seed must be a finite number, got True"),
+    (-1, 0, "seed must be >= 0, got -1"),
+    (1, 1.5, "replication must be an integer, got 1.5"),
+    (1, True, "replication must be a finite number, got True"),
+    (1, -1, "replication must be >= 0, got -1"),
+])
+def test_stream_addresses_obey_the_count_rule(seed, replication, message):
+    # no address is truncated onto another stream's
+    with pytest.raises(ValueError, match=message):
+        make_rng(seed, replication, "arrivals")
+
+
+def test_integral_float_address_is_the_int_stream():
+    np.testing.assert_array_equal(make_rng(2.0, 3.0, "services").random(8),
+                                  make_rng(2, 3, "services").random(8))
 
 
 def test_streams_pairwise_correlation_small():

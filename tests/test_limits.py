@@ -291,7 +291,9 @@ def test_gaussian_sampler_empirical_covariance(exp_table):
     model = _covariance_model(exp_table)
     grid = uniform_grid(5.0, 0.5)
     reps = 4000
-    samples, _ = model.sample_batch(grid, make_rng(11, purpose="gaussian"), reps)
+    L, _ = model.cholesky(grid)
+    samples = np.zeros((reps, grid.size))
+    samples[:, 1:] = make_rng(11, purpose="gaussian").standard_normal((reps, grid.size - 1)) @ L.T
     assert np.all(samples[:, 0] == 0.0)
     emp = np.cov(samples[:, 1:], rowvar=False)
     want = model.marginal(grid[1:])
@@ -613,6 +615,26 @@ def test_limit_model_refuses_before_any_draw(monkeypatch, model, call, message):
     monkeypatch.setattr(httq.limits, "make_rng", no_draw)
     with pytest.raises(ValueError, match=message):
         call(**model)
+
+
+@pytest.mark.parametrize("reps,message", [
+    (0, "reps must be >= 1, got 0"), (-1, "reps must be >= 1, got -1"),
+    (2.5, "reps must be an integer, got 2.5"), (True, "reps must be a finite number, got True")])
+@pytest.mark.parametrize("case", ["i", "ii"])
+def test_row_counts_obey_the_count_rule_before_any_draw(clear_noise_caches, case, reps,
+                                                        message):
+    # the one draw route of both samplers checks the row count before it draws a
+    # variate or builds a covariance model
+    clear_noise_caches()
+    rng = make_rng(1, 0, "limit")
+    with pytest.raises(ValueError, match=message):
+        LimitModel(**_BASE[case]).noise(_GRID, rng, reps)
+    np.testing.assert_array_equal(rng.random(4), make_rng(1, 0, "limit").random(4))
+    assert _covariance_model.cache_info().currsize == 0
+    args = (0.0, 0.0, 1.0, 1.0, None) + ((_TABLE,) if case == "ii" else ())
+    sampler = sample_case_ii_paths if case == "ii" else sample_case_i_paths
+    with pytest.raises(ValueError, match=message):
+        sampler(*args, _GRID, seed=1, reps=reps)
 
 
 @pytest.mark.parametrize("mu", [1.0, 1.5])

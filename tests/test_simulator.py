@@ -425,13 +425,24 @@ def test_virtual_wait_little_law_mm1():
 # config validation
 
 
+def test_simulate_refuses_a_fractional_seed():
+    # a seed of 1.7 would otherwise draw seed 1's streams under a record stamped 1.7
+    cfg = SystemConfig(n=4, alpha=1.0, mu=1.0, beta=0.0, arrival=ArrivalSpec.poisson(),
+                       service=DistributionSpec.exponential(1.0), patience=None,
+                       horizon=1.0, abandon=False)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.7"):
+        simulate(cfg, 1.7)
+    with pytest.raises(ValueError, match="replication must be an integer, got 0.5"):
+        simulate(cfg, 1, 0.5)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="exponential service"):
         SystemConfig(n=4, alpha=0.5, mu=1.0, beta=0.0,
                      arrival=ArrivalSpec.poisson(),
                      service=DistributionSpec.deterministic(1.0),
                      patience=None, horizon=1.0, abandon=False)
-    with pytest.raises(ValueError, match="service rate"):
+    with pytest.raises(ValueError, match="service mean"):
         SystemConfig(n=4, alpha=0.5, mu=1.0, beta=0.0,
                      arrival=ArrivalSpec.poisson(),
                      service=DistributionSpec.exponential(2.0),

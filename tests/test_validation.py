@@ -360,6 +360,13 @@ def test_sweep_input_validation():
         convergence_sweep(cfg, [25, 16, 25], replications=2)
 
 
+def test_sweep_refuses_repeated_checkpoints(monkeypatch):
+    # as with n values, a checkpoint listed twice is refused before any replication
+    monkeypatch.setattr(httq.validation, "simulate", lambda *a, **k: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match=r"distinct, got \[2\.5, 1\.25, 2\.5\]"):
+        convergence_sweep(mmn_config(25), [25], replications=2, checkpoints=[2.5, 1.25, 2.5])
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
 def test_sweep_limit_streams_are_disjoint_from_simulation(monkeypatch, alpha):
     # the KS statistic compares the simulated and the limit marginals as
