@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from httq import (
-    ArrivalSpec,
     DistributionSpec,
     PatienceSpec,
     SystemConfig,
@@ -21,7 +20,7 @@ from httq import (
 
 config = SystemConfig(
     n=25, alpha=1.0, mu=1.0, beta=-1.0,
-    arrival=ArrivalSpec(DistributionSpec.exponential(1.0)),
+    arrival=DistributionSpec.exponential(1.0),
     service=DistributionSpec.exponential(1.0),
     patience=PatienceSpec(mode="no_scaling",
                           distribution=DistributionSpec.exponential(1.0)),

@@ -10,7 +10,6 @@
 import numpy as np
 
 from httq import (
-    ArrivalSpec,
     DistributionSpec,
     PatienceSpec,
     SystemConfig,
@@ -24,7 +23,7 @@ config = SystemConfig(
     alpha=1.0,                      # servers = n: the critically staffed regime
     mu=1.0,
     beta=-1.0,
-    arrival=ArrivalSpec(DistributionSpec.exponential(1.0)),
+    arrival=DistributionSpec.exponential(1.0),
     service=DistributionSpec.exponential(1.0),
     patience=PatienceSpec(mode="no_scaling",
                           distribution=DistributionSpec.exponential(0.5)),

@@ -2,7 +2,7 @@
 scalings, regulator mappings, limit processes, and the finite-n statistics
 that tie them together."""
 
-from .distributions import ArrivalSpec, DistributionSpec
+from .distributions import DistributionSpec
 from .limits import (
     LimitModel,
     NoiseSample,
@@ -56,7 +56,6 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrivalSpec",
     "CadlagPath",
     "ComparisonVerdict",
     "ConvergenceReport",

@@ -3,7 +3,8 @@
 A :class:`DistributionSpec` is a frozen, picklable description of one of six
 families.  It knows its moments, cdf, the density at the origin (the only
 local datum the conventional-regime patience limit needs), and how to draw
-vectorized samples from a numpy Generator.
+vectorized samples from a numpy Generator.  An interarrival law is the mean-1
+base law that ``SystemConfig`` holds, checks and scales to its arrival rate.
 
 Families and parameters:
 
@@ -32,8 +33,7 @@ import numpy as np
 # and 134 MB each at the 4096-point table cap, so about 2.1 GB at worst.
 CACHE_SIZE = 8
 
-__all__ = ["DistributionSpec", "ArrivalSpec", "check_count", "check_keys", "check_number",
-           "check_service_mean"]
+__all__ = ["DistributionSpec", "check_count", "check_keys", "check_number", "check_service_mean"]
 
 # each family's parameter names, in order
 _PARAMS = {"exponential": ("rate",), "deterministic": ("value",), "erlang": ("shape", "rate"),
@@ -357,29 +357,3 @@ class DistributionSpec:
         check_keys(d, {"family", *names}, f"{family} distribution", required=names)
         return DistributionSpec(family, tuple((k, d[k]) for k in names))
 
-
-@dataclass(frozen=True)
-class ArrivalSpec:
-    """Arrival process: a mean-1 base interarrival law, which the n-th system
-    divides by its arrival rate ``SystemConfig.lambda_n``."""
-
-    base: DistributionSpec
-
-    def __post_init__(self):
-        m = self.base.mean()
-        if abs(m - 1.0) > 1e-8:
-            raise ValueError(f"base interarrival law must have mean 1, got {m}")
-
-    def scv(self) -> float:
-        return self.base.scv()
-
-    @staticmethod
-    def poisson() -> "ArrivalSpec":
-        return ArrivalSpec(DistributionSpec.exponential(1.0))
-
-    def to_dict(self) -> dict:
-        return self.base.to_dict()
-
-    @staticmethod
-    def from_dict(d: dict) -> "ArrivalSpec":
-        return ArrivalSpec(DistributionSpec.from_dict(d))

@@ -62,7 +62,7 @@ def _inverse_interp(xs: np.ndarray, cs: np.ndarray, u) -> np.ndarray:
 
 def uniform_grid(horizon: float, step: float) -> np.ndarray:
     """Uniform grid 0, step, ..., horizon; horizon must be a multiple of step."""
-    if horizon <= 0 or step <= 0:
+    if check_number(horizon, "horizon") <= 0 or check_number(step, "step") <= 0:
         raise ValueError("horizon and step must be positive")
     m = round(cell_count(horizon, step))
     if abs(m * step - horizon) > 1e-9 * max(1.0, horizon):

@@ -111,7 +111,7 @@ def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | 
     so every multiple of ``step`` lies on the lattice of ``table.step`` = step / k.
     Deterministic H uses the exact lattice formula, and each table is built once.
     """
-    if horizon <= 0:
+    if check_number(horizon, "horizon") <= 0:
         raise ValueError("horizon must be positive")
     cap = _default_step(H)
     step = cap if step is None else check_number(step, "step")
@@ -141,9 +141,7 @@ def _renewal_table(H: DistributionSpec, horizon: float, step: float) -> RenewalT
     b = 0.5 * (Hg[:-1] + Hg[1:])
     M = np.zeros(m + 1)
     dM = np.zeros(m + 1)  # dM[k] = M_k - M_{k-1}
-    denom = 1.0 - 0.5 * Hg[1]
-    if denom <= 0:
-        raise ValueError("step too coarse: H(step) >= 2")
+    denom = 1.0 - 0.5 * Hg[1]  # at least 1/2, as H is a cdf
     for k in range(1, m + 1):
         conv = float(np.dot(dM[1:k], b[k - 1 : 0 : -1])) if k > 1 else 0.0
         M[k] = (Hg[k] + conv - 0.5 * Hg[1] * M[k - 1]) / denom

@@ -47,9 +47,9 @@ from hashlib import sha256
 
 import numpy as np
 
-from .distributions import ArrivalSpec, DistributionSpec, check_count, check_keys, \
-    check_number, check_service_mean
-from .paths import CadlagPath, _coalesced
+from .distributions import DistributionSpec, check_count, check_keys, check_number, \
+    check_service_mean
+from .paths import MAX_CELLS, CadlagPath, _coalesced
 from .patience import PatienceSpec
 from .renewal import equilibrium_distribution
 from .streams import BLOCK, draw_blocks, make_rng
@@ -80,17 +80,20 @@ class SystemConfig:
 
     ``alpha`` selects the regime: N_n = ceil(n^alpha) servers, each working
     at rate mu_n = n^(1-alpha) * mu, fed at rate lambda_n = n mu (1 + beta /
-    sqrt(n)), which must be positive.  At every alpha the service law must
-    have mean 1/mu (`check_service_mean`); below alpha = 1 it must also be
-    exponential (it is sped up to mu_n internally).  The initial head count is
-    X(0) = N_n + ceil(sqrt(n) * xi); initial queued customers never abandon.
+    sqrt(n)), which must be positive: interarrival times are draws of the
+    base law ``arrival``, which must have mean 1, over lambda_n.  At every
+    alpha the service law must have mean 1/mu (`check_service_mean`); below
+    alpha = 1 it must also be exponential (it is sped up to mu_n internally).
+    The initial head count is X(0) = N_n + ceil(sqrt(n) * xi); initial queued
+    customers never abandon.  N_n and X(0) + lambda_n * horizon are each at
+    most ``MAX_CELLS``.
     """
 
     n: int
     alpha: float
     mu: float
     beta: float
-    arrival: ArrivalSpec
+    arrival: DistributionSpec
     service: DistributionSpec
     patience: PatienceSpec | None
     horizon: float
@@ -104,16 +107,16 @@ class SystemConfig:
             object.__setattr__(self, k, check_number(getattr(self, k), k))
         if not isinstance(self.abandon, bool):
             raise ValueError(f"abandon must be true or false, got {self.abandon!r}")
-        if not (isinstance(self.arrival, ArrivalSpec) and isinstance(self.service,
+        if not (isinstance(self.arrival, DistributionSpec) and isinstance(self.service,
                 DistributionSpec) and isinstance(self.patience, (PatienceSpec, type(None)))):
-            raise ValueError("arrival, service and patience must be an ArrivalSpec, "
-                             "a DistributionSpec and a PatienceSpec or None")
+            raise ValueError("arrival and service must be DistributionSpecs, "
+                             "and patience a PatienceSpec or None")
+        if not abs(self.arrival.mean() - 1.0) <= 1e-8:
+            raise ValueError(f"base interarrival law must have mean 1, got {self.arrival.mean()}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if self.mu <= 0 or self.horizon <= 0:
+            raise ValueError(f"mu and horizon must be positive, got {self.mu} and {self.horizon}")
         if self.lambda_n <= 0:
             raise ValueError(f"arrival rate nonpositive at n={self.n}: "
                              f"beta={self.beta} too negative")
@@ -122,10 +125,12 @@ class SystemConfig:
         if self.alpha < 1.0 and self.service.family != "exponential":
             raise ValueError(f"alpha < 1 requires exponential service (got {self.service.family})")
         check_service_mean(self.service, self.mu, f"alpha = {self.alpha:g}")
+        customers = self.servers + math.sqrt(self.n) * self.xi + self.lambda_n * self.horizon
+        if not max(self.servers, customers) <= MAX_CELLS:
+            raise ValueError(f"n={self.n} gives {self.servers} servers and X(0) + lambda_n * "
+                             f"horizon = {customers:.4g}; each must be at most {MAX_CELLS}")
         if self.initial_head_count() < 0:
-            raise ValueError(
-                f"xi={self.xi} makes the initial head count negative at n={self.n}"
-            )
+            raise ValueError(f"xi={self.xi} makes the initial head count negative at n={self.n}")
 
     @property
     def servers(self) -> int:
@@ -172,7 +177,7 @@ class SystemConfig:
                  "horizon", "xi", "abandon"}
         check_keys(d, known, "config", required=known)
         pat = d["patience"]
-        return SystemConfig(**{**d, "arrival": ArrivalSpec.from_dict(d["arrival"]),
+        return SystemConfig(**{**d, "arrival": DistributionSpec.from_dict(d["arrival"]),
                                "service": DistributionSpec.from_dict(d["service"]),
                                "patience": None if pat is None else PatienceSpec.from_dict(pat)})
 
@@ -368,7 +373,7 @@ def simulate(config: SystemConfig, seed: int, replication: int = 0) -> SimRecord
                  else np.empty(0))
     queued_service = eff_service.sample(rng_initial, q0) if q0 > 0 else np.empty(0)
 
-    arrivals = _arrival_epochs(make_rng(seed, replication, "arrivals"), config.arrival.base,
+    arrivals = _arrival_epochs(make_rng(seed, replication, "arrivals"), config.arrival,
                                config.lambda_n, T)
     k = arrivals.size
     services = draw_blocks(make_rng(seed, replication, "services"), eff_service.sample, k)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .distributions import check_count, check_number
 from .limits import sample_case_i_paths, sample_case_ii_paths
-from .paths import uniform_grid
+from .paths import MAX_CELLS, uniform_grid
 from .renewal import compute_renewal_function
 from .scaling import ScaledBundle, scale
 from .simulator import SystemConfig, simulate
@@ -280,14 +280,18 @@ def resolve_checkpoints(checkpoints, horizon: float) -> tuple[float, ...]:
 def check_sweep_sizes(n_values, replications: int,
                       grid_points: int) -> tuple[tuple[int, ...], int, int]:
     """A sweep's n values, replication count and grid points under the count
-    rule: a nonempty list of distinct positive counts, then two counts >= 1."""
+    rule: a nonempty list of distinct positive counts, a count >= 1, and a
+    count in [1, MAX_CELLS]."""
     if np.ndim(n_values) != 1 or len(n_values) == 0:
         raise ValueError(f"n values must be a nonempty list of positive integers, "
                          f"got {n_values!r}")
     ns = tuple(check_count(n, "n_values entry") for n in n_values)
     if len(set(ns)) < len(ns):
         raise ValueError(f"n values must be distinct, got {list(ns)}")
-    return ns, check_count(replications, "replications"), check_count(grid_points, "grid_points")
+    reps, points = check_count(replications, "replications"), check_count(grid_points, "grid_points")
+    if points > MAX_CELLS:
+        raise ValueError(f"grid_points must be at most {MAX_CELLS}, got {points}")
+    return ns, reps, points
 
 
 def verdict_names(checkpoints) -> tuple[str, ...]:
@@ -316,7 +320,7 @@ def convergence_sweep(config: SystemConfig, n_values, replications: int,
     checkpoints = resolve_checkpoints(checkpoints, T)
 
     # Rebuilding at each n revalidates the regime pairing up front.
-    unique_n = sorted(set(n_values))
+    unique_n = sorted(n_values)
     configs = {n: dataclasses.replace(config, n=n) for n in unique_n}
 
     lim_marg, case = _limit_marginals(config, checkpoints, replications, seed)

@@ -281,7 +281,7 @@ def heap_simulate(config, seed, replication=0):
     rng_initial = make_rng(seed, replication, "initial")
     eff_service = config.effective_service()
     arrivals = BlockSampler(make_rng(seed, replication, "arrivals"),
-                            lambda rng, size: config.arrival.base.sample(rng, size)
+                            lambda rng, size: config.arrival.sample(rng, size)
                             / config.lambda_n)
     services = BlockSampler(make_rng(seed, replication, "services"),
                             lambda rng, size: eff_service.sample(rng, size))

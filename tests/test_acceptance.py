@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from httq import (
-    ArrivalSpec,
     DistributionSpec,
     PatienceSpec,
     SystemConfig,
@@ -46,7 +45,7 @@ EXP1 = DistributionSpec.exponential(1.0)
 def mmn_config(n, mu=1.0, beta=-1.0, theta=1.0, horizon=10.0, alpha=1.0, xi=0.0):
     return SystemConfig(
         n=n, alpha=alpha, mu=mu, beta=beta,
-        arrival=ArrivalSpec(EXP1),
+        arrival=EXP1,
         service=DistributionSpec.exponential(mu),
         patience=PatienceSpec(mode="no_scaling",
                               distribution=DistributionSpec.exponential(theta)),
@@ -289,7 +288,7 @@ def test_criterion_09_pathwise_queue_domination():
         mu = float(rng.uniform(0.5, 2.0))
         cfg = SystemConfig(
             n=n, alpha=alpha, mu=mu, beta=float(rng.uniform(-2.0, 2.0)),
-            arrival=ArrivalSpec(arrivals[int(rng.integers(0, 4))]),
+            arrival=arrivals[int(rng.integers(0, 4))],
             service=DistributionSpec.exponential(mu),
             patience=PatienceSpec(
                 mode="no_scaling",

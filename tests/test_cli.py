@@ -256,6 +256,16 @@ def test_sweep_check_failure_exits_3(tmp_path, sweep_doc, capsys):
     assert "check failed" in capsys.readouterr().err
 
 
+def test_sweep_ratio_max_failure_names_both_medians(tmp_path, sweep_doc, capsys):
+    sweep_doc["thresholds"] = {"ratio_max": [{"statistic": "coupling_gap", "max": -1.0}]}
+    spec = write_spec(tmp_path, "sweep.json", sweep_doc)
+    rc = main(["sweep", spec, "--out", str(tmp_path / "runs"), "--check",
+               "--workers", "1"])
+    assert rc == 3
+    assert re.search(r"coupling_gap: median \S+ at n=64 exceeds -1\.0 x \S+ at n=16",
+                     capsys.readouterr().err)
+
+
 def test_sweep_threshold_validation(tmp_path, sweep_doc, capsys):
     sweep_doc["thresholds"] = {"decreasing": ["no_such_statistic"]}
     spec = write_spec(tmp_path, "s1.json", sweep_doc)
@@ -443,6 +453,7 @@ def test_limit_case_ii(tmp_path):
                "patience": {"mode": "no_scaling",
                             "distribution": {"family": "exponential", "rate": 1.0}}}),
     ("maps", {"map": "phi_Mg", "y": {"brownian": {"variance_rate": 2.0}}, "g": {"slope": 0.5}}),
+    ("maps", {"map": "phi_M", "y": {"brownian": {"variance_rate": 2.0}}}),
 ])
 def test_critical_routes_run_on_their_default_grid_at_the_paper_horizon(tmp_path, command, doc):
     # the default grid step T / 512 = 0.0195 is over the renewal table's cap
@@ -861,6 +872,20 @@ def test_rejected_spec_leaves_no_run_directory(tmp_path, capsys, command, patch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [mmn_dict(n=10**9), mmn_dict(horizon=1e9),
+                                    mmn_dict(n=100, xi=1e12)],
+                         ids=["huge-n", "huge-horizon", "huge-xi"])
+def test_simulate_refuses_an_oversized_system_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                              config):
+    # each was accepted, and simulate began to draw 1e9 or more entries
+    monkeypatch.setattr(httq.cli, "simulate", lambda *a, **k: pytest.fail("simulated"))
+    spec = write_spec(tmp_path, "simulate.json", {"command": "simulate", "config": config})
+    out = tmp_path / "runs"
+    assert main(["simulate", spec, "--out", str(out), "--workers", "1"]) == 2
+    assert "each must be at most 16777216" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _RENEWAL_FLAGS = ["--service", "exp:rate=1", "--T", "2"]
 
 # bad scalars of a spec, a config, a distribution or patience spec, or a flag,
@@ -925,6 +950,8 @@ _BAD_SPEC_VALUES = {
                            "argument --grid-step: value must be a finite number, got nan"),
     "huge-limit-horizon": ("limit", {"horizon": 1e308, "grid_step": 0.01}, [],
                            "horizon / step gives inf cells"),
+    "huge-grid-points": ("sweep", {"grid_points": 2**25}, [],
+                         "grid_points must be at most 16777216, got 33554432"),
     "huge-T-flag": ("renewal", None, [*_RENEWAL_FLAGS[:-1], "1e308"],
                     "horizon / step gives inf cells"),
     "repeated-n": ("sweep", {"n_values": [16, 4, 16]}, [],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from httq.distributions import ArrivalSpec, DistributionSpec
+from httq.distributions import DistributionSpec
 from httq.patience import (
     PatienceSpec,
     _CumHazard,
@@ -115,17 +115,17 @@ def test_dict_round_trip():
 # -- arrival spec ----------------------------------------------------------------
 
 
-def test_arrival_spec_requires_mean_one():
-    ArrivalSpec(DistributionSpec.exponential(1.0))
-    ArrivalSpec(DistributionSpec.erlang(2, 2.0))
-    with pytest.raises(ValueError):
-        ArrivalSpec(DistributionSpec.exponential(2.0))
-
-
-def _system(n, mu, beta, arrival=ArrivalSpec.poisson()):
+def _system(n, mu, beta, arrival=DistributionSpec.exponential(1.0)):
     return SystemConfig(n=n, alpha=1.0, mu=mu, beta=beta, arrival=arrival,
                         service=DistributionSpec.exponential(mu), patience=None,
                         horizon=1.0, abandon=False)
+
+
+def test_arrival_spec_requires_mean_one():
+    _system(4, 1.0, 0.0, DistributionSpec.exponential(1.0))
+    _system(4, 1.0, 0.0, DistributionSpec.erlang(2, 2.0))
+    with pytest.raises(ValueError, match="base interarrival law must have mean 1"):
+        _system(4, 1.0, 0.0, DistributionSpec.exponential(2.0))
 
 
 def test_arrival_rate_heavy_traffic_identity():
@@ -139,9 +139,9 @@ def test_arrival_rate_heavy_traffic_identity():
 
 
 def test_arrival_sampler_mean():
-    a = ArrivalSpec(DistributionSpec.uniform(0.5, 1.5))
+    a = DistributionSpec.uniform(0.5, 1.5)
     lam = _system(100, 1.0, 0.0, a).lambda_n
-    x = a.base.sample(make_rng(3, 0, "arrivals"), 50_000) / lam
+    x = a.sample(make_rng(3, 0, "arrivals"), 50_000) / lam
     assert x.mean() == pytest.approx(1.0 / 100.0, rel=5e-3)
 
 
@@ -387,6 +387,13 @@ _BAD_SPECS = {
         lambda: PatienceSpec(mode="hazard_rate", hazard=constant_hazard("1")),
         PatienceSpec.from_dict,
         {"mode": "hazard_rate", "hazard": {"kind": "constant", "theta": "1"}}),
+    "zero-theta": (
+        lambda: PatienceSpec(mode="hazard_rate", hazard=constant_hazard(0)),
+        PatienceSpec.from_dict,
+        {"mode": "hazard_rate", "hazard": {"kind": "constant", "theta": 0}}),
+    "zero-slope": (
+        lambda: PatienceSpec(mode="hazard_rate", hazard=ramp_hazard(0)),
+        PatienceSpec.from_dict, {"mode": "hazard_rate", "hazard": {"kind": "ramp", "slope": 0}}),
     "bool-coeff": (
         lambda: PatienceSpec(mode="direct_f", f=power_limit(True)),
         PatienceSpec.from_dict, {"mode": "direct_f", "f": {"kind": "power", "coeff": True}}),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httq.distributions import ArrivalSpec, DistributionSpec
+from httq.distributions import DistributionSpec
 from httq.limits import _covariance_model, sample_brownian, sample_case_i_paths, sample_noise
 from httq.maps import solve_phi_M
 from httq.paths import (MAX_CELLS, CadlagPath, _coalesced, cell_count, counting_path, linear_path,
@@ -36,9 +36,27 @@ def test_cell_cap_is_shared_and_checked_before_allocation():
         compute_renewal_function(DistributionSpec.exponential(1.0), 1e6, step=0.01)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: uniform_grid(True, 0.1), "horizon must be a finite number, got True"),
+    (lambda: uniform_grid(10.0, True), "step must be a finite number, got True"),
+    (lambda: uniform_grid("10", 0.1), "horizon must be a finite number, got '10'"),
+    (lambda: compute_renewal_function(DistributionSpec.exponential(1.0), True),
+     "horizon must be a finite number, got True"),
+    (lambda: compute_renewal_function(DistributionSpec.exponential(1.0), "2"),
+     "horizon must be a finite number, got '2'"),
+], ids=["grid-bool-horizon", "grid-bool-step", "grid-str-horizon", "table-bool-horizon",
+        "table-str-horizon"])
+def test_grid_builders_read_horizon_and_step_as_numbers(build, message):
+    # a bool passed as 1, so True gave a grid or table on [0, 1]; a string
+    # ended in a TypeError
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.fixture(scope="module")
 def record_and_table():
-    config = SystemConfig(n=4, alpha=1.0, mu=1.0, beta=0.0, arrival=ArrivalSpec.poisson(),
+    config = SystemConfig(n=4, alpha=1.0, mu=1.0, beta=0.0,
+                          arrival=DistributionSpec.exponential(1.0),
                           service=DistributionSpec.exponential(1.0), patience=None,
                           horizon=2.0, abandon=False)
     return simulate(config, seed=1), compute_renewal_function(config.service, horizon=2.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import httq.scaling
-from httq.distributions import ArrivalSpec, DistributionSpec
+from httq.distributions import DistributionSpec
 from httq.paths import step_path, uniform_grid
 from httq.patience import PatienceSpec
 from httq.scaling import abandonment_compensator, scale, scaled_primitives
@@ -17,7 +17,7 @@ from httq.simulator import SystemConfig, simulate
 def overloaded_config(n: int = 25, horizon: float = 10.0) -> SystemConfig:
     return SystemConfig(
         n=n, alpha=1.0, mu=1.0, beta=1.0,
-        arrival=ArrivalSpec.poisson(),
+        arrival=DistributionSpec.exponential(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=PatienceSpec.no_scaling(DistributionSpec.exponential(2.0)),
         horizon=horizon, xi=0.0, abandon=True,
@@ -36,7 +36,7 @@ def test_grid_past_horizon_is_scales_own_error():
 def test_empty_record_scales_to_drift_only():
     cfg = SystemConfig(
         n=4, alpha=1.0, mu=1.0, beta=0.0,
-        arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+        arrival=DistributionSpec.deterministic(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=None, horizon=0.2, xi=-2.0, abandon=False,
     )
@@ -57,7 +57,7 @@ def test_zero_limit_slope_keeps_g_hat_equal_to_g():
     # deterministic patience has F'(0) = 0, so f == 0 while abandonments occur
     cfg = SystemConfig(
         n=25, alpha=1.0, mu=1.0, beta=1.0,
-        arrival=ArrivalSpec.poisson(),
+        arrival=DistributionSpec.exponential(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(0.3)),
         horizon=10.0, xi=0.0, abandon=True,

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from httq import simulator
-from httq.distributions import ArrivalSpec, DistributionSpec
+from httq.distributions import DistributionSpec
 from httq.patience import PatienceSpec
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
@@ -50,7 +50,7 @@ def dd1_config(service_len: float, horizon: float, patience: PatienceSpec | None
     mu = 1.0 / service_len
     return SystemConfig(
         n=1, alpha=1.0, mu=mu, beta=service_len - 1.0,
-        arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+        arrival=DistributionSpec.deterministic(1.0),
         service=DistributionSpec.deterministic(service_len),
         patience=patience, horizon=horizon, xi=-1.0, abandon=abandon,
     )
@@ -60,7 +60,7 @@ def mmn_config(n: int, theta: float = 1.0, beta: float = -1.0, horizon: float = 
                abandon: bool = True, xi: float = 0.0) -> SystemConfig:
     return SystemConfig(
         n=n, alpha=1.0, mu=1.0, beta=beta,
-        arrival=ArrivalSpec.poisson(),
+        arrival=DistributionSpec.exponential(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=PatienceSpec.no_scaling(DistributionSpec.exponential(theta)),
         horizon=horizon, xi=xi, abandon=abandon,
@@ -74,7 +74,7 @@ def mmn_config(n: int, theta: float = 1.0, beta: float = -1.0, horizon: float = 
 def test_empty_system_stays_empty():
     cfg = SystemConfig(
         n=4, alpha=1.0, mu=1.0, beta=0.0,
-        arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+        arrival=DistributionSpec.deterministic(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=None, horizon=0.2, xi=-2.0, abandon=False,
     )
@@ -243,7 +243,7 @@ def test_initial_split_and_infinite_patience():
 def test_nds_regime_runs_and_balances():
     cfg = SystemConfig(
         n=100, alpha=0.5, mu=1.0, beta=0.0,
-        arrival=ArrivalSpec.poisson(),
+        arrival=DistributionSpec.exponential(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=PatienceSpec.no_scaling(DistributionSpec.exponential(1.0)),
         horizon=5.0, xi=0.0, abandon=True,
@@ -264,8 +264,9 @@ def test_nds_regime_runs_and_balances():
 def test_initial_residuals_are_equilibrium_draws(alpha, service):
     # the initially busy servers' residuals are the first draws of the
     # "initial" stream: exponential(mu_n) below alpha = 1, H_e at alpha = 1
-    cfg = SystemConfig(n=16, alpha=alpha, mu=1.0, beta=0.0, arrival=ArrivalSpec.poisson(),
-                       service=service, patience=None, horizon=2.0, xi=0.5, abandon=False)
+    cfg = SystemConfig(n=16, alpha=alpha, mu=1.0, beta=0.0,
+                       arrival=DistributionSpec.exponential(1.0), service=service,
+                       patience=None, horizon=2.0, xi=0.5, abandon=False)
     rec = simulate(cfg, seed=7, replication=2)
     s0 = rec.n_initial_service
     assert s0 == cfg.servers
@@ -288,7 +289,7 @@ def test_benchmark_equals_abandonment_off():
     base = mmn_config(25, abandon=False)
     no_patience = SystemConfig(
         n=25, alpha=1.0, mu=1.0, beta=-1.0,
-        arrival=ArrivalSpec.poisson(),
+        arrival=DistributionSpec.exponential(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=None, horizon=10.0, xi=0.0, abandon=False,
     )
@@ -316,7 +317,7 @@ def test_crn_queue_dominated_by_benchmark():
 def test_mm3m_abandonment_against_ctmc():
     cfg = SystemConfig(
         n=3, alpha=1.0, mu=1.0, beta=0.0,
-        arrival=ArrivalSpec.poisson(),
+        arrival=DistributionSpec.exponential(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=PatienceSpec.no_scaling(DistributionSpec.exponential(0.5)),
         horizon=8.0, xi=-math.sqrt(3), abandon=True,
@@ -345,7 +346,7 @@ def test_virtual_wait_free_server_zero():
     # interarrival 2.5, service 2.0: busy windows [2.5, 4.5], [5.0, 7.0], ...
     cfg = SystemConfig(
         n=1, alpha=1.0, mu=0.5, beta=0.4 / 0.5 - 1.0,
-        arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+        arrival=DistributionSpec.deterministic(1.0),
         service=DistributionSpec.deterministic(2.0),
         patience=None, horizon=10.0, xi=-1.0, abandon=False,
     )
@@ -405,7 +406,7 @@ def test_waits_match_a_longer_run(name):
 def test_virtual_wait_little_law_mm1():
     cfg = SystemConfig(
         n=1, alpha=1.0, mu=1.0, beta=-0.2,
-        arrival=ArrivalSpec.poisson(),
+        arrival=DistributionSpec.exponential(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=None, horizon=20000.0, xi=0.0, abandon=False,
     )
@@ -427,7 +428,8 @@ def test_virtual_wait_little_law_mm1():
 
 def test_simulate_refuses_a_fractional_seed():
     # a seed of 1.7 would otherwise draw seed 1's streams under a record stamped 1.7
-    cfg = SystemConfig(n=4, alpha=1.0, mu=1.0, beta=0.0, arrival=ArrivalSpec.poisson(),
+    cfg = SystemConfig(n=4, alpha=1.0, mu=1.0, beta=0.0,
+                       arrival=DistributionSpec.exponential(1.0),
                        service=DistributionSpec.exponential(1.0), patience=None,
                        horizon=1.0, abandon=False)
     with pytest.raises(ValueError, match="seed must be an integer, got 1.7"):
@@ -436,30 +438,50 @@ def test_simulate_refuses_a_fractional_seed():
         simulate(cfg, 1, 0.5)
 
 
+@pytest.mark.parametrize("patch,message", [
+    ({"alpha": -0.5}, r"alpha must lie in \[0, 1\]"),
+    ({"alpha": 1.5}, r"alpha must lie in \[0, 1\]"),
+    ({"mu": 0.0}, "mu and horizon must be positive, got 0.0 and 10.0"),
+    ({"horizon": -1.0}, "mu and horizon must be positive, got 1.0 and -1.0"),
+    ({"arrival": DistributionSpec.exponential(0.5)}, "base interarrival law must have mean 1"),
+    ({"n": 10**9}, "gives 1000000000 servers"),
+    ({"horizon": 1e9}, r"horizon = 1e\+11; each must be at most 16777216"),
+    ({"xi": 1e12}, r"horizon = 1e\+13; each must be at most 16777216"),
+], ids=["alpha-below-0", "alpha-above-1", "zero-mu", "negative-horizon", "arrival-mean-2",
+        "huge-n", "huge-horizon", "huge-xi"])
+def test_config_refuses_bad_scalars_and_oversized_systems(patch, message):
+    # an oversized system was accepted, to fail only inside simulate's draws
+    exp1 = DistributionSpec.exponential(1.0)
+    base = dict(n=100, alpha=1.0, mu=1.0, beta=0.0, arrival=exp1, service=exp1,
+                patience=None, horizon=10.0, abandon=False)
+    with pytest.raises(ValueError, match=message):
+        SystemConfig(**{**base, **patch})
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="exponential service"):
         SystemConfig(n=4, alpha=0.5, mu=1.0, beta=0.0,
-                     arrival=ArrivalSpec.poisson(),
+                     arrival=DistributionSpec.exponential(1.0),
                      service=DistributionSpec.deterministic(1.0),
                      patience=None, horizon=1.0, abandon=False)
     with pytest.raises(ValueError, match="service mean"):
         SystemConfig(n=4, alpha=0.5, mu=1.0, beta=0.0,
-                     arrival=ArrivalSpec.poisson(),
+                     arrival=DistributionSpec.exponential(1.0),
                      service=DistributionSpec.exponential(2.0),
                      patience=None, horizon=1.0, abandon=False)
     with pytest.raises(ValueError, match="service mean"):
         SystemConfig(n=4, alpha=1.0, mu=2.0, beta=0.0,
-                     arrival=ArrivalSpec.poisson(),
+                     arrival=DistributionSpec.exponential(1.0),
                      service=DistributionSpec.exponential(1.0),
                      patience=None, horizon=1.0, abandon=False)
     with pytest.raises(ValueError, match="patience"):
         SystemConfig(n=4, alpha=1.0, mu=1.0, beta=0.0,
-                     arrival=ArrivalSpec.poisson(),
+                     arrival=DistributionSpec.exponential(1.0),
                      service=DistributionSpec.exponential(1.0),
                      patience=None, horizon=1.0, abandon=True)
     with pytest.raises(ValueError, match="negative"):
         SystemConfig(n=4, alpha=1.0, mu=1.0, beta=0.0,
-                     arrival=ArrivalSpec.poisson(),
+                     arrival=DistributionSpec.exponential(1.0),
                      service=DistributionSpec.exponential(1.0),
                      patience=None, horizon=1.0, xi=-5.0, abandon=False)
     cfg = mmn_config(4)
@@ -528,7 +550,7 @@ def test_tie_horizon_records_only_events_up_to_T():
     # would abandon at 5.000000000000002, just past T = 5
     cfg = SystemConfig(
         n=1, alpha=1.0, mu=0.2, beta=49.0,
-        arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+        arrival=DistributionSpec.deterministic(1.0),
         service=DistributionSpec.deterministic(5.0),
         patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(1.0)),
         horizon=5.0, xi=-1.0, abandon=True,
@@ -577,7 +599,7 @@ def _configs(draw):
     return SystemConfig(
         n=draw(st.integers(1, 50)), alpha=alpha, mu=mu,
         beta=draw(st.sampled_from([-0.5, 0.0, 1.0])),
-        arrival=ArrivalSpec(_law(draw(families), 1.0)),
+        arrival=_law(draw(families), 1.0),
         service=service,
         patience=PatienceSpec.no_scaling(
             _law(draw(families), draw(st.sampled_from([0.25, 1.0, 2.0])))),
@@ -593,7 +615,7 @@ def _over_generated_configs(test):
     # arrival and a completion tie exactly
     test = example(cfg=SystemConfig(
         n=16, alpha=1.0, mu=1.0, beta=0.0,
-        arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+        arrival=DistributionSpec.deterministic(1.0),
         service=DistributionSpec.deterministic(1.0),
         patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(0.25)),
         horizon=4.0, xi=0.5, abandon=True), seed=0)(test)
@@ -621,7 +643,7 @@ def test_recursion_matches_event_heap(cfg, seed):
     tx, vx = head_count_from_log(new)
     np.testing.assert_array_equal(new.X.times, tx)
     np.testing.assert_array_equal(new.X.values, vx)
-    lattice = "deterministic" in (cfg.arrival.base.family, cfg.effective_service().family)
+    lattice = "deterministic" in (cfg.arrival.family, cfg.effective_service().family)
     if not lattice:
         for name in _RECORD_ARRAYS:
             a, b = getattr(new, name), getattr(old, name)

@@ -12,7 +12,7 @@ import httq.limits
 import httq.simulator
 import httq.validation
 
-from httq.distributions import ArrivalSpec, DistributionSpec
+from httq.distributions import DistributionSpec
 from httq.patience import PatienceSpec
 from httq.paths import counting_path, linear_path, step_path, uniform_grid
 from httq.scaling import ScaledBundle, scale
@@ -37,7 +37,7 @@ def mmn_config(n, mu=1.0, beta=-1.0, theta=1.0, horizon=5.0, xi=0.0,
     patience = PatienceSpec.no_scaling(DistributionSpec.exponential(theta))
     return SystemConfig(
         n=n, alpha=alpha, mu=mu, beta=beta,
-        arrival=ArrivalSpec.poisson(),
+        arrival=DistributionSpec.exponential(1.0),
         service=DistributionSpec.exponential(mu),
         patience=patience, horizon=horizon, xi=xi, abandon=abandon,
     )
@@ -48,7 +48,7 @@ def dd1_config(service_len, horizon, patience=None, xi=-1.0):
     mu = 1.0 / service_len
     return SystemConfig(
         n=1, alpha=1.0, mu=mu, beta=service_len - 1.0,
-        arrival=ArrivalSpec(DistributionSpec.deterministic(1.0)),
+        arrival=DistributionSpec.deterministic(1.0),
         service=DistributionSpec.deterministic(service_len),
         patience=None if patience is None
         else PatienceSpec.no_scaling(DistributionSpec.deterministic(patience)),
@@ -213,7 +213,7 @@ def test_compare_abandonment_off_in_both():
 def test_compare_abandonment_tiny_patience():
     cfg = mmn_config(16, theta=1.0)
     cfg = SystemConfig(
-        n=16, alpha=1.0, mu=1.0, beta=1.0, arrival=ArrivalSpec.poisson(),
+        n=16, alpha=1.0, mu=1.0, beta=1.0, arrival=DistributionSpec.exponential(1.0),
         service=DistributionSpec.exponential(1.0),
         patience=PatienceSpec.no_scaling(DistributionSpec.deterministic(1e-6)),
         horizon=5.0,
@@ -233,7 +233,7 @@ def test_compare_abandonment_property_sweep():
         theta = float(rng.uniform(0.1, 3.0))
         xi = float(rng.uniform(-1.0, 2.0))
         cfg = SystemConfig(
-            n=5, alpha=1.0, mu=mu, beta=beta, arrival=ArrivalSpec.poisson(),
+            n=5, alpha=1.0, mu=mu, beta=beta, arrival=DistributionSpec.exponential(1.0),
             service=DistributionSpec.exponential(mu),
             patience=PatienceSpec.no_scaling(DistributionSpec.exponential(theta)),
             horizon=4.0, xi=xi,
@@ -360,6 +360,15 @@ def test_sweep_input_validation():
         convergence_sweep(cfg, [25, 16, 25], replications=2)
 
 
+def test_sweep_refuses_an_oversized_grid_before_the_limit_draw(monkeypatch):
+    # 2**25 grid points were refused only by the first replication's grid,
+    # after the limit marginals had been drawn
+    monkeypatch.setattr(httq.validation, "sample_case_ii_paths",
+                        lambda *a, **k: pytest.fail("drew the limit marginals"))
+    with pytest.raises(ValueError, match="grid_points must be at most 16777216, got 33554432"):
+        convergence_sweep(mmn_config(25), [25, 100], 4, grid_points=2**25)
+
+
 def test_sweep_refuses_repeated_checkpoints(monkeypatch):
     # as with n values, a checkpoint listed twice is refused before any replication
     monkeypatch.setattr(httq.validation, "simulate", lambda *a, **k: pytest.fail("simulated"))
@@ -392,7 +401,7 @@ def test_sweep_rejects_nds_with_nonexponential_service():
     # configuration layer refuses to build the swept systems
     with pytest.raises(ValueError, match="exponential service"):
         SystemConfig(
-            n=25, alpha=0.5, mu=1.0, beta=-1.0, arrival=ArrivalSpec.poisson(),
+            n=25, alpha=0.5, mu=1.0, beta=-1.0, arrival=DistributionSpec.exponential(1.0),
             service=DistributionSpec.erlang(2, 2.0),
             patience=PatienceSpec.no_scaling(DistributionSpec.exponential(1.0)),
             horizon=5.0,
