@@ -224,6 +224,13 @@ def covariance_S(s: float, t: float, M: RenewalTable) -> float:
 # the limit model
 
 
+def _check_rows(rows: int, grid: np.ndarray) -> None:
+    """Refuse a noise draw whose rows x grid points exceed MAX_CELLS."""
+    if rows * grid.size > MAX_CELLS:
+        raise ValueError(f"a noise draw of {rows} rows on {grid.size} grid points "
+                         f"exceeds {MAX_CELLS} cells")
+
+
 @dataclass(frozen=True)
 class NoiseSample:
     """A pair of driving-noise paths with their generation metadata."""
@@ -275,24 +282,35 @@ class LimitModel:
                 raise ValueError("case 'ii' needs the renewal table M")
             check_service_mean(self.M.H, self.mu, "case 'ii'")
 
-    def noise(self, grid, rng: np.random.Generator, reps: int):
-        """(E, S, jitter): reps rows of the driving pair on the grid from rng, E first.
+    def noise(self, grid, rngs, reps):
+        """(E, S, jitter): reps rows of the driving pair on the grid from each
+        generator of the sequence rngs, stacked in its order.
 
         E is Brownian with variance rate mu * ca2, S standard Brownian in case "i"
-        and in case "ii" the renewal-coupled service noise, drawn here through the
-        lower factor `ServiceCovariance.cholesky` of its covariance on grid[1:].
-        The factor (and at its first build the model, the memory peak: three
-        covariance-sized buffers) is fetched before any row is drawn."""
-        reps = check_count(reps, "reps")
+        and in case "ii" the renewal-coupled service noise.  Each generator draws
+        its E rows first, then its S rows, or in case "ii" the standard normals
+        that one GEMM with the lower factor `ServiceCovariance.cholesky` of the
+        covariance on grid[1:] turns into every generator's S rows.  A draw over
+        MAX_CELLS cells is refused, and the factor (and at its first build the
+        model, the memory peak: three covariance-sized buffers) is fetched,
+        before any row is drawn."""
+        rows = check_count(len(rngs), "generator count") * check_count(reps, "reps")
         grid = check_grid(grid)
+        _check_rows(rows, grid)
+        E, S = np.zeros((rows, grid.size)), np.zeros((rows, grid.size))
+        blocks = [slice(k * reps, (k + 1) * reps) for k in range(len(rngs))]
         if self.case == "i":
-            E = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
-            return E, _brownian_batch(rng, 1.0, grid, reps), 0.0
+            for rng, k in zip(rngs, blocks):
+                E[k] = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
+                S[k] = _brownian_batch(rng, 1.0, grid, reps)
+            return E, S, 0.0
         self.M._indices_on(grid)  # a grid off M's lattice is refused before the build
         L, jitter = _covariance_model(self.M).cholesky(grid)
-        E = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
-        S = np.zeros((reps, grid.size))
-        S[:, 1:] = rng.standard_normal((reps, grid.size - 1)) @ L.T
+        Z = np.empty((rows, grid.size - 1))
+        for rng, k in zip(rngs, blocks):
+            E[k] = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
+            Z[k] = rng.standard_normal((reps, grid.size - 1))
+        S[:, 1:] = Z @ L.T
         return E, S, jitter
 
     def drive(self, E, S, grid) -> np.ndarray:
@@ -330,7 +348,7 @@ def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
     "limit") that the batch samplers draw from and no simulation stream shares."""
     grid = check_grid(grid)
     model = LimitModel(case, mu, ca2, M=M)
-    E, S, jitter = model.noise(grid, make_rng(seed, replication, "limit"), 1)
+    E, S, jitter = model.noise(grid, [make_rng(seed, replication, "limit")], 1)
     return NoiseSample(linear_path(grid, E[0], float(grid[-1])),
                        linear_path(grid, S[0], float(grid[-1])), seed=seed,
                        covariance_source="brownian" if case == "i" else "renewal-gaussian",
@@ -360,7 +378,7 @@ def solve_limit_case_ii(xi: float, e_path: CadlagPath, s_path: CadlagPath,
 
 def _limit_paths(model: LimitModel, grid, seed: int, reps: int, replication: int) -> np.ndarray:
     grid, _ = _check_grid(grid)
-    E, S, _ = model.noise(grid, make_rng(seed, replication, "limit"), reps)
+    E, S, _ = model.noise(grid, [make_rng(seed, replication, "limit")], reps)
     return model.solve(model.drive(E, S, grid), grid)[0]
 
 

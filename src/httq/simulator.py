@@ -84,9 +84,9 @@ class SystemConfig:
     base law ``arrival``, which must have mean 1, over lambda_n.  At every
     alpha the service law must have mean 1/mu (`check_service_mean`); below
     alpha = 1 it must also be exponential (it is sped up to mu_n internally).
-    The initial head count is X(0) = N_n + ceil(sqrt(n) * xi); initial queued
-    customers never abandon.  N_n and X(0) + lambda_n * horizon are each at
-    most ``MAX_CELLS``.
+    The initial head count is X(0) = N_n + ceil(sqrt(n) * xi), with sqrt(n) * xi
+    finite; initial queued customers never abandon.  N_n and X(0) + lambda_n *
+    horizon are each at most ``MAX_CELLS``.
     """
 
     n: int
@@ -125,7 +125,10 @@ class SystemConfig:
         if self.alpha < 1.0 and self.service.family != "exponential":
             raise ValueError(f"alpha < 1 requires exponential service (got {self.service.family})")
         check_service_mean(self.service, self.mu, f"alpha = {self.alpha:g}")
-        customers = self.servers + math.sqrt(self.n) * self.xi + self.lambda_n * self.horizon
+        head = math.sqrt(self.n) * self.xi
+        if not math.isfinite(head):
+            raise ValueError(f"sqrt(n) * xi must be finite, got sqrt({self.n}) * {self.xi}")
+        customers = self.servers + head + self.lambda_n * self.horizon
         if not max(self.servers, customers) <= MAX_CELLS:
             raise ValueError(f"n={self.n} gives {self.servers} servers and X(0) + lambda_n * "
                              f"horizon = {customers:.4g}; each must be at most {MAX_CELLS}")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import httq.cli
+import httq.limits
 import httq.validation
 from httq.cli import _workers, _write_csv, main
 from httq.distributions import DistributionSpec
@@ -21,6 +22,7 @@ from httq.paths import uniform_grid
 from httq.patience import PatienceSpec
 from httq.renewal import compute_renewal_function
 from httq.simulator import SystemConfig
+from httq.streams import PURPOSES
 
 from oracles import openblas_mapped, per_replication_limit
 
@@ -886,6 +888,33 @@ def test_simulate_refuses_an_oversized_system_before_any_draw(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_simulate_refuses_an_overflowing_xi(tmp_path, capsys, monkeypatch):
+    # sqrt(16) * -1e308 is -inf: the command ended in an OverflowError traceback
+    monkeypatch.setattr(httq.cli, "simulate", lambda *a, **k: pytest.fail("simulated"))
+    spec = write_spec(tmp_path, "simulate.json",
+                      {"command": "simulate", "config": mmn_dict(xi=-1e308)})
+    out = tmp_path / "runs"
+    assert main(["simulate", spec, "--out", str(out), "--workers", "1"]) == 2
+    assert "sqrt(n) * xi must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["i", "ii"])
+def test_limit_refuses_a_draw_over_max_cells_before_any_stream(tmp_path, capsys, monkeypatch,
+                                                                case):
+    # 10**6 replications on 201 grid points: each was drawn, 3.2 GB of noise in all
+    monkeypatch.setattr(httq.cli, "make_rng", lambda *a, **k: pytest.fail("built a stream"))
+    spec = write_spec(tmp_path, "limit.json", {
+        "command": "limit", "case": case, "xi": 0.0, "beta": -1.0, "mu": 1.0,
+        "service": {"family": "exponential", "rate": 1.0} if case == "ii" else None,
+        "horizon": 2.0, "grid_step": 0.01, "reps": 10**6})
+    out = tmp_path / "runs"
+    assert main(["limit", spec, "--out", str(out), "--workers", "1"]) == 2
+    assert "a noise draw of 1000000 rows on 201 grid points exceeds 16777216 cells" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 _RENEWAL_FLAGS = ["--service", "exp:rate=1", "--T", "2"]
 
 # bad scalars of a spec, a config, a distribution or patience spec, or a flag,
@@ -1051,6 +1080,24 @@ def test_every_name_the_benchmark_traces_resolves():
         assert callable(getattr(spans._target(where), attr, None)), f"{where}.{attr}"
 
 
+def test_main_builds_its_parser_once_and_reads_each_spec_afresh(tmp_path):
+    # the second call reuses the first call's parser, and without --seed or
+    # --grid-step it runs on the spec's seed and step
+    httq.cli._build_parser.cache_clear()
+    spec = write_spec(tmp_path, "renewal.json", {
+        "command": "renewal", "service": {"family": "exponential", "rate": 1.0},
+        "horizon": 2.0, "step": 0.005, "seed": 3})
+    runs = []
+    for flags in (["--seed", "9", "--grid-step", "0.004"], []):
+        out = tmp_path / f"runs{len(runs)}"
+        assert main(["renewal", spec, "--out", str(out), *flags]) == 0
+        (rundir,) = run_dirs(out)
+        runs.append(json.loads((rundir / "summary.json").read_text())["spec"])
+    assert [(run["seed"], run["step"]) for run in runs] == [(9, 0.004), (3, 0.005)]
+    info = httq.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def _counting(monkeypatch, module, name: str) -> list:
     """Wrap module.name, as the benchmark's spans do; returns the list of its calls."""
     calls, inner = [], getattr(module, name)
@@ -1063,14 +1110,19 @@ def _counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def test_limit_command_draws_through_the_traced_sample_noise(tmp_path, monkeypatch):
-    # the benchmark times httq limit's draws by wrapping httq.cli.sample_noise:
-    # the command must call it once per replication, or limits.sample_noise_s reads 0
-    calls = _counting(monkeypatch, httq.cli, "sample_noise")
+def test_limit_command_draws_every_replication_in_one_noise_call(tmp_path, monkeypatch):
+    # httq limit makes one LimitModel.noise call with one row from each
+    # replication's stream (seed, r, "limit"), and so fetches the factor once
+    calls = _counting(monkeypatch, httq.limits.LimitModel, "noise")
+    fetches = _counting(monkeypatch, httq.limits.ServiceCovariance, "cholesky")
     doc, _ = _RERUN_SPECS["limit"]
     spec = write_spec(tmp_path, "limit.json", {"command": "limit", **doc})
-    assert main(["limit", spec, "--out", str(tmp_path / "runs"), "--workers", "1"]) == 0
-    assert len(calls) == doc["reps"]
+    assert main(["limit", spec, "--out", str(tmp_path / "runs"), "--workers", "1",
+                 "--seed", "7"]) == 0
+    ((_, _, rngs, reps),) = calls
+    assert reps == 1 and len(fetches) == 1
+    assert [(rng.bit_generator.seed_seq.entropy, rng.bit_generator.seed_seq.spawn_key)
+            for rng in rngs] == [(7, (r, PURPOSES.index("limit"))) for r in range(doc["reps"])]
 
 
 @pytest.mark.parametrize("alpha,drawn,idle",

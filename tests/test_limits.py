@@ -21,11 +21,12 @@ from httq.limits import (
     solve_limit_case_i,
     solve_limit_case_ii,
     CACHE_SIZE,
+    _check_rows,
     _covariance_model,
     _factor_cache,
 )
 from httq.maps import solve_phi_Mg, solve_skorokhod_g
-from httq.paths import linear_path, uniform_grid
+from httq.paths import MAX_CELLS, linear_path, uniform_grid
 from httq.patience import PatienceSpec, _cum_hazard, constant_hazard
 from httq.renewal import RenewalTable, compute_renewal_function, equilibrium_distribution
 from httq.streams import make_rng
@@ -628,13 +629,81 @@ def test_row_counts_obey_the_count_rule_before_any_draw(clear_noise_caches, case
     clear_noise_caches()
     rng = make_rng(1, 0, "limit")
     with pytest.raises(ValueError, match=message):
-        LimitModel(**_BASE[case]).noise(_GRID, rng, reps)
+        LimitModel(**_BASE[case]).noise(_GRID, [rng], reps)
     np.testing.assert_array_equal(rng.random(4), make_rng(1, 0, "limit").random(4))
     assert _covariance_model.cache_info().currsize == 0
     args = (0.0, 0.0, 1.0, 1.0, None) + ((_TABLE,) if case == "ii" else ())
     sampler = sample_case_ii_paths if case == "ii" else sample_case_i_paths
     with pytest.raises(ValueError, match=message):
         sampler(*args, _GRID, seed=1, reps=reps)
+
+
+@pytest.mark.parametrize("case", ["i", "ii"])
+def test_noise_refuses_more_than_max_cells_before_any_draw(clear_noise_caches, case):
+    # rows x grid points above MAX_CELLS, in one generator or over several, and
+    # no generator at all are refused before a variate is drawn or a covariance
+    # model built; at the cap the rule passes
+    clear_noise_caches()
+    rows = MAX_CELLS // _GRID.size + 1
+
+    def refused(n):
+        return pytest.raises(ValueError, match=f"a noise draw of {n} rows on {_GRID.size} "
+                                               f"grid points exceeds {MAX_CELLS} cells")
+
+    rng = make_rng(1, 0, "limit")
+    model = LimitModel(**_BASE[case])
+    with refused(rows):
+        model.noise(_GRID, [rng], rows)
+    with refused(2 * (rows // 2 + 1)):
+        model.noise(_GRID, [rng, rng], rows // 2 + 1)
+    with pytest.raises(ValueError, match="generator count must be >= 1, got 0"):
+        model.noise(_GRID, [], 1)
+    np.testing.assert_array_equal(rng.random(4), make_rng(1, 0, "limit").random(4))
+    assert _covariance_model.cache_info().currsize == 0
+    args = (0.0, 0.0, 1.0, 1.0, None) + ((_TABLE,) if case == "ii" else ())
+    sampler = sample_case_ii_paths if case == "ii" else sample_case_i_paths
+    with refused(rows):
+        sampler(*args, _GRID, seed=1, reps=rows)
+    _check_rows(rows - 1, _GRID)
+
+
+_DRAW_GRID = uniform_grid(2.0, 0.01)
+
+
+@pytest.mark.parametrize("law", [None, DistributionSpec.exponential(1.0),
+                                 DistributionSpec.deterministic(1.0)],
+                         ids=["case-i", "case-ii", "case-ii-deterministic"])
+def test_noise_over_k_generators_is_k_one_generator_draws(law):
+    # the stacked draw against one call per generator: E bit for bit, S within
+    # the rounding of one GEMM against k (exact in case i), the same jitter, a
+    # rung for the deterministic law
+    M = None if law is None else compute_renewal_function(law, horizon=2.0, step=0.01)
+    model = LimitModel("i" if law is None else "ii", 1.0, 0.5, M=M)
+    reps, k = 3, 4
+    E, S, jitter = model.noise(_DRAW_GRID, [make_rng(9, r, "limit") for r in range(k)], reps)
+    parts = [model.noise(_DRAW_GRID, [make_rng(9, r, "limit")], reps) for r in range(k)]
+    np.testing.assert_array_equal(E, np.vstack([part[0] for part in parts]))
+    S_loop = np.vstack([part[1] for part in parts])
+    assert S.shape == S_loop.shape == (k * reps, _DRAW_GRID.size)
+    assert np.max(np.abs(S - S_loop)) <= 1e-13 * np.max(np.abs(S_loop))
+    if law is None:
+        np.testing.assert_array_equal(S, S_loop)
+    assert [part[2] for part in parts] == [jitter] * k
+    assert (jitter > 0) == (law is not None and law.family == "deterministic")
+
+
+@pytest.mark.parametrize("law", [DistributionSpec.exponential(1.0),
+                                 DistributionSpec.deterministic(1.0)],
+                         ids=["exponential", "deterministic"])
+def test_sample_noise_S_is_the_oracle_draw_past_E(law):
+    # one replication's S, bit for bit, is the oracle's draw from its stream
+    # once E's increments are drawn
+    M = compute_renewal_function(law, horizon=2.0, step=0.01)
+    noise = sample_noise("ii", 1.0, 0.5, _DRAW_GRID, 9, replication=2, M=M)
+    rng = make_rng(9, 2, "limit")
+    rng.standard_normal((1, _DRAW_GRID.size - 1))
+    np.testing.assert_array_equal(noise.S.values,
+                                  sample_gaussian_S(M, M.H, _DRAW_GRID, rng).values)
 
 
 @pytest.mark.parametrize("mu", [1.0, 1.5])

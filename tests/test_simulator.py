@@ -458,6 +458,16 @@ def test_config_refuses_bad_scalars_and_oversized_systems(patch, message):
         SystemConfig(**{**base, **patch})
 
 
+@pytest.mark.parametrize("xi", [-1e308, 1e308])
+def test_config_refuses_an_overflowing_xi(xi):
+    # sqrt(16) * -1e308 is -inf, which initial_head_count's math.ceil turned
+    # into an OverflowError
+    exp1 = DistributionSpec.exponential(1.0)
+    with pytest.raises(ValueError, match=r"sqrt\(n\) \* xi must be finite, got sqrt\(16\)"):
+        SystemConfig(n=16, alpha=1.0, mu=1.0, beta=0.0, arrival=exp1, service=exp1,
+                     patience=None, horizon=10.0, xi=xi, abandon=False)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="exponential service"):
         SystemConfig(n=4, alpha=0.5, mu=1.0, beta=0.0,

@@ -369,6 +369,15 @@ def test_sweep_refuses_an_oversized_grid_before_the_limit_draw(monkeypatch):
         convergence_sweep(mmn_config(25), [25, 100], 4, grid_points=2**25)
 
 
+def test_sweep_refuses_a_limit_draw_over_max_cells_before_any_simulation(monkeypatch):
+    # 10**6 replications on the 1025-point limit grid asked the limit draw for
+    # 7.64 GiB before the first replication was simulated
+    monkeypatch.setattr(httq.validation, "simulate", lambda *a, **k: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match="a noise draw of 1000000 rows on 1025 grid points "
+                                         "exceeds 16777216 cells"):
+        convergence_sweep(mmn_config(25), [25, 100], replications=10**6)
+
+
 def test_sweep_refuses_repeated_checkpoints(monkeypatch):
     # as with n values, a checkpoint listed twice is refused before any replication
     monkeypatch.setattr(httq.validation, "simulate", lambda *a, **k: pytest.fail("simulated"))
