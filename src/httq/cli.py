@@ -725,11 +725,18 @@ def _openblas_thread_controls() -> list[tuple]:
     return controls
 
 
+@functools.lru_cache(maxsize=1)
+def _scanned_thread_controls(modules: int) -> list[tuple]:
+    """`_openblas_thread_controls()`, scanned again only when the count of
+    imported modules changes, as it does when an import loads a library."""
+    return _openblas_thread_controls()
+
+
 @contextlib.contextmanager
 def _blas_threads(count: int):
     """Run the body with each loaded OpenBLAS on `count` threads, then restore
     each library's own count, also when the body raises."""
-    controls = _openblas_thread_controls()
+    controls = _scanned_thread_controls(len(sys.modules))
     saved = [get() for _, get in controls]
     for set_threads, _ in controls:
         set_threads(count)

@@ -29,8 +29,10 @@ import numpy as np
 
 # Entries kept per functools.lru_cache of tables built from a law (equilibrium
 # laws, integrated hazards, covariance models, and Cholesky factors keyed by
-# table and grid): at most 8 models and 8 factors, about 8 MB each at m = 1024
-# and 134 MB each at the 4096-point table cap, so about 2.1 GB at worst.
+# table and grid): at most 8 factors, about 8 MB each at m = 1024 and 134 MB
+# each at the 4096-point table cap, so about 1.1 GB at worst.  A model holds
+# O(m) floats, plus its lattice matrix (one more such buffer) once
+# `covariance_S` or `marginal` has read it: 2.1 GB if all 8 have.
 CACHE_SIZE = 8
 
 __all__ = ["DistributionSpec", "check_count", "check_keys", "check_number", "check_service_mean"]

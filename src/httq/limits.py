@@ -32,9 +32,13 @@ and the model and its factors are cached by table content (a factor also by
 grid), each cache bounded by ``CACHE_SIZE``: a repeated call finds the table,
 the model and the factor without a rebuild, and an equal table built apart
 reuses the model and the factor.
-The build holds at most three (m+1) x (m+1) float buffers at once, and a
-factor on a grid whose lattice points form one run at most two of its size
-(three at a jitter rung); the covariance and its factors are read-only.
+The model keeps only O(m) ingredients.  A factor is made in one buffer: C on
+the lattice points up to the grid's last is written into it, turned into
+A C A^T in place by Toeplitz panels, and factored in place by blocks, so it
+holds one buffer of its size plus panel temporaries (a grid that is not one
+run of lattice points adds a copy of its own size).  The covariance on the
+whole lattice (`matrix`) is built at its first read, by `covariance_S` and
+`marginal`; the covariance and its factors are read-only.
 
 Each equation is one frozen `LimitModel`, checked once when built, that draws
 both its noises (`noise`: `ServiceCovariance` only builds, factors and is read),
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -112,10 +116,13 @@ def sample_brownian(variance_rate: float, grid, stream: np.random.Generator) -> 
 class ServiceCovariance:
     """Covariance model of the critical-scale service noise on a lattice.
 
-    Built once per renewal table content, then factored and read; grids handed
-    to `marginal` or `cholesky` must be sub-lattices of the table's.  The (m+1)
-    x (m+1) build holds at most three such float buffers at once (J, overwritten
-    by C, then the two products), and `matrix` is read-only.  A table over 4096
+    Built once per renewal table content from O(m) ingredients only: the
+    equilibrium law he (and hec = 1 - he) on the lattice, the midpoint values
+    h_mid and hc_mid of H and H^c, and the increments dM.  Grids handed to
+    `marginal` or `cholesky` must be sub-lattices of the table's.  `cholesky`
+    writes the covariance into the one buffer it factors in place, so a
+    factor costs one buffer of its size; `matrix`, the covariance on the whole
+    lattice, is built at its first read and is read-only.  A table over 4096
     points ((m+1)^2 > MAX_CELLS) is refused before any buffer.
     """
 
@@ -126,35 +133,52 @@ class ServiceCovariance:
         self.table = table
         self.H = table.H
         self.mu = table.rate()
-        h = table.step
         m = t.size - 1
-        eq = equilibrium_distribution(self.H)
-        he = np.asarray(eq.cdf(t), dtype=float)
-        hec = 1.0 - he
+        self.he = np.asarray(equilibrium_distribution(self.H).cdf(t), dtype=float)
+        self.hec = 1.0 - self.he
         # midpoint rule for J[i, d] = int_0^{t_i} H(u) H^c(u + t_d) du:
         # exact for lattice-aligned atoms, second order for smooth H
-        mids = (np.arange(2 * m, dtype=float) + 0.5) * h
-        h_mid = np.asarray(self.H.cdf(mids[:m]), dtype=float)
-        hc_mid = 1.0 - np.asarray(self.H.cdf(mids), dtype=float)
-        # row k + 1 of J sums the products h_mid[r] hc_mid[r + d] over r <= k
-        J = np.zeros((m + 1, m + 1))
-        np.multiply(h_mid[:, None], sliding_window_view(hc_mid, m + 1), out=J[1:])
-        np.cumsum(J[1:], axis=0, out=J[1:])  # in place: numpy makes no copy
+        mids = (np.arange(2 * m, dtype=float) + 0.5) * table.step
+        self.h_mid = np.asarray(self.H.cdf(mids[:m]), dtype=float)
+        self.hc_mid = 1.0 - np.asarray(self.H.cdf(mids), dtype=float)
+        self.dM = np.diff(table.values)
+
+    def _build(self, out: np.ndarray) -> np.ndarray:
+        """Write the covariance on lattice points 1..k into the k x k array out.
+
+        Row and column 0 of C (and of A C A^T) are 0, so the block on points
+        1..k is A_k C_k A_k^T with A_k = `_stieltjes_matrix(dM[:k-1])`: it needs
+        no border and no later lattice point.
+        """
+        k = out.shape[0]
+        if not k:
+            return out
+        h, he, hec = self.table.step, self.he, self.hec
+        # C and A C A^T are symmetric, so work on whichever orientation of out
+        # has contiguous rows
+        J = out.T if out.flags.f_contiguous else out
+        # row r of J sums the products h_mid[q] hc_mid[q + d] over q <= r, which
+        # is J(t_{r+1}, t_d) / h
+        np.multiply(self.h_mid[:k, None], sliding_window_view(self.hc_mid[:2 * k - 1], k),
+                    out=J)
+        np.cumsum(J, axis=0, out=J)  # in place: numpy makes no copy
         J *= h
-        # C(t_i, t_j) = he[i] hec[j] + mu J[i, j - i] for i <= j reads only J's
-        # row i, so C overwrites J row by row and mirrors the finished rows above
-        C = J
-        for i in range(m + 1):
-            C[i, i:] = he[i] * hec[i:] + self.mu * J[i, :m + 1 - i]
-            C[i, :i] = C[:i, i]
-        A = _stieltjes_matrix(np.diff(table.values))
-        cov = A @ C
-        del C, J
-        cov = cov @ A.T
-        del A
-        self.matrix = cov + cov.T
-        self.matrix *= 0.5
-        self.matrix.flags.writeable = False  # shared by every caller
+        # C(t_i, t_j) = he[i] hec[j] + mu J(t_i, t_{j-i}) for i <= j reads only
+        # row i of J, so the upper triangle of C overwrites J row by row
+        for r in range(k):
+            J[r, r:] = he[r + 1] * hec[r + 1:k + 1] + self.mu * J[r, :k - r]
+        _mirror(J.T)
+        _sandwich(J, self.dM[:k - 1])
+        return out
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only covariance on every point of the table's lattice."""
+        m = self.table.times.size - 1
+        cov = np.zeros((m + 1, m + 1))
+        self._build(cov[1:, 1:])
+        cov.flags.writeable = False  # shared by every caller
+        return cov
 
     def marginal(self, grid) -> np.ndarray:
         """The covariance on the grid: a read-only view of `matrix` when the
@@ -170,39 +194,89 @@ class ServiceCovariance:
 
 
 _covariance_model = lru_cache(maxsize=CACHE_SIZE)(ServiceCovariance)  # keyed by table content
+_PANEL = 128  # rows or columns per panel of the in-place products and the blocked factor
 
 
-def _fortran_factor(a: np.ndarray) -> np.ndarray:
-    """numpy's lower Cholesky factor of a, read-only and in Fortran order without
-    a second buffer: the C-ordered factor is transposed in place and read as U.T."""
-    U = np.linalg.cholesky(a)
-    for i in range(U.shape[0] - 1):
-        U[i, i + 1:] = U[i + 1:, i]
-        U[i + 1:, i] = 0.0
-    U.flags.writeable = False  # shared by every caller
-    return U.T
+def _sandwich(B: np.ndarray, w: np.ndarray) -> None:
+    """B <- A B A^T in place for symmetric B, A = `_stieltjes_matrix(w)`.
+
+    Row i of A B reads only rows <= i of B, so row panels taken bottom-up
+    overwrite B with the lower triangle of A B; column j of (A B) A^T reads
+    only columns <= j, so column panels taken right-to-left overwrite that
+    with the lower triangle of A B A^T, which is then mirrored.  Each panel
+    product is one GEMM and the only temporary: a panel, not a buffer.
+    """
+    n = B.shape[0]
+    A = _stieltjes_matrix(w)
+    starts = range(0, n, _PANEL)
+    for a in reversed(starts):
+        e = min(a + _PANEL, n)
+        B[a:e, :e] = A[a:e, :e] @ B[:e, :e]
+    for c in reversed(starts):
+        e = min(c + _PANEL, n)
+        B[c:, c:e] = B[c:, :e] @ A[c:e, :e].T
+    _mirror(B)
+
+
+def _mirror(B: np.ndarray) -> None:
+    """Copy the lower triangle of the square array B onto its upper one, in place."""
+    n = B.shape[0]
+    for c in range(0, n, _PANEL):
+        e = min(c + _PANEL, n)
+        block = B[c:e, c:e]
+        B[c:e, c:e] = np.tril(block) + np.tril(block, -1).T
+        B[c:e, e:] = B[e:, c:e].T
+
+
+def _factor_in_place(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the symmetric Fortran-order array a, written
+    over a and returned read-only.
+
+    Left-looking in _PANEL-column blocks: one GEMM brings the finished columns
+    into a block column, numpy's `cholesky` factors its diagonal block, and a
+    solve with that factor (numpy has no triangular solve) gives the panel
+    below it.  A block that is not positive definite raises `LinAlgError`, as
+    numpy's factor of the whole matrix would.
+    """
+    n = a.shape[0]
+    for c in range(0, n, _PANEL):
+        e = min(c + _PANEL, n)
+        if c:
+            a[c:, c:e] -= a[c:, :c] @ a[c:e, :c].T
+        block = a[c:e, c:e]
+        d = np.linalg.cholesky(np.tril(block) + np.tril(block, -1).T)
+        a[c:e, c:e] = d
+        if e < n:
+            a[e:, c:e] = np.linalg.solve(d, a[e:, c:e].T).T
+        a[:c, c:e] = 0.0
+    a.flags.writeable = False  # shared by every caller
+    return a
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _factor_cache(M: RenewalTable, grid_bytes: bytes) -> tuple[np.ndarray, float]:
     """(L, jitter) per table content and grid, shared by every model of an equal table.
 
-    A jitter rung is added to the diagonal of a copy of the covariance, so a
-    grid whose lattice points form one run (a view of the covariance) needs at
-    most three buffers of its size: that copy, numpy's work copy and L."""
-    grid = np.frombuffer(grid_bytes)
-    sub = _covariance_model(M).marginal(grid[1:])
+    The covariance on lattice points 1..k, k the grid's last, is written into
+    one buffer and factored in place, and rebuilt before each jitter rung.  A
+    grid whose points are not all of 1..k factors a copy of its own points, and
+    the k x k buffer is freed before the factor.  L is in Fortran order, so the
+    draws' `@ L.T` reads a C-ordered operand."""
+    model = _covariance_model(M)
+    idx = M._indices_on(np.frombuffer(grid_bytes)[1:])
+    k = int(idx[-1]) if idx.size else 0
     err = None
     for jit in JITTERS:
-        a = sub
-        if jit:  # sub + jit * I, bit for bit: x + 0.0 is x for every entry x >= 0
-            a = sub.copy()
+        a = model._build(np.empty((k, k), order="F"))
+        if idx.size < k:  # symmetric, so the C-ordered copy's transpose is the same matrix
+            a = a[np.ix_(idx - 1, idx - 1)].T
+        if jit:  # a + jit * I
             a.flat[::a.shape[0] + 1] += jit
         try:
-            # Fortran order, so the draws' `@ L.T` reads a C-ordered operand
-            return _fortran_factor(a), jit
+            return _factor_in_place(a), jit
         except np.linalg.LinAlgError as exc:
-            err = exc
+            err = str(exc)  # not exc: its traceback would keep the failed buffer alive
+        del a  # so the next rung's build is the only buffer
     raise RuntimeError(
         f"covariance factorization failed even at jitter {JITTERS[-1]:g}: {err}"
     )
@@ -291,9 +365,9 @@ class LimitModel:
         its E rows first, then its S rows, or in case "ii" the standard normals
         that one GEMM with the lower factor `ServiceCovariance.cholesky` of the
         covariance on grid[1:] turns into every generator's S rows.  A draw over
-        MAX_CELLS cells is refused, and the factor (and at its first build the
-        model, the memory peak: three covariance-sized buffers) is fetched,
-        before any row is drawn."""
+        MAX_CELLS cells is refused, and the factor (at its first build the
+        memory peak: one covariance-sized buffer) is fetched, before any row is
+        drawn."""
         rows = check_count(len(rngs), "generator count") * check_count(reps, "reps")
         grid = check_grid(grid)
         _check_rows(rows, grid)

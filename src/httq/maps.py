@@ -23,11 +23,13 @@ blocks too, with its own code: one GEMM brings in a block's history, and
 sweeps of the block's strictly causal (nilpotent) map settle it until the
 iterate repeats bit for bit; the tests hold it to a per-step oracle.  The
 causal dM convolution is one lower-triangular Toeplitz operator
-(``_stieltjes_matrix``), shared with the service-noise covariance, and the
-trapezoid-rule defect of the convolution term applies it in one GEMM.  The
-public solvers are the one-row case of batched routes (arrays shaped
-(rows, grid)) that the limit solvers share, so a batch of replications pays
-one Python loop over time, not one each.
+(``_stieltjes_matrix``, a read-only view that the service-noise covariance
+reads in panels), but no solve forms it: each reads a block's history as one
+m x 32 window of the increments, W[j, r] = w[j + r], against x^- stored in
+reversed order, and the trapezoid-rule defect of the convolution term does
+the same block by block.  The public solvers are the one-row case of batched
+routes (arrays shaped (rows, grid)) that the limit solvers share, so a batch
+of replications pays one Python loop over time, not one each.
 """
 
 from __future__ import annotations
@@ -140,29 +142,46 @@ def _skorokhod_euler(Y: np.ndarray, gv: Callable, h: float) -> tuple[np.ndarray,
     return X, L
 
 
-def _phi_m_solve(Y: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _block_operators(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W, T): the dM convolution of the blocked solves, b = min(_BLOCK, m) steps
+    a block for m = w.size; the (m+1)^2 operator `_stieltjes_matrix(w)` is never
+    formed.
+
+    W[j, r] = w[j + r] (0 past w's end), shape (m, b).  With x^- stored in
+    reversed order, so that entry j holds x^- at j + 1 steps before a block's
+    first step t_a, the right-endpoint convolution of the history at t_{a+r} is
+    that reversed x^- against column r of W[:a]: one GEMM per block.
+    T[j, r] = w[r - j - 1] for j < r, shape (b, b): the convolution inside a
+    block, strictly causal.
+    """
+    b = min(_BLOCK, w.size)
+    W = sliding_window_view(np.concatenate((w, np.zeros(b - 1))), b).copy()
+    return W, np.triu(_stieltjes_matrix(w[:b - 1]).T, 1)
+
+
+def _phi_m_solve(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Forward solve of x = y + sum_j (x(t_k - t_j))^- dM_j, right-endpoint rule.
 
     dM has no atom at 0, so x(t_k) never feeds its own convolution term and
-    the recursion stays explicit.  Per block of _BLOCK steps, one GEMM with a
-    panel of A^T (A = `_stieltjes_matrix(dM)`) brings in the history, and
-    sweeps of the block's strictly causal map settle its steps.  That map is
-    nilpotent, so the iterate of an n-step block repeats bit for bit within
-    n + 1 sweeps.  It shares no code with the phi_Mg forward pass, because it
-    is the independent half of that pass's closure check.
+    the recursion stays explicit.  Per block of _BLOCK steps, one GEMM of the
+    reversed history of x^- against the window W of the increments w
+    (`_block_operators`) brings in the history, and sweeps of the block's
+    strictly causal map T settle its steps.  That map is nilpotent, so the
+    iterate of an n-step block repeats bit for bit within n + 1 sweeps.  It
+    shares no code with the phi_Mg forward pass, because it is the
+    independent half of that pass's closure check.
     """
-    m = A.shape[0] - 1
-    At = A.T  # a view: the panels read A
-    b = min(_BLOCK, m)
-    T = np.triu(At[:b, :b], 1)  # in-block dM convolution, strictly causal
+    m = w.size
+    W, T = _block_operators(w)
+    b = T.shape[0]
     X = np.empty_like(Y)
-    neg = np.empty_like(Y)
+    rev = np.empty_like(Y)  # rev[:, m - k] = x^-(t_k)
     X[:, 0] = Y[:, 0]
-    neg[:, 0] = np.maximum(-Y[:, 0], 0.0)
+    rev[:, m] = np.maximum(-Y[:, 0], 0.0)
     for a in range(1, m + 1, b):
         n = min(b, m + 1 - a)  # the block is t_a .. t_{a+n-1}
         Tn = T[:n, :n]
-        known = Y[:, a:a + n] + neg[:, :a] @ At[:a, a:a + n]
+        known = Y[:, a:a + n] + rev[:, m + 1 - a:] @ W[:a, :n]
         x = known
         for _ in range(n + 1):
             x_new = known - np.minimum(x, 0.0) @ Tn  # min(x, 0) = -x^-, one ufunc call
@@ -170,7 +189,7 @@ def _phi_m_solve(Y: np.ndarray, A: np.ndarray) -> np.ndarray:
                 break
             x = x_new
         X[:, a:a + n] = x
-        neg[:, a:a + n] = np.maximum(-x, 0.0)
+        rev[:, m + 1 - a - n:m + 1 - a] = np.maximum(-x[:, ::-1], 0.0)
     return X
 
 
@@ -178,25 +197,38 @@ def _stieltjes_matrix(w: np.ndarray) -> np.ndarray:
     """A = I + lower Toeplitz of dM: (A z)_k = z_k + sum_{j>=1} w_j z_{k-j}.
 
     The one causal dM convolution: (A - I) z is the right-endpoint rule for
-    int z(t-s) dM(s) on the grid, with w_j = M(t_j) - M(t_{j-1}).
+    int z(t-s) dM(s) on the grid, with w_j = M(t_j) - M(t_{j-1}).  A is a
+    read-only view of one (2m+1)-vector, not an (m+1)^2 buffer; a GEMM with a
+    slice of it copies that slice.
     """
     col = np.concatenate(([1.0], w))
     # window k of [0]*m + col is row k reversed: (col_k, ..., col_0) after m - k zeros
-    return sliding_window_view(np.concatenate((np.zeros(w.size), col)), col.size)[:, ::-1].copy()
+    return sliding_window_view(np.concatenate((np.zeros(w.size), col)), col.size)[:, ::-1]
 
 
-def _phi_m_trapezoid(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Trapezoid discretization of int (x(t-s))^- dM(s), in one GEMM.
+def _phi_m_trapezoid(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Trapezoid discretization of int (x(t-s))^- dM(s), one GEMM per block.
 
     It is the mean of the right-endpoint rule, A - I applied to x^-, and the
     left-endpoint rule, A - I applied to x^- advanced one step (A - I is
     strictly lower, so the missing last value never enters): (A - I) / 2
-    applied to b = x^- plus x^- advanced one step.
+    applied to z = x^- plus x^- advanced one step.  Per block of _BLOCK
+    steps, the reversed z before the block meets the window W and the block's
+    own z the in-block map T (`_block_operators`), as in `_phi_m_solve`.
     """
     neg = np.maximum(-X, 0.0)
-    b = neg.copy()
-    b[:, :-1] += neg[:, 1:]
-    return 0.5 * (b @ A.T - b)
+    z = neg.copy()
+    z[:, :-1] += neg[:, 1:]
+    rev = z[:, ::-1].copy()  # rev[:, m - k] = z(t_k)
+    m = w.size
+    W, T = _block_operators(w)
+    b = T.shape[0]
+    out = np.empty_like(z)
+    out[:, 0] = 0.0
+    for a in range(1, m + 1, b):
+        n = min(b, m + 1 - a)
+        out[:, a:a + n] = rev[:, m + 1 - a:] @ W[:a, :n] + z[:, a:a + n] @ T[:n, :n]
+    return 0.5 * out
 
 
 def _phi_m_gain(w: np.ndarray) -> float:
@@ -221,37 +253,37 @@ def _gain_cache(w_bytes: bytes) -> float:
     return float(d[-1])
 
 
-def _phi_mg_forward(Y: np.ndarray, A: np.ndarray, gv: Callable, h: float, sign: float,
+def _phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float,
                     tol: float) -> np.ndarray:
     """One forward pass through the discrete phi_Mg equation; returns U.
 
     The discrete fixed point satisfies x_k = R_k + sign * h/2 * g(x_k^+),
     where R_k holds y_k, the right-endpoint dM convolution of x^- at
     t_0..t_{k-1} and the trapezoid sum of g(x^+) through t_{k-1}.  Per block
-    of _BLOCK steps, one GEMM with a panel of A^T (A = `_stieltjes_matrix(dM)`)
-    brings in the history, and sweeps over the block and every row settle its
-    steps until one changes x by less than 1e-3 * tol.  A change that fails
+    of _BLOCK steps, one GEMM of the reversed history of x^- against the
+    window W of the increments w (`_block_operators`) brings in the history,
+    and sweeps over the block and every row settle its steps until one
+    changes x by less than 1e-3 * tol.  A change that fails
     to shrink halves the block and redoes it, and each settled block doubles
     the next, up to _BLOCK; at one step the sweep is the own-step contraction,
     with factor h/2 * lambda_g, and a failure there raises.  The result is
     U = y + sign * int g(x^+) ds, whose phi_M image is x.
     """
-    m = A.shape[0] - 1
-    At = A.T  # a view: the panels read A
-    b = min(_BLOCK, m)
+    m = w.size
+    W, T = _block_operators(w)
+    b = T.shape[0]
     own = 0.5 * sign * h  # weight of g(x_k^+) in the trapezoid sum at t_k
-    T = np.triu(At[:b, :b], 1)  # in-block dM convolution, strictly causal
     C = own * (2.0 * np.triu(np.ones((b, b))) - np.eye(b))  # in-block trapezoid sums
     stop = 1e-3 * tol
-    neg = np.empty_like(Y)
+    rev = np.empty_like(Y)  # rev[:, m - k] = x^-(t_k)
     G = np.empty_like(Y)
-    neg[:, 0] = np.maximum(-Y[:, 0], 0.0)
+    rev[:, m] = np.maximum(-Y[:, 0], 0.0)
     G[:, 0] = gv(np.maximum(Y[:, 0], 0.0))
     carried = own * G[:, :1]  # sign * h * (G_0 / 2 + G_1 + ... + G_{a-1})
     a = 1
     while a <= m:
         n = min(b, m + 1 - a)  # the block is t_a .. t_{a+n-1}
-        known = Y[:, a:a + n] + carried + neg[:, :a] @ At[:a, a:a + n]
+        known = Y[:, a:a + n] + carried + rev[:, m + 1 - a:] @ W[:a, :n]
         x = known + own * G[:, a - 1:a]
         last = np.inf
         for _ in range(OWN_STEP_MAX_ITER):
@@ -277,14 +309,14 @@ def _phi_mg_forward(Y: np.ndarray, A: np.ndarray, gv: Callable, h: float, sign: 
         if n > b:
             continue  # the sweeps did not contract: redo the block with half the steps
         G[:, a:a + n] = gx
-        neg[:, a:a + n] = np.maximum(-x, 0.0)
+        rev[:, m + 1 - a - n:m + 1 - a] = np.maximum(-x[:, ::-1], 0.0)
         carried += 2.0 * own * gx.sum(axis=1, keepdims=True)
         a += n
         b = min(2 * b, _BLOCK, m)
     return Y + sign * _cumtrapz(G, h)
 
 
-def _phi_mg_solve(Y: np.ndarray, A: np.ndarray, gv: Callable, h: float, sign: float,
+def _phi_mg_solve(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float, sign: float,
                   tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The discrete phi_Mg fixed point with its certificate; returns (X, U, closure).
 
@@ -293,8 +325,8 @@ def _phi_mg_solve(Y: np.ndarray, A: np.ndarray, gv: Callable, h: float, sign: fl
     per row, is one sweep of the Picard map u -> y + sign * int g((phi_M(u))^+) ds
     from U; a row whose closure is not below tol raises, naming the row.
     """
-    U = _phi_mg_forward(Y, A, gv, h, sign, tol)
-    X = _phi_m_solve(U, A)
+    U = _phi_mg_forward(Y, w, gv, h, sign, tol)
+    X = _phi_m_solve(U, w)
     closure = np.max(np.abs(U - Y - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)), axis=1)
     bad = np.flatnonzero(~(closure < tol))
     if bad.size:
@@ -334,13 +366,12 @@ def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
     if not check_number(tol, "tol") > 0:
         raise ValueError("tol must be positive")
     gv, lam_g, probe_hi = _checked_g(g, Y)
-    A = _stieltjes_matrix(w)
-    X, _, closure = _phi_mg_solve(Y, A, gv, h, sign, tol)
+    X, _, closure = _phi_mg_solve(Y, w, gv, h, sign, tol)
     lam_g = _rechecked_g(g, gv, lam_g, probe_hi, X)
     diag = {"lambda_g": lam_g, "closure": closure}
     if defects:
         lam_m = _phi_m_gain(w)
-        quad = X - Y - _phi_m_trapezoid(X, A) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
+        quad = X - Y - _phi_m_trapezoid(X, w) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
         diag.update(lambda_M=lam_m, quadrature_defect=np.max(np.abs(quad), axis=1),
                     delta_window=np.inf if lam_g * lam_m == 0 else 2.0 / (3.0 * lam_m * lam_g))
     return X, diag
@@ -412,9 +443,8 @@ def solve_phi_M(y, M: RenewalTable, grid) -> MappingSolution:
     t, h = _check_grid(grid)
     w = M.increments_on(t)
     Y = _sample_input(y, t)[None, :]
-    A = _stieltjes_matrix(w)
-    X = _phi_m_solve(Y, A)
-    defect = X - Y - _phi_m_trapezoid(X, A)
+    X = _phi_m_solve(Y, w)
+    defect = X - Y - _phi_m_trapezoid(X, w)
     return _solution("phi_M", t, X, None, {"residual": float(np.max(np.abs(defect))),
                                            "lambda_M": _phi_m_gain(w)}, "residual")
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +535,22 @@ def test_limit_command_runs_on_one_blas_thread(tmp_path, monkeypatch):
     assert len(seen) == 1 and seen[0] and all(n == 1 for n in seen[0])
 
 
+def test_blas_threads_reuse_the_scan_until_a_module_is_imported(monkeypatch):
+    scans = _counting(monkeypatch, httq.cli, "_openblas_thread_controls")
+    httq.cli._scanned_thread_controls.cache_clear()
+    try:
+        for _ in range(3):
+            with httq.cli._blas_threads(1):
+                pass
+        assert len(scans) == 1
+        monkeypatch.setitem(sys.modules, "httq_scan_probe", types.ModuleType("httq_scan_probe"))
+        with httq.cli._blas_threads(1):
+            pass
+        assert len(scans) == 2
+    finally:
+        httq.cli._scanned_thread_controls.cache_clear()
+
+
 @pytest.mark.parametrize("maps", [None, "7f00-7f01 r-xp 0 0:0 0 /nowhere/libopenblas.so\n"],
                          ids=["unreadable", "not-loaded"])
 def test_limit_runs_where_the_scan_finds_no_openblas(tmp_path, monkeypatch, maps):
@@ -545,9 +562,15 @@ def test_limit_runs_where_the_scan_finds_no_openblas(tmp_path, monkeypatch, maps
         return io.StringIO(maps)
 
     monkeypatch.setattr(httq.cli, "open", fake_open, raising=False)
-    assert httq.cli._openblas_thread_controls() == []
-    assert main(["limit", small_limit_spec(tmp_path), "--out", str(tmp_path / "runs"),
-                 "--workers", "1"]) == 0
+    # main reuses the last scan, so clear it: main must scan through the fake
+    # open too, and no later test may find this test's empty scan
+    httq.cli._scanned_thread_controls.cache_clear()
+    try:
+        assert httq.cli._openblas_thread_controls() == []
+        assert main(["limit", small_limit_spec(tmp_path), "--out", str(tmp_path / "runs"),
+                     "--workers", "1"]) == 0
+    finally:
+        httq.cli._scanned_thread_controls.cache_clear()
 
 
 @pytest.mark.parametrize("case,xi", [("i", 0.0), ("i", 0.5), ("ii", -0.5),

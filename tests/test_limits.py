@@ -200,15 +200,18 @@ def test_law_table_caches_are_bounded():
     DistributionSpec.deterministic(1.0),
 ], ids=lambda s: s.family)
 def test_covariance_and_factor_match_the_dense_build(H, clear_noise_caches):
-    # the three-buffer build against the dense one it replaced, bit for bit: the
-    # lattice takes the view of the covariance, a 2h sub-grid its copy, and the
-    # deterministic law a jitter rung
+    # the panel build against the dense one it replaced: the lattice matrix
+    # within 16 eps max|Sigma| (its sums round differently), and the factor on
+    # the lattice and on a 2h sub-grid (its copy) as close a factor of the dense
+    # covariance as numpy's own, by the rule of test_cholesky_factor_matches_scipy;
+    # the deterministic law takes a jitter rung
     clear_noise_caches()
     T = 10.0
+    eps = np.finfo(float).eps
     table = compute_renewal_function(H, T, step=T / 1024)
     want = dense_service_covariance(table)
     model = _covariance_model(table)
-    assert np.array_equal(model.matrix, want)
+    assert np.abs(model.matrix - want).max() <= 16 * eps * np.abs(want).max()
     jitters = []
     for step in (T / 1024, 2 * T / 1024):
         grid = uniform_grid(T, step)
@@ -216,14 +219,19 @@ def test_covariance_and_factor_match_the_dense_build(H, clear_noise_caches):
         L, jitter = model.cholesky(grid)
         ref, ref_jitter = dense_cholesky(want[np.ix_(idx, idx)], JITTERS)
         assert jitter == ref_jitter
-        assert np.array_equal(L, ref) and L.flags.f_contiguous
+        sub = want[np.ix_(idx, idx)] + jitter * np.eye(idx.size)
+        mine, theirs = (np.abs(F @ F.T - sub).max() for F in (L, ref))
+        assert mine <= 2.0 * theirs + 8 * eps * np.abs(sub).max()
+        assert np.array_equal(L, np.tril(L)) and L.flags.f_contiguous
         jitters.append(jitter)
     assert (jitters[0] > 0) == (H.family == "deterministic")
 
 
-def test_covariance_build_and_factor_hold_three_buffers(clear_noise_caches):
-    # m = 512, in units of one (m+1) x (m+1) float buffer: the dense build
-    # peaked at 8.05 and its jittered factor at 3.99
+def test_covariance_build_and_factor_hold_one_buffer(clear_noise_caches):
+    # m = 512, in units of one (m+1) x (m+1) float buffer: the model keeps only
+    # O(m) ingredients, and the factor at a jitter rung holds the one buffer it
+    # factors in place plus panel temporaries.  The three-buffer build peaked at
+    # 3.0 and its jittered factor at 2.0
     clear_noise_caches()
     m, T = 512, 5.0
     table = compute_renewal_function(DistributionSpec.deterministic(1.0), T, step=T / m)
@@ -240,12 +248,34 @@ def test_covariance_build_and_factor_hold_three_buffers(clear_noise_caches):
     model, build_peak = peak(lambda: _covariance_model(table))
     (L, jitter), factor_peak = peak(lambda: _factor_cache(table, grid.tobytes()))
     assert jitter > 0  # the deterministic law's covariance is singular
-    assert build_peak <= 3.5 and factor_peak <= 3.5
+    assert build_peak <= 0.1 and factor_peak <= 1.5
     view = model.marginal(grid[1:])
     assert np.shares_memory(view, model.matrix)
     for shared in (view, model.matrix, L):
         with pytest.raises(ValueError, match="read-only"):
             shared[0, 0] = 1.0
+
+
+def test_case_ii_solve_holds_no_toeplitz_operator(clear_noise_caches):
+    # m = 1024 and 12 rows, as `httq limit` solves them: with the factor cached
+    # by the draw, the phi_Mg solve and its defects read the dM history through
+    # an m x 32 window and allocate under half an (m+1) x (m+1) float buffer
+    # (materializing the Toeplitz operator alone took one)
+    clear_noise_caches()
+    m, T = 1024, 10.0
+    table = compute_renewal_function(DistributionSpec.exponential(1.0), T, step=T / m)
+    grid = uniform_grid(T, T / m)
+    model = LimitModel("ii", 1.0, xi=-0.5, beta=-1.0, f=lambda x: np.asarray(x), M=table)
+    E, S, _ = model.noise(grid, [make_rng(7, r, "limit") for r in range(12)], 1)
+    Y = model.drive(E, S, grid)
+    tracemalloc.start()
+    try:
+        X, _, diag = model.solve(Y, grid, defects=True)
+        solve_peak = tracemalloc.get_traced_memory()[1] / (8 * (m + 1) ** 2)
+    finally:
+        tracemalloc.stop()
+    assert np.all(diag["closure"] < model.tol) and np.all(np.isfinite(X))
+    assert solve_peak < 0.5
 
 
 def test_covariance_rejects_out_of_range(exp_table):

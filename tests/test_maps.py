@@ -289,12 +289,12 @@ def test_blocked_phi_m_matches_per_step_oracle(H, m, rows):
     w = compute_renewal_function(H, m * h, step=h).increments_on(grid)
     Y = _brownian_rows(np.random.default_rng(61), grid, rows, -0.4, 1.0)
     assert np.all(Y.min(axis=1) < 0.0) and np.all(Y.max(axis=1) > 0.0)
-    A = _stieltjes_matrix(w)
-    X = _phi_m_solve(Y, A)
+    X = _phi_m_solve(Y, w)
     assert np.all((X < 0.0).any(axis=1))
     bound = 1e-12 * max(1.0, float(np.max(np.abs(X))))
     assert np.max(np.abs(X - per_step_phi_m_solve(Y, w))) <= bound
-    assert np.max(np.abs(_phi_m_trapezoid(X, A) - endpoint_rule_phi_m(X, A))) <= bound
+    trapezoid = endpoint_rule_phi_m(X, _stieltjes_matrix(w))
+    assert np.max(np.abs(_phi_m_trapezoid(X, w) - trapezoid)) <= bound
 
 
 def test_phi_m_gain_is_summed_once_per_increments():
@@ -423,13 +423,12 @@ def test_phi_mg_forward_matches_picard(sign, g):
     grid = _grid(T, h)
     M = _exp_table(1.0, T)
     w = M.increments_on(grid)
-    A = _stieltjes_matrix(w)
     gv = _vectorize_g(g)
     rng = np.random.default_rng(41)
     for drift, start in ((-0.4, 0.1), (0.3, -0.2), (0.0, 0.5)):
         Y = _brownian_rows(rng, grid, 1, drift, start)
-        U = _phi_mg_forward(Y, A, gv, h, sign, tol)
-        X = _phi_m_solve(U, A)
+        U = _phi_mg_forward(Y, w, gv, h, sign, tol)
+        X = _phi_m_solve(U, w)
         for init in ("y", "zero"):
             Xp, Up, iters, changes = picard_phi_mg(Y, w, gv, h, sign, tol, init)
             assert np.max(np.abs(U - Up)) <= 10 * tol
@@ -439,7 +438,7 @@ def test_phi_mg_forward_matches_picard(sign, g):
                 assert iters > 1
                 assert np.all(ch[1:] / ch[:-1] < 1.0)
         # the certificate closes the forward answer within one Picard sweep
-        Xs, Us, closure = _phi_mg_solve(Y, A, gv, h, sign, tol)
+        Xs, Us, closure = _phi_mg_solve(Y, w, gv, h, sign, tol)
         assert closure < tol
         np.testing.assert_array_equal(Us, U)
         np.testing.assert_array_equal(Xs, X)
@@ -450,15 +449,14 @@ def test_phi_mg_forward_batch_matches_rows():
     grid = _grid(T, h)
     M = _exp_table(1.0, T)
     w = M.increments_on(grid)
-    A = _stieltjes_matrix(w)
     gv = _vectorize_g(lambda x: 0.9 * x)
     Y = _brownian_rows(np.random.default_rng(43), grid, 6, -0.2, 0.2)
-    batch = _phi_mg_forward(Y, A, gv, h, -1.0, tol)
+    batch = _phi_mg_forward(Y, w, gv, h, -1.0, tol)
     for r in range(Y.shape[0]):
-        row = _phi_mg_forward(Y[r:r + 1], A, gv, h, -1.0, tol)
+        row = _phi_mg_forward(Y[r:r + 1], w, gv, h, -1.0, tol)
         assert np.max(np.abs(batch[r] - row[0])) <= 10 * tol
         Xp, _, _, _ = picard_phi_mg(Y[r:r + 1], w, gv, h, -1.0, tol, "y")
-        assert np.max(np.abs(_phi_m_solve(batch[r:r + 1], A) - Xp)) <= 10 * tol
+        assert np.max(np.abs(_phi_m_solve(batch[r:r + 1], w) - Xp)) <= 10 * tol
 
 
 def test_phi_mg_forward_own_step_non_contraction_raises():
@@ -466,11 +464,11 @@ def test_phi_mg_forward_own_step_non_contraction_raises():
     T, h = 5.0, 0.1
     g = _grid(T, h)
     M = _exp_table(1.0, T)
-    A = _stieltjes_matrix(M.increments_on(g))
+    w = M.increments_on(g)
     Y = np.full((1, g.size), 0.5)
     gv = _vectorize_g(lambda x: 40.0 * x)
     with pytest.raises(RuntimeError, match="did not converge"):
-        _phi_mg_forward(Y, A, gv, h, 1.0, 1e-10)
+        _phi_mg_forward(Y, w, gv, h, 1.0, 1e-10)
     with pytest.raises(RuntimeError, match="did not converge"):
         solve_phi_Mg(Y[0], M, lambda x: 40.0 * x, g, g_sign=1.0)
 
@@ -518,7 +516,7 @@ def test_phi_mg_forward_blocks_match_per_step_oracle(law, sign, g, slope):
         for rows in (1, 6, 40):
             Y = _brownian_rows(rng, grid, rows, -slope if sign > 0 else 0.0,
                                0.1 if sign > 0 else 0.5)
-            _, U, closure = _phi_mg_solve(Y, _stieltjes_matrix(w), gv, h, sign, tol)
+            _, U, closure = _phi_mg_solve(Y, w, gv, h, sign, tol)
             assert np.max(np.abs(U - per_step_phi_mg_forward(Y, w, gv, h, sign, tol))) <= 10 * tol
             assert np.all(closure < tol)
 
@@ -539,7 +537,7 @@ def test_phi_mg_forward_blocks_grow_back_after_a_steep_stretch():
         return base(x)
 
     Y = np.where(grid < httq.maps._BLOCK * h, 1.0, -1.0)[None, :].repeat(4, axis=0)
-    U = _phi_mg_forward(Y, _stieltjes_matrix(w), gv, h, -1.0, tol)
+    U = _phi_mg_forward(Y, w, gv, h, -1.0, tol)
     assert np.max(np.abs(U - per_step_phi_mg_forward(Y, w, base, h, -1.0, tol))) <= 10 * tol
     full = httq.maps._BLOCK
     regrown = widths.index(full, widths.index(full // 2))
@@ -564,10 +562,10 @@ def test_phi_mg_certificate_names_the_failing_row(monkeypatch):
     T, h, tol = 2.0, 1e-2, 1e-10
     g = _grid(T, h)
     M = _exp_table(1.0, T)
-    A = _stieltjes_matrix(M.increments_on(g))
+    w = M.increments_on(g)
     gv = _vectorize_g(lambda x: 0.6 * x)
     Y = _brownian_rows(np.random.default_rng(53), g, 3, 0.1, 0.2)
-    _, _, closure = _phi_mg_solve(Y, A, gv, h, -1.0, tol)
+    _, _, closure = _phi_mg_solve(Y, w, gv, h, -1.0, tol)
     assert closure.shape == (3,) and np.all(closure < tol)
     forward = httq.maps._phi_mg_forward
 
@@ -578,7 +576,7 @@ def test_phi_mg_certificate_names_the_failing_row(monkeypatch):
 
     monkeypatch.setattr(httq.maps, "_phi_mg_forward", wrong_row_1)
     with pytest.raises(RuntimeError, match=r"closure .* in row 1 \(1 of 3 rows\)"):
-        _phi_mg_solve(Y, A, gv, h, -1.0, tol)
+        _phi_mg_solve(Y, w, gv, h, -1.0, tol)
 
 
 def test_phi_mg_reprobes_g_over_the_visited_range():
