@@ -11,14 +11,12 @@ import numpy as np
 
 from httq import (
     DistributionSpec,
+    LimitModel,
     compute_renewal_function,
     covariance_S,
-    linear_path,
+    make_rng,
     sample_case_i_paths,
     sample_case_ii_paths,
-    sample_noise,
-    solve_limit_case_i,
-    solve_limit_case_ii,
     uniform_grid,
 )
 
@@ -28,16 +26,19 @@ grid = uniform_grid(8.0, 0.01)
 H = DistributionSpec.exponential(mu)
 table = compute_renewal_function(H, 8.0, step=0.01)
 
-# One labelled draw per case, from purpose-separated random streams.
-noise_i = sample_noise("i", mu, ca2, grid, seed=5)
-sol_i = solve_limit_case_i(0.5, noise_i.E, noise_i.S, beta, mu, f, grid)
-print(f"case i : X(8) = {float(sol_i.x(8.0)):+.3f}  regulator L(8) = "
-      f"{float(sol_i.ell(8.0)):.3f}  min X = {np.min(sol_i.x.sampled(grid)):.3f}")
+# One labelled draw per case, from purpose-separated random streams: each
+# model draws its noise, builds the equation's input from it and solves it.
+model_i = LimitModel("i", mu, ca2, xi=0.5, beta=beta, f=f)
+E, S, _ = model_i.noise(grid, [make_rng(5, 0, "limit")], 1)
+X, L, _ = model_i.solve(model_i.drive(E, S, grid), grid)
+print(f"case i : X(8) = {X[0, -1]:+.3f}  regulator L(8) = "
+      f"{L[0, -1]:.3f}  min X = {np.min(X[0]):.3f}")
 
-noise_ii = sample_noise("ii", mu, ca2, grid, seed=5, M=table)
-sol_ii = solve_limit_case_ii(0.5, noise_ii.E, noise_ii.S, beta, mu, f, table, grid)
-print(f"case ii: X(8) = {float(sol_ii.x(8.0)):+.3f}  quadrature defect "
-      f"{sol_ii.residual:.1e}  (no regulator: {sol_ii.ell})")
+model_ii = LimitModel("ii", mu, ca2, xi=0.5, beta=beta, f=f, M=table)
+E, S, _ = model_ii.noise(grid, [make_rng(5, 0, "limit")], 1)
+X, L, diag = model_ii.solve(model_ii.drive(E, S, grid), grid, defects=True)
+print(f"case ii: X(8) = {X[0, -1]:+.3f}  quadrature defect "
+      f"{diag['residual'][0]:.1e}  (no regulator: {L})")
 
 # The service noise in case ii is Gaussian but not Brownian: for exponential
 # services its covariance happens to match Brownian motion's min(s,t), while
@@ -60,7 +61,8 @@ print(f"case ii terminal mean {Xii[:, -1].mean():+.3f}, sd {Xii[:, -1].std():.3f
 
 # Degenerate inputs recover closed forms: with all noise off and beta < 0,
 # case i is pure reflection of a falling line, so L(t) = -beta*mu*t.
-flat = linear_path(grid, np.zeros(grid.size), 8.0)
-sol = solve_limit_case_i(0.0, flat, flat, beta, mu, lambda x: 0.0 * x, grid)
-print(f"\nnoise-free case i, f=0: L(8) = {float(sol.ell(8.0)):.4f} "
+flat = np.zeros((1, grid.size))
+model = LimitModel("i", mu, beta=beta, f=lambda x: 0.0 * x)
+_, L, _ = model.solve(model.drive(flat, flat, grid), grid)
+print(f"\nnoise-free case i, f=0: L(8) = {L[0, -1]:.4f} "
       f"(exact {-beta * mu * 8.0:.4f})")

@@ -11,8 +11,6 @@ from .limits import (
     sample_case_i_paths,
     sample_case_ii_paths,
     sample_noise,
-    solve_limit_case_i,
-    solve_limit_case_ii,
 )
 from .maps import (
     MappingSolution,
@@ -97,8 +95,6 @@ __all__ = [
     "scale",
     "scaled_primitives",
     "simulate",
-    "solve_limit_case_i",
-    "solve_limit_case_ii",
     "solve_phi_M",
     "solve_phi_Mg",
     "solve_phi_n_g",

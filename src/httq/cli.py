@@ -61,6 +61,9 @@ from .validation import GAP_NAMES, check_sweep_sizes, compare_abandonment, \
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
+# The most replications one simulate or compare run may queue: its job list is
+# built whole, about 100 bytes a job, before the first job runs.
+MAX_JOBS = 2**20
 
 
 class CliError(Exception):
@@ -151,6 +154,12 @@ def _lattice(args, doc: dict, T: float, service_where: str | None):
     return grid_step, grid, law, compute_renewal_function(law, T, step=grid_step)
 
 
+def _check_jobs(jobs: int, what: str) -> None:
+    """Refuse a run of more than MAX_JOBS jobs before its job list is built."""
+    if jobs > MAX_JOBS:
+        raise CliError(f"{what} exceeds the {MAX_JOBS} jobs a run may queue")
+
+
 def _run_dir(args, resolved: dict) -> tuple[dict, Path]:
     """(meta, <out>/<spec hash>) of a resolved spec.  The directory is made
     here, so call this after the compute, just before the first write."""
@@ -229,6 +238,7 @@ def _cmd_simulate(args) -> int:
     doc, seed = _read_spec(args, "simulate", {"config", "replications", "grid_step"})
     config = SystemConfig.from_dict(_value(doc, "config", "simulate spec"))
     reps = _value(doc, "replications", "simulate spec", check_count, 1)
+    _check_jobs(reps, "simulate spec replications")
     T = config.horizon
     grid_step = _grid_step(args, doc, T / 200)
     grid = uniform_grid(T, grid_step)
@@ -300,7 +310,7 @@ def _cmd_limit(args) -> int:
     doc, seed = _read_spec(args, "limit", _CASE_KEYS["ii"])
     where = "limit spec"
     case = _value(doc, "case", where)
-    if case not in _CASE_KEYS:
+    if not isinstance(case, str) or case not in _CASE_KEYS:
         raise CliError(f"case must be 'i' or 'ii', got {case!r}")
     _refuse_unread(doc, _CASE_KEYS[case], f"case {case!r}")
     xi, beta, mu, T = (_value(doc, k, where, check_number) for k in ("xi", "beta", "mu", "horizon"))
@@ -521,6 +531,7 @@ def _cmd_compare(args) -> int:
     config = SystemConfig.from_dict(_value(doc, "config", where))
     n_seeds = _value(doc, "seeds", where, check_count, 1)
     reps = _value(doc, "replications", where, check_count, 1)
+    _check_jobs(n_seeds * reps, "compare spec seeds x replications")
 
     resolved = {"command": "compare", "config": config.to_dict(), "seed": base_seed,
                 "seeds": n_seeds, "replications": reps}
@@ -584,7 +595,7 @@ def _cmd_maps(args) -> int:
     doc, seed = _read_spec(args, "maps", set().union(*_MAP_KEYS.values()))
     where = "maps spec"
     variant = _value(doc, "map", where)
-    if variant not in _MAP_KEYS:
+    if not isinstance(variant, str) or variant not in _MAP_KEYS:
         raise CliError(f"unknown map {variant!r}; known: {', '.join(_MAP_KEYS)}")
     _refuse_unread(doc, _MAP_KEYS[variant], f"map {variant}")
     T = _value(doc, "horizon", where, check_number)

@@ -42,12 +42,17 @@ _PARAMS = {"exponential": ("rate",), "deterministic": ("value",), "erlang": ("sh
            "hyperexponential": ("probs", "rates"), "lognormal": ("mu", "sigma"),
            "uniform": ("lo", "hi")}
 
+# The most Erlang stages: its cdf sums one Poisson term per stage per point.
+MAX_ERLANG_SHAPE = 10_000
+
 # each family's value rules, as (holds, message) on its checked parameters
 _RULES = {
     "exponential": ((lambda v: v["rate"] > 0, "exponential rate must be positive"),),
     "deterministic": ((lambda v: v["value"] > 0,
                        "deterministic value must be positive (atom at 0 rejected)"),),
-    "erlang": ((lambda v: v["rate"] > 0, "erlang rate must be positive"),),
+    "erlang": ((lambda v: v["shape"] <= MAX_ERLANG_SHAPE,
+                f"erlang shape must be at most {MAX_ERLANG_SHAPE}"),
+               (lambda v: v["rate"] > 0, "erlang rate must be positive")),
     "hyperexponential": (
         (lambda v: 0 < len(v["probs"]) == len(v["rates"]),
          "probs and rates must be 1-d arrays of equal length"),

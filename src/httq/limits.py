@@ -43,8 +43,8 @@ whole lattice (`matrix`) is built at its first read, by `covariance_S` and
 Each equation is one frozen `LimitModel`, checked once when built, that draws
 both its noises (`noise`: `ServiceCovariance` only builds, factors and is read),
 builds its input Y (`drive`) and solves for every row of any Y (`solve`).  The
-public samplers and solvers compose these three; the single-path solvers
-return the maps' `MappingSolution` (variant "i" or "ii").
+samplers and `httq limit` compose these three; `sample_noise`, one row of `noise`
+as paths, stays until the benchmark's spans trace `noise` itself.
 """
 
 from __future__ import annotations
@@ -59,11 +59,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import CACHE_SIZE, check_count, check_number, check_service_mean
 from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this name)
-    MappingSolution,
     _check_grid,
     _phi_mg_rows,
     _skorokhod_rows,
-    _solution,
     _stieltjes_matrix,
     solve_phi_Mg,
 )
@@ -78,8 +76,6 @@ __all__ = [
     "covariance_S",
     "sample_brownian",
     "sample_noise",
-    "solve_limit_case_i",
-    "solve_limit_case_ii",
     "sample_case_i_paths",
     "sample_case_ii_paths",
 ]
@@ -388,12 +384,19 @@ class LimitModel:
         return E, S, jitter
 
     def drive(self, E, S, grid) -> np.ndarray:
-        """The equation's input Y for every noise row (E, S) on the grid."""
+        """The equation's input Y for every noise row (E, S) on the grid; a Y that
+        is not finite (an overflowing beta mu t, say) is refused before any solve."""
         grid = check_grid(grid)
-        if self.case == "i":
-            return self.xi + E - math.sqrt(self.mu) * S + self.beta * self.mu * grid
-        return (self.xi + E - S + self.beta * self.mu * grid
-                + max(-self.xi, 0.0) * (self.mu * grid - self.M.values_on(grid)))
+        with np.errstate(over="ignore", invalid="ignore"):  # the refusal below says it
+            if self.case == "i":
+                Y = self.xi + E - math.sqrt(self.mu) * S + self.beta * self.mu * grid
+            else:
+                Y = (self.xi + E - S + self.beta * self.mu * grid
+                     + max(-self.xi, 0.0) * (self.mu * grid - self.M.values_on(grid)))
+        if not np.isfinite(Y).all():
+            raise ValueError(f"the limit input Y is not finite at xi={self.xi!r}, "
+                             f"beta={self.beta!r}, mu={self.mu!r}")
+        return Y
 
     def solve(self, Y, grid, defects: bool = False):
         """(X, L, diag): the equation solved for every row of Y on the uniform grid.
@@ -427,27 +430,6 @@ def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
                        linear_path(grid, S[0], float(grid[-1])), seed=seed,
                        covariance_source="brownian" if case == "i" else "renewal-gaussian",
                        jitter=jitter)
-
-
-def _limit_solution(model: LimitModel, e_path, s_path, grid) -> MappingSolution:
-    grid = np.asarray(grid, dtype=float)
-    Y = model.drive(e_path.sampled(grid)[None, :], s_path.sampled(grid)[None, :], grid)
-    return _solution(model.case, grid, *model.solve(Y, grid, defects=True), "residual")
-
-
-def solve_limit_case_i(xi: float, e_path: CadlagPath, s_path: CadlagPath,
-                       beta: float, mu: float, f, grid) -> MappingSolution:
-    """Reflected limit equation for the sub-critical regimes; ``variant`` is "i"."""
-    return _limit_solution(LimitModel("i", mu, xi=xi, beta=beta, f=f), e_path, s_path, grid)
-
-
-def solve_limit_case_ii(xi: float, e_path: CadlagPath, s_path: CadlagPath,
-                        beta: float, mu: float, f, M: RenewalTable, grid,
-                        tol: float = 1e-10) -> MappingSolution:
-    """Critical-scale limit equation; residual is the quadrature defect, and
-    ``diagnostics["closure"]`` the phi_Mg closure, below ``tol`` or the solve raises."""
-    return _limit_solution(LimitModel("ii", mu, xi=xi, beta=beta, f=f, M=M, tol=tol),
-                           e_path, s_path, grid)
 
 
 def _limit_paths(model: LimitModel, grid, seed: int, reps: int, replication: int) -> np.ndarray:

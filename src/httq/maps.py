@@ -28,8 +28,8 @@ reads in panels), but no solve forms it: each reads a block's history as one
 m x 32 window of the increments, W[j, r] = w[j + r], against x^- stored in
 reversed order, and the trapezoid-rule defect of the convolution term does
 the same block by block.  The public solvers are the one-row case of batched
-routes (arrays shaped (rows, grid)) that the limit solvers share, so a batch
-of replications pays one Python loop over time, not one each.
+routes (arrays shaped (rows, grid)) that `LimitModel.solve` shares, so a
+batch of replications pays one Python loop over time, not one each.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
 
     The diagnostics hold lambda_g and the per-row ``closure``.  ``defects``
     adds the per-row trapezoid-rule ``quadrature_defect`` of the convolution
-    term, lambda_M and the contraction window.
+    term.
     """
     if not check_number(tol, "tol") > 0:
         raise ValueError("tol must be positive")
@@ -370,10 +370,8 @@ def _phi_mg_rows(Y: np.ndarray, w: np.ndarray, g: Callable | None, h: float,
     lam_g = _rechecked_g(g, gv, lam_g, probe_hi, X)
     diag = {"lambda_g": lam_g, "closure": closure}
     if defects:
-        lam_m = _phi_m_gain(w)
         quad = X - Y - _phi_m_trapezoid(X, w) - sign * _cumtrapz(gv(np.maximum(X, 0.0)), h)
-        diag.update(lambda_M=lam_m, quadrature_defect=np.max(np.abs(quad), axis=1),
-                    delta_window=np.inf if lam_g * lam_m == 0 else 2.0 / (3.0 * lam_m * lam_g))
+        diag["quadrature_defect"] = np.max(np.abs(quad), axis=1)
     return X, diag
 
 
@@ -459,13 +457,17 @@ def solve_phi_Mg(y, M: RenewalTable, g: Callable | None, grid, tol: float = 1e-1
     the answer: the residual field
     reports the closure sup |u - y - g_sign * int g(x^+) ds|, which must be
     below ``tol`` or the solve raises.  ``iterations`` is always 1.  The
-    trapezoid-rule defect of the convolution term is recorded separately in
-    the diagnostics.  This is the one-row case of `_phi_mg_rows`, which the
-    limit solvers share.
+    diagnostics add the convolution's trapezoid-rule defect, the kernel gain
+    lambda_M and the window 2 / (3 lambda_M lambda_g).  This is the one-row
+    case of `_phi_mg_rows`, which `LimitModel.solve` shares.
     """
     t, h = _check_grid(grid)
     if g_sign not in (-1.0, 1.0, -1, 1):
         raise ValueError("g_sign must be +1 or -1")
     Y = _sample_input(y, t)[None, :]
-    X, diag = _phi_mg_rows(Y, M.increments_on(t), g, h, float(g_sign), tol)
+    w = M.increments_on(t)
+    X, diag = _phi_mg_rows(Y, w, g, h, float(g_sign), tol)
+    lam_m, lam_g = _phi_m_gain(w), diag["lambda_g"]
+    diag.update(lambda_M=lam_m,
+                delta_window=np.inf if lam_g * lam_m == 0 else 2.0 / (3.0 * lam_m * lam_g))
     return _solution("phi_Mg", t, X, None, diag, "closure", iterations=1)

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .distributions import CACHE_SIZE, DistributionSpec, check_number
-from .paths import _cumtrapz, _inverse_interp, cell_count
+from .paths import MAX_CELLS, _cumtrapz, _inverse_interp, cell_count
 
 __all__ = ["RenewalTable", "compute_renewal_function", "EquilibriumDistribution", "equilibrium_distribution"]
 
@@ -106,15 +106,18 @@ class RenewalTable:
 def compute_renewal_function(H: DistributionSpec, horizon: float, step: float | None = None) -> RenewalTable:
     """Solve M = H + H * dM on [0, horizon].
 
-    ``step`` defaults to the stability cap min(1e-2, mean(H)/20); one over it
-    by more than 1e-15 is divided by the least integer k that brings it under,
-    so every multiple of ``step`` lies on the lattice of ``table.step`` = step / k.
+    ``step`` lies in (0, MAX_CELLS caps], the cap min(1e-2, mean(H)/20) its default;
+    one over the cap by more than 1e-15 is divided by the least integer k that
+    brings it under, so its multiples lie on the lattice of ``table.step`` = step / k.
     Deterministic H uses the exact lattice formula, and each table is built once.
     """
     if check_number(horizon, "horizon") <= 0:
         raise ValueError("horizon must be positive")
     cap = _default_step(H)
     step = cap if step is None else check_number(step, "step")
+    if not 0 < step <= MAX_CELLS * cap:  # step / cap counts the table cells per step
+        raise ValueError(f"step must be positive and at most {MAX_CELLS} stability caps "
+                         f"({MAX_CELLS * cap:.4g}), got {step!r}")
     k = max(1, math.floor(step / cap))  # not ceil: 0.07 / 0.01 rounds to just over 7
     while step / k > cap + 1e-15:
         k += 1

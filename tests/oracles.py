@@ -20,7 +20,7 @@ replaced;
 pass replaced, which shares only the trapezoid sum with it; and
 `per_replication_limit`, the loop `httq limit` ran before it solved all
 replications in one batch, which solves each replication on its own through
-the single-path solvers; `union_paths`, the head count sampled on the union
+the one-path solve `limit_row`; `union_paths`, the head count sampled on the union
 of the counting paths' breakpoints that the one-merge build replaced; and
 `union_coupling_gap`, the coupling gap evaluated on the union of both
 paths' breakpoints.  `path_min_value` and `path_integral` are exact
@@ -48,12 +48,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from httq.limits import (
-    _covariance_model,
-    sample_noise,
-    solve_limit_case_i,
-    solve_limit_case_ii,
-)
+from httq.limits import LimitModel, _covariance_model, sample_noise
 from httq.maps import OWN_STEP_MAX_ITER, _ULPS, _stieltjes_matrix
 from httq.paths import _cumtrapz, check_grid, counting_path, linear_path, step_path
 from httq.renewal import equilibrium_distribution
@@ -714,22 +709,29 @@ def per_step_phi_mg_forward(Y: np.ndarray, w: np.ndarray, gv: Callable, h: float
     return Y + sign * _cumtrapz(G, h)
 
 
+def limit_row(model, E, S, grid):
+    """The one-path limit solve: `model.drive` of the noise paths E and S sampled
+    on the grid, then row 0 of `model.solve(..., defects=True)`, as (x, the
+    regulator or None, the row's diagnostics)."""
+    Y = model.drive(E.sampled(grid)[None, :], S.sampled(grid)[None, :], grid)
+    X, L, diag = model.solve(Y, grid, defects=True)
+    return X[0], None if L is None else L[0], \
+        {k: v[0] if isinstance(v, np.ndarray) else v for k, v in diag.items()}
+
+
 def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table, tol):
     """`httq limit`'s replications solved one by one: (paths, summary).
 
-    One `sample_noise` draw and one single-path solve per replication; the
-    summary holds each replication's residual and jitter.
+    One `sample_noise` draw and one one-path solve (`limit_row`) per
+    replication; the summary holds each replication's residual and jitter.
     """
+    model = LimitModel(case, mu, xi=xi, beta=beta, f=f, M=table, tol=tol)
     paths, summary = [], []
     for r in range(reps):
         noise = sample_noise(case, mu, ca2, grid, seed, replication=r, M=table)
-        if case == "i":
-            sol = solve_limit_case_i(xi, noise.E, noise.S, beta, mu, f, grid)
-        else:
-            sol = solve_limit_case_ii(xi, noise.E, noise.S, beta, mu, f, table,
-                                      grid, tol=tol)
-        paths.append(sol.x.sampled(grid))
-        summary.append({"replication": r, "residual": float(sol.residual),
+        x, _, diag = limit_row(model, noise.E, noise.S, grid)
+        paths.append(x)
+        summary.append({"replication": r, "residual": float(diag["residual"]),
                         "jitter": float(noise.jitter)})
     return paths, summary
 

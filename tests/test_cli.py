@@ -16,6 +16,7 @@ import pytest
 
 import httq.cli
 import httq.limits
+import httq.maps
 import httq.validation
 from httq.cli import _workers, _write_csv, main
 from httq.distributions import DistributionSpec
@@ -1027,6 +1028,46 @@ _BAD_SPEC_VALUES = {
                               "map skorokhod_g does not use g_sign, tol"),
     "case-i-unread-tol": ("limit", {"case": "i", "xi": 0.0, "service": None, "tol": 1e-3}, [],
                           "case 'i' does not use tol"),
+    # an input Y that overflows is refused before the solve, naming xi, beta and mu
+    "huge-beta-case-i": ("limit", {"case": "i", "xi": 0.0, "service": None, "beta": 1e308,
+                                   "horizon": 10.0}, [],
+                         "the limit input Y is not finite at xi=0.0, beta=1e+308, mu=1.0"),
+    "huge-negative-beta": ("limit", {"beta": -1e308, "horizon": 10.0}, [],
+                           "the limit input Y is not finite at xi=-0.5, beta=-1e+308, mu=1.0"),
+    "huge-xi-and-beta": ("limit", {"xi": 1e308, "beta": 1e308, "horizon": 1.0}, [],
+                         "the limit input Y is not finite at xi=1e+308, beta=1e+308, mu=1.0"),
+    # a case or map that is not a string is refused, not hashed
+    "list-case": ("limit", {"case": []}, [], "case must be 'i' or 'ii', got []"),
+    "object-case": ("limit", {"case": {}}, [], "case must be 'i' or 'ii', got {}"),
+    "number-list-case": ("limit", {"case": [1.0]}, [], "case must be 'i' or 'ii', got [1.0]"),
+    "list-map": ("maps", {"map": []}, [], "unknown map []"),
+    "object-map": ("maps", {"map": {}}, [], "unknown map {}"),
+    "number-list-map": ("maps", {"map": [1.0]}, [], "unknown map [1.0]"),
+    # a renewal step is refused before it divides
+    "zero-step": ("renewal", {"step": 0}, [], "step must be positive and at most 16777216 "
+                                              "stability caps (1.678e+05), got 0.0"),
+    "huge-step": ("renewal", {"step": 1e308}, [], "step must be positive and at most "
+                                                  "16777216 stability caps (1.678e+05), got 1e+308"),
+    "huge-negative-step": ("renewal", {"step": -1e308}, [], "step must be positive"),
+    "zero-grid-step-flag": ("renewal", None, [*_RENEWAL_FLAGS, "--grid-step", "0"],
+                            "step must be positive and at most 16777216 stability caps"),
+    "huge-grid-step-flag": ("renewal", None, [*_RENEWAL_FLAGS, "--grid-step", "1e308"],
+                            "step must be positive and at most 16777216 stability caps"),
+    # job counts and Erlang stages are capped before any job list or cdf loop
+    "huge-replications": ("simulate", {"replications": 1e308}, [],
+                          "simulate spec replications exceeds the 1048576 jobs a run may queue"),
+    "int64-replications": ("simulate", {"replications": 2**63}, [],
+                           "simulate spec replications exceeds the 1048576 jobs"),
+    "huge-compare-replications": ("compare", {"replications": 1e308}, [],
+                                  "compare spec seeds x replications exceeds the 1048576 jobs"),
+    "int64-seeds": ("compare", {"seeds": 2**63}, [],
+                    "compare spec seeds x replications exceeds the 1048576 jobs"),
+    "huge-erlang-shape": ("renewal", {"service": {"family": "erlang", "shape": 1e308,
+                                                  "rate": 2.0}}, [],
+                          "erlang shape must be at most 10000"),
+    "int64-erlang-shape": ("renewal", {"service": {"family": "erlang", "shape": 2**63,
+                                                   "rate": 2.0}}, [],
+                           "erlang shape must be at most 10000"),
 }
 
 
@@ -1146,6 +1187,30 @@ def test_limit_command_draws_every_replication_in_one_noise_call(tmp_path, monke
     assert reps == 1 and len(fetches) == 1
     assert [(rng.bit_generator.seed_seq.entropy, rng.bit_generator.seed_seq.spawn_key)
             for rng in rngs] == [(7, (r, PURPOSES.index("limit"))) for r in range(doc["reps"])]
+
+
+def test_only_maps_sums_the_kernel_gain(tmp_path, monkeypatch):
+    # httq limit writes no lambda_M or contraction window, so its case-(ii)
+    # solve sums no kernel gain; httq maps writes both, at the parent's values
+    gains = _counting(monkeypatch, httq.maps, "_phi_m_gain")
+    doc, _ = _RERUN_SPECS["limit"]
+    spec = write_spec(tmp_path, "limit.json", {"command": "limit", **doc})
+    assert main(["limit", spec, "--out", str(tmp_path / "limit"), "--workers", "1"]) == 0
+    assert gains == []
+    base = {"command": "maps", "service": {"family": "exponential", "rate": 1.0},
+            **{k: _RERUN_SPECS["maps"][0][k] for k in ("y", "horizon", "grid_step")}}
+    expected = {"phi_M": {"lambda_M": 7.315897127661087},
+                "phi_Mg": {"lambda_M": 7.315897127661087, "lambda_g": 1.0000000000000284,
+                           "delta_window": 0.09112575737922972,
+                           "quadrature_defect": 0.003169822888322349}}
+    for k, (variant, extra) in enumerate([("phi_M", {}), ("phi_Mg", {"g": {"slope": 1.0}})]):
+        spec = write_spec(tmp_path, f"{variant}.json", {**base, "map": variant, **extra})
+        out = tmp_path / variant
+        assert main(["maps", spec, "--out", str(out), "--workers", "1"]) == 0
+        (rundir,) = run_dirs(out)
+        summary = json.loads((rundir / "solution_summary.json").read_text())
+        assert summary["diagnostics"] == expected[variant]
+        assert len(gains) == k + 1
 
 
 @pytest.mark.parametrize("alpha,drawn,idle",

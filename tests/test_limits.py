@@ -18,8 +18,6 @@ from httq.limits import (
     sample_case_i_paths,
     sample_case_ii_paths,
     sample_noise,
-    solve_limit_case_i,
-    solve_limit_case_ii,
     CACHE_SIZE,
     _check_rows,
     _covariance_model,
@@ -35,6 +33,7 @@ from oracles import (
     dense_cholesky,
     dense_service_covariance,
     ks_one_sample,
+    limit_row,
     openblas_mapped,
     reflected_ou_stationary_cdf,
     sample_gaussian_S,
@@ -388,10 +387,9 @@ def test_noise_sample_must_start_at_zero():
 
 def test_case_i_all_zero():
     grid = uniform_grid(2.0, 0.01)
-    sol = solve_limit_case_i(0.0, zero_path(2.0), zero_path(2.0), 0.0, 1.0, None, grid)
-    assert sol.variant == "i"
-    assert sol.x.sup_norm() == 0.0
-    assert sol.ell.sup_norm() == 0.0
+    x, ell, _ = limit_row(LimitModel("i", 1.0), zero_path(2.0), zero_path(2.0), grid)
+    assert np.abs(x).max() == 0.0
+    assert np.abs(ell).max() == 0.0
 
 
 def test_case_i_linear_drain_closed_form():
@@ -401,9 +399,10 @@ def test_case_i_linear_drain_closed_form():
     errs = {}
     for h in (1e-3, 1e-4):
         grid = uniform_grid(4.0, h)
-        sol = solve_limit_case_i(0.0, zero_path(4.0), zero_path(4.0), beta, mu, f, grid)
-        errs[h] = float(np.max(np.abs(sol.x.sampled(grid) - target(grid))))
-        assert sol.ell.sup_norm() <= 1e-12
+        x, ell, _ = limit_row(LimitModel("i", mu, beta=beta, f=f), zero_path(4.0),
+                              zero_path(4.0), grid)
+        errs[h] = float(np.max(np.abs(x - target(grid))))
+        assert np.abs(ell).max() <= 1e-12
     assert errs[1e-3] <= 5e-3
     assert errs[1e-4] <= 0.15 * errs[1e-3]
 
@@ -411,15 +410,14 @@ def test_case_i_linear_drain_closed_form():
 def test_case_i_pure_reflection():
     beta, mu = -0.7, 2.0
     grid = uniform_grid(3.0, 0.01)
-    sol = solve_limit_case_i(0.0, zero_path(3.0), zero_path(3.0), beta, mu, None, grid)
-    assert sol.x.sup_norm() == 0.0
-    np.testing.assert_allclose(sol.ell.sampled(grid), -beta * mu * grid, atol=1e-10)
+    x, ell, _ = limit_row(LimitModel("i", mu, beta=beta), zero_path(3.0), zero_path(3.0), grid)
+    assert np.abs(x).max() == 0.0
+    np.testing.assert_allclose(ell, -beta * mu * grid, atol=1e-10)
 
 
 def test_case_i_rejects_negative_xi():
-    grid = uniform_grid(1.0, 0.01)
     with pytest.raises(ValueError, match="nonnegative"):
-        solve_limit_case_i(-0.5, zero_path(1.0), zero_path(1.0), 0.0, 1.0, None, grid)
+        LimitModel("i", 1.0, xi=-0.5)
 
 
 def test_case_i_rejects_negative_xi_and_negative_start_in_every_route():
@@ -428,7 +426,7 @@ def test_case_i_rejects_negative_xi_and_negative_start_in_every_route():
         sample_case_i_paths(-0.5, 0.0, 1.0, 1.0, None, grid, seed=1, reps=3)
     low = linear_path(grid, np.full(grid.size, -0.2), 1.0)
     with pytest.raises(ValueError, match=r"y\(0\) must be nonnegative"):
-        solve_limit_case_i(0.1, low, zero_path(1.0), 0.0, 1.0, None, grid)
+        limit_row(LimitModel("i", 1.0, xi=0.1), low, zero_path(1.0), grid)
 
 
 def test_case_i_complementarity_on_noisy_samples():
@@ -436,12 +434,10 @@ def test_case_i_complementarity_on_noisy_samples():
     f = lambda x: np.asarray(x)
     for seed in range(5):
         ns = sample_noise("i", mu=1.0, ca2=1.0, grid=grid, seed=seed)
-        sol = solve_limit_case_i(0.5, ns.E, ns.S, -0.5, 1.0, f, grid)
-        x = sol.x.sampled(grid)
+        x, ell, diag = limit_row(LimitModel("i", 1.0, xi=0.5, beta=-0.5, f=f), ns.E, ns.S, grid)
         assert np.min(x) >= 0.0
-        ell = sol.ell.sampled(grid)
         assert np.all(np.diff(ell) >= -1e-15)
-        assert sol.diagnostics["complementarity"] <= 1e-8
+        assert diag["complementarity"] <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +446,17 @@ def test_case_i_complementarity_on_noisy_samples():
 
 def test_case_ii_all_zero(exp_table):
     grid = uniform_grid(5.0, 0.01)
-    sol = solve_limit_case_ii(0.0, zero_path(5.0), zero_path(5.0), 0.0, 1.0,
-                              None, exp_table, grid)
-    assert sol.variant == "ii"
-    assert sol.x.sup_norm() == 0.0
-    assert sol.ell is None
+    x, ell, _ = limit_row(LimitModel("ii", 1.0, M=exp_table), zero_path(5.0), zero_path(5.0),
+                          grid)
+    assert np.abs(x).max() == 0.0
+    assert ell is None
 
 
 def test_case_ii_positive_start_has_no_renewal_correction(exp_table):
     grid = uniform_grid(5.0, 0.01)
-    sol = solve_limit_case_ii(0.5, zero_path(5.0), zero_path(5.0), 0.0, 1.0,
-                              None, exp_table, grid)
-    np.testing.assert_allclose(sol.x.sampled(grid), 0.5, atol=1e-12)
+    x, _, _ = limit_row(LimitModel("ii", 1.0, xi=0.5, M=exp_table), zero_path(5.0),
+                        zero_path(5.0), grid)
+    np.testing.assert_allclose(x, 0.5, atol=1e-12)
 
 
 def test_case_ii_negative_start_closed_form():
@@ -471,9 +466,9 @@ def test_case_ii_negative_start_closed_form():
     for h in (1e-2, 1e-3):
         tab = compute_renewal_function(H, horizon=4.0, step=h)
         grid = uniform_grid(4.0, h)
-        sol = solve_limit_case_ii(-1.0, zero_path(4.0), zero_path(4.0), 0.0, mu,
-                                  None, tab, grid)
-        errs[h] = float(np.max(np.abs(sol.x.sampled(grid) + np.exp(-mu * grid))))
+        x, _, _ = limit_row(LimitModel("ii", mu, xi=-1.0, M=tab), zero_path(4.0),
+                            zero_path(4.0), grid)
+        errs[h] = float(np.max(np.abs(x + np.exp(-mu * grid))))
     assert errs[1e-2] <= 1e-2
     assert errs[1e-3] <= 0.15 * errs[1e-2]
 
@@ -484,10 +479,10 @@ def test_case_ii_residual_bound_on_noisy_samples(exp_table):
     for seed in range(5):
         ns = sample_noise("ii", mu=1.0, ca2=1.0, grid=grid, seed=seed,
                           M=exp_table)
-        sol = solve_limit_case_ii(-0.3, ns.E, ns.S, -1.0, 1.0, f, exp_table,
-                                  grid)
-        assert sol.residual <= 10.0 * 0.01
-        assert sol.diagnostics["closure"] < 1e-8
+        _, _, diag = limit_row(LimitModel("ii", 1.0, xi=-0.3, beta=-1.0, f=f, M=exp_table),
+                               ns.E, ns.S, grid)
+        assert diag["residual"] <= 10.0 * 0.01
+        assert diag["closure"] < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +494,8 @@ def test_batch_case_i_matches_single_solve():
     f = lambda x: 0.5 * np.asarray(x)
     X = sample_case_i_paths(0.2, -0.4, 1.5, 1.0, f, grid, seed=21, reps=1)
     ns = sample_noise("i", mu=1.5, ca2=1.0, grid=grid, seed=21)
-    sol = solve_limit_case_i(0.2, ns.E, ns.S, -0.4, 1.5, f, grid)
-    np.testing.assert_allclose(X[0], sol.x.sampled(grid), atol=1e-12)
+    x, _, _ = limit_row(LimitModel("i", 1.5, xi=0.2, beta=-0.4, f=f), ns.E, ns.S, grid)
+    np.testing.assert_allclose(X[0], x, atol=1e-12)
 
 
 def test_batch_case_ii_matches_single_solve(exp_table):
@@ -510,8 +505,9 @@ def test_batch_case_ii_matches_single_solve(exp_table):
                              seed=33, reps=1)
     ns = sample_noise("ii", mu=1.0, ca2=1.0, grid=grid, seed=33,
                       M=exp_table)
-    sol = solve_limit_case_ii(-0.3, ns.E, ns.S, -1.0, 1.0, f, exp_table, grid)
-    np.testing.assert_allclose(X[0], sol.x.sampled(grid), atol=1e-10)
+    x, _, _ = limit_row(LimitModel("ii", 1.0, xi=-0.3, beta=-1.0, f=f, M=exp_table),
+                        ns.E, ns.S, grid)
+    np.testing.assert_allclose(X[0], x, atol=1e-10)
 
 
 @pytest.fixture()
@@ -589,16 +585,10 @@ _BASE = {"i": dict(case="i", mu=1.0, ca2=1.0, xi=0.0, beta=0.0, f=None, M=None, 
          "ii": dict(case="ii", mu=1.0, ca2=1.0, xi=0.0, beta=0.0, f=None, M=_TABLE, tol=1e-10)}
 
 # every public route into the model, as (case it builds, parameters it takes, call)
-_ZERO = zero_path(1.0)
 _ROUTES = {
     "LimitModel": (None, set(_BASE["i"]), LimitModel),
     "sample_noise": (None, {"case", "mu", "ca2", "M"}, lambda case, mu, ca2, M, **_:
                      sample_noise(case, mu, ca2, _GRID, 1, M=M)),
-    "solve_limit_case_i": ("i", {"xi", "beta", "mu", "f"}, lambda xi, beta, mu, f, **_:
-                           solve_limit_case_i(xi, _ZERO, _ZERO, beta, mu, f, _GRID)),
-    "solve_limit_case_ii": ("ii", {"xi", "beta", "mu", "f", "M", "tol"},
-                            lambda xi, beta, mu, f, M, tol, **_:
-                            solve_limit_case_ii(xi, _ZERO, _ZERO, beta, mu, f, M, _GRID, tol)),
     "sample_case_i_paths": ("i", {"xi", "beta", "mu", "ca2", "f"},
                             lambda xi, beta, mu, ca2, f, **_:
                             sample_case_i_paths(xi, beta, mu, ca2, f, _GRID, seed=1, reps=2)),
