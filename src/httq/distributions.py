@@ -29,10 +29,9 @@ import numpy as np
 
 # Entries kept per functools.lru_cache of tables built from a law (equilibrium
 # laws, integrated hazards, covariance models, and Cholesky factors keyed by
-# table and grid): at most 8 factors, about 8 MB each at m = 1024 and 134 MB
-# each at the 4096-point table cap, so about 1.1 GB at worst.  A model holds
-# O(m) floats, plus its lattice matrix (one more such buffer) once
-# `covariance_S` or `marginal` has read it: 2.1 GB if all 8 have.
+# table and grid): at most 8 factors, about 8 MB each on a 1025-point grid and
+# 134 MB each at the cap of MAX_CELLS entries (a 4097-point grid), so about
+# 1.1 GB at worst.  A model holds one float per point of its renewal table.
 CACHE_SIZE = 8
 
 __all__ = ["DistributionSpec", "check_count", "check_keys", "check_number", "check_service_mean"]
@@ -116,16 +115,20 @@ def _erlang_cdf(k: int, y) -> np.ndarray:
     The terms follow the ratio recurrence from e^-y, which keeps the sum
     within k ulps.  Where e^-y leaves the normal range (y > 700; only shapes
     of several hundred still have mass there) each term is taken from its
-    logarithm instead.  The result has the shape of `y`.
+    logarithm instead, and the recurrence skips those points.  The result has
+    the shape of `y`.
     """
     shape = np.shape(y)
     y = np.minimum(np.atleast_1d(y), 1e300)  # +inf would meet 0 * inf
-    term = np.exp(-y)
-    head = term.copy()
-    for i in range(1, k):
-        term = term * y / i
-        head += term
     far = y > 700.0
+    head = np.empty_like(y)
+    near = y[~far]
+    term = np.exp(-near)
+    head_near = term.copy()
+    for i in range(1, k):
+        term = term * near / i
+        head_near += term
+    head[~far] = head_near
     if np.any(far):
         yf = y[far]
         head[far] = sum(np.exp(i * np.log(yf) - yf - math.lgamma(i + 1.0)) for i in range(k))

@@ -13,32 +13,27 @@ law H through its renewal function M:
     x(t) = xi + e(t) - s(t) + beta mu t + xi^- (mu t - M(t))
            + int_0^t (x(t-u))^- dM(u) - mu int_0^t f(x(u)^+ / mu) du,
 
-where s is a zero-mean Gaussian process built from two independent
-sources of service-time fluctuation: the residual services of the
-initially busy servers (equilibrium law H_e) and the services of
-customers entering later at the fluid pace mu n.  Writing z for the
-sum of those two centered indicator fields, s(t) = -(z(t) +
-int_0^t z(t-u) dM(u)), which gives the covariance
-
-    Cov[s(a), s(b)] = (A C A^T)_{ab},   A = I + (right-endpoint dM conv),
-    C(a, b) = H_e(a^b) H_e^c(avb) + mu int_0^{a^b} H(a^b - r) H^c(avb - r) dr
-
-on the renewal table's lattice (a^b = min, avb = max).  The table carries
-its service law, M.H, so the covariance and the noise take no separate H.
-The same discrete convolution operator A is reused by the finite-n replica
-construction, so comparisons between the two are free of quadrature
-bias.  `compute_renewal_function` caches its tables by (law, horizon, step),
-and the model and its factors are cached by table content (a factor also by
-grid), each cache bounded by ``CACHE_SIZE``: a repeated call finds the table,
-the model and the factor without a rebuild, and an equal table built apart
-reuses the model and the factor.
-The model keeps only O(m) ingredients.  A factor is made in one buffer: C on
-the lattice points up to the grid's last is written into it, turned into
-A C A^T in place by Toeplitz panels, and factored in place by blocks, so it
-holds one buffer of its size plus panel temporaries (a grid that is not one
-run of lattice points adds a copy of its own size).  The covariance on the
-whole lattice (`matrix`) is built at its first read, by `covariance_S` and
-`marginal`; the covariance and its factors are read-only.
+where s is the zero-mean Gaussian limit of the centered service completions
+of busy servers.  Each server is a renewal process started in equilibrium,
+so s has stationary increments and
+    Cov[s(a), s(b)] = (V(a) + V(b) - V(|b - a|)) / 2,
+    V(t) = mu t + 2 mu int_0^t M(u) du - (mu t)^2,
+V the variance of a stationary renewal count (Cox 1962, Renewal Theory,
+sec. 4.5).  This is the Krichagina-Puhalskii field -(z + z * dM) of the
+initially busy servers' residuals and of the later entrants' services, whose
+covariance A C A^T (A = I + the right-endpoint dM convolution, C the
+covariance of the centered indicator sum z) `tests/oracles.py` forms on the
+lattice: the two differ by O(h), and V is exact for a lattice table.  The
+table carries its service law, M.H, so the covariance and the noise take no
+separate H.  `compute_renewal_function` caches its tables by (law, horizon,
+step), and the model and its factors are cached by table content (a factor
+also by grid), each cache bounded by ``CACHE_SIZE``: a repeated call finds
+the table, the model and the factor without a rebuild, and an equal table
+built apart reuses the model and the factor.  The model keeps V on the
+lattice, O(m) floats; a factor writes the covariance on its grid's points
+into one buffer in row panels and factors it in place by blocks, so it
+holds one buffer of its size plus panel temporaries.  The covariance and
+its factors are read-only.
 
 Each equation is one frozen `LimitModel`, checked once when built, that draws
 both its noises (`noise`: `ServiceCovariance` only builds, factors and is read),
@@ -51,22 +46,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import CACHE_SIZE, check_count, check_number, check_service_mean
 from .maps import (  # noqa: F401  (solve_phi_Mg: perfbench traces it at this name)
     _check_grid,
     _phi_mg_rows,
     _skorokhod_rows,
-    _stieltjes_matrix,
     solve_phi_Mg,
 )
-from .paths import MAX_CELLS, CadlagPath, check_grid, linear_path
-from .renewal import RenewalTable, equilibrium_distribution
+from .paths import MAX_CELLS, CadlagPath, _cumtrapz, check_grid, linear_path
+from .renewal import RenewalTable
 from .streams import make_rng
 
 __all__ = [
@@ -110,79 +103,47 @@ def sample_brownian(variance_rate: float, grid, stream: np.random.Generator) -> 
 
 
 class ServiceCovariance:
-    """Covariance model of the critical-scale service noise on a lattice.
+    """Covariance model of the critical-scale service noise on a renewal table.
 
-    Built once per renewal table content from O(m) ingredients only: the
-    equilibrium law he (and hec = 1 - he) on the lattice, the midpoint values
-    h_mid and hc_mid of H and H^c, and the increments dM.  Grids handed to
-    `marginal` or `cholesky` must be sub-lattices of the table's.  `cholesky`
-    writes the covariance into the one buffer it factors in place, so a
-    factor costs one buffer of its size; `matrix`, the covariance on the whole
-    lattice, is built at its first read and is read-only.  A table over 4096
-    points ((m+1)^2 > MAX_CELLS) is refused before any buffer.
+    Built once per table content, it keeps only the variance
+    V(t) = mu t + 2 mu int_0^t M(u) du - (mu t)^2 on the table's lattice, O(m)
+    read-only floats: int M is exact for a lattice table and the cumulative
+    trapezoid of M otherwise.  `marginal` writes (V(a) + V(b) - V(|b - a|)) / 2
+    straight onto a grid's points, which must lie on the lattice, and refuses
+    a covariance of over MAX_CELLS entries; `cholesky` factors that one buffer
+    in place.
     """
 
     def __init__(self, table: RenewalTable):
-        t = table.times
-        if t.size ** 2 > MAX_CELLS:
-            raise ValueError(f"a {t.size}-point table's covariance exceeds {MAX_CELLS} cells")
         self.table = table
-        self.H = table.H
-        self.mu = table.rate()
-        m = t.size - 1
-        self.he = np.asarray(equilibrium_distribution(self.H).cdf(t), dtype=float)
-        self.hec = 1.0 - self.he
-        # midpoint rule for J[i, d] = int_0^{t_i} H(u) H^c(u + t_d) du:
-        # exact for lattice-aligned atoms, second order for smooth H
-        mids = (np.arange(2 * m, dtype=float) + 0.5) * table.step
-        self.h_mid = np.asarray(self.H.cdf(mids[:m]), dtype=float)
-        self.hc_mid = 1.0 - np.asarray(self.H.cdf(mids), dtype=float)
-        self.dM = np.diff(table.values)
-
-    def _build(self, out: np.ndarray) -> np.ndarray:
-        """Write the covariance on lattice points 1..k into the k x k array out.
-
-        Row and column 0 of C (and of A C A^T) are 0, so the block on points
-        1..k is A_k C_k A_k^T with A_k = `_stieltjes_matrix(dM[:k-1])`: it needs
-        no border and no later lattice point.
-        """
-        k = out.shape[0]
-        if not k:
-            return out
-        h, he, hec = self.table.step, self.he, self.hec
-        # C and A C A^T are symmetric, so work on whichever orientation of out
-        # has contiguous rows
-        J = out.T if out.flags.f_contiguous else out
-        # row r of J sums the products h_mid[q] hc_mid[q + d] over q <= r, which
-        # is J(t_{r+1}, t_d) / h
-        np.multiply(self.h_mid[:k, None], sliding_window_view(self.hc_mid[:2 * k - 1], k),
-                    out=J)
-        np.cumsum(J, axis=0, out=J)  # in place: numpy makes no copy
-        J *= h
-        # C(t_i, t_j) = he[i] hec[j] + mu J(t_i, t_{j-i}) for i <= j reads only
-        # row i of J, so the upper triangle of C overwrites J row by row
-        for r in range(k):
-            J[r, r:] = he[r + 1] * hec[r + 1:k + 1] + self.mu * J[r, :k - r]
-        _mirror(J.T)
-        _sandwich(J, self.dM[:k - 1])
-        return out
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The read-only covariance on every point of the table's lattice."""
-        m = self.table.times.size - 1
-        cov = np.zeros((m + 1, m + 1))
-        self._build(cov[1:, 1:])
-        cov.flags.writeable = False  # shared by every caller
-        return cov
+        mu, t = table.rate(), table.times
+        if table.method == "lattice":  # M = n on [n v, (n + 1) v)
+            v, n = table.H["value"], table.values
+            integral = v * n * (n - 1) / 2 + n * (t - n * v)
+        else:
+            integral = _cumtrapz(table.values, table.step)
+        self.variance = mu * t + 2 * mu * integral - (mu * t) ** 2
+        self.variance.flags.writeable = False  # shared by every caller
 
     def marginal(self, grid) -> np.ndarray:
-        """The covariance on the grid: a read-only view of `matrix` when the
-        grid's lattice indices are one contiguous run, else a copy."""
+        """The covariance on the grid's points, in a fresh Fortran-order array
+        written one row panel at a time; a covariance of over MAX_CELLS entries
+        is refused before any buffer."""
         idx = self.table._indices_on(grid)
-        if idx.size and np.all(np.diff(idx) == 1):
-            return self.matrix[idx[0]:idx[-1] + 1, idx[0]:idx[-1] + 1]
-        return self.matrix[np.ix_(idx, idx)]
+        k, V = idx.size, self.variance
+        if k * k > MAX_CELLS:
+            raise ValueError(f"the covariance on {k} grid points exceeds {MAX_CELLS} cells")
+        out = np.empty((k, k), order="F")
+        rows = out.T  # the same symmetric matrix, with contiguous rows
+        for r in range(0, k, _PANEL):
+            p = idx[r:r + _PANEL]
+            panel = rows[r:r + _PANEL]
+            gap = p[:, None] - idx
+            np.take(V, np.abs(gap, out=gap), out=panel, mode="clip")  # "clip": no buffer
+            del gap  # so the sum below is the panel's one temporary
+            np.subtract(V[p][:, None] + V[idx], panel, out=panel)
+            panel *= 0.5
+        return out
 
     def cholesky(self, grid) -> tuple[np.ndarray, float]:
         """Lower factor of the covariance on grid[1:], with the jitter used."""
@@ -190,38 +151,7 @@ class ServiceCovariance:
 
 
 _covariance_model = lru_cache(maxsize=CACHE_SIZE)(ServiceCovariance)  # keyed by table content
-_PANEL = 128  # rows or columns per panel of the in-place products and the blocked factor
-
-
-def _sandwich(B: np.ndarray, w: np.ndarray) -> None:
-    """B <- A B A^T in place for symmetric B, A = `_stieltjes_matrix(w)`.
-
-    Row i of A B reads only rows <= i of B, so row panels taken bottom-up
-    overwrite B with the lower triangle of A B; column j of (A B) A^T reads
-    only columns <= j, so column panels taken right-to-left overwrite that
-    with the lower triangle of A B A^T, which is then mirrored.  Each panel
-    product is one GEMM and the only temporary: a panel, not a buffer.
-    """
-    n = B.shape[0]
-    A = _stieltjes_matrix(w)
-    starts = range(0, n, _PANEL)
-    for a in reversed(starts):
-        e = min(a + _PANEL, n)
-        B[a:e, :e] = A[a:e, :e] @ B[:e, :e]
-    for c in reversed(starts):
-        e = min(c + _PANEL, n)
-        B[c:, c:e] = B[c:, :e] @ A[c:e, :e].T
-    _mirror(B)
-
-
-def _mirror(B: np.ndarray) -> None:
-    """Copy the lower triangle of the square array B onto its upper one, in place."""
-    n = B.shape[0]
-    for c in range(0, n, _PANEL):
-        e = min(c + _PANEL, n)
-        block = B[c:e, c:e]
-        B[c:e, c:e] = np.tril(block) + np.tril(block, -1).T
-        B[c:e, e:] = B[e:, c:e].T
+_PANEL = 128  # rows or columns per panel of the covariance and of the blocked factor
 
 
 def _factor_in_place(a: np.ndarray) -> np.ndarray:
@@ -253,26 +183,21 @@ def _factor_in_place(a: np.ndarray) -> np.ndarray:
 def _factor_cache(M: RenewalTable, grid_bytes: bytes) -> tuple[np.ndarray, float]:
     """(L, jitter) per table content and grid, shared by every model of an equal table.
 
-    The covariance on lattice points 1..k, k the grid's last, is written into
-    one buffer and factored in place, and rebuilt before each jitter rung.  A
-    grid whose points are not all of 1..k factors a copy of its own points, and
-    the k x k buffer is freed before the factor.  L is in Fortran order, so the
-    draws' `@ L.T` reads a C-ordered operand."""
-    model = _covariance_model(M)
-    idx = M._indices_on(np.frombuffer(grid_bytes)[1:])
-    k = int(idx[-1]) if idx.size else 0
+    The covariance on grid[1:] (`ServiceCovariance.marginal`, which refuses one
+    past MAX_CELLS entries before any buffer) is factored in place, and written
+    afresh before each jitter rung.  L is in Fortran order, so the draws'
+    `@ L.T` reads a C-ordered operand."""
+    model, points = _covariance_model(M), np.frombuffer(grid_bytes)[1:]
     err = None
     for jit in JITTERS:
-        a = model._build(np.empty((k, k), order="F"))
-        if idx.size < k:  # symmetric, so the C-ordered copy's transpose is the same matrix
-            a = a[np.ix_(idx - 1, idx - 1)].T
+        a = model.marginal(points)
         if jit:  # a + jit * I
             a.flat[::a.shape[0] + 1] += jit
         try:
             return _factor_in_place(a), jit
         except np.linalg.LinAlgError as exc:
             err = str(exc)  # not exc: its traceback would keep the failed buffer alive
-        del a  # so the next rung's build is the only buffer
+        del a  # so the next rung's covariance is the only buffer
     raise RuntimeError(
         f"covariance factorization failed even at jitter {JITTERS[-1]:g}: {err}"
     )
@@ -286,8 +211,9 @@ def covariance_S(s: float, t: float, M: RenewalTable) -> float:
     """
     if min(s, t) < 0 or max(s, t) > M.horizon + 1e-9:
         raise ValueError("times must lie within the renewal table horizon")
-    idx = M._indices_on([min(s, t), max(s, t)])
-    return float(_covariance_model(M).matrix[idx[0], idx[1]])
+    a, b = M._indices_on([s, t])
+    V = _covariance_model(M).variance
+    return float(0.5 * (V[a] + V[b] - V[abs(b - a)]))
 
 
 # ---------------------------------------------------------------------------

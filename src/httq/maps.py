@@ -23,13 +23,13 @@ blocks too, with its own code: one GEMM brings in a block's history, and
 sweeps of the block's strictly causal (nilpotent) map settle it until the
 iterate repeats bit for bit; the tests hold it to a per-step oracle.  The
 causal dM convolution is one lower-triangular Toeplitz operator
-(``_stieltjes_matrix``, a read-only view that the service-noise covariance
-reads in panels), but no solve forms it: each reads a block's history as one
-m x 32 window of the increments, W[j, r] = w[j + r], against x^- stored in
-reversed order, and the trapezoid-rule defect of the convolution term does
-the same block by block.  The public solvers are the one-row case of batched
-routes (arrays shaped (rows, grid)) that `LimitModel.solve` shares, so a
-batch of replications pays one Python loop over time, not one each.
+(``_stieltjes_matrix``, a read-only view of one vector), but no solve
+forms it: each reads a block's history as one m x 32 window of the
+increments, W[j, r] = w[j + r], against x^- stored in reversed order, and
+the trapezoid-rule defect of the convolution term does the same block by
+block.  The public solvers are the one-row case of batched routes (arrays
+shaped (rows, grid)) that `LimitModel.solve` shares, so a batch of
+replications pays one Python loop over time, not one each.
 """
 
 from __future__ import annotations

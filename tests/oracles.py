@@ -34,10 +34,12 @@ samplers serve the covariance cross-checks: `sample_gaussian_S`, one path
 drawn through the library's covariance factor, and
 `sample_service_noise_finite_n`, the direct finite-n replica built from the
 primitive service times, which shares only the dM convolution matrix.
-`dense_service_covariance` and `dense_cholesky` are the dense covariance
-build and jitter ladder that the three-buffer build replaced, each matrix
-formed whole (index gathers, min/max index matrices, one chained product),
-sharing only the equilibrium law and the dM convolution matrix.
+`dense_service_covariance` is the Krichagina-Puhalskii build A C A^T of the
+covariance that the library's stationary-renewal identity replaced, each
+matrix formed whole (index gathers, min/max index matrices, one chained
+product), sharing only the equilibrium law and the dM convolution matrix;
+the two discretize one covariance and differ by O(h).  `dense_cholesky` is
+the jitter ladder on numpy's whole-matrix factor.
 """
 
 import heapq

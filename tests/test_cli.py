@@ -1,6 +1,7 @@
 """CLI contract: spec files, hashes, headers, determinism, exit codes."""
 
 import argparse
+import dataclasses
 import importlib.util
 import io
 import json
@@ -111,11 +112,14 @@ def test_renewal_flag_conflicts(tmp_path, capsys):
     assert "not both" in err and "--T" in err
 
 
-def test_bad_distribution_flag(tmp_path):
+def test_bad_distribution_flag(tmp_path, capsys):
     assert main(["renewal", "--service", "exp:rate", "--T", "2",
                  "--out", str(tmp_path)]) == 2
     assert main(["renewal", "--service", "weibull:k=2", "--T", "2",
                  "--out", str(tmp_path)]) == 2
+    assert main(["renewal", "--service", "exp:rate=abc", "--T", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert "distribution parameter rate must be a number, got 'abc'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +216,13 @@ def test_missing_file_and_bad_json(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     assert main(["simulate", str(bad), "--out", str(tmp_path / "r")]) == 2
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    assert main(["simulate", str(array), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert "not found" in err and "not valid JSON" in err
+    assert f"experiment file {array} must hold a JSON object" in err
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +414,30 @@ def test_compare_all_hold(tmp_path):
     assert {v["seed"] for v in doc["verdicts"]} == {0, 1}
 
 
+def test_compare_check_exits_3_and_writes_the_first_violation(tmp_path, monkeypatch, capsys):
+    # each run takes the opposite abandon flag, so the overloaded system's
+    # twin abandons and every verdict fails: --check exits 3, and compare.json
+    # keeps each verdict's first violation and dump
+    real = httq.validation.simulate
+    monkeypatch.setattr(httq.validation, "simulate", lambda config, *args: real(
+        dataclasses.replace(config, abandon=not config.abandon), *args))
+    spec = write_spec(tmp_path, "cmp.json", {
+        "command": "compare", "config": mmn_dict(n=16, horizon=5.0, beta=1.0),
+        "seeds": 2, "replications": 1,
+    })
+    out = tmp_path / "runs"
+    assert main(["compare", spec, "--out", str(out), "--check", "--workers", "1"]) == 3
+    (rundir,) = run_dirs(out)
+    doc = json.loads((rundir / "compare.json").read_text())
+    assert doc["all_hold"] is False and len(doc["verdicts"]) == 2
+    err = capsys.readouterr().err
+    for v in doc["verdicts"]:
+        t, q, q_0 = v["first_violation"]
+        assert not v["holds"] and q > q_0 and v["max_queue_excess"] >= 1.0
+        assert v["detail"].startswith(f"queue domination violated at t={t!r}")
+        assert v["detail"] in err
+
+
 def test_compare_spreads_over_workers_with_identical_output(tmp_path, monkeypatch):
     calls = []
     run_jobs = httq.cli.run_jobs
@@ -450,6 +483,28 @@ def test_limit_case_ii(tmp_path):
     summary = json.loads((rundir / "limit_summary.json").read_text())
     for rep in summary["per_replication"]:
         assert rep["residual"] <= 0.1  # 10 x grid step
+
+
+def test_limit_case_ii_runs_past_a_4096_point_table(tmp_path):
+    # T = 40 on a 1025-point grid: the Erlang(3) table is subdivided to 4097
+    # points, which the covariance's old (m+1)^2 cap refused (exit 2); the
+    # covariance is now built on the grid's 1024 points only
+    spec = write_spec(tmp_path, "limit.json", {
+        "command": "limit", "case": "ii", "xi": -0.5, "beta": -1.0, "mu": 1.0,
+        "ca2": 1.0, "patience": {"mode": "no_scaling",
+                                 "distribution": {"family": "exponential", "rate": 1.0}},
+        "service": {"family": "erlang", "shape": 3, "rate": 3.0},
+        "horizon": 40.0, "grid_step": 40.0 / 1024, "reps": 12, "seed": 5,
+    })
+    out = tmp_path / "runs"
+    assert main(["limit", spec, "--out", str(out), "--workers", "1"]) == 0
+    (rundir,) = run_dirs(out)
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in (rundir / "limit.csv").read_text().splitlines()[2:]])
+    assert rows.shape == (1025, 13) and np.all(np.isfinite(rows))
+    summary = json.loads((rundir / "limit_summary.json").read_text())
+    for rep in summary["per_replication"]:
+        assert rep["closure"] < 1e-10 and rep["jitter"] == 0.0
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -1011,6 +1066,8 @@ _BAD_SPEC_VALUES = {
                    "n values must be distinct, got [16, 4, 16]"),
     "repeated-checkpoints": ("sweep", {"checkpoints": [0.75, 0.75]}, [],
                              "checkpoints must be distinct, got [0.75, 0.75]"),
+    "number-checkpoints": ("sweep", {"checkpoints": 0.75}, [],
+                           "checkpoints must be a list of times, got 0.75"),
     # both compare the smallest n with the largest, so one n is refused before the compute
     "one-n-decreasing": ("sweep", {"n_values": [4],
                                    "thresholds": {"decreasing": ["coupling_gap"]}}, [],

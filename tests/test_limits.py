@@ -13,6 +13,7 @@ from httq.limits import (
     JITTERS,
     LimitModel,
     NoiseSample,
+    ServiceCovariance,
     covariance_S,
     sample_brownian,
     sample_case_i_paths,
@@ -123,6 +124,11 @@ def test_exponential_covariance_matches_min(exp_table):
     cov2 = np.array([[covariance_S(s, t, finer) for t in pts] for s in pts])
     err2 = np.max(np.abs(cov2 - target))
     assert err2 <= 0.62 * err
+    # on every point of the h = 0.01 lattice the identity's only error is the
+    # renewal table's quadrature, second order in h
+    pts = exp_table.times[1:]
+    lattice = _covariance_model(exp_table).marginal(pts)
+    assert np.abs(lattice - np.minimum.outer(pts, pts)).max() <= 5e-4
 
 
 def test_exponential_covariance_rate_scaling():
@@ -142,6 +148,15 @@ def test_deterministic_covariance_exact(det_table):
         assert covariance_S(t, t, det_table) == pytest.approx(expected, abs=1e-9)
     assert covariance_S(1.0, 1.0, det_table) == pytest.approx(0.0, abs=1e-9)
     assert covariance_S(2.0, 2.0, det_table) == pytest.approx(0.0, abs=1e-9)
+    # on the whole lattice, whether or not its step divides the service time:
+    # int M is exact, so Cov = (V(a) + V(b) - V(|b - a|)) / 2 is too
+    var = lambda t: (t % 1.0) * (1.0 - t % 1.0)
+    for step in (0.01, 10.0 / 1024):
+        table = compute_renewal_function(H, 10.0, step=step)
+        pts = table.times[1:]
+        want = 0.5 * (var(pts)[:, None] + var(pts)[None, :]
+                      - var(np.abs(np.subtract.outer(pts, pts))))
+        assert np.abs(_covariance_model(table).marginal(pts) - want).max() <= 1e-12
 
 
 def test_covariance_psd_and_jitter(exp_table):
@@ -197,62 +212,72 @@ def test_law_table_caches_are_bounded():
     DistributionSpec.lognormal(-0.32, 0.8),
     DistributionSpec.hyperexponential([0.3, 0.7], [0.5, 3.0]),
     DistributionSpec.deterministic(1.0),
+    DistributionSpec.uniform(0.5, 1.5),
 ], ids=lambda s: s.family)
 def test_covariance_and_factor_match_the_dense_build(H, clear_noise_caches):
-    # the panel build against the dense one it replaced: the lattice matrix
-    # within 16 eps max|Sigma| (its sums round differently), and the factor on
-    # the lattice and on a 2h sub-grid (its copy) as close a factor of the dense
-    # covariance as numpy's own, by the rule of test_cholesky_factor_matches_scipy;
-    # the deterministic law takes a jitter rung
+    # The identity and the dense A C A^T build discretize one covariance: on
+    # the points of the h lattice their gap is A C A^T's own first-order error,
+    # so it halves (to 0.5 + O(h)) at h/2, and for a smooth law the Richardson
+    # value 2 D(h/2) - D(h) meets the identity within a tenth of that gap.
+    # Off the deterministic law's lattice (1/h = 102.4, 204.8) D's error moves
+    # with the lattice phase, so it takes the halving check only.  Then the
+    # factor on the lattice and on a 2h sub-grid, as close a factor of the
+    # covariance as numpy's own by the rule of test_cholesky_factor_matches_scipy,
+    # on numpy's jitter rung: 0 for every continuous law, 1e-12 for the
+    # deterministic one, whose covariance is singular at t = T
     clear_noise_caches()
-    T = 10.0
     eps = np.finfo(float).eps
+    T, m = 5.0, 512
+    dense, ours = [], []
+    for k in (1, 2):
+        table = compute_renewal_function(H, T, step=T / (m * k))
+        dense.append(dense_service_covariance(table)[::k, ::k])
+        ours.append(ServiceCovariance(table).marginal(table.times)[::k, ::k])
+    gaps = [np.abs(o - d).max() for o, d in zip(ours, dense)]
+    assert gaps[1] <= 0.55 * gaps[0]
+    if H.family != "deterministic":
+        assert np.abs(ours[1] - (2 * dense[1] - dense[0])).max() <= 0.1 * gaps[1]
+    T = 10.0
     table = compute_renewal_function(H, T, step=T / 1024)
-    want = dense_service_covariance(table)
     model = _covariance_model(table)
-    assert np.abs(model.matrix - want).max() <= 16 * eps * np.abs(want).max()
-    jitters = []
     for step in (T / 1024, 2 * T / 1024):
         grid = uniform_grid(T, step)
-        idx = table._indices_on(grid[1:])
+        sub = model.marginal(grid[1:])
         L, jitter = model.cholesky(grid)
-        ref, ref_jitter = dense_cholesky(want[np.ix_(idx, idx)], JITTERS)
-        assert jitter == ref_jitter
-        sub = want[np.ix_(idx, idx)] + jitter * np.eye(idx.size)
+        ref, ref_jitter = dense_cholesky(sub, JITTERS)
+        assert jitter == ref_jitter == (1e-12 if H.family == "deterministic" else 0.0)
+        sub += jitter * np.eye(sub.shape[0])
         mine, theirs = (np.abs(F @ F.T - sub).max() for F in (L, ref))
         assert mine <= 2.0 * theirs + 8 * eps * np.abs(sub).max()
         assert np.array_equal(L, np.tril(L)) and L.flags.f_contiguous
-        jitters.append(jitter)
-    assert (jitters[0] > 0) == (H.family == "deterministic")
 
 
 def test_covariance_build_and_factor_hold_one_buffer(clear_noise_caches):
-    # m = 512, in units of one (m+1) x (m+1) float buffer: the model keeps only
-    # O(m) ingredients, and the factor at a jitter rung holds the one buffer it
-    # factors in place plus panel temporaries.  The three-buffer build peaked at
-    # 3.0 and its jittered factor at 2.0
-    clear_noise_caches()
-    m, T = 512, 5.0
-    table = compute_renewal_function(DistributionSpec.deterministic(1.0), T, step=T / m)
-    grid = uniform_grid(T, T / m)
-    equilibrium_distribution(table.H)  # a law table, not part of the build
+    # in units of one m x m float buffer (the covariance on grid[1:]), at
+    # m = 512 and on a 1025-point grid at T = 30 (a 3073-point table): the
+    # model keeps only V on the table's lattice, and the factor at a jitter
+    # rung holds the one buffer it fills and factors in place plus panel
+    # temporaries.  The three-buffer build peaked at 3.0 and its jittered
+    # factor at 2.0; the lattice build at T = 30 at 10
 
     def peak(build):
         tracemalloc.start()
         try:
-            return build(), tracemalloc.get_traced_memory()[1] / (8 * (m + 1) ** 2)
+            return build(), tracemalloc.get_traced_memory()[1] / (8 * m ** 2)
         finally:
             tracemalloc.stop()
 
-    model, build_peak = peak(lambda: _covariance_model(table))
-    (L, jitter), factor_peak = peak(lambda: _factor_cache(table, grid.tobytes()))
-    assert jitter > 0  # the deterministic law's covariance is singular
-    assert build_peak <= 0.1 and factor_peak <= 1.5
-    view = model.marginal(grid[1:])
-    assert np.shares_memory(view, model.matrix)
-    for shared in (view, model.matrix, L):
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0, 0] = 1.0
+    for T, m in ((5.0, 512), (30.0, 1024)):
+        clear_noise_caches()
+        table = compute_renewal_function(DistributionSpec.deterministic(1.0), T, step=T / m)
+        grid = uniform_grid(T, T / m)
+        model, build_peak = peak(lambda: _covariance_model(table))
+        (L, jitter), factor_peak = peak(lambda: _factor_cache(table, grid.tobytes()))
+        assert jitter > 0  # the deterministic law's covariance is singular at t = T
+        assert build_peak <= 0.1 and factor_peak <= 1.5
+        for shared in (model.variance, L):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
 
 
 def test_case_ii_solve_holds_no_toeplitz_operator(clear_noise_caches):
@@ -282,15 +307,24 @@ def test_covariance_rejects_out_of_range(exp_table):
         covariance_S(1.0, 7.0, exp_table)
 
 
-def test_covariance_refuses_a_table_past_max_cells():
-    # 4097 points give 4097^2 > MAX_CELLS entries: refused before any buffer,
-    # and the refusal leaves no cache entry behind
-    table = compute_renewal_function(DistributionSpec.exponential(1.0), horizon=40.96, step=0.01)
-    assert table.times.size == 4097
-    entries = _covariance_model.cache_info().currsize
-    with pytest.raises(ValueError, match="4097-point table"):
-        _covariance_model(table)
-    assert _covariance_model.cache_info().currsize == entries
+def test_covariance_refuses_a_grid_past_max_cells(clear_noise_caches):
+    # a 4098-point grid's 4097^2 covariance entries exceed MAX_CELLS: refused
+    # before any buffer (it would be 134 MB), and with no factor cached.  Its
+    # 4098-point table is no refusal: the model keeps O(m) floats
+    clear_noise_caches()
+    table = compute_renewal_function(DistributionSpec.exponential(1.0), horizon=40.97, step=0.01)
+    assert table.times.size == 4098
+    model = _covariance_model(table)
+    tracemalloc.start()
+    try:
+        for refused in (lambda: model.cholesky(table.times),
+                        lambda: model.marginal(table.times[1:])):
+            with pytest.raises(ValueError, match="on 4097 grid points exceeds"):
+                refused()
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert _factor_cache.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -526,7 +560,8 @@ def test_sweep_noise_agrees_across_blas_threads(clear_noise_caches):
     # The case-(ii) draw of an alpha = 1 sweep (1025-point limit grid, 40 rows)
     # at one and at two OpenBLAS threads, as `httq sweep` and a library caller
     # run it.  OpenBLAS splits the products differently, so the bytes differ:
-    # the paths by about 4e-12, the factor by 2e-13 and the covariance by 4e-15.
+    # the paths by about 4e-12 and the factor by 2e-13; the covariance, which
+    # takes no product, not at all.
     # The paths must stay within 10 * tol, the gate for any limit-path move.
     T = 10.0
     grid = uniform_grid(T, T / 1024)
@@ -541,9 +576,9 @@ def test_sweep_noise_agrees_across_blas_threads(clear_noise_caches):
                                      reps=40, tol=1e-10)
             model = _covariance_model(table)
             L, _ = model.cholesky(grid)
-        draws.append((model.matrix, L, X))
+        draws.append((model.marginal(grid[1:]), L, X))
     (cov1, L1, X1), (cov2, L2, X2) = draws
-    np.testing.assert_allclose(cov2, cov1, rtol=0, atol=1e-13 * np.abs(cov1).max())
+    np.testing.assert_array_equal(cov2, cov1)
     np.testing.assert_allclose(L2, L1, rtol=0, atol=1e-10 * np.abs(L1).max())
     np.testing.assert_allclose(X2, X1, rtol=0, atol=10 * 1e-10)
 

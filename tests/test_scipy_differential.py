@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from scipy import special
 
-from httq.distributions import DistributionSpec, _normal_cdf
+from httq.distributions import DistributionSpec, _erlang_cdf, _normal_cdf
 from httq.limits import JITTERS, ServiceCovariance
 from httq.maps import _phi_m_gain, _stieltjes_matrix
 from httq.paths import uniform_grid
@@ -65,6 +65,19 @@ def test_erlang_cdf_large_shape_where_exp_underflows():
     x = np.linspace(0.5, 1.5, 201)
     got = DistributionSpec.erlang(1000, 1000.0).cdf(x)
     np.testing.assert_allclose(got, special.gammainc(1000, 1000.0 * x), rtol=0, atol=1e-11)
+
+
+def test_erlang_cdf_near_and_far_points_match_separate_calls():
+    # the ratio recurrence runs over the points with y <= 700 only, and the far
+    # points take their log-space sum: one call over both parts, interleaved,
+    # gives each point what a call on its own part gives
+    for k in (3, 900):
+        y = np.linspace(0.0, 1500.0, 3001)[np.random.default_rng(k).permutation(3001)]
+        far = y > 700.0
+        want = np.empty_like(y)
+        want[~far], want[far] = _erlang_cdf(k, y[~far]), _erlang_cdf(k, y[far])
+        np.testing.assert_array_equal(_erlang_cdf(k, y), want)
+        np.testing.assert_allclose(want, special.gammainc(k, y), rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (-0.32, 0.8), (2.0, 0.1), (-1.0, 3.0)])

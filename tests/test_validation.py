@@ -243,6 +243,22 @@ def test_compare_abandonment_property_sweep():
             assert verdict.holds, verdict.detail
 
 
+def test_compare_abandonment_reports_a_violation_with_its_dump(monkeypatch):
+    # every run takes the opposite abandon flag, so the overloaded system never
+    # abandons and its twin does: the verdict fails and names where, first
+    real = httq.validation.simulate
+    monkeypatch.setattr(httq.validation, "simulate", lambda config, *args: real(
+        dataclasses.replace(config, abandon=not config.abandon), *args))
+    verdict = compare_abandonment(mmn_config(16, beta=1.0), seed=11)
+    assert not verdict.holds
+    assert verdict.max_queue_excess >= 1.0
+    t, q, q_0 = verdict.first_violation
+    assert 0.0 < t <= 5.0 and q > q_0
+    assert verdict.detail.startswith(f"queue domination violated at t={t!r}: "
+                                     f"Q={q:.0f} > Q_0={q_0:.0f}")
+    assert "seed=11 replication=0" in verdict.detail
+
+
 # ---------------------------------------------------------------------------
 # two-sample KS
 
@@ -333,6 +349,16 @@ def test_critical_sweep_runs_where_the_limit_grid_is_over_the_table_cap(mu, hori
     assert report.limit_case == "ii"
     for n in (25, 100):
         assert len(report.ks[n]) == 3
+        assert all(0.0 <= v <= 1.0 for v in report.ks[n].values())
+
+
+def test_critical_sweep_runs_past_a_4096_point_table():
+    # T = 40: the limit draw's renewal table has 4097 points, which the
+    # covariance's old (m+1)^2 cap refused; it is built on the 1024 grid points
+    report = convergence_sweep(mmn_config(4, horizon=40.0), [4, 16], replications=4, seed=3)
+    assert report.limit_case == "ii"
+    for n in (4, 16):
+        assert set(report.ks[n]) == {10.0, 20.0, 40.0}
         assert all(0.0 <= v <= 1.0 for v in report.ks[n].values())
 
 
