@@ -5,12 +5,10 @@ that tie them together."""
 from .distributions import DistributionSpec
 from .limits import (
     LimitModel,
-    NoiseSample,
     covariance_S,
     sample_brownian,
     sample_case_i_paths,
     sample_case_ii_paths,
-    sample_noise,
 )
 from .maps import (
     MappingSolution,
@@ -61,7 +59,6 @@ __all__ = [
     "EquilibriumDistribution",
     "LimitModel",
     "MappingSolution",
-    "NoiseSample",
     "OUTCOME_ABANDONED",
     "OUTCOME_IN_SERVICE",
     "OUTCOME_SERVED",
@@ -91,7 +88,6 @@ __all__ = [
     "sample_brownian",
     "sample_case_i_paths",
     "sample_case_ii_paths",
-    "sample_noise",
     "scale",
     "scaled_primitives",
     "simulate",

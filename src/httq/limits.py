@@ -38,8 +38,8 @@ its factors are read-only.
 Each equation is one frozen `LimitModel`, checked once when built, that draws
 both its noises (`noise`: `ServiceCovariance` only builds, factors and is read),
 builds its input Y (`drive`) and solves for every row of any Y (`solve`).  The
-samplers and `httq limit` compose these three; `sample_noise`, one row of `noise`
-as paths, stays until the benchmark's spans trace `noise` itself.
+samplers and `httq limit` compose these three, so every draw of the noise pair
+is a `noise` call.
 """
 
 from __future__ import annotations
@@ -64,11 +64,9 @@ from .streams import make_rng
 
 __all__ = [
     "LimitModel",
-    "NoiseSample",
     "ServiceCovariance",
     "covariance_S",
     "sample_brownian",
-    "sample_noise",
     "sample_case_i_paths",
     "sample_case_ii_paths",
 ]
@@ -228,21 +226,6 @@ def _check_rows(rows: int, grid: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class NoiseSample:
-    """A pair of driving-noise paths with their generation metadata."""
-
-    E: CadlagPath
-    S: CadlagPath
-    seed: int | None = None
-    covariance_source: str = "brownian"
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        if abs(self.E(0.0)) > 1e-12 or abs(self.S(0.0)) > 1e-12:
-            raise ValueError("noise paths must start at 0")
-
-
-@dataclass(frozen=True)
 class LimitModel:
     """One limit equation: case "i" or "ii", its scalars, the patience limit f
     and, in case "ii", the renewal table M of the service law M.H.  Building it
@@ -282,31 +265,31 @@ class LimitModel:
         """(E, S, jitter): reps rows of the driving pair on the grid from each
         generator of the sequence rngs, stacked in its order.
 
-        E is Brownian with variance rate mu * ca2, S standard Brownian in case "i"
-        and in case "ii" the renewal-coupled service noise.  Each generator draws
-        its E rows first, then its S rows, or in case "ii" the standard normals
-        that one GEMM with the lower factor `ServiceCovariance.cholesky` of the
-        covariance on grid[1:] turns into every generator's S rows.  A draw over
-        MAX_CELLS cells is refused, and the factor (at its first build the
+        E is Brownian with variance rate mu * ca2.  Each generator draws its E
+        rows, then the standard normals Z of its S rows; S is standard Brownian,
+        the cumulative sum of Z * sqrt(dt), in case "i", and in case "ii" the
+        renewal-coupled service noise Z @ L.T, one GEMM with the lower factor L
+        (`ServiceCovariance.cholesky`) of the covariance on grid[1:].  A draw
+        over MAX_CELLS cells is refused, and the factor (at its first build the
         memory peak: one covariance-sized buffer) is fetched, before any row is
         drawn."""
         rows = check_count(len(rngs), "generator count") * check_count(reps, "reps")
         grid = check_grid(grid)
         _check_rows(rows, grid)
+        jitter = 0.0
+        if self.case == "ii":
+            self.M._indices_on(grid)  # a grid off M's lattice is refused before the build
+            L, jitter = _covariance_model(self.M).cholesky(grid)
         E, S = np.zeros((rows, grid.size)), np.zeros((rows, grid.size))
-        blocks = [slice(k * reps, (k + 1) * reps) for k in range(len(rngs))]
-        if self.case == "i":
-            for rng, k in zip(rngs, blocks):
-                E[k] = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
-                S[k] = _brownian_batch(rng, 1.0, grid, reps)
-            return E, S, 0.0
-        self.M._indices_on(grid)  # a grid off M's lattice is refused before the build
-        L, jitter = _covariance_model(self.M).cholesky(grid)
         Z = np.empty((rows, grid.size - 1))
-        for rng, k in zip(rngs, blocks):
-            E[k] = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
-            Z[k] = rng.standard_normal((reps, grid.size - 1))
-        S[:, 1:] = Z @ L.T
+        for k, rng in enumerate(rngs):
+            E[k * reps:(k + 1) * reps] = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
+            Z[k * reps:(k + 1) * reps] = rng.standard_normal((reps, grid.size - 1))
+        if self.case == "i":
+            Z *= np.sqrt(np.diff(grid))
+            np.cumsum(Z, axis=1, out=S[:, 1:])
+        else:
+            S[:, 1:] = Z @ L.T
         return E, S, jitter
 
     def drive(self, E, S, grid) -> np.ndarray:
@@ -343,19 +326,6 @@ class LimitModel:
         if defects:
             diag["residual"] = diag["quadrature_defect"]
         return X, None, diag
-
-
-def sample_noise(case: str, mu: float, ca2: float, grid, seed: int,
-                 replication: int = 0, M: RenewalTable | None = None) -> NoiseSample:
-    """One row of `LimitModel.noise` as paths, from the stream (seed, replication,
-    "limit") that the batch samplers draw from and no simulation stream shares."""
-    grid = check_grid(grid)
-    model = LimitModel(case, mu, ca2, M=M)
-    E, S, jitter = model.noise(grid, [make_rng(seed, replication, "limit")], 1)
-    return NoiseSample(linear_path(grid, E[0], float(grid[-1])),
-                       linear_path(grid, S[0], float(grid[-1])), seed=seed,
-                       covariance_source="brownian" if case == "i" else "renewal-gaussian",
-                       jitter=jitter)
 
 
 def _limit_paths(model: LimitModel, grid, seed: int, reps: int, replication: int) -> np.ndarray:

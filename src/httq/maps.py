@@ -22,26 +22,26 @@ point the contraction argument guarantees.  The ``phi_M`` solve works in
 blocks too, with its own code: one GEMM brings in a block's history, and
 sweeps of the block's strictly causal (nilpotent) map settle it until the
 iterate repeats bit for bit; the tests hold it to a per-step oracle.  The
-causal dM convolution is one lower-triangular Toeplitz operator
-(``_stieltjes_matrix``, a read-only view of one vector), but no solve
-forms it: each reads a block's history as one m x 32 window of the
-increments, W[j, r] = w[j + r], against x^- stored in reversed order, and
-the trapezoid-rule defect of the convolution term does the same block by
-block.  The public solvers are the one-row case of batched routes (arrays
-shaped (rows, grid)) that `LimitModel.solve` shares, so a batch of
-replications pays one Python loop over time, not one each.
+causal dM convolution, the right-endpoint rule for int z(t-s) dM(s), is one
+strictly lower Toeplitz operator A - I, (A z)_k = z_k + sum_{j>=1} w_j z_{k-j}
+with w_j = M(t_j) - M(t_{j-1}), but no solve forms it: each reads a block's
+history as one m x 32 window of the increments, W[j, r] = w[j + r], against
+x^- stored in reversed order, and the trapezoid-rule defect of the
+convolution term does the same block by block.  The public solvers are the
+one-row case of batched routes (arrays shaped (rows, grid)) that
+`LimitModel.solve` shares, so a batch of replications pays one Python loop
+over time, not one each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distributions import CACHE_SIZE, check_number
+from .distributions import check_number
 from .paths import CadlagPath, _cumtrapz, check_grid, linear_path
 from .renewal import RenewalTable
 
@@ -144,8 +144,7 @@ def _skorokhod_euler(Y: np.ndarray, gv: Callable, h: float) -> tuple[np.ndarray,
 
 def _block_operators(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(W, T): the dM convolution of the blocked solves, b = min(_BLOCK, m) steps
-    a block for m = w.size; the (m+1)^2 operator `_stieltjes_matrix(w)` is never
-    formed.
+    a block for m = w.size; the (m+1)^2 Toeplitz operator is never formed.
 
     W[j, r] = w[j + r] (0 past w's end), shape (m, b).  With x^- stored in
     reversed order, so that entry j holds x^- at j + 1 steps before a block's
@@ -156,7 +155,8 @@ def _block_operators(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     b = min(_BLOCK, w.size)
     W = sliding_window_view(np.concatenate((w, np.zeros(b - 1))), b).copy()
-    return W, np.triu(_stieltjes_matrix(w[:b - 1]).T, 1)
+    j, r = np.indices((b, b))
+    return W, np.where(j < r, w[np.maximum(r - j - 1, 0)], 0.0)
 
 
 def _phi_m_solve(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -193,19 +193,6 @@ def _phi_m_solve(Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return X
 
 
-def _stieltjes_matrix(w: np.ndarray) -> np.ndarray:
-    """A = I + lower Toeplitz of dM: (A z)_k = z_k + sum_{j>=1} w_j z_{k-j}.
-
-    The one causal dM convolution: (A - I) z is the right-endpoint rule for
-    int z(t-s) dM(s) on the grid, with w_j = M(t_j) - M(t_{j-1}).  A is a
-    read-only view of one (2m+1)-vector, not an (m+1)^2 buffer; a GEMM with a
-    slice of it copies that slice.
-    """
-    col = np.concatenate(([1.0], w))
-    # window k of [0]*m + col is row k reversed: (col_k, ..., col_0) after m - k zeros
-    return sliding_window_view(np.concatenate((np.zeros(w.size), col)), col.size)[:, ::-1]
-
-
 def _phi_m_trapezoid(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Trapezoid discretization of int (x(t-s))^- dM(s), one GEMM per block.
 
@@ -236,15 +223,9 @@ def _phi_m_gain(w: np.ndarray) -> float:
 
     d_k = 1 + sum_j w_j d_{k-j} is the discrete renewal series; a sup-norm
     perturbation of y grows by at most d_m through the forward solve.  The
-    recursion is the forward substitution of (2I - A) d = 1.  The series is
-    summed once per increments w (cached by their bytes).
+    recursion is the forward substitution of (2I - A) d = 1.
     """
-    return _gain_cache(np.asarray(w, dtype=float).tobytes())
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _gain_cache(w_bytes: bytes) -> float:
-    w = np.frombuffer(w_bytes)
+    w = np.asarray(w, dtype=float)
     m = w.size
     wrev = w[::-1].copy()  # contiguous, so each dot takes numpy's fast path
     d = np.ones(m + 1)

@@ -226,9 +226,10 @@ def _trend(value_smallest: float, value_largest: float) -> str:
 
 
 def run_jobs(fn, jobs: list, workers: int) -> list:
-    """fn(*job) over the jobs, results in job order: on a pool of `workers`
-    processes when both it and the job count exceed 1, else in this process."""
-    if workers > 1 and len(jobs) > 1:
+    """fn(*job) over the jobs, results in job order: on a pool of
+    min(workers, job count) processes when that exceeds 1, else in this process."""
+    workers = min(workers, len(jobs))
+    if workers > 1:
         chunk = max(1, len(jobs) // (4 * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, *zip(*jobs), chunksize=chunk))

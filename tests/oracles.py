@@ -33,13 +33,16 @@ scaling limit tabulated as a path.  Two critical-scale service-noise
 samplers serve the covariance cross-checks: `sample_gaussian_S`, one path
 drawn through the library's covariance factor, and
 `sample_service_noise_finite_n`, the direct finite-n replica built from the
-primitive service times, which shares only the dM convolution matrix.
+primitive service times, which shares only the dM convolution matrix
+`stieltjes_matrix`, the (m + 1)^2 operator A that the library's blocked
+solves read only through a window and an in-block slice.
 `dense_service_covariance` is the Krichagina-Puhalskii build A C A^T of the
 covariance that the library's stationary-renewal identity replaced, each
 matrix formed whole (index gathers, min/max index matrices, one chained
 product), sharing only the equilibrium law and the dM convolution matrix;
 the two discretize one covariance and differ by O(h).  `dense_cholesky` is
-the jitter ladder on numpy's whole-matrix factor.
+the jitter ladder on numpy's whole-matrix factor.  `noise_row` is one row of
+`LimitModel.noise` as paths, from the stream a replication's limit draw reads.
 """
 
 import heapq
@@ -48,10 +51,11 @@ from collections import deque
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 
-from httq.limits import LimitModel, _covariance_model, sample_noise
-from httq.maps import OWN_STEP_MAX_ITER, _ULPS, _stieltjes_matrix
+from httq.limits import LimitModel, _covariance_model
+from httq.maps import OWN_STEP_MAX_ITER, _ULPS
 from httq.paths import _cumtrapz, check_grid, counting_path, linear_path, step_path
 from httq.renewal import equilibrium_distribution
 from httq.simulator import (
@@ -614,6 +618,18 @@ def per_step_trapezoid_residual(table) -> float:
     return float(r)
 
 
+def stieltjes_matrix(w: np.ndarray) -> np.ndarray:
+    """A = I + lower Toeplitz of dM: (A z)_k = z_k + sum_{j>=1} w_j z_{k-j}.
+
+    The one causal dM convolution: (A - I) z is the right-endpoint rule for
+    int z(t-s) dM(s) on the grid, with w_j = M(t_j) - M(t_{j-1}).  A is a
+    read-only view of one (2m+1)-vector, not an (m+1)^2 buffer.
+    """
+    col = np.concatenate(([1.0], w))
+    # window k of [0]*m + col is row k reversed: (col_k, ..., col_0) after m - k zeros
+    return sliding_window_view(np.concatenate((np.zeros(w.size), col)), col.size)[:, ::-1]
+
+
 def endpoint_rule_phi_m(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Mean of the right- and left-endpoint rules for int (x(t-s))^- dM(s),
     each applied through its own GEMM against A."""
@@ -721,20 +737,28 @@ def limit_row(model, E, S, grid):
         {k: v[0] if isinstance(v, np.ndarray) else v for k, v in diag.items()}
 
 
+def noise_row(model, grid, seed, replication=0):
+    """(E, S, jitter): `model.noise` of one row from the stream (seed,
+    replication, "limit"), with E and S as linear paths on the grid."""
+    E, S, jitter = model.noise(grid, [make_rng(seed, replication, "limit")], 1)
+    end = float(grid[-1])
+    return linear_path(grid, E[0], end), linear_path(grid, S[0], end), jitter
+
+
 def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table, tol):
     """`httq limit`'s replications solved one by one: (paths, summary).
 
-    One `sample_noise` draw and one one-path solve (`limit_row`) per
+    One `noise_row` draw and one one-path solve (`limit_row`) per
     replication; the summary holds each replication's residual and jitter.
     """
-    model = LimitModel(case, mu, xi=xi, beta=beta, f=f, M=table, tol=tol)
+    model = LimitModel(case, mu, ca2, xi, beta, f, table, tol)
     paths, summary = [], []
     for r in range(reps):
-        noise = sample_noise(case, mu, ca2, grid, seed, replication=r, M=table)
-        x, _, diag = limit_row(model, noise.E, noise.S, grid)
+        E, S, jitter = noise_row(model, grid, seed, r)
+        x, _, diag = limit_row(model, E, S, grid)
         paths.append(x)
         summary.append({"replication": r, "residual": float(diag["residual"]),
-                        "jitter": float(noise.jitter)})
+                        "jitter": float(jitter)})
     return paths, summary
 
 
@@ -772,7 +796,7 @@ def dense_service_covariance(table):
     lo = np.minimum(ii, jj)
     hi = np.maximum(ii, jj)
     C = he[lo] * hec[hi] + mu * J[lo, hi - lo]
-    A = _stieltjes_matrix(np.diff(table.values))
+    A = stieltjes_matrix(np.diff(table.values))
     cov = A @ C @ A.T
     return 0.5 * (cov + cov.T)
 
@@ -813,7 +837,7 @@ def sample_service_noise_finite_n(M, H, n, grid, rng, reps):
     for k in range(t.size):
         hc_tail[k] = float(np.sum(1.0 - np.asarray(H.cdf(t[k] - tau[: m_at[k]]), dtype=float)))
 
-    A = _stieltjes_matrix(np.diff(M.values_on(t)))
+    A = stieltjes_matrix(np.diff(M.values_on(t)))
     out = np.empty((reps, t.size))
     for r in range(reps):
         u = np.sort(eq.sample(rng, n))

@@ -6,19 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import httq.cli
 import httq.limits
 from httq.cli import _blas_threads, _openblas_thread_controls
 from httq.distributions import DistributionSpec
 from httq.limits import (
     JITTERS,
     LimitModel,
-    NoiseSample,
     ServiceCovariance,
     covariance_S,
     sample_brownian,
     sample_case_i_paths,
     sample_case_ii_paths,
-    sample_noise,
     CACHE_SIZE,
     _check_rows,
     _covariance_model,
@@ -35,6 +34,7 @@ from oracles import (
     dense_service_covariance,
     ks_one_sample,
     limit_row,
+    noise_row,
     openblas_mapped,
     reflected_ou_stationary_cdf,
     sample_gaussian_S,
@@ -392,27 +392,24 @@ def test_finite_n_replica_exponential_variance(exp_table):
 
 def test_sample_noise_case_i_and_ii(exp_table):
     grid = uniform_grid(5.0, 0.01)
-    ns = sample_noise("i", mu=1.0, ca2=1.0, grid=grid, seed=9)
-    assert ns.covariance_source == "brownian"
-    assert ns.E(0.0) == 0.0 and ns.S(0.0) == 0.0
-    ns2 = sample_noise("ii", mu=1.0, ca2=1.0, grid=grid, seed=9,
-                       M=exp_table)
-    assert ns2.covariance_source == "renewal-gaussian"
-    assert ns2.jitter <= 1e-8
+    E, S, jitter = noise_row(LimitModel("i", 1.0), grid, 9)
+    assert jitter == 0.0
+    E2, S2, jitter2 = noise_row(LimitModel("ii", 1.0, M=exp_table), grid, 9)
+    assert jitter2 <= 1e-8
     # same seed, same purpose split: E agrees across cases, S differs
-    np.testing.assert_allclose(ns2.E.values, ns.E.values, atol=0)
-    assert abs(ns2.S(5.0) - ns.S(5.0)) > 1e-12
-    with pytest.raises(ValueError, match="needs the renewal table"):
-        sample_noise("ii", 1.0, 1.0, grid, 9)
-    with pytest.raises(ValueError, match="unknown case"):
-        sample_noise("iii", 1.0, 1.0, grid, 9)
+    np.testing.assert_array_equal(E2.values, E.values)
+    assert abs(S2(5.0) - S(5.0)) > 1e-12
 
 
-def test_noise_sample_must_start_at_zero():
-    p0 = zero_path(1.0)
-    bad = linear_path([0.0, 1.0], [0.5, 0.5], 1.0)
-    with pytest.raises(ValueError, match="start at 0"):
-        NoiseSample(E=bad, S=p0)
+def test_noise_sample_must_start_at_zero(exp_table):
+    # every row of both noises of both cases starts at exactly 0, over several
+    # generators
+    grid = uniform_grid(5.0, 0.01)
+    for model in (LimitModel("i", 1.0), LimitModel("ii", 1.0, M=exp_table)):
+        E, S, _ = model.noise(grid, [make_rng(3, r, "limit") for r in range(3)], 4)
+        assert E.shape == S.shape == (12, grid.size)
+        assert not E[:, 0].any() and not S[:, 0].any()
+        assert np.abs(E[:, 1:]).min() > 0.0 and np.abs(S[:, 1:]).min() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +464,8 @@ def test_case_i_complementarity_on_noisy_samples():
     grid = uniform_grid(5.0, 0.01)
     f = lambda x: np.asarray(x)
     for seed in range(5):
-        ns = sample_noise("i", mu=1.0, ca2=1.0, grid=grid, seed=seed)
-        x, ell, diag = limit_row(LimitModel("i", 1.0, xi=0.5, beta=-0.5, f=f), ns.E, ns.S, grid)
+        E, S, _ = noise_row(LimitModel("i", 1.0), grid, seed)
+        x, ell, diag = limit_row(LimitModel("i", 1.0, xi=0.5, beta=-0.5, f=f), E, S, grid)
         assert np.min(x) >= 0.0
         assert np.all(np.diff(ell) >= -1e-15)
         assert diag["complementarity"] <= 1e-8
@@ -511,10 +508,8 @@ def test_case_ii_residual_bound_on_noisy_samples(exp_table):
     grid = uniform_grid(5.0, 0.01)
     f = lambda x: np.asarray(x)
     for seed in range(5):
-        ns = sample_noise("ii", mu=1.0, ca2=1.0, grid=grid, seed=seed,
-                          M=exp_table)
-        _, _, diag = limit_row(LimitModel("ii", 1.0, xi=-0.3, beta=-1.0, f=f, M=exp_table),
-                               ns.E, ns.S, grid)
+        model = LimitModel("ii", 1.0, xi=-0.3, beta=-1.0, f=f, M=exp_table)
+        _, _, diag = limit_row(model, *noise_row(model, grid, seed)[:2], grid)
         assert diag["residual"] <= 10.0 * 0.01
         assert diag["closure"] < 1e-8
 
@@ -527,8 +522,8 @@ def test_batch_case_i_matches_single_solve():
     grid = uniform_grid(3.0, 0.01)
     f = lambda x: 0.5 * np.asarray(x)
     X = sample_case_i_paths(0.2, -0.4, 1.5, 1.0, f, grid, seed=21, reps=1)
-    ns = sample_noise("i", mu=1.5, ca2=1.0, grid=grid, seed=21)
-    x, _, _ = limit_row(LimitModel("i", 1.5, xi=0.2, beta=-0.4, f=f), ns.E, ns.S, grid)
+    model = LimitModel("i", 1.5, xi=0.2, beta=-0.4, f=f)
+    x, _, _ = limit_row(model, *noise_row(model, grid, 21)[:2], grid)
     np.testing.assert_allclose(X[0], x, atol=1e-12)
 
 
@@ -537,10 +532,8 @@ def test_batch_case_ii_matches_single_solve(exp_table):
     f = lambda x: np.asarray(x)
     X = sample_case_ii_paths(-0.3, -1.0, 1.0, 1.0, f, exp_table, grid,
                              seed=33, reps=1)
-    ns = sample_noise("ii", mu=1.0, ca2=1.0, grid=grid, seed=33,
-                      M=exp_table)
-    x, _, _ = limit_row(LimitModel("ii", 1.0, xi=-0.3, beta=-1.0, f=f, M=exp_table),
-                        ns.E, ns.S, grid)
+    model = LimitModel("ii", 1.0, xi=-0.3, beta=-1.0, f=f, M=exp_table)
+    x, _, _ = limit_row(model, *noise_row(model, grid, 33)[:2], grid)
     np.testing.assert_allclose(X[0], x, atol=1e-10)
 
 
@@ -623,7 +616,8 @@ _BASE = {"i": dict(case="i", mu=1.0, ca2=1.0, xi=0.0, beta=0.0, f=None, M=None, 
 _ROUTES = {
     "LimitModel": (None, set(_BASE["i"]), LimitModel),
     "sample_noise": (None, {"case", "mu", "ca2", "M"}, lambda case, mu, ca2, M, **_:
-                     sample_noise(case, mu, ca2, _GRID, 1, M=M)),
+                     httq.cli.sample_noise(LimitModel(case, mu, ca2, M=M), _GRID,
+                                           [httq.limits.make_rng(1, 0, "limit")], 1)),
     "sample_case_i_paths": ("i", {"xi", "beta", "mu", "ca2", "f"},
                             lambda xi, beta, mu, ca2, f, **_:
                             sample_case_i_paths(xi, beta, mu, ca2, f, _GRID, seed=1, reps=2)),
@@ -754,10 +748,10 @@ def test_sample_noise_S_is_the_oracle_draw_past_E(law):
     # one replication's S, bit for bit, is the oracle's draw from its stream
     # once E's increments are drawn
     M = compute_renewal_function(law, horizon=2.0, step=0.01)
-    noise = sample_noise("ii", 1.0, 0.5, _DRAW_GRID, 9, replication=2, M=M)
+    _, S, _ = noise_row(LimitModel("ii", 1.0, 0.5, M=M), _DRAW_GRID, 9, 2)
     rng = make_rng(9, 2, "limit")
     rng.standard_normal((1, _DRAW_GRID.size - 1))
-    np.testing.assert_array_equal(noise.S.values,
+    np.testing.assert_array_equal(S.values,
                                   sample_gaussian_S(M, M.H, _DRAW_GRID, rng).values)
 
 

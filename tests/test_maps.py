@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 import httq.maps
-from httq.distributions import CACHE_SIZE, DistributionSpec
+from httq.distributions import DistributionSpec
 from httq.limits import sample_case_i_paths
 from httq.maps import (
-    _gain_cache,
-    _phi_m_gain,
     _phi_m_solve,
     _phi_m_trapezoid,
     _phi_mg_forward,
     _phi_mg_solve,
-    _stieltjes_matrix,
     _vectorize_g,
     solve_phi_M,
     solve_phi_Mg,
@@ -29,6 +26,7 @@ from oracles import (
     per_step_phi_m_solve,
     per_step_phi_mg_forward,
     picard_phi_mg,
+    stieltjes_matrix,
 )
 
 
@@ -293,19 +291,8 @@ def test_blocked_phi_m_matches_per_step_oracle(H, m, rows):
     assert np.all((X < 0.0).any(axis=1))
     bound = 1e-12 * max(1.0, float(np.max(np.abs(X))))
     assert np.max(np.abs(X - per_step_phi_m_solve(Y, w))) <= bound
-    trapezoid = endpoint_rule_phi_m(X, _stieltjes_matrix(w))
+    trapezoid = endpoint_rule_phi_m(X, stieltjes_matrix(w))
     assert np.max(np.abs(_phi_m_trapezoid(X, w) - trapezoid)) <= bound
-
-
-def test_phi_m_gain_is_summed_once_per_increments():
-    w = _exp_table(1.0, 2.0).increments_on(_grid(2.0, 1e-2))
-    gain = _phi_m_gain(w)
-    hits = _gain_cache.cache_info().hits
-    assert _phi_m_gain(w.copy()) == gain  # keyed by the bytes, not the array
-    assert _gain_cache.cache_info().hits == hits + 1
-    for k in range(CACHE_SIZE + 3):
-        _phi_m_gain(w * (1.0 + 0.1 * k))
-    assert _gain_cache.cache_info().currsize <= CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------

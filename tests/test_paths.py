@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from httq.cli import sample_noise
 from httq.distributions import DistributionSpec
-from httq.limits import _covariance_model, sample_brownian, sample_case_i_paths, sample_noise
+from httq.limits import LimitModel, _covariance_model, sample_brownian, sample_case_i_paths
 from httq.maps import solve_phi_M
 from httq.paths import (MAX_CELLS, CadlagPath, _coalesced, cell_count, counting_path, linear_path,
                         step_path, uniform_grid)
@@ -66,7 +67,8 @@ def record_and_table():
     pytest.param(lambda grid, rec, M: scale(rec, grid), id="scale"),
     pytest.param(lambda grid, rec, M: sample_brownian(1.0, grid, make_rng(1)),
                  id="sample_brownian"),
-    pytest.param(lambda grid, rec, M: sample_noise("i", 1.0, 1.0, grid, seed=1),
+    pytest.param(lambda grid, rec, M: sample_noise(LimitModel("i", 1.0), grid,
+                                                   [make_rng(1, 0, "limit")], 1),
                  id="sample_noise"),
     pytest.param(lambda grid, rec, M: _covariance_model(M).cholesky(grid), id="cholesky"),
     pytest.param(lambda grid, rec, M: solve_phi_M(np.zeros(grid.size), M, grid),

@@ -13,9 +13,11 @@ from scipy import special
 
 from httq.distributions import DistributionSpec, _erlang_cdf, _normal_cdf
 from httq.limits import JITTERS, ServiceCovariance
-from httq.maps import _phi_m_gain, _stieltjes_matrix
+from httq.maps import _block_operators, _phi_m_gain
 from httq.paths import uniform_grid
 from httq.renewal import compute_renewal_function
+
+from oracles import stieltjes_matrix
 
 SERVICE_LAWS = [
     DistributionSpec.exponential(1.0),
@@ -30,11 +32,20 @@ def table(request):
 
 
 def test_stieltjes_matrix_is_scipy_toeplitz_exactly(table):
+    # the blocked solves' window W and in-block map T are exact slices of the
+    # dM operator A: W[j, r] = w[j + r] and T = the strictly upper part of A^T
     for w in (np.diff(table.values), np.diff(table.values)[:1], np.array([])):
         col = np.concatenate(([1.0], w))
-        A = _stieltjes_matrix(w)
-        assert not A.flags.writeable and not A.flags.owndata  # a view, no (m+1)^2 buffer
-        np.testing.assert_array_equal(A, scipy.linalg.toeplitz(col, np.zeros_like(col)))
+        A = scipy.linalg.toeplitz(col, np.zeros_like(col))
+        dense = stieltjes_matrix(w)
+        assert not dense.flags.writeable and not dense.flags.owndata  # a view
+        np.testing.assert_array_equal(dense, A)
+        if w.size:
+            W, T = _block_operators(w)
+            b = T.shape[0]
+            assert b == min(32, w.size) and T.flags.c_contiguous
+            np.testing.assert_array_equal(T, np.triu(A[:b, :b].T, 1))
+            np.testing.assert_array_equal(W, scipy.linalg.hankel(w, np.zeros(b)))
 
 
 def test_phi_m_gain_matches_triangular_solve(table):

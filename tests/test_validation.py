@@ -452,3 +452,45 @@ def test_sweep_workers_match_serial():
             np.testing.assert_array_equal(serial.gaps[name][n], parallel.gaps[name][n])
     assert serial.ks == parallel.ks
     assert serial.verdicts == parallel.verdicts
+
+
+def test_sweep_records_the_repr_of_a_config_without_a_json_form():
+    # a hazard given as a plain callable has no declarative form, so the report
+    # records the config's repr; a lambda does not pickle, so the sweep runs in
+    # this process
+    hazard = lambda t: np.full(np.shape(t), 1.0)
+    cfg = dataclasses.replace(mmn_config(4, horizon=1.0),
+                              patience=PatienceSpec.hazard_rate(hazard))
+    with pytest.raises(ValueError, match="only declarative"):
+        cfg.to_dict()
+    report = convergence_sweep(cfg, [4, 16], replications=2, seed=1, workers=1)
+    assert report.config == {"repr": repr(cfg)}
+    json.dumps(report.as_dict())
+
+
+def test_run_jobs_asks_for_no_more_processes_than_jobs(monkeypatch):
+    # the pool is min(workers, job count) wide, results stay in job order, and
+    # no process starts: the executor maps in this process
+    asked = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(httq.validation.concurrent.futures, "ProcessPoolExecutor", InProcess)
+    jobs = [(k, 10 * k) for k in range(3)]
+    for workers, pool in ((512, 3), (2, 2), (3, 3)):
+        assert httq.validation.run_jobs(pow, jobs, workers) == [pow(a, b) for a, b in jobs]
+        assert asked.pop() == pool
+    assert httq.validation.run_jobs(pow, jobs[:1], 512) == [1]
+    assert httq.validation.run_jobs(pow, jobs, 1) == [pow(a, b) for a, b in jobs]
+    assert asked == []
