@@ -348,7 +348,8 @@ def _cmd_limit(args) -> int:
         "limit_summary.json": {
             "per_replication[].residual": "sup defect of the discrete limit equation",
             "per_replication[].closure": "phi_Mg closure, below tol (null in case i)",
-            "per_replication[].jitter": "diagonal shift of the service-noise Cholesky factor",
+            "per_replication[].jitter": "largest rounding-level negative eigenvalue of the "
+                                        "service-noise circulant embedding, set to 0",
         },
     })
     print(f"limit case ({case}): {reps} solve(s), artifacts in {outdir}")

@@ -28,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Entries kept per functools.lru_cache of tables built from a law (equilibrium
-# laws, integrated hazards, covariance models, and Cholesky factors keyed by
-# table and grid): at most 8 factors, about 8 MB each on a 1025-point grid and
-# 134 MB each at the cap of MAX_CELLS entries (a 4097-point grid), so about
-# 1.1 GB at worst.  A model holds one float per point of its renewal table.
+# laws, integrated hazards, covariance models and their circulant spectra): a
+# model holds one float per renewal-table point, a spectrum k per k-point grid.
 CACHE_SIZE = 8
 
 __all__ = ["DistributionSpec", "check_count", "check_keys", "check_number", "check_service_mean"]

@@ -24,22 +24,18 @@ initially busy servers' residuals and of the later entrants' services, whose
 covariance A C A^T (A = I + the right-endpoint dM convolution, C the
 covariance of the centered indicator sum z) `tests/oracles.py` forms on the
 lattice: the two differ by O(h), and V is exact for a lattice table.  The
-table carries its service law, M.H, so the covariance and the noise take no
-separate H.  `compute_renewal_function` caches its tables by (law, horizon,
-step), and the model and its factors are cached by table content (a factor
-also by grid), each cache bounded by ``CACHE_SIZE``: a repeated call finds
-the table, the model and the factor without a rebuild, and an equal table
-built apart reuses the model and the factor.  The model keeps V on the
-lattice, O(m) floats; a factor writes the covariance on its grid's points
-into one buffer in row panels and factors it in place by blocks, so it
-holds one buffer of its size plus panel temporaries.  The covariance and
-its factors are read-only.
+table carries its service law, M.H, so the noise takes no separate H.  On a
+uniform grid of k points s is drawn exactly by circulant embedding of its
+stationary increments (Wood & Chan 1994): O(k) state and one inverse real
+FFT per batch, with no k x k buffer.  The model (V on the lattice, O(m)
+floats) and the embedding are cached by table content (the embedding also
+by grid), each in a ``CACHE_SIZE``-bounded cache, so an equal table built
+apart reuses both; both are read-only.
 
 Each equation is one frozen `LimitModel`, checked once when built, that draws
-both its noises (`noise`: `ServiceCovariance` only builds, factors and is read),
-builds its input Y (`drive`) and solves for every row of any Y (`solve`).  The
-samplers and `httq limit` compose these three, so every draw of the noise pair
-is a `noise` call.
+both its noises (`noise`), builds its input Y (`drive`) and solves for every
+row of any Y (`solve`).  The samplers and `httq limit` compose these three,
+so every draw of the noise pair is a `noise` call.
 """
 
 from __future__ import annotations
@@ -92,8 +88,7 @@ def sample_brownian(variance_rate: float, grid, stream: np.random.Generator) -> 
     if not check_number(variance_rate, "variance rate") >= 0:
         raise ValueError("variance rate must be nonnegative")
     grid = check_grid(grid)
-    vals = _brownian_batch(stream, variance_rate, grid, 1)[0]
-    return linear_path(grid, vals, float(grid[-1]))
+    return linear_path(grid, _brownian_batch(stream, variance_rate, grid, 1)[0], float(grid[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +98,10 @@ def sample_brownian(variance_rate: float, grid, stream: np.random.Generator) -> 
 class ServiceCovariance:
     """Covariance model of the critical-scale service noise on a renewal table.
 
-    Built once per table content, it keeps only the variance
-    V(t) = mu t + 2 mu int_0^t M(u) du - (mu t)^2 on the table's lattice, O(m)
-    read-only floats: int M is exact for a lattice table and the cumulative
-    trapezoid of M otherwise.  `marginal` writes (V(a) + V(b) - V(|b - a|)) / 2
-    straight onto a grid's points, which must lie on the lattice, and refuses
-    a covariance of over MAX_CELLS entries; `cholesky` factors that one buffer
-    in place.
-    """
+    Built once per table content, it keeps only V on the table's lattice, O(m)
+    read-only floats (int M exact for a lattice table, else the cumulative
+    trapezoid of M).  `embedding` is the draws' spectrum; `marginal`, the
+    dense covariance on a grid, and its factor `cholesky` are references."""
 
     def __init__(self, table: RenewalTable):
         self.table = table
@@ -124,94 +115,92 @@ class ServiceCovariance:
         self.variance.flags.writeable = False  # shared by every caller
 
     def marginal(self, grid) -> np.ndarray:
-        """The covariance on the grid's points, in a fresh Fortran-order array
-        written one row panel at a time; a covariance of over MAX_CELLS entries
-        is refused before any buffer."""
-        idx = self.table._indices_on(grid)
-        k, V = idx.size, self.variance
-        if k * k > MAX_CELLS:
-            raise ValueError(f"the covariance on {k} grid points exceeds {MAX_CELLS} cells")
-        out = np.empty((k, k), order="F")
-        rows = out.T  # the same symmetric matrix, with contiguous rows
-        for r in range(0, k, _PANEL):
-            p = idx[r:r + _PANEL]
-            panel = rows[r:r + _PANEL]
-            gap = p[:, None] - idx
-            np.take(V, np.abs(gap, out=gap), out=panel, mode="clip")  # "clip": no buffer
-            del gap  # so the sum below is the panel's one temporary
-            np.subtract(V[p][:, None] + V[idx], panel, out=panel)
-            panel *= 0.5
-        return out
+        """The dense covariance on the grid's points; one of over MAX_CELLS
+        entries is refused before any buffer."""
+        idx, V = self.table._indices_on(grid), self.variance
+        if idx.size ** 2 > MAX_CELLS:
+            raise ValueError(f"the covariance on {idx.size} grid points exceeds {MAX_CELLS} cells")
+        return 0.5 * (V[idx][:, None] + V[idx] - V[np.abs(idx[:, None] - idx)])
 
     def cholesky(self, grid) -> tuple[np.ndarray, float]:
-        """Lower factor of the covariance on grid[1:], with the jitter used."""
-        return _factor_cache(self.table, check_grid(grid).tobytes())
+        """A dense reference no draw uses: (L, jitter), L the lower factor, in
+        Fortran order, of the covariance on grid[1:] plus the first jitter * I
+        of JITTERS that factors."""
+        a = self.marginal(check_grid(grid)[1:])
+        for jitter in JITTERS:
+            try:
+                return np.linalg.cholesky(a + jitter * np.eye(a.shape[0]), upper=True).T, jitter
+            except np.linalg.LinAlgError:
+                pass
+        raise RuntimeError(f"covariance factorization failed even at jitter {JITTERS[-1]:g}")
+
+    def embedding(self, grid) -> tuple[np.ndarray, int, float]:
+        """(sqrt(lambda), N, clipped) of a uniform grid (`_stride`, `_embedding`)."""
+        return _embedding(self.table, _stride(self.table, grid), np.size(grid) - 1)
 
 
 _covariance_model = lru_cache(maxsize=CACHE_SIZE)(ServiceCovariance)  # keyed by table content
-_PANEL = 128  # rows or columns per panel of the covariance and of the blocked factor
+_FFT_CELLS = 2**18  # circulant entries per inverse FFT of the draws
 
 
-def _factor_in_place(a: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of the symmetric Fortran-order array a, written
-    over a and returned read-only.
-
-    Left-looking in _PANEL-column blocks: one GEMM brings the finished columns
-    into a block column, numpy's `cholesky` factors its diagonal block, and a
-    solve with that factor (numpy has no triangular solve) gives the panel
-    below it.  A block that is not positive definite raises `LinAlgError`, as
-    numpy's factor of the whole matrix would.
-    """
-    n = a.shape[0]
-    for c in range(0, n, _PANEL):
-        e = min(c + _PANEL, n)
-        if c:
-            a[c:, c:e] -= a[c:, :c] @ a[c:e, :c].T
-        block = a[c:e, c:e]
-        d = np.linalg.cholesky(np.tril(block) + np.tril(block, -1).T)
-        a[c:e, c:e] = d
-        if e < n:
-            a[e:, c:e] = np.linalg.solve(d, a[e:, c:e].T).T
-        a[:c, c:e] = 0.0
-    a.flags.writeable = False  # shared by every caller
-    return a
+def _stride(M: RenewalTable, grid) -> int:
+    """Table cells per step of a uniform grid of two or more points on M's lattice,
+    whose step divides a lattice law's span (else it would move the atoms)."""
+    idx = M._indices_on(_check_grid(grid)[0])
+    stride = int(idx[1])
+    if M.method == "lattice":
+        v, h = M.H["value"], stride * M.step
+        if round(v / h) < 1 or abs(v / h - round(v / h)) > 1e-9 * v / h:
+            raise ValueError(f"a grid step of {h:.6g} does not divide the span {v!r} of the "
+                             f"service law {M.H.to_dict()}; use a step of v / j")
+    return stride
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _factor_cache(M: RenewalTable, grid_bytes: bytes) -> tuple[np.ndarray, float]:
-    """(L, jitter) per table content and grid, shared by every model of an equal table.
+def _embedding(M: RenewalTable, stride: int, n: int) -> tuple[np.ndarray, int, float]:
+    """(sqrt(lambda), N, clipped) of n grid steps of `stride` table cells, read-only.
 
-    The covariance on grid[1:] (`ServiceCovariance.marginal`, which refuses one
-    past MAX_CELLS entries before any buffer) is factored in place, and written
-    afresh before each jitter rung.  L is in Fortran order, so the draws'
-    `@ L.T` reads a C-ordered operand."""
-    model, points = _covariance_model(M), np.frombuffer(grid_bytes)[1:]
-    err = None
-    for jit in JITTERS:
-        a = model.marginal(points)
-        if jit:  # a + jit * I
-            a.flat[::a.shape[0] + 1] += jit
-        try:
-            return _factor_in_place(a), jit
-        except np.linalg.LinAlgError as exc:
-            err = str(exc)  # not exc: its traceback would keep the failed buffer alive
-        del a  # so the next rung's covariance is the only buffer
-    raise RuntimeError(
-        f"covariance factorization failed even at jitter {JITTERS[-1]:g}: {err}"
-    )
+    The increments of s over the steps are stationary, with autocovariance
+    gamma(0) = V(h), gamma(j) = (V((j + 1) h) + V((j - 1) h) - 2 V(j h)) / 2.
+    lambda = rfft(c), c_j = gamma(min(j, N - j)), is the spectrum of their
+    N = 2(n - 1) point circulant (Dietrich & Newsam 1997), or N = p for a
+    lattice law of span p <= N steps, whose increments are p-periodic.  An
+    eigenvalue below -1e-12 max is refused; clipped is the largest smaller
+    negative one, set to 0 (0.0 if none)."""
+    V = _covariance_model(M).variance[:stride * n + 1:stride]
+    gamma = np.concatenate(([V[1]], 0.5 * (V[2:] + V[:-2]) - V[1:-1]))
+    N = max(2 * (n - 1), 1)
+    if M.method == "lattice":
+        N = min(N, round(M.H["value"] / (stride * M.step)))
+    j = np.arange(N)
+    lam = np.fft.rfft(gamma[np.minimum(j, N - j)]).real
+    low = float(lam.min())
+    if low < -1e-12 * lam.max():
+        raise ValueError(f"the service noise of {M.H.to_dict()} on {n + 1} grid points of step "
+                         f"{stride * M.step:.6g} has no {N}-point circulant: eigenvalue {low:.3g}")
+    root = np.sqrt(np.maximum(lam, 0.0))
+    root.flags.writeable = False  # shared by every caller
+    return root, N, -low if low < 0 else 0.0
+
+
+def _circulant_increments(Z: np.ndarray, root: np.ndarray, N: int, n: int) -> np.ndarray:
+    """n increments per row of N standard normals Z, packed Hermitian-wise into W
+    (the real parts of modes 0 .. N // 2, then the imaginary parts of 1 ..
+    (N - 1) // 2, interior modes scaled by sqrt(1/2)): sqrt(N) irfft(root W), mod N."""
+    half = N // 2 + 1
+    W = Z[:, :half] * root + 0j
+    inner = slice(1, (N + 1) // 2)
+    W.imag[:, inner] = Z[:, half:] * root[inner]
+    W[:, inner] *= math.sqrt(0.5)
+    x = np.fft.irfft(W, N, axis=1, norm="ortho")
+    return x[:, :n] if n <= N else x[:, np.arange(n) % N]
 
 
 def covariance_S(s: float, t: float, M: RenewalTable) -> float:
-    """Covariance of the critical-scale service noise at lattice times s, t.
-
-    The service law is the table's, M.H.  Symmetric in (s, t); both must be
-    aligned with M's table.
-    """
+    """Covariance of the service noise of M.H at times s, t of M's lattice."""
     if min(s, t) < 0 or max(s, t) > M.horizon + 1e-9:
         raise ValueError("times must lie within the renewal table horizon")
-    a, b = M._indices_on([s, t])
-    V = _covariance_model(M).variance
-    return float(0.5 * (V[a] + V[b] - V[abs(b - a)]))
+    return float(_covariance_model(M).marginal([s, t])[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +251,36 @@ class LimitModel:
             check_service_mean(self.M.H, self.mu, "case 'ii'")
 
     def noise(self, grid, rngs, reps):
-        """(E, S, jitter): reps rows of the driving pair on the grid from each
+        """(E, S, clipped): reps rows of the driving pair on the grid from each
         generator of the sequence rngs, stacked in its order.
 
         E is Brownian with variance rate mu * ca2.  Each generator draws its E
-        rows, then the standard normals Z of its S rows; S is standard Brownian,
-        the cumulative sum of Z * sqrt(dt), in case "i", and in case "ii" the
-        renewal-coupled service noise Z @ L.T, one GEMM with the lower factor L
-        (`ServiceCovariance.cholesky`) of the covariance on grid[1:].  A draw
-        over MAX_CELLS cells is refused, and the factor (at its first build the
-        memory peak: one covariance-sized buffer) is fetched, before any row is
-        drawn."""
+        rows, then the standard normals Z of its S rows: n per row in case "i",
+        where S is the cumulative sum of Z * sqrt(dt), and in case "ii" N per
+        row, whose circulant increments (`_embedding`, one inverse real FFT per
+        batch of rows) S sums over the grid's n steps; clipped is the
+        embedding's (0.0 in case "i").  A draw over MAX_CELLS cells, or a
+        case-"ii" grid that `_stride` refuses, is refused, and the embedding
+        fetched, before any row is drawn; no buffer is quadratic in the grid."""
         rows = check_count(len(rngs), "generator count") * check_count(reps, "reps")
         grid = check_grid(grid)
         _check_rows(rows, grid)
-        jitter = 0.0
+        n = width = grid.size - 1
+        clipped = 0.0
         if self.case == "ii":
-            self.M._indices_on(grid)  # a grid off M's lattice is refused before the build
-            L, jitter = _covariance_model(self.M).cholesky(grid)
+            root, width, clipped = _embedding(self.M, _stride(self.M, grid), n)
         E, S = np.zeros((rows, grid.size)), np.zeros((rows, grid.size))
-        Z = np.empty((rows, grid.size - 1))
+        Z = np.empty((rows, width))
         for k, rng in enumerate(rngs):
             E[k * reps:(k + 1) * reps] = _brownian_batch(rng, self.mu * self.ca2, grid, reps)
-            Z[k * reps:(k + 1) * reps] = rng.standard_normal((reps, grid.size - 1))
+            Z[k * reps:(k + 1) * reps] = rng.standard_normal((reps, width))
         if self.case == "i":
             Z *= np.sqrt(np.diff(grid))
             np.cumsum(Z, axis=1, out=S[:, 1:])
-        else:
-            S[:, 1:] = Z @ L.T
-        return E, S, jitter
+        else:  # rows per inverse FFT bounded, and so its temporaries
+            for r in range(0, rows, c := max(1, _FFT_CELLS // width)):
+                np.cumsum(_circulant_increments(Z[r:r + c], root, width, n), 1, out=S[r:r + c, 1:])
+        return E, S, clipped
 
     def drive(self, E, S, grid) -> np.ndarray:
         """The equation's input Y for every noise row (E, S) on the grid; a Y that
@@ -322,6 +312,7 @@ class LimitModel:
             lambda x: mu * np.asarray(f(np.asarray(x, dtype=float) / mu), dtype=float)
         if self.case == "i":
             return _skorokhod_rows(Y, g, h, defects)
+        _stride(self.M, grid)
         X, diag = _phi_mg_rows(Y, self.M.increments_on(grid), g, h, -1.0, self.tol, defects)
         if defects:
             diag["residual"] = diag["quadrature_defect"]

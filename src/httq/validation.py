@@ -246,9 +246,19 @@ def _replication_job(config, seed, rep, grid_points, checkpoints):
 
 
 def _limit_marginals(config: SystemConfig, checkpoints, reps: int, seed: int):
-    """Equal-count samples of the limit marginals at the checkpoints."""
-    T = config.horizon
+    """Equal-count samples of the limit marginals at the checkpoints, on the
+    step T/1024; at alpha = 1 with deterministic(v) service, on the step T/n,
+    n <= 4096, closest to it that divides v and holds the checkpoints, so no
+    atom of dM moves (with none, refused before any draw)."""
+    T, n = config.horizon, np.arange(1, 4097)
     h = T / 1024.0
+    if config.alpha >= 1.0 and config.service.family == "deterministic":
+        ratios = np.outer([config.service["value"], *checkpoints], n) / T
+        n = n[np.all(np.abs(ratios - np.rint(ratios)) <= 1e-9 * np.maximum(ratios, 1), axis=0)]
+        if not n.size:
+            raise ValueError(f"no limit grid of at most 4096 steps on [0, {T}] divides the "
+                             f"service time {config.service['value']!r} and holds the checkpoints")
+        h = T / n[np.argmin(np.abs(1.0 / n - 1.0 / 1024))]
     grid = uniform_grid(T, h)
     idx = []
     for t in checkpoints:

@@ -31,7 +31,7 @@ and `limit_f` are instruments only the tests read: one virtual wait and the
 offered waits read off a record's server-free epochs, and a patience law's
 scaling limit tabulated as a path.  Two critical-scale service-noise
 samplers serve the covariance cross-checks: `sample_gaussian_S`, one path
-drawn through the library's covariance factor, and
+drawn through the library's dense reference factor, and
 `sample_service_noise_finite_n`, the direct finite-n replica built from the
 primitive service times, which shares only the dM convolution matrix
 `stieltjes_matrix`, the (m + 1)^2 operator A that the library's blocked
@@ -41,7 +41,11 @@ covariance that the library's stationary-renewal identity replaced, each
 matrix formed whole (index gathers, min/max index matrices, one chained
 product), sharing only the equilibrium law and the dM convolution matrix;
 the two discretize one covariance and differ by O(h).  `dense_cholesky` is
-the jitter ladder on numpy's whole-matrix factor.  `noise_row` is one row of
+the jitter ladder on numpy's whole-matrix factor.  `circulant_S` is the
+circulant-embedding draw of the library's case-(ii) noise written out by hand:
+its increments' covariance from `covariance_S` entries, a full complex FFT
+each way and an explicit Hermitian mode vector, sharing only the layout of
+the standard normals.  `noise_row` is one row of
 `LimitModel.noise` as paths, from the stream a replication's limit draw reads.
 """
 
@@ -54,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 
-from httq.limits import LimitModel, _covariance_model
+from httq.limits import LimitModel, _covariance_model, covariance_S
 from httq.maps import OWN_STEP_MAX_ITER, _ULPS
 from httq.paths import _cumtrapz, check_grid, counting_path, linear_path, step_path
 from httq.renewal import equilibrium_distribution
@@ -767,7 +771,8 @@ def per_replication_limit(case, xi, beta, mu, ca2, f, grid, seed, reps, table, t
 
 
 def sample_gaussian_S(M, H, grid, stream):
-    """One sample path of the critical-scale service noise on the grid."""
+    """One sample path of the critical-scale service noise on the grid, drawn
+    through the dense reference factor `ServiceCovariance.cholesky`."""
     grid = check_grid(grid)
     if H != M.H:
         raise ValueError("renewal table was built from a different service law")
@@ -775,6 +780,37 @@ def sample_gaussian_S(M, H, grid, stream):
     draws = np.zeros(grid.size)
     draws[1:] = (stream.standard_normal((1, grid.size - 1)) @ L.T)[0]
     return linear_path(grid, draws, float(grid[-1]))
+
+
+def circulant_S(M, grid, stream):
+    """One sample path of the service noise on a uniform grid by circulant
+    embedding, from the covariance entries `covariance_S` and one full complex
+    FFT each way.
+
+    The increments x_j = s((j + 1) h) - s(j h) have autocovariance
+    gamma(j) = Cov[s(h), s((j + 1) h)] - Cov[s(h), s(j h)].  The circulant has
+    length N = 2(n - 1), or the span p = v / h of a deterministic law when
+    p <= N, and first row gamma(min(j, N - j)).  Its N standard normals are
+    the real parts of modes 0 .. N // 2, then the imaginary parts of modes
+    1 .. (N - 1) // 2, each interior mode scaled by sqrt(1/2); mode N - m is
+    the conjugate of mode m, and x is sqrt(N) times the inverse FFT of
+    sqrt(lambda) W, read modulo N."""
+    t = check_grid(grid)
+    n, h = t.size - 1, float(t[1])
+    gamma = np.array([covariance_S(h, (j + 1) * h, M) - (covariance_S(h, j * h, M) if j else 0.0)
+                      for j in range(n)])
+    N = max(2 * (n - 1), 1)
+    if M.H.family == "deterministic":
+        N = min(N, round(M.H["value"] / h))
+    lam = np.maximum(np.fft.fft(gamma[[min(j, N - j) for j in range(N)]]).real, 0.0)
+    z = stream.standard_normal(N)
+    W = np.zeros(N, dtype=complex)
+    W[:N // 2 + 1] = z[:N // 2 + 1]
+    for m in range(1, (N + 1) // 2):
+        W[m] = (W[m].real + 1j * z[N // 2 + m]) * math.sqrt(0.5)
+        W[N - m] = np.conj(W[m])
+    x = math.sqrt(N) * np.fft.ifft(np.sqrt(lam) * W).real
+    return linear_path(t, np.concatenate([[0.0], np.cumsum(x[np.arange(n) % N])]), float(t[-1]))
 
 
 def dense_service_covariance(table):

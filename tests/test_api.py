@@ -3,7 +3,10 @@ module imports a name it never uses."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,15 @@ def test_every_exported_name_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_importing_every_module_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft on first use, and httq reads it only inside the
+    # case-(ii) noise draw, so a process that never draws one never loads it
+    code = (f"import sys, importlib; [importlib.import_module(m) for m in {MODULES!r}]; "
+            "sys.exit('numpy.fft' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def _traced_names() -> set:

@@ -1125,6 +1125,11 @@ _BAD_SPEC_VALUES = {
     "int64-erlang-shape": ("renewal", {"service": {"family": "erlang", "shape": 2**63,
                                                    "rate": 2.0}}, [],
                            "erlang shape must be at most 10000"),
+    # a grid step that does not divide a deterministic service time would move
+    # the atoms of dM, so the case-(ii) draw refuses it before any variate
+    "off-span-grid-step": ("limit", {"service": {"family": "deterministic", "value": 1.0},
+                                     "grid_step": 0.4}, [],
+                           "a grid step of 0.4 does not divide the span 1.0 of the service law"),
 }
 
 
@@ -1233,9 +1238,9 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 def test_limit_command_draws_every_replication_in_one_noise_call(tmp_path, monkeypatch):
     # httq limit makes one LimitModel.noise call with one row from each
-    # replication's stream (seed, r, "limit"), and so fetches the factor once
+    # replication's stream (seed, r, "limit"), and so fetches the embedding once
     calls = _counting(monkeypatch, httq.limits.LimitModel, "noise")
-    fetches = _counting(monkeypatch, httq.limits.ServiceCovariance, "cholesky")
+    fetches = _counting(monkeypatch, httq.limits, "_embedding")
     doc, _ = _RERUN_SPECS["limit"]
     spec = write_spec(tmp_path, "limit.json", {"command": "limit", **doc})
     assert main(["limit", spec, "--out", str(tmp_path / "runs"), "--workers", "1",

@@ -1,6 +1,7 @@
 """Limit-lab checks: noise laws, covariance closed forms, equation solvers."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,9 @@ from httq.limits import (
     sample_case_ii_paths,
     CACHE_SIZE,
     _check_rows,
+    _circulant_increments,
     _covariance_model,
-    _factor_cache,
+    _embedding,
 )
 from httq.maps import solve_phi_Mg, solve_skorokhod_g
 from httq.paths import MAX_CELLS, linear_path, uniform_grid
@@ -30,6 +32,7 @@ from httq.renewal import RenewalTable, compute_renewal_function, equilibrium_dis
 from httq.streams import make_rng
 
 from oracles import (
+    circulant_S,
     dense_cholesky,
     dense_service_covariance,
     ks_one_sample,
@@ -178,14 +181,14 @@ def test_covariance_caches_are_bounded():
     last = models[-1]
     assert _covariance_model(last.table) is last
     grids = [uniform_grid(0.01 * (k + 1), 0.01) for k in range(CACHE_SIZE + 3)]
-    factors = [last.cholesky(g) for g in grids]
-    assert _factor_cache.cache_info().currsize <= CACHE_SIZE
-    assert last.cholesky(grids[-1])[0] is factors[-1][0]
+    embeddings = [last.embedding(g) for g in grids]
+    assert _embedding.cache_info().currsize <= CACHE_SIZE
+    assert last.embedding(grids[-1])[0] is embeddings[-1][0]
 
 
-def test_equal_tables_share_model_and_factor():
+def test_equal_tables_share_model_and_embedding():
     # an equal table built apart from the renewal cache (here from the cached
-    # table's arrays) must find the same model and factor: the caches key on
+    # table's arrays) must find the same model and embedding: the caches key on
     # the table's content, not on the object
     H = DistributionSpec.erlang(2, 2.0)
     first = compute_renewal_function(H, horizon=2.0, step=0.01)
@@ -195,7 +198,7 @@ def test_equal_tables_share_model_and_factor():
     grid = uniform_grid(2.0, 0.02)
     model = _covariance_model(first)
     assert _covariance_model(again) is model
-    assert model.cholesky(grid)[0] is _covariance_model(again).cholesky(grid.copy())[0]
+    assert model.embedding(grid)[0] is _covariance_model(again).embedding(grid.copy())[0]
 
 
 def test_law_table_caches_are_bounded():
@@ -252,13 +255,12 @@ def test_covariance_and_factor_match_the_dense_build(H, clear_noise_caches):
         assert np.array_equal(L, np.tril(L)) and L.flags.f_contiguous
 
 
-def test_covariance_build_and_factor_hold_one_buffer(clear_noise_caches):
-    # in units of one m x m float buffer (the covariance on grid[1:]), at
-    # m = 512 and on a 1025-point grid at T = 30 (a 3073-point table): the
-    # model keeps only V on the table's lattice, and the factor at a jitter
-    # rung holds the one buffer it fills and factors in place plus panel
-    # temporaries.  The three-buffer build peaked at 3.0 and its jittered
-    # factor at 2.0; the lattice build at T = 30 at 10
+def test_covariance_build_and_noise_hold_no_quadratic_buffer(clear_noise_caches):
+    # in units of one m x m float buffer, m = 1024, from cold caches: the model
+    # keeps only V on the table's lattice, and a 12-row case-(ii) draw, as
+    # `httq limit` makes it, holds its rows and the O(m) embedding.  The
+    # factored draw held at least one whole buffer for its factor, the
+    # three-buffer build peaked at 3.0 and the lattice build at T = 30 at 10
 
     def peak(build):
         tracemalloc.start()
@@ -267,22 +269,25 @@ def test_covariance_build_and_factor_hold_one_buffer(clear_noise_caches):
         finally:
             tracemalloc.stop()
 
-    for T, m in ((5.0, 512), (30.0, 1024)):
-        clear_noise_caches()
-        table = compute_renewal_function(DistributionSpec.deterministic(1.0), T, step=T / m)
+    m = 1024
+    for law, T in ((DistributionSpec.deterministic(1.0), 10.24),
+                   (DistributionSpec.erlang(3, 3.0), 10.0)):
         grid = uniform_grid(T, T / m)
+        table = compute_renewal_function(law, T, step=T / m)
+        rngs = [make_rng(7, r, "limit") for r in range(12)]
+        clear_noise_caches()
         model, build_peak = peak(lambda: _covariance_model(table))
-        (L, jitter), factor_peak = peak(lambda: _factor_cache(table, grid.tobytes()))
-        assert jitter > 0  # the deterministic law's covariance is singular at t = T
-        assert build_peak <= 0.1 and factor_peak <= 1.5
-        for shared in (model.variance, L):
+        clear_noise_caches()
+        _, noise_peak = peak(lambda: LimitModel("ii", 1.0, M=table).noise(grid, rngs, 1))
+        assert build_peak <= 0.1 and noise_peak <= 0.3
+        for shared in (model.variance, model.embedding(grid)[0]):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 1.0
 
 
 def test_case_ii_solve_holds_no_toeplitz_operator(clear_noise_caches):
-    # m = 1024 and 12 rows, as `httq limit` solves them: with the factor cached
-    # by the draw, the phi_Mg solve and its defects read the dM history through
+    # m = 1024 and 12 rows, as `httq limit` solves them: with the embedding
+    # cached by the draw, the phi_Mg solve and its defects read the dM history through
     # an m x 32 window and allocate under half an (m+1) x (m+1) float buffer
     # (materializing the Toeplitz operator alone took one)
     clear_noise_caches()
@@ -308,9 +313,10 @@ def test_covariance_rejects_out_of_range(exp_table):
 
 
 def test_covariance_refuses_a_grid_past_max_cells(clear_noise_caches):
-    # a 4098-point grid's 4097^2 covariance entries exceed MAX_CELLS: refused
-    # before any buffer (it would be 134 MB), and with no factor cached.  Its
-    # 4098-point table is no refusal: the model keeps O(m) floats
+    # a 4098-point grid's 4097^2 covariance entries exceed MAX_CELLS: the dense
+    # covariance and its reference factor refuse it before any buffer (it would
+    # be 134 MB), and no embedding is built.  Its 4098-point table is no
+    # refusal: the model keeps O(m) floats
     clear_noise_caches()
     table = compute_renewal_function(DistributionSpec.exponential(1.0), horizon=40.97, step=0.01)
     assert table.times.size == 4098
@@ -324,7 +330,87 @@ def test_covariance_refuses_a_grid_past_max_cells(clear_noise_caches):
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
-    assert _factor_cache.cache_info().currsize == 0
+    assert _embedding.cache_info().currsize == 0
+
+
+def test_case_ii_noise_draws_a_grid_past_the_dense_cap(clear_noise_caches):
+    # the 4101-point grid T = 41, h = 0.01 has 4100^2 > MAX_CELLS covariance
+    # entries, which the factored draw refused.  The embedding draws 12 rows on
+    # it from cold caches within 2 s and under a tenth of one 4100^2 float buffer
+    clear_noise_caches()
+    table = compute_renewal_function(DistributionSpec.exponential(1.0), horizon=41.0, step=0.01)
+    grid = uniform_grid(41.0, 0.01)
+    assert grid.size == 4101 and (grid.size - 1) ** 2 > MAX_CELLS
+    rngs = [make_rng(5, r, "limit") for r in range(12)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        E, S, clipped = LimitModel("ii", 1.0, M=table).noise(grid, rngs, 1)
+        wall = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1] / (8 * (grid.size - 1) ** 2)
+    finally:
+        tracemalloc.stop()
+    assert wall < 2.0 and peak < 0.1
+    assert S.shape == (12, grid.size) and np.isfinite(S).all() and clipped == 0.0
+
+
+@pytest.mark.parametrize("step", [10.0 / 1024, 0.4, 2.0])
+def test_noise_and_solve_refuse_a_step_that_does_not_divide_the_lattice_span(
+        clear_noise_caches, step):
+    # deterministic(1) service on a grid whose step does not divide 1: the grid
+    # would move the atoms of dM by up to a step.  The draw and the solve refuse
+    # it before a variate is drawn or a covariance model built
+    clear_noise_caches()
+    table = compute_renewal_function(DistributionSpec.deterministic(1.0), 10.0, step=step)
+    grid = uniform_grid(10.0, step)
+    model = LimitModel("ii", 1.0, M=table)
+    rng = make_rng(1, 0, "limit")
+    before = _covariance_model.cache_info()
+    for call in (lambda: model.noise(grid, [rng], 2),
+                 lambda: model.solve(np.zeros((1, grid.size)), grid)):
+        with pytest.raises(ValueError, match=r"does not divide the span 1\.0 of the service law"):
+            call()
+    after = _covariance_model.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    np.testing.assert_array_equal(rng.random(4), make_rng(1, 0, "limit").random(4))
+
+
+def _implied_covariance(root, N, n):
+    """The covariance of s on grid[1:] that an embedding implies: irfft(lambda)
+    read as a Toeplitz matrix on lags mod N, cumulated along both axes."""
+    c = np.fft.irfft(root ** 2, N)
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) % N
+    return c[lag].cumsum(axis=0).cumsum(axis=1)
+
+
+@pytest.mark.parametrize("H, T, h, N", [
+    *[(H, T, T / 1024, 2046) for H in (
+        DistributionSpec.exponential(1.0), DistributionSpec.erlang(3, 3.0),
+        DistributionSpec.hyperexponential([0.3, 0.7], [0.5, 3.0]),
+        DistributionSpec.lognormal(-0.32, 0.8), DistributionSpec.uniform(0.5, 1.5))
+      for T in (10.0, 40.0)],
+    # the general length 2(n - 1) < p, the span p with n <= p, and p < n read mod p
+    *[(DistributionSpec.deterministic(v), T, 0.01, N) for v, T, N in (
+        (1.0, 0.4, 78), (1.0, 0.7, 100), (1.0, 2.0, 100), (1.0, 10.24, 100),
+        (5.0, 2.0, 398), (5.0, 4.0, 500))],
+], ids=lambda v: v.family if isinstance(v, DistributionSpec) else None)
+def test_embedding_implies_the_covariance_exactly(H, T, h, N, clear_noise_caches):
+    # The spectrum's circulant, and the draw's own linear map from N normals
+    # (N unit rows through the packing and the inverse FFT give A with
+    # S[:, 1:] = Z A, so the draws' covariance is A^T A), against the dense
+    # covariance on the grid's points, to 1e-12 of its largest entry
+    clear_noise_caches()
+    table = compute_renewal_function(H, T, step=h)
+    grid = uniform_grid(T, h)
+    model = _covariance_model(table)
+    root, width, clipped = model.embedding(grid)
+    n = grid.size - 1
+    want = model.marginal(grid[1:])
+    tol = 1e-12 * np.abs(want).max()
+    assert width == N and 0.0 <= clipped <= 1e-12 * root.max() ** 2
+    assert np.abs(_implied_covariance(root, N, n) - want).max() <= tol
+    A = np.cumsum(_circulant_increments(np.eye(N), root, N, n), axis=1)
+    assert np.abs(A.T @ A - want).max() <= tol
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -539,11 +625,11 @@ def test_batch_case_ii_matches_single_solve(exp_table):
 
 @pytest.fixture()
 def clear_noise_caches():
-    """Clears the covariance and factor caches, and clears them again after the
-    test, so no later test finds an entry built under the test's settings."""
+    """Clears the covariance and embedding caches, and clears them again after
+    the test, so no later test finds an entry built under the test's settings."""
     def clear():
         _covariance_model.cache_clear()
-        _factor_cache.cache_clear()
+        _embedding.cache_clear()
     yield clear
     clear()
 
@@ -724,8 +810,9 @@ _DRAW_GRID = uniform_grid(2.0, 0.01)
                          ids=["case-i", "case-ii", "case-ii-deterministic"])
 def test_noise_over_k_generators_is_k_one_generator_draws(law):
     # the stacked draw against one call per generator: E bit for bit, S within
-    # the rounding of one GEMM against k (exact in case i), the same jitter, a
-    # rung for the deterministic law
+    # the rounding of one batched inverse FFT against k (exact in case i), and
+    # the same clipped eigenvalue: 0.0 but for the deterministic law, whose
+    # zero eigenvalue may round to a tiny negative
     M = None if law is None else compute_renewal_function(law, horizon=2.0, step=0.01)
     model = LimitModel("i" if law is None else "ii", 1.0, 0.5, M=M)
     reps, k = 3, 4
@@ -738,21 +825,29 @@ def test_noise_over_k_generators_is_k_one_generator_draws(law):
     if law is None:
         np.testing.assert_array_equal(S, S_loop)
     assert [part[2] for part in parts] == [jitter] * k
-    assert (jitter > 0) == (law is not None and law.family == "deterministic")
+    if law is None or law.family != "deterministic":
+        assert jitter == 0.0
+    else:
+        assert 0.0 <= jitter <= 1e-12 * _covariance_model(M).embedding(_DRAW_GRID)[0].max() ** 2
 
 
 @pytest.mark.parametrize("law", [DistributionSpec.exponential(1.0),
                                  DistributionSpec.deterministic(1.0)],
                          ids=["exponential", "deterministic"])
 def test_sample_noise_S_is_the_oracle_draw_past_E(law):
-    # one replication's S, bit for bit, is the oracle's draw from its stream
-    # once E's increments are drawn
+    # one replication's S is the oracle's circulant draw from its stream once
+    # E's increments are drawn, to the rounding of two FFT routes.  The
+    # deterministic law's spectrum has an exact zero at mode 0 (s(v) = 0), which
+    # each route rounds to its own tiny eigenvalue, whose square root puts a
+    # drift of up to about 1e-7 per unit time on S; it is taken off both paths
     M = compute_renewal_function(law, horizon=2.0, step=0.01)
     _, S, _ = noise_row(LimitModel("ii", 1.0, 0.5, M=M), _DRAW_GRID, 9, 2)
     rng = make_rng(9, 2, "limit")
     rng.standard_normal((1, _DRAW_GRID.size - 1))
-    np.testing.assert_array_equal(S.values,
-                                  sample_gaussian_S(M, M.H, _DRAW_GRID, rng).values)
+    got, want = S.values, circulant_S(M, _DRAW_GRID, rng).values
+    if law.family == "deterministic":
+        got, want = (x - x[-1] * _DRAW_GRID / _DRAW_GRID[-1] for x in (got, want))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("mu", [1.0, 1.5])

@@ -362,6 +362,40 @@ def test_critical_sweep_runs_past_a_4096_point_table():
         assert all(0.0 <= v <= 1.0 for v in report.ks[n].values())
 
 
+def det_mmn_config(n, horizon):
+    """M/D/n+M at alpha = 1 with mu = 1, beta = -1, theta = 1: deterministic(1) service."""
+    return dataclasses.replace(mmn_config(n, horizon=horizon),
+                               service=DistributionSpec.deterministic(1.0))
+
+
+def test_deterministic_critical_sweep_marginals_match_the_limit():
+    # deterministic(1) service at alpha = 1 and T = 10: the limit grid takes the
+    # step 1/102 (1020 steps), which divides 1 and holds T/4, T/2 and T.  On
+    # T/1024 dM's atoms moved, and the limit's KS against 2000 replications
+    # read 0.051-0.059.  Fixed before the first run: 400 replications, seed 41,
+    # and at n = 400 every KS under the 1% two-sample critical value
+    # 1.628 * sqrt(2 / 400) = 0.115
+    report = convergence_sweep(det_mmn_config(100, 10.0), [100, 400], replications=400, seed=41)
+    assert report.limit_case == "ii"
+    assert max(report.ks[400].values()) <= 1.628 * math.sqrt(2 / 400)
+
+
+@pytest.mark.parametrize("horizon, checkpoints", [(10.0, [math.pi]), (1e4, None)],
+                         ids=["checkpoint-off-every-grid", "span-needs-1e4-steps"])
+def test_deterministic_critical_sweep_without_an_aligned_grid_is_refused(
+        monkeypatch, horizon, checkpoints):
+    # no grid of at most 4096 steps divides the service time 1 and holds every
+    # checkpoint: refused before any replication or limit row is drawn
+    def drew(*args, **kwargs):
+        raise AssertionError("a draw ran before the refusal")
+
+    for name in ("simulate", "sample_case_ii_paths"):
+        monkeypatch.setattr(httq.validation, name, drew)
+    with pytest.raises(ValueError, match="no limit grid of at most 4096 steps"):
+        convergence_sweep(det_mmn_config(4, horizon), [4, 16], replications=2,
+                          checkpoints=checkpoints)
+
+
 def test_sweep_input_validation():
     cfg = mmn_config(25)
     with pytest.raises(ValueError, match="replications"):
